@@ -1,0 +1,281 @@
+"""Machine-vs-reference label validation.
+
+Agreement rates over raw labels, rank correlations and error distributions
+over query-level page scores, reported per popularity segment (and
+optionally per market). Paired-difference errors are computed on
+delta-of-deltas, where per-query offsets shared by both arms cancel.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from .core import EvalDataset, PopularitySegment, QueryRecord, RelevanceLabel
+from .errors import (
+    AllTied,
+    EmptyInput,
+    LengthMismatch,
+    MissingReferenceLabels,
+    TooFewSamples,
+)
+from .metrics import sdcg_at_k
+
+OVERALL = "overall"
+
+
+def _check_xy(x: Sequence[float], y: Sequence[float]) -> None:
+    if len(x) != len(y):
+        raise LengthMismatch(f"length mismatch: {len(x)} vs {len(y)}")
+    if len(x) < 2:
+        raise TooFewSamples(f"need at least 2 observations, got {len(x)}")
+
+
+def _tie_term(sorted_vals: np.ndarray) -> int:
+    """Sum of t*(t-1)/2 over tie groups of a sorted array."""
+    total = 0
+    run = 1
+    for i in range(1, len(sorted_vals)):
+        if sorted_vals[i] == sorted_vals[i - 1]:
+            run += 1
+        else:
+            total += run * (run - 1) // 2
+            run = 1
+    total += run * (run - 1) // 2
+    return total
+
+
+def _merge_count(arr: list[float]) -> int:
+    """Count strict inversions (pairs i<j with arr[i] > arr[j]) by merge sort."""
+    n = len(arr)
+    if n < 2:
+        return 0
+    buf = arr[:]
+    src = arr[:]
+    count = 0
+    width = 1
+    while width < n:
+        for lo in range(0, n, 2 * width):
+            mid = min(lo + width, n)
+            hi = min(lo + 2 * width, n)
+            i, j, k = lo, mid, lo
+            while i < mid and j < hi:
+                if src[i] <= src[j]:
+                    buf[k] = src[i]
+                    i += 1
+                else:
+                    buf[k] = src[j]
+                    count += mid - i
+                    j += 1
+                k += 1
+            buf[k:hi] = src[i:mid] if i < mid else src[j:hi]
+        src, buf = buf, src
+        width *= 2
+    return count
+
+
+def kendall_tau(x: Sequence[float], y: Sequence[float]) -> float:
+    """Tie-adjusted rank correlation (tau-b) in O(n log n).
+
+    (C - D) / sqrt((n0 - T_x)(n0 - T_y)) with n0 = n(n-1)/2 and T the tie
+    pair counts. Raises AllTied when either variable is constant (the
+    denominator would be zero).
+    """
+    _check_xy(x, y)
+    n = len(x)
+    xa = np.asarray(x, dtype=float)
+    ya = np.asarray(y, dtype=float)
+
+    order = np.lexsort((ya, xa))
+    xs = xa[order]
+    ys = ya[order]
+
+    n0 = n * (n - 1) // 2
+    t_x = _tie_term(xs)
+    t_y = _tie_term(np.sort(ya))
+    # joint ties: runs of equal (x, y) pairs in the lexicographic order
+    joint = 0
+    run = 1
+    for i in range(1, n):
+        if xs[i] == xs[i - 1] and ys[i] == ys[i - 1]:
+            run += 1
+        else:
+            joint += run * (run - 1) // 2
+            run = 1
+    joint += run * (run - 1) // 2
+
+    if n0 == t_x or n0 == t_y:
+        raise AllTied("correlation undefined: one variable is constant")
+
+    discordant = _merge_count(list(ys))
+    con_minus_dis = n0 - t_x - t_y + joint - 2 * discordant
+    return con_minus_dis / math.sqrt((n0 - t_x) * (n0 - t_y))
+
+
+def _midranks(a: np.ndarray) -> np.ndarray:
+    """Average ranks (1-based), ties receiving the mean of their positions."""
+    order = np.argsort(a, kind="stable")
+    ranks = np.empty(len(a))
+    i = 0
+    while i < len(a):
+        j = i
+        while j + 1 < len(a) and a[order[j + 1]] == a[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def spearman_rho(x: Sequence[float], y: Sequence[float]) -> float:
+    """Pearson correlation of midranks."""
+    _check_xy(x, y)
+    rx = _midranks(np.asarray(x, dtype=float))
+    ry = _midranks(np.asarray(y, dtype=float))
+    rx -= rx.mean()
+    ry -= ry.mean()
+    denom = math.sqrt(float(rx @ rx) * float(ry @ ry))
+    if denom == 0.0:
+        raise AllTied("correlation undefined: one variable is constant")
+    return float(rx @ ry) / denom
+
+
+@dataclass(frozen=True)
+class ErrorDistribution:
+    """Mean and P10/median/P90 of machine-minus-reference errors.
+
+    Percentiles interpolate linearly between order statistics at positions
+    (n - 1) * p.
+    """
+
+    mean: float
+    p10: float
+    median: float
+    p90: float
+    n: int
+
+
+def error_distribution(machine_scores: Sequence[float],
+                       reference_scores: Sequence[float]) -> ErrorDistribution:
+    if len(machine_scores) != len(reference_scores):
+        raise LengthMismatch(
+            f"length mismatch: {len(machine_scores)} vs {len(reference_scores)}")
+    if len(machine_scores) == 0:
+        raise EmptyInput("error_distribution requires at least one score pair")
+    errors = np.asarray(machine_scores, dtype=float) - np.asarray(reference_scores, dtype=float)
+    p10, median, p90 = np.percentile(errors, [10, 50, 90])
+    return ErrorDistribution(mean=float(errors.mean()), p10=float(p10),
+                             median=float(median), p90=float(p90), n=len(errors))
+
+
+@dataclass(frozen=True)
+class AgreementStats:
+    """Label-level agreement; confusion rows are reference labels, columns machine."""
+
+    exact_rate: float
+    within_one_rate: float
+    confusion: tuple[tuple[int, ...], ...]
+    n: int
+
+
+def label_agreement(machine: Sequence[RelevanceLabel | int],
+                    reference: Sequence[RelevanceLabel | int]) -> AgreementStats:
+    if len(machine) != len(reference):
+        raise LengthMismatch(f"length mismatch: {len(machine)} vs {len(reference)}")
+    if not machine:
+        raise EmptyInput("label_agreement requires at least one label pair")
+    m = np.array([lab.level if isinstance(lab, RelevanceLabel) else int(lab) for lab in machine])
+    r = np.array([lab.level if isinstance(lab, RelevanceLabel) else int(lab) for lab in reference])
+    confusion = np.zeros((5, 5), dtype=int)
+    np.add.at(confusion, (r - 1, m - 1), 1)
+    n = len(m)
+    return AgreementStats(
+        exact_rate=float((m == r).mean()),
+        within_one_rate=float((np.abs(m - r) <= 1).mean()),
+        confusion=tuple(tuple(int(c) for c in row) for row in confusion),
+        n=n,
+    )
+
+
+@dataclass(frozen=True)
+class SegmentAlignment:
+    """One report row: correlations and error distributions for a segment."""
+
+    market: str | None
+    segment: str
+    kendall: float | None
+    spearman: float | None
+    errors: ErrorDistribution
+    paired_errors: ErrorDistribution | None
+    n: int
+
+
+@dataclass(frozen=True)
+class AlignmentReport:
+    segments: tuple[SegmentAlignment, ...]
+    excluded: tuple[tuple[str, int], ...]
+    k_depth: int
+
+
+def _segment_row(market: str | None, name: str,
+                 records: list[QueryRecord], k_depth: int) -> SegmentAlignment:
+    machine = [sdcg_at_k(rec.control, k_depth).value for rec in records]
+    reference = [sdcg_at_k(rec.control_reference, k_depth).value for rec in records]
+    try:
+        tau = kendall_tau(machine, reference)
+        rho = spearman_rho(machine, reference)
+    except AllTied:
+        tau = rho = None
+    errors = error_distribution(machine, reference)
+
+    paired = None
+    if all(rec.treatment is not None and rec.treatment_reference is not None for rec in records):
+        m_delta = [sdcg_at_k(rec.treatment, k_depth).value - m
+                   for rec, m in zip(records, machine)]
+        r_delta = [sdcg_at_k(rec.treatment_reference, k_depth).value - r
+                   for rec, r in zip(records, reference)]
+        paired = error_distribution(m_delta, r_delta)
+    return SegmentAlignment(market=market, segment=name, kendall=tau, spearman=rho,
+                            errors=errors, paired_errors=paired, n=len(records))
+
+
+def alignment_report(dataset: EvalDataset, by_market: bool = False) -> AlignmentReport:
+    """Overall + per-popularity-segment alignment rows (per market if asked).
+
+    Every record must carry reference labels for its control arm (and for
+    the treatment arm when present). Segments with fewer than 2 queries are
+    listed as excluded.
+    """
+    for rec in dataset.records:
+        if rec.control_reference is None:
+            raise MissingReferenceLabels(
+                f"record {rec.query_id!r} has no reference labels for its control arm")
+        if rec.treatment is not None and rec.treatment_reference is None:
+            raise MissingReferenceLabels(
+                f"record {rec.query_id!r} has no reference labels for its treatment arm")
+    if not dataset.records:
+        raise EmptyInput("alignment_report requires a non-empty dataset")
+
+    markets: list[str | None]
+    if by_market:
+        markets = sorted({rec.market for rec in dataset.records})
+    else:
+        markets = [None]
+
+    rows: list[SegmentAlignment] = []
+    excluded: list[tuple[str, int]] = []
+    for market in markets:
+        pool = [rec for rec in dataset.records if market is None or rec.market == market]
+        groups: list[tuple[str, list[QueryRecord]]] = [(OVERALL, pool)]
+        for seg in PopularitySegment:
+            groups.append((seg.value, [rec for rec in pool if rec.stratum.popularity == seg]))
+        for name, records in groups:
+            label = name if market is None else f"{market}/{name}"
+            if len(records) < 2:
+                if records or name == OVERALL:
+                    excluded.append((label, len(records)))
+                continue
+            rows.append(_segment_row(market, name, records, dataset.k_depth))
+    return AlignmentReport(segments=tuple(rows), excluded=tuple(excluded), k_depth=dataset.k_depth)

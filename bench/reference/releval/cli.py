@@ -1,0 +1,330 @@
+"""Command-line interface.
+
+Exit codes: 0 success, 1 validation/domain error, 2 I/O error. Every
+randomized subcommand takes an explicit --seed (with a fixed documented
+default, never wall-clock entropy), and every report embeds the seed and
+tool version so runs are reproducible byte for byte.
+"""
+
+from __future__ import annotations
+
+import csv
+import functools
+import json
+import sys
+
+import click
+import numpy as np
+
+from . import __version__
+from .alignment import alignment_report
+from .core import DEFAULT_K_DEPTH
+from .dataset_io import (
+    canonical_json,
+    design_weights,
+    load_confusion,
+    load_design,
+    load_effect,
+    load_population_spec,
+    read_dataset,
+    to_jsonable,
+    write_dataset,
+)
+from .errors import RelevalError
+from .estimation import (
+    GROUP_BY_POPULARITY,
+    segment_effects,
+    srs_estimate,
+    stratified_estimate,
+)
+from .metrics import paired_delta, sdcg_at_k
+from .power import PowerConfig, mde as compute_mde, required_n
+from .sampling import allocate
+from .simulator import ConfusionMatrix, EffectSpec, run_synthetic_experiment
+
+DEFAULT_SEED = 20240901
+
+EXIT_DOMAIN = 1
+EXIT_IO = 2
+
+
+def guarded(fn):
+    """Map domain errors to exit 1 and I/O errors to exit 2."""
+
+    @functools.wraps(fn)
+    def wrapper(*args, error_json: bool = False, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except RelevalError as err:
+            if error_json:
+                click.echo(json.dumps(err.payload(), sort_keys=True))
+            else:
+                click.echo(f"error: {err}", err=True)
+            sys.exit(EXIT_DOMAIN)
+        except (OSError, json.JSONDecodeError) as err:
+            if error_json:
+                click.echo(json.dumps({"error": "IOError", "message": str(err)}, sort_keys=True))
+            else:
+                click.echo(f"I/O error: {err}", err=True)
+            sys.exit(EXIT_IO)
+
+    return wrapper
+
+
+error_json_option = click.option(
+    "--error-json", is_flag=True, default=False,
+    help="Emit machine-readable error JSON on stdout instead of a message on stderr.")
+
+
+@click.group()
+@click.version_option(version=__version__, prog_name="releval")
+def main():
+    """Whole-page relevance measurement for paired A/B experiments."""
+
+
+@main.command("metric")
+@click.argument("dataset_path", type=click.Path())
+@click.option("--k", "k_depth", type=int, default=DEFAULT_K_DEPTH, show_default=True,
+              help="Metric depth K.")
+@click.option("--out", "out_path", type=click.Path(), default="-",
+              help="Output CSV path (default stdout).")
+@error_json_option
+@guarded
+def cli_metric(dataset_path, k_depth, out_path):
+    """Per-query page-score CSV for every arm in DATASET_PATH."""
+    dataset = read_dataset(dataset_path, k_depth=k_depth)
+    rows = [f"# k_depth={k_depth}", "query_id,arm,sdcg,short_page"]
+    for rec in dataset.records:
+        arms = [("control", rec.control)]
+        if rec.treatment is not None:
+            arms.append(("treatment", rec.treatment))
+        for arm, page in arms:
+            score = sdcg_at_k(page, k_depth)
+            rows.append(f"{rec.query_id},{arm},{score.value:.10f},{str(score.short_page).lower()}")
+    text = "\n".join(rows) + "\n"
+    if out_path == "-":
+        click.echo(text, nl=False)
+    else:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
+def _topline_mde(dataset, deltas, per_stratum, weights, cfg):
+    """Sensitivity block: current-design MDE per estimator at the current n."""
+    mu_hat = float(np.mean([sdcg_at_k(rec.control, dataset.k_depth).value
+                            for rec in dataset.records]))
+    n = len(deltas)
+    out = {"mu_hat": mu_hat, "n": n}
+    sigma_srs = float(np.std(deltas, ddof=1))
+    out["srs"] = {"sigma_hat": sigma_srs,
+                  "mde": compute_mde(mu_hat, sigma_srs, n, cfg)}
+    if per_stratum is not None and all(len(v) >= 2 for v in per_stratum.values()):
+        # effective sigma implied by the stratified variance at the same n
+        var = sum(weights[k] ** 2 * float(np.var(v, ddof=1)) / len(v)
+                  for k, v in per_stratum.items())
+        sigma_strat = float(np.sqrt(var * n))
+        out["stratified"] = {"sigma_hat": sigma_strat,
+                             "mde": compute_mde(mu_hat, sigma_strat, n, cfg)}
+    out["current"] = out["stratified"]["mde"] if "stratified" in out else out["srs"]["mde"]
+    return out
+
+
+@main.command("evaluate")
+@click.argument("dataset_path", type=click.Path())
+@click.option("--design", "design_path", type=click.Path(), default=None,
+              help="Strata design file with population weights (required for stratified).")
+@click.option("--estimator", type=click.Choice(["srs", "stratified"]), default="srs",
+              show_default=True)
+@click.option("--alpha", type=float, default=0.05, show_default=True)
+@click.option("--q", type=float, default=0.05, show_default=True,
+              help="FDR level for segment analysis.")
+@click.option("--by", "grouping", type=click.Choice(["popularity", "interest", "stratum"]),
+              default=GROUP_BY_POPULARITY, show_default=True)
+@click.option("--k", "k_depth", type=int, default=DEFAULT_K_DEPTH, show_default=True)
+@click.option("--out", "out_path", type=click.Path(), default="-")
+@error_json_option
+@guarded
+def cli_evaluate(dataset_path, design_path, estimator, alpha, q, grouping, k_depth, out_path):
+    """Topline and per-segment paired-delta estimates with BH-corrected flags."""
+    dataset = read_dataset(dataset_path, k_depth=k_depth, paired=True)
+    deltas = [paired_delta(rec, k_depth) for rec in dataset.records]
+
+    per_stratum = weights = None
+    if design_path is not None:
+        weights = design_weights(load_design(design_path))
+        per_stratum = {}
+        for rec, d in zip(dataset.records, deltas):
+            per_stratum.setdefault(rec.stratum, []).append(d)
+
+    if estimator == "stratified":
+        if weights is None:
+            raise RelevalError("stratified estimator requires --design weights")
+        topline = stratified_estimate(per_stratum, weights, alpha)
+    else:
+        topline = srs_estimate(deltas, alpha)
+
+    analysis = segment_effects(dataset, grouping=grouping, alpha=alpha, q=q)
+    cfg = PowerConfig()
+    report = {
+        "version": __version__,
+        "seed": None,
+        "config": {"estimator": estimator, "alpha": alpha, "q": q,
+                   "k_depth": k_depth, "grouping": grouping,
+                   "design": design_path},
+        "topline": topline,
+        "segments": list(analysis.effects),
+        "excluded": [{"segment": s, "n": n} for s, n in analysis.excluded],
+        "mde": _topline_mde(dataset, deltas, per_stratum, weights, cfg),
+    }
+    has_refs = dataset.records and all(
+        rec.control_reference is not None
+        and (rec.treatment is None or rec.treatment_reference is not None)
+        for rec in dataset.records)
+    if has_refs:
+        report["alignment"] = alignment_report(dataset, by_market=True)
+    _emit_json(report, out_path)
+
+
+@main.command("design")
+@click.option("--strata", "strata_path", type=click.Path(), required=True,
+              help="Strata design file with weights and sigmas.")
+@click.option("--budget", type=int, required=True)
+@click.option("--mode", type=click.Choice(["neyman", "proportional"]), default="neyman",
+              show_default=True)
+@click.option("--min-per-stratum", type=int, default=2, show_default=True)
+@click.option("--out", "out_path", type=click.Path(), default="-")
+@error_json_option
+@guarded
+def cli_design(strata_path, budget, mode, min_per_stratum, out_path):
+    """Allocate a sample budget to strata (optimal or proportional)."""
+    specs = load_design(strata_path)
+    alloc = allocate(specs, budget, mode=mode, min_per_stratum=min_per_stratum)
+    report = {
+        "version": __version__,
+        "mode": mode,
+        "budget": budget,
+        "fallback_proportional": alloc.fallback_proportional,
+        "per_stratum": {str(k): v for k, v in sorted(alloc.per_stratum.items())},
+    }
+    _emit_json(report, out_path)
+
+
+@main.command("mde")
+@click.option("--mu", type=float, required=True, help="Metric mean estimate.")
+@click.option("--sigma", type=float, required=True, help="Metric std dev estimate.")
+@click.option("--n", "n_queries", type=int, default=None, help="Sample size.")
+@click.option("--target", type=float, default=None,
+              help="Target MDE as a fraction; prints the required n instead.")
+@click.option("--alpha", type=float, default=0.05, show_default=True)
+@click.option("--power", type=float, default=0.8, show_default=True)
+@error_json_option
+@guarded
+def cli_mde(mu, sigma, n_queries, target, alpha, power):
+    """Minimum detectable effect, or required n for a target MDE."""
+    cfg = PowerConfig(alpha=alpha, power=power)
+    if (n_queries is None) == (target is None):
+        raise RelevalError("provide exactly one of --n or --target")
+    if target is not None:
+        click.echo(str(required_n(mu, sigma, target, cfg)))
+    else:
+        value = compute_mde(mu, sigma, n_queries, cfg)
+        click.echo(f"{value * 100:.4f}%")
+
+
+@main.command("align")
+@click.argument("dataset_path", type=click.Path())
+@click.option("--by", "by", type=click.Choice(["popularity", "market"]), default="popularity",
+              show_default=True,
+              help="'popularity' pools markets; 'market' reports each market separately.")
+@click.option("--k", "k_depth", type=int, default=DEFAULT_K_DEPTH, show_default=True)
+@click.option("--out", "out_path", type=click.Path(), default="-")
+@click.option("--errors-csv", "errors_csv", type=click.Path(), default=None,
+              help="Also write per-query machine/reference scores and errors.")
+@error_json_option
+@guarded
+def cli_align(dataset_path, by, k_depth, out_path, errors_csv):
+    """Machine-vs-reference alignment report (correlations, error percentiles)."""
+    dataset = read_dataset(dataset_path, k_depth=k_depth)
+    report_obj = alignment_report(dataset, by_market=(by == "market"))
+
+    agreement = _dataset_agreement(dataset)
+    report = {
+        "version": __version__,
+        "seed": None,
+        "config": {"k_depth": k_depth, "by": by},
+        "agreement": agreement,
+        "segments": list(report_obj.segments),
+        "excluded": [{"segment": s, "n": n} for s, n in report_obj.excluded],
+    }
+    _emit_json(report, out_path)
+
+    if errors_csv is not None:
+        with open(errors_csv, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["query_id", "market", "segment",
+                             "machine_sdcg", "reference_sdcg", "error"])
+            for rec in dataset.records:
+                m = sdcg_at_k(rec.control, k_depth).value
+                r = sdcg_at_k(rec.control_reference, k_depth).value
+                writer.writerow([rec.query_id, rec.market, rec.stratum.popularity.value,
+                                 f"{m:.10f}", f"{r:.10f}", f"{m - r:.10f}"])
+
+
+def _dataset_agreement(dataset):
+    """Pooled label-level agreement over every position with both sources."""
+    from .alignment import label_agreement
+    machine, reference = [], []
+    for rec in dataset.records:
+        pairs = [(rec.control, rec.control_reference)]
+        if rec.treatment is not None:
+            pairs.append((rec.treatment, rec.treatment_reference))
+        for page, ref in pairs:
+            if ref is None:
+                continue
+            machine.extend(page.levels)
+            reference.extend(ref.levels)
+    if not machine:
+        return None
+    return label_agreement(machine, reference)
+
+
+@main.command("simulate")
+@click.option("--spec", "spec_path", type=click.Path(), required=True,
+              help="Population spec JSON.")
+@click.option("--confusion", "confusion_path", type=click.Path(), default=None,
+              help="Confusion matrix JSON (default: identity labeler).")
+@click.option("--effect", "effect_path", type=click.Path(), default=None,
+              help="Effect spec JSON (default: null effect).")
+@click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
+@click.option("--rho-shared", type=float, default=0.0, show_default=True,
+              help="Probability that both arms share a labeler draw per position.")
+@click.option("--jobs", type=int, default=1, show_default=True,
+              help="Worker threads (output is identical for any value).")
+@click.option("--k", "k_depth", type=int, default=None,
+              help="Override the spec file's k_depth.")
+@click.option("--out", "out_path", type=click.Path(), required=True)
+@error_json_option
+@guarded
+def cli_simulate(spec_path, confusion_path, effect_path, seed, rho_shared, jobs, k_depth, out_path):
+    """Generate a synthetic paired experiment dataset (JSONL)."""
+    spec, spec_k = load_population_spec(spec_path)
+    confusion = load_confusion(confusion_path) if confusion_path else ConfusionMatrix.identity()
+    effect = load_effect(effect_path) if effect_path else EffectSpec.null()
+    dataset = run_synthetic_experiment(
+        spec, effect, confusion,
+        k_depth=k_depth if k_depth is not None else spec_k,
+        seed=seed, rho_shared=rho_shared, jobs=jobs)
+    write_dataset(dataset, out_path)
+
+
+def _emit_json(report, out_path):
+    text = canonical_json(to_jsonable(report))
+    if out_path == "-":
+        click.echo(text, nl=False)
+    else:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
+if __name__ == "__main__":
+    main()

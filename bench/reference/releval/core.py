@@ -1,0 +1,277 @@
+"""Domain types and dataset validation.
+
+All types are frozen dataclasses: immutable after construction and safe to
+share across workers. Validation is a pure function and reports every
+violation it finds, not just the first.
+"""
+
+from __future__ import annotations
+
+import enum
+import numbers
+from dataclasses import dataclass, field
+from typing import Any, Iterable, Mapping, Sequence
+
+from .errors import (
+    BadLabelValue,
+    BadRankSequence,
+    DatasetValidationError,
+    DuplicateQueryId,
+    EmptyPage,
+    MissingArm,
+    RecordError,
+)
+
+DEFAULT_K_DEPTH = 25
+
+
+class PopularitySegment(str, enum.Enum):
+    """Query popularity class by search volume; SINGLE = fewer than 10 searches."""
+
+    HEAD = "head"
+    TORSO = "torso"
+    TAIL = "tail"
+    SINGLE = "single"
+
+
+@dataclass(frozen=True)
+class RelevanceLabel:
+    """Ordinal 5-point relevance judgment, 1 (highly irrelevant) .. 5 (highly relevant)."""
+
+    level: int
+
+    def __post_init__(self):
+        if (isinstance(self.level, bool) or not isinstance(self.level, numbers.Integral)
+                or not 1 <= self.level <= 5):
+            raise BadLabelValue(f"label level must be an integer in [1, 5], got {self.level!r}")
+        # normalize numpy integers and other Integral types to plain int
+        object.__setattr__(self, "level", int(self.level))
+
+
+@dataclass(frozen=True, order=True)
+class StratumKey:
+    """(interest, popularity) cell; strata partition the query population."""
+
+    interest: str
+    popularity: PopularitySegment
+
+    def __post_init__(self):
+        if not self.interest:
+            raise BadLabelValue("stratum interest tag must be non-empty")
+
+    def __str__(self) -> str:
+        return f"{self.interest}/{self.popularity.value}"
+
+
+@dataclass(frozen=True)
+class RankedPage:
+    """Ordered top-K relevance labels for one (query, arm) pair.
+
+    Ranks are implicit: position i holds rank i+1. Use ``from_entries`` to
+    build from explicit (rank, label) pairs with rank-sequence checking.
+    """
+
+    labels: tuple[RelevanceLabel, ...]
+
+    @classmethod
+    def from_levels(cls, levels: Iterable[int]) -> "RankedPage":
+        return cls(tuple(RelevanceLabel(v) for v in levels))
+
+    @classmethod
+    def from_entries(cls, entries: Sequence[tuple[int, int]]) -> "RankedPage":
+        ranks = [r for r, _ in entries]
+        if ranks != list(range(1, len(entries) + 1)):
+            raise BadRankSequence(f"ranks must be exactly 1..{len(entries)}, got {ranks}")
+        return cls.from_levels(lab for _, lab in entries)
+
+    @property
+    def levels(self) -> tuple[int, ...]:
+        return tuple(lab.level for lab in self.labels)
+
+    def entries(self) -> list[tuple[int, int]]:
+        return [(i + 1, lab.level) for i, lab in enumerate(self.labels)]
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+
+@dataclass(frozen=True)
+class QueryRecord:
+    """One evaluation query: stratum, market, and its ranked page(s).
+
+    ``control``/``treatment`` hold the working labels (machine labels when a
+    second source exists); ``*_reference`` hold reference (human) labels for
+    the same ranked results, when present.
+    """
+
+    query_id: str
+    market: str
+    stratum: StratumKey
+    control: RankedPage
+    treatment: RankedPage | None = None
+    control_reference: RankedPage | None = None
+    treatment_reference: RankedPage | None = None
+
+    @property
+    def is_paired(self) -> bool:
+        return self.treatment is not None
+
+    @property
+    def has_reference(self) -> bool:
+        return self.control_reference is not None
+
+
+@dataclass(frozen=True)
+class EvalDataset:
+    """Validated collection of query records with a shared metric depth."""
+
+    records: tuple[QueryRecord, ...]
+    k_depth: int = DEFAULT_K_DEPTH
+
+    def __post_init__(self):
+        if self.k_depth < 1:
+            raise BadLabelValue(f"k_depth must be >= 1, got {self.k_depth}")
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+
+def _parse_arm(raw: Any, query_id: str, arm: str, violations: list[RecordError]) -> tuple[RankedPage | None, RankedPage | None]:
+    """Parse one arm into (page, reference_page). Appends violations in place.
+
+    Accepted forms:
+      * list of {"rank": int, "label": int} objects (single label source)
+      * {"machine_labels": [...], "reference_labels": [...]} parallel arrays
+    """
+    if isinstance(raw, Mapping):
+        machine = raw.get("machine_labels")
+        reference = raw.get("reference_labels")
+        if machine is None or reference is None:
+            violations.append(MissingArm(
+                f"{arm}: dual-label form requires machine_labels and reference_labels",
+                query_id=query_id, field=arm))
+            return None, None
+        if len(machine) != len(reference):
+            violations.append(BadRankSequence(
+                f"{arm}: machine and reference label arrays differ in length",
+                query_id=query_id, field=arm))
+            return None, None
+        pages = []
+        for name, levels in (("machine_labels", machine), ("reference_labels", reference)):
+            try:
+                pages.append(RankedPage.from_levels(levels))
+            except RecordError as err:
+                err.query_id = query_id
+                err.field = f"{arm}.{name}"
+                violations.append(err)
+                pages.append(None)
+        return pages[0], pages[1]
+
+    entries = []
+    for i, item in enumerate(raw):
+        try:
+            entries.append((int(item["rank"]), int(item["label"])))
+        except (KeyError, TypeError, ValueError):
+            violations.append(BadRankSequence(
+                f"{arm}[{i}]: expected an object with integer rank and label",
+                query_id=query_id, field=f"{arm}[{i}]"))
+            return None, None
+    try:
+        return RankedPage.from_entries(entries), None
+    except RecordError as err:
+        err.query_id = query_id
+        err.field = arm
+        violations.append(err)
+        return None, None
+
+
+def record_from_raw(raw: Mapping[str, Any], violations: list[RecordError]) -> QueryRecord | None:
+    """Build a QueryRecord from a parsed JSON object, collecting violations."""
+    query_id = str(raw.get("query_id", ""))
+    if not query_id:
+        violations.append(MissingArm("record is missing query_id", field="query_id"))
+        return None
+    ok = True
+
+    market = str(raw.get("market", ""))
+    stratum_raw = raw.get("stratum") or {}
+    try:
+        stratum = StratumKey(
+            interest=str(stratum_raw.get("interest", "")),
+            popularity=PopularitySegment(str(stratum_raw.get("popularity", ""))),
+        )
+    except (ValueError, RecordError):
+        violations.append(BadLabelValue(
+            f"invalid stratum {stratum_raw!r}", query_id=query_id, field="stratum"))
+        stratum = None
+        ok = False
+
+    if "control" not in raw:
+        violations.append(MissingArm("record has no control arm", query_id=query_id, field="control"))
+        return None
+    control, control_ref = _parse_arm(raw["control"], query_id, "control", violations)
+    ok = ok and control is not None
+
+    treatment = treatment_ref = None
+    if raw.get("treatment") is not None:
+        treatment, treatment_ref = _parse_arm(raw["treatment"], query_id, "treatment", violations)
+        ok = ok and treatment is not None
+
+    if not ok or stratum is None or control is None:
+        return None
+    return QueryRecord(
+        query_id=query_id,
+        market=market,
+        stratum=stratum,
+        control=control,
+        treatment=treatment,
+        control_reference=control_ref,
+        treatment_reference=treatment_ref,
+    )
+
+
+def validate_dataset(
+    raw_records: Iterable[Mapping[str, Any] | QueryRecord],
+    k_depth: int = DEFAULT_K_DEPTH,
+    paired: bool = False,
+) -> EvalDataset:
+    """Validate parsed records into an EvalDataset.
+
+    Raises DatasetValidationError carrying *all* violations if any record is
+    invalid. ``paired=True`` additionally requires both arms per record and
+    rejects empty pages (a page with zero results has no defined score).
+    The accept/reject decision and the violation set are independent of
+    record order.
+    """
+    violations: list[RecordError] = []
+    records: list[QueryRecord] = []
+    for raw in raw_records:
+        if isinstance(raw, QueryRecord):
+            records.append(raw)
+        else:
+            rec = record_from_raw(raw, violations)
+            if rec is not None:
+                records.append(rec)
+
+    seen: dict[str, int] = {}
+    for rec in records:
+        seen[rec.query_id] = seen.get(rec.query_id, 0) + 1
+    for qid, count in seen.items():
+        if count > 1:
+            violations.append(DuplicateQueryId(
+                f"query_id {qid!r} appears {count} times", query_id=qid, field="query_id"))
+
+    if paired:
+        for rec in records:
+            if rec.treatment is None:
+                violations.append(MissingArm(
+                    "paired mode requires a treatment arm", query_id=rec.query_id, field="treatment"))
+            for arm, page in (("control", rec.control), ("treatment", rec.treatment)):
+                if page is not None and len(page) == 0:
+                    violations.append(EmptyPage(
+                        f"{arm} page is empty", query_id=rec.query_id, field=arm))
+
+    if violations:
+        violations.sort(key=lambda v: (v.query_id or "", v.field or "", v.code))
+        raise DatasetValidationError(violations)
+    return EvalDataset(records=tuple(records), k_depth=k_depth)

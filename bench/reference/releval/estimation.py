@@ -1,0 +1,187 @@
+"""Point estimates, intervals, and tests for paired relevance deltas.
+
+The paired design is realized as per-query deltas (treatment - control)
+followed by one-sample inference: a t-test under simple random sampling and
+a normal-approximation z-test for the stratified weighted estimator.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Hashable, Mapping, Sequence
+
+import numpy as np
+from scipy.special import stdtr, stdtrit
+
+from .core import EvalDataset, PopularitySegment, StratumKey
+from .errors import (
+    NoSegments,
+    TooFewSamples,
+    TooFewSamplesInStratum,
+    WeightMismatch,
+)
+from .fdr import benjamini_hochberg
+from .metrics import paired_delta
+from .power import normal_cdf, normal_quantile
+from .sampling import check_weights
+
+SRS = "srs"
+STRATIFIED = "stratified"
+
+GROUP_BY_POPULARITY = "popularity"
+GROUP_BY_INTEREST = "interest"
+GROUP_BY_STRATUM = "stratum"
+
+
+@dataclass(frozen=True)
+class EstimateResult:
+    """Mean, standard error, two-sided CI, and p-value for a delta estimate.
+
+    ``degenerate`` marks zero-variance inputs, where the p-value follows the
+    convention 1.0 if the mean is exactly 0 and 0.0 otherwise.
+    """
+
+    mean: float
+    std_error: float
+    ci_low: float
+    ci_high: float
+    p_value: float
+    n: int
+    estimator: str
+    alpha: float
+    degenerate: bool = False
+
+
+@dataclass(frozen=True)
+class SegmentEffect:
+    segment: Hashable
+    estimate: EstimateResult
+    bh_rejected: bool
+    adjusted_p: float
+
+
+@dataclass(frozen=True)
+class SegmentAnalysis:
+    """Per-segment effects plus the segments excluded for having n < 2."""
+
+    effects: tuple[SegmentEffect, ...]
+    excluded: tuple[tuple[Hashable, int], ...]
+
+
+def _degenerate(mean: float, n: int, estimator: str, alpha: float) -> EstimateResult:
+    p = 1.0 if mean == 0.0 else 0.0
+    return EstimateResult(mean=mean, std_error=0.0, ci_low=mean, ci_high=mean,
+                          p_value=p, n=n, estimator=estimator, alpha=alpha, degenerate=True)
+
+
+def srs_estimate(deltas: Sequence[float], alpha: float = 0.05) -> EstimateResult:
+    """One-sample t inference on paired deltas under simple random sampling."""
+    n = len(deltas)
+    if n < 2:
+        raise TooFewSamples(f"srs_estimate needs n >= 2, got {n}")
+    if not 0.0 < alpha < 1.0:
+        raise WeightMismatch(f"alpha must be in (0, 1), got {alpha}")
+    arr = np.asarray(deltas, dtype=float)
+    mean = float(arr.mean())
+    # constant inputs: report an exactly zero SE (np.std leaves float dust)
+    if np.ptp(arr) == 0.0:
+        return _degenerate(mean, n, SRS, alpha)
+    se = float(arr.std(ddof=1)) / math.sqrt(n)
+    if se == 0.0:
+        return _degenerate(mean, n, SRS, alpha)
+    df = n - 1
+    t = mean / se
+    p = 2.0 * float(stdtr(df, -abs(t)))
+    crit = float(stdtrit(df, 1.0 - alpha / 2.0))
+    return EstimateResult(mean=mean, std_error=se,
+                          ci_low=mean - crit * se, ci_high=mean + crit * se,
+                          p_value=min(p, 1.0), n=n, estimator=SRS, alpha=alpha)
+
+
+def stratified_estimate(
+    per_stratum: Mapping[StratumKey, Sequence[float]],
+    weights: Mapping[StratumKey, float],
+    alpha: float = 0.05,
+) -> EstimateResult:
+    """Weighted stratified mean with variance sum_k W_k^2 s_k^2 / n_k.
+
+    Uses the normal approximation for the interval and test; requires
+    explicit design weights (never inferred from sample counts) summing to 1.
+    """
+    if set(per_stratum) != set(weights):
+        missing = set(per_stratum) ^ set(weights)
+        raise WeightMismatch(f"strata and weights disagree on {sorted(map(str, missing))}")
+    if not per_stratum:
+        raise TooFewSamplesInStratum("stratified_estimate needs at least one stratum")
+    check_weights(weights.values())
+
+    mean = 0.0
+    var = 0.0
+    n_total = 0
+    for key in per_stratum:
+        arr = np.asarray(per_stratum[key], dtype=float)
+        n_k = arr.size
+        if n_k < 2:
+            raise TooFewSamplesInStratum(f"stratum {key} has n={n_k}, need >= 2")
+        w = weights[key]
+        mean += w * float(arr.mean())
+        var += w * w * (0.0 if np.ptp(arr) == 0.0 else float(arr.var(ddof=1))) / n_k
+        n_total += n_k
+    se = math.sqrt(var)
+    if se == 0.0:
+        return _degenerate(mean, n_total, STRATIFIED, alpha)
+    z = mean / se
+    p = 2.0 * normal_cdf(-abs(z))
+    crit = normal_quantile(1.0 - alpha / 2.0)
+    return EstimateResult(mean=mean, std_error=se,
+                          ci_low=mean - crit * se, ci_high=mean + crit * se,
+                          p_value=min(p, 1.0), n=n_total, estimator=STRATIFIED, alpha=alpha)
+
+
+def _segment_key(record, grouping: str) -> Hashable:
+    if grouping == GROUP_BY_POPULARITY:
+        return record.stratum.popularity
+    if grouping == GROUP_BY_INTEREST:
+        return record.stratum.interest
+    if grouping == GROUP_BY_STRATUM:
+        return record.stratum
+    raise ValueError(f"unknown grouping {grouping!r}")
+
+
+def _segment_sort_key(segment: Hashable):
+    if isinstance(segment, StratumKey):
+        return (segment.interest, segment.popularity.value)
+    if isinstance(segment, PopularitySegment):
+        return (segment.value,)
+    return (str(segment),)
+
+
+def segment_effects(
+    dataset: EvalDataset,
+    grouping: str = GROUP_BY_POPULARITY,
+    alpha: float = 0.05,
+    q: float = 0.05,
+) -> SegmentAnalysis:
+    """Per-segment SRS estimates with BH correction across segment p-values.
+
+    Segments with fewer than 2 paired queries are reported in ``excluded``
+    rather than silently dropped. Effects are sorted by segment key.
+    """
+    groups: dict[Hashable, list[float]] = {}
+    for record in dataset.records:
+        groups.setdefault(_segment_key(record, grouping), []).append(
+            paired_delta(record, dataset.k_depth))
+
+    included = sorted((s for s, d in groups.items() if len(d) >= 2), key=_segment_sort_key)
+    excluded = tuple(sorted(((s, len(groups[s])) for s in groups if len(groups[s]) < 2),
+                            key=lambda item: _segment_sort_key(item[0])))
+    if not included:
+        raise NoSegments("no segment has at least 2 paired queries")
+
+    estimates = [srs_estimate(groups[s], alpha) for s in included]
+    bh = benjamini_hochberg([e.p_value for e in estimates], q)
+    effects = tuple(
+        SegmentEffect(segment=s, estimate=e, bh_rejected=bh.rejected[i], adjusted_p=bh.adjusted_p[i])
+        for i, (s, e) in enumerate(zip(included, estimates)))
+    return SegmentAnalysis(effects=effects, excluded=excluded)

@@ -1,0 +1,207 @@
+"""Stratified sampling design: variance decomposition, budget allocation,
+and seeded sample drawing.
+
+The decomposition uses population (divide-by-n) variance throughout so the
+identity total = within + between is exact; estimation uses the n-1
+convention separately.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
+
+from ._rng import substream
+from .core import StratumKey
+from .errors import (
+    BudgetTooSmall,
+    EmptyInput,
+    MissingSigma,
+    StratumExhausted,
+    WeightMismatch,
+)
+
+MIN_PER_STRATUM = 2
+
+
+@dataclass(frozen=True)
+class StratumSpec:
+    """Design inputs for one stratum: population share and moment estimates."""
+
+    key: StratumKey
+    weight: float
+    sigma: float | None = None
+    mu: float | None = None
+
+    def __post_init__(self):
+        if not 0.0 < self.weight <= 1.0:
+            raise WeightMismatch(f"stratum {self.key} weight must be in (0, 1], got {self.weight}")
+        if self.sigma is not None and self.sigma < 0:
+            raise MissingSigma(f"stratum {self.key} sigma must be >= 0, got {self.sigma}")
+
+
+@dataclass(frozen=True)
+class VarianceDecomposition:
+    within: float
+    between: float
+    total: float
+
+
+@dataclass(frozen=True)
+class Allocation:
+    """Integer sample counts per stratum summing exactly to ``total``.
+
+    ``fallback_proportional`` is set when optimal allocation degenerated
+    (all weight*sigma products zero) and proportional shares were used.
+    """
+
+    per_stratum: Mapping[StratumKey, int]
+    total: int
+    fallback_proportional: bool = False
+
+
+def check_weights(weights: Iterable[float], tol: float = 1e-9) -> None:
+    total = float(sum(weights))
+    if abs(total - 1.0) > tol:
+        raise WeightMismatch(f"stratum weights must sum to 1 +/- {tol}, got {total!r}")
+
+
+def decompose_variance(values: Iterable[tuple[StratumKey, float]]) -> VarianceDecomposition:
+    """Split pooled population variance into within- and between-strata parts.
+
+    within  = sum_k (n_k/N) var_k      (population variance inside stratum k)
+    between = sum_k (n_k/N) (mean_k - mean)^2
+    total equals the population variance of the pooled values.
+    """
+    groups: dict[StratumKey, list[float]] = {}
+    for key, value in values:
+        groups.setdefault(key, []).append(float(value))
+    if not groups:
+        raise EmptyInput("decompose_variance requires at least one value")
+
+    n_total = sum(len(vals) for vals in groups.values())
+    grand_mean = sum(sum(vals) for vals in groups.values()) / n_total
+    within = 0.0
+    between = 0.0
+    for vals in groups.values():
+        arr = np.asarray(vals)
+        share = len(vals) / n_total
+        within += share * float(arr.var())
+        between += share * (float(arr.mean()) - grand_mean) ** 2
+    return VarianceDecomposition(within=within, between=between, total=within + between)
+
+
+def _largest_remainder(targets: Sequence[float], keys: Sequence[StratumKey], budget: int) -> list[int]:
+    """Round real targets to integers summing to ``budget``.
+
+    Leftover units go to the largest fractional remainders; ties break by
+    stratum key in lexicographic order so the result is deterministic.
+    """
+    floors = [int(np.floor(t)) for t in targets]
+    leftover = budget - sum(floors)
+    order = sorted(range(len(targets)),
+                   key=lambda i: (-(targets[i] - floors[i]), keys[i]))
+    counts = list(floors)
+    for i in order[:leftover]:
+        counts[i] += 1
+    return counts
+
+
+def allocate(
+    strata: Sequence[StratumSpec],
+    budget: int,
+    mode: str = "neyman",
+    min_per_stratum: int = MIN_PER_STRATUM,
+) -> Allocation:
+    """Allocate an integer sample budget to strata.
+
+    ``mode="neyman"`` sets shares proportional to weight*sigma (optimal
+    allocation); ``"proportional"`` uses the weights alone. Strata whose
+    real-valued target falls below ``min_per_stratum`` are pinned at the
+    minimum and the remaining budget re-allocated among the rest.
+    """
+    if mode not in ("neyman", "proportional"):
+        raise ValueError(f"unknown allocation mode {mode!r}")
+    if not strata:
+        raise EmptyInput("allocate requires at least one stratum")
+    check_weights(s.weight for s in strata)
+    if budget < min_per_stratum * len(strata):
+        raise BudgetTooSmall(
+            f"budget {budget} cannot give {len(strata)} strata at least {min_per_stratum} each")
+
+    fallback = False
+    if mode == "neyman":
+        for s in strata:
+            if s.sigma is None:
+                raise MissingSigma(f"optimal allocation requires sigma for stratum {s.key}")
+        shares = [s.weight * s.sigma for s in strata]
+        if sum(shares) == 0.0:
+            shares = [s.weight for s in strata]
+            fallback = True
+    else:
+        shares = [s.weight for s in strata]
+
+    keys = [s.key for s in strata]
+    active = list(range(len(strata)))
+    pinned: dict[int, int] = {}
+    remaining = budget
+    # Pin strata whose target is below the minimum, then re-scale the rest.
+    while active:
+        share_sum = sum(shares[i] for i in active)
+        if share_sum == 0.0:
+            # all remaining shares zero: split the leftover evenly
+            targets = {i: remaining / len(active) for i in active}
+        else:
+            targets = {i: remaining * shares[i] / share_sum for i in active}
+        below = [i for i in active if targets[i] < min_per_stratum]
+        if not below:
+            break
+        for i in below:
+            pinned[i] = min_per_stratum
+            remaining -= min_per_stratum
+            active.remove(i)
+
+    counts = [0] * len(strata)
+    for i, c in pinned.items():
+        counts[i] = c
+    if active:
+        rounded = _largest_remainder([targets[i] for i in active],
+                                     [keys[i] for i in active], remaining)
+        for i, c in zip(active, rounded):
+            counts[i] = c
+
+    per_stratum = {keys[i]: counts[i] for i in range(len(strata))}
+    return Allocation(per_stratum=per_stratum, total=budget, fallback_proportional=fallback)
+
+
+def draw_sample(
+    population: Iterable[tuple[str, StratumKey]],
+    allocation: Allocation,
+    seed: int,
+) -> list[str]:
+    """Simple random sample without replacement inside each stratum.
+
+    Fully deterministic given ``seed``; each stratum uses an independent
+    substream keyed by (seed, stratum), so drawing strata in parallel gives
+    the same result as drawing them sequentially. Output is ordered by
+    (stratum key, draw order).
+    """
+    by_stratum: dict[StratumKey, list[str]] = {}
+    for qid, key in population:
+        by_stratum.setdefault(key, []).append(qid)
+
+    out: list[str] = []
+    for key in sorted(allocation.per_stratum):
+        want = allocation.per_stratum[key]
+        if want == 0:
+            continue
+        pool = by_stratum.get(key, [])
+        if len(pool) < want:
+            raise StratumExhausted(
+                f"stratum {key} has {len(pool)} queries but the allocation asks for {want}")
+        rng = substream(seed, "draw", key)
+        idx = rng.choice(len(pool), size=want, replace=False)
+        out.extend(pool[i] for i in idx)
+    return out
