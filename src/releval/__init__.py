@@ -14,7 +14,6 @@ from .core import (
     PopularitySegment,
     QueryRecord,
     RankedPage,
-    RelevanceLabel,
     StratumKey,
     validate_dataset,
 )
@@ -62,7 +61,7 @@ from .simulator import (
 __all__ = [
     "__version__",
     "EvalDataset", "PopularitySegment", "QueryRecord", "RankedPage",
-    "RelevanceLabel", "StratumKey", "validate_dataset",
+    "StratumKey", "validate_dataset",
     "SdcgScore", "paired_delta", "sdcg_at_k",
     "Allocation", "StratumSpec", "VarianceDecomposition", "allocate",
     "decompose_variance", "draw_sample",

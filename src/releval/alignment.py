@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import EvalDataset, PopularitySegment, QueryRecord, RelevanceLabel
+from .core import EvalDataset, PopularitySegment, QueryRecord
 from .errors import (
     AllTied,
     EmptyInput,
@@ -34,18 +34,10 @@ def _check_xy(x: Sequence[float], y: Sequence[float]) -> None:
         raise TooFewSamples(f"need at least 2 observations, got {len(x)}")
 
 
-def _tie_term(sorted_vals: np.ndarray) -> int:
-    """Sum of t*(t-1)/2 over tie groups of a sorted array."""
-    total = 0
-    run = 1
-    for i in range(1, len(sorted_vals)):
-        if sorted_vals[i] == sorted_vals[i - 1]:
-            run += 1
-        else:
-            total += run * (run - 1) // 2
-            run = 1
-    total += run * (run - 1) // 2
-    return total
+def _tied_pairs(values: np.ndarray, axis: int | None = None) -> int:
+    """Sum of t*(t-1)/2 over groups of t equal values (rows when axis=0)."""
+    counts = np.unique(values, axis=axis, return_counts=True)[-1]
+    return int((counts * (counts - 1) // 2).sum())
 
 
 def _merge_count(arr: list[float]) -> int:
@@ -89,44 +81,25 @@ def kendall_tau(x: Sequence[float], y: Sequence[float]) -> float:
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
 
-    order = np.lexsort((ya, xa))
-    xs = xa[order]
-    ys = ya[order]
-
     n0 = n * (n - 1) // 2
-    t_x = _tie_term(xs)
-    t_y = _tie_term(np.sort(ya))
-    # joint ties: runs of equal (x, y) pairs in the lexicographic order
-    joint = 0
-    run = 1
-    for i in range(1, n):
-        if xs[i] == xs[i - 1] and ys[i] == ys[i - 1]:
-            run += 1
-        else:
-            joint += run * (run - 1) // 2
-            run = 1
-    joint += run * (run - 1) // 2
+    t_x = _tied_pairs(xa)
+    t_y = _tied_pairs(ya)
+    joint = _tied_pairs(np.column_stack((xa, ya)), axis=0)
 
     if n0 == t_x or n0 == t_y:
         raise AllTied("correlation undefined: one variable is constant")
 
-    discordant = _merge_count(list(ys))
+    # inversions of y once pairs are sorted by (x, y)
+    discordant = _merge_count(ya[np.lexsort((ya, xa))].tolist())
     con_minus_dis = n0 - t_x - t_y + joint - 2 * discordant
     return con_minus_dis / math.sqrt((n0 - t_x) * (n0 - t_y))
 
 
 def _midranks(a: np.ndarray) -> np.ndarray:
     """Average ranks (1-based), ties receiving the mean of their positions."""
-    order = np.argsort(a, kind="stable")
-    ranks = np.empty(len(a))
-    i = 0
-    while i < len(a):
-        j = i
-        while j + 1 < len(a) and a[order[j + 1]] == a[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, inv, counts = np.unique(a, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return ((2 * ends - counts + 1) / 2)[inv]
 
 
 def spearman_rho(x: Sequence[float], y: Sequence[float]) -> float:
@@ -180,14 +153,13 @@ class AgreementStats:
     n: int
 
 
-def label_agreement(machine: Sequence[RelevanceLabel | int],
-                    reference: Sequence[RelevanceLabel | int]) -> AgreementStats:
+def label_agreement(machine: Sequence[int], reference: Sequence[int]) -> AgreementStats:
     if len(machine) != len(reference):
         raise LengthMismatch(f"length mismatch: {len(machine)} vs {len(reference)}")
-    if not machine:
+    if len(machine) == 0:
         raise EmptyInput("label_agreement requires at least one label pair")
-    m = np.array([lab.level if isinstance(lab, RelevanceLabel) else int(lab) for lab in machine])
-    r = np.array([lab.level if isinstance(lab, RelevanceLabel) else int(lab) for lab in reference])
+    m = np.asarray(machine, dtype=np.int64)
+    r = np.asarray(reference, dtype=np.int64)
     confusion = np.zeros((5, 5), dtype=int)
     np.add.at(confusion, (r - 1, m - 1), 1)
     n = len(m)

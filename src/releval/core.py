@@ -8,9 +8,10 @@ violation it finds, not just the first.
 from __future__ import annotations
 
 import enum
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import (
     BadLabelValue,
@@ -24,6 +25,9 @@ from .errors import (
 
 DEFAULT_K_DEPTH = 25
 
+_LEVELS = frozenset(range(1, 6))
+_INT = frozenset((int,))
+
 
 class PopularitySegment(str, enum.Enum):
     """Query popularity class by search volume; SINGLE = fewer than 10 searches."""
@@ -32,20 +36,6 @@ class PopularitySegment(str, enum.Enum):
     TORSO = "torso"
     TAIL = "tail"
     SINGLE = "single"
-
-
-@dataclass(frozen=True)
-class RelevanceLabel:
-    """Ordinal 5-point relevance judgment, 1 (highly irrelevant) .. 5 (highly relevant)."""
-
-    level: int
-
-    def __post_init__(self):
-        if (isinstance(self.level, bool) or not isinstance(self.level, numbers.Integral)
-                or not 1 <= self.level <= 5):
-            raise BadLabelValue(f"label level must be an integer in [1, 5], got {self.level!r}")
-        # normalize numpy integers and other Integral types to plain int
-        object.__setattr__(self, "level", int(self.level))
 
 
 @dataclass(frozen=True, order=True)
@@ -63,36 +53,47 @@ class StratumKey:
         return f"{self.interest}/{self.popularity.value}"
 
 
+def _checked_level(value: Any) -> int:
+    """One label as a plain int in 1..5; numpy integers are normalized."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and 1 <= value <= 5:
+        return int(value)
+    raise BadLabelValue(f"label level must be an integer in [1, 5], got {value!r}")
+
+
 @dataclass(frozen=True)
 class RankedPage:
-    """Ordered top-K relevance labels for one (query, arm) pair.
+    """Ordered top-K relevance levels for one (query, arm) pair.
 
-    Ranks are implicit: position i holds rank i+1. Use ``from_entries`` to
-    build from explicit (rank, label) pairs with rank-sequence checking.
+    Each level is an ordinal 5-point judgment, 1 (highly irrelevant) .. 5
+    (highly relevant), stored as a plain int. Ranks are implicit: position i
+    holds rank i+1. Use ``from_entries`` to build from explicit (rank, label)
+    pairs with rank-sequence checking.
     """
 
-    labels: tuple[RelevanceLabel, ...]
+    levels: tuple[int, ...]
+
+    def __post_init__(self):
+        levels = self.levels
+        # whole-page test first; numpy integers to normalize and bad values to
+        # report take the per-label path. Types go first: all-int is hashable.
+        if (type(levels) is not tuple or not _INT.issuperset(map(type, levels))
+                or not _LEVELS.issuperset(levels)):
+            object.__setattr__(self, "levels", tuple(_checked_level(v) for v in levels))
 
     @classmethod
     def from_levels(cls, levels: Iterable[int]) -> "RankedPage":
-        return cls(tuple(RelevanceLabel(v) for v in levels))
+        return cls(tuple(levels.tolist() if isinstance(levels, np.ndarray) else levels))
 
     @classmethod
     def from_entries(cls, entries: Sequence[tuple[int, int]]) -> "RankedPage":
         ranks = [r for r, _ in entries]
-        if ranks != list(range(1, len(entries) + 1)):
+        if (ranks != list(range(1, len(entries) + 1))
+                or not all(type(r) is int for r in ranks)):
             raise BadRankSequence(f"ranks must be exactly 1..{len(entries)}, got {ranks}")
-        return cls.from_levels(lab for _, lab in entries)
-
-    @property
-    def levels(self) -> tuple[int, ...]:
-        return tuple(lab.level for lab in self.labels)
-
-    def entries(self) -> list[tuple[int, int]]:
-        return [(i + 1, lab.level) for i, lab in enumerate(self.labels)]
+        return cls(tuple(lab for _, lab in entries))
 
     def __len__(self) -> int:
-        return len(self.labels)
+        return len(self.levels)
 
 
 @dataclass(frozen=True)
@@ -146,7 +147,7 @@ def _parse_arm(raw: Any, query_id: str, arm: str, violations: list[RecordError])
     if isinstance(raw, Mapping):
         machine = raw.get("machine_labels")
         reference = raw.get("reference_labels")
-        if machine is None or reference is None:
+        if not isinstance(machine, (list, tuple)) or not isinstance(reference, (list, tuple)):
             violations.append(MissingArm(
                 f"{arm}: dual-label form requires machine_labels and reference_labels",
                 query_id=query_id, field=arm))
@@ -167,15 +168,23 @@ def _parse_arm(raw: Any, query_id: str, arm: str, violations: list[RecordError])
                 pages.append(None)
         return pages[0], pages[1]
 
+    if not isinstance(raw, (list, tuple)):
+        violations.append(MissingArm(
+            f"{arm}: expected a list of rank/label objects or a dual-label object",
+            query_id=query_id, field=arm))
+        return None, None
     entries = []
     for i, item in enumerate(raw):
         try:
-            entries.append((int(item["rank"]), int(item["label"])))
-        except (KeyError, TypeError, ValueError):
+            rank, label = item["rank"], item["label"]
+        except (KeyError, TypeError):
+            rank = None
+        if type(rank) is not int:
             violations.append(BadRankSequence(
                 f"{arm}[{i}]: expected an object with integer rank and label",
                 query_id=query_id, field=f"{arm}[{i}]"))
             return None, None
+        entries.append((rank, label))
     try:
         return RankedPage.from_entries(entries), None
     except RecordError as err:
@@ -200,7 +209,7 @@ def record_from_raw(raw: Mapping[str, Any], violations: list[RecordError]) -> Qu
             interest=str(stratum_raw.get("interest", "")),
             popularity=PopularitySegment(str(stratum_raw.get("popularity", ""))),
         )
-    except (ValueError, RecordError):
+    except (AttributeError, ValueError, RecordError):
         violations.append(BadLabelValue(
             f"invalid stratum {stratum_raw!r}", query_id=query_id, field="stratum"))
         stratum = None

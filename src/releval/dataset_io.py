@@ -49,6 +49,11 @@ def read_jsonl(path: str | Path) -> list[dict]:
                 violations.append(RecordError(
                     f"line {lineno}: malformed JSON ({err.msg})", field=f"line {lineno}"))
                 continue
+            if not isinstance(obj, dict):
+                violations.append(RecordError(
+                    f"line {lineno}: expected a JSON object, got {type(obj).__name__}",
+                    field=f"line {lineno}"))
+                continue
             unknown = set(obj) - KNOWN_RECORD_FIELDS
             if unknown:
                 warnings.warn(f"{path}: line {lineno}: ignoring unknown fields {sorted(unknown)}")
@@ -66,7 +71,7 @@ def _arm_to_json(page, reference) -> Any:
     if reference is not None:
         return {"machine_labels": list(page.levels),
                 "reference_labels": list(reference.levels)}
-    return [{"rank": r, "label": lab} for r, lab in page.entries()]
+    return [{"rank": r, "label": lab} for r, lab in enumerate(page.levels, start=1)]
 
 
 def record_to_json(rec: QueryRecord) -> dict:
@@ -108,11 +113,6 @@ def to_jsonable(obj: Any) -> Any:
     if hasattr(obj, "item") and not isinstance(obj, (str, bytes)):
         return obj.item()
     return obj
-
-
-def write_report(report: Mapping[str, Any], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(to_jsonable(report)))
 
 
 # -- design / spec files ------------------------------------------------------

@@ -238,7 +238,7 @@ def generate_population(spec: PopulationSpec, k_depth: int, seed: int) -> list[Q
     for sp in spec.strata:
         pages = _stratum_true_pages(sp.profile, spec.queries_per_stratum, k_depth, seed, sp.key)
         for q in range(spec.queries_per_stratum):
-            page = RankedPage.from_levels(int(v) for v in pages[q])
+            page = RankedPage.from_levels(pages[q])
             records.append(QueryRecord(
                 query_id=f"{sp.key.interest}-{sp.key.popularity.value}-{q:06d}",
                 market=spec.market, stratum=sp.key, control=page, treatment=page))
@@ -270,11 +270,11 @@ def apply_labeler(records: Sequence[QueryRecord], confusion: ConfusionMatrix,
             u_treatment = np.where(share, u_control, rng.random(k))
             treatment_levels = np.array(rec.treatment.levels)
             machine_treatment = _machine_labels(treatment_levels, cdf_rows, u_treatment)
-            treatment = RankedPage.from_levels(int(v) for v in machine_treatment)
+            treatment = RankedPage.from_levels(machine_treatment)
             treatment_ref = rec.treatment
         out.append(QueryRecord(
             query_id=rec.query_id, market=rec.market, stratum=rec.stratum,
-            control=RankedPage.from_levels(int(v) for v in machine_control),
+            control=RankedPage.from_levels(machine_control),
             treatment=treatment,
             control_reference=rec.control,
             treatment_reference=treatment_ref))
@@ -305,8 +305,8 @@ def run_synthetic_experiment(
             records.append(QueryRecord(
                 query_id=f"{sp.key.interest}-{sp.key.popularity.value}-{q:06d}",
                 market=spec.market, stratum=sp.key,
-                control=RankedPage.from_levels(int(v) for v in pages[q]),
-                treatment=RankedPage.from_levels(int(v) for v in treated[q])))
+                control=RankedPage.from_levels(pages[q]),
+                treatment=RankedPage.from_levels(treated[q])))
         return apply_labeler(records, confusion, seed, rho_shared)
 
     if jobs > 1:

@@ -76,6 +76,27 @@ class TestMetric:
         result = runner.invoke(main, ["metric", str(tmp_path / "nope.jsonl")])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("line, code, field", [
+        ("[1, 2]", "Error", "line 2"),
+        ("5", "Error", "line 2"),
+        ('"q1"', "Error", "line 2"),
+        ('{"query_id": "q1", "stratum": "x", "control": []}', "BadLabelValue", "stratum"),
+        ('{"query_id": "q1", "stratum": {"interest": "art", "popularity": "head"}, '
+         '"control": null}', "MissingArm", "control"),
+        ('{"query_id": "q1", "stratum": {"interest": "art", "popularity": "head"}, '
+         '"control": 5}', "MissingArm", "control"),
+        ('{"query_id": "q1", "stratum": {"interest": "art", "popularity": "head"}, '
+         '"control": {"machine_labels": 5, "reference_labels": [3]}}', "MissingArm", "control"),
+    ])
+    def test_malformed_record_shape_is_typed_error(self, runner, tmp_path, line, code, field):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(raw_record("q0", [3])) + "\n" + line + "\n", encoding="utf-8")
+        result = runner.invoke(main, ["metric", str(path), "--error-json"])
+        assert result.exit_code == 1
+        payload = json.loads(result.output)
+        assert payload["error"] == "DatasetValidationError"
+        assert [(v["error"], v["field"]) for v in payload["violations"]] == [(code, field)]
+
 
 class TestEvaluate:
     def design_file(self, tmp_path, weight=1.0):

@@ -1,12 +1,12 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from releval.core import (
     EvalDataset,
     PopularitySegment,
     RankedPage,
-    RelevanceLabel,
     StratumKey,
     validate_dataset,
 )
@@ -22,10 +22,15 @@ from conftest import page, raw_record, record, sk
 
 def test_relevance_label_range():
     for level in (1, 2, 3, 4, 5):
-        assert RelevanceLabel(level).level == level
-    for bad in (0, 6, -1, 2.5, "3"):
+        assert RankedPage.from_levels([level]).levels == (level,)
+    for bad in (0, 6, -1, 2.5, "3", True):
         with pytest.raises(BadLabelValue):
-            RelevanceLabel(bad)
+            RankedPage.from_levels([4, bad])
+    with pytest.raises(BadLabelValue):
+        RankedPage((0,))
+    levels = RankedPage.from_levels([np.int64(3)]).levels
+    assert levels == (3,) and type(levels[0]) is int
+    assert RankedPage.from_levels(np.array([2, 5])).levels == (2, 5)
 
 
 def test_stratum_key_requires_interest():
@@ -35,7 +40,8 @@ def test_stratum_key_requires_interest():
 
 def test_ranked_page_from_entries_checks_sequence():
     assert RankedPage.from_entries([(1, 5), (2, 3)]).levels == (5, 3)
-    for ranks in ([(1, 5), (3, 3)], [(2, 5), (1, 3)], [(1, 5), (1, 3)], [(0, 5)]):
+    for ranks in ([(1, 5), (3, 3)], [(2, 5), (1, 3)], [(1, 5), (1, 3)], [(0, 5)],
+                  [(True, 5)], [(1.0, 5)]):
         with pytest.raises(BadRankSequence):
             RankedPage.from_entries(ranks)
 
@@ -63,6 +69,25 @@ def test_validate_reports_bad_label():
     with pytest.raises(DatasetValidationError) as exc:
         validate_dataset([raw])
     assert [v.code for v in exc.value.violations] == ["BadLabelValue"]
+
+
+@pytest.mark.parametrize("key, value, code, field", [
+    ("label", 3.9, "BadLabelValue", "control"),
+    ("label", True, "BadLabelValue", "control"),
+    ("label", "3", "BadLabelValue", "control"),
+    ("label", None, "BadLabelValue", "control"),
+    ("label", [3], "BadLabelValue", "control"),
+    ("rank", 2.0, "BadRankSequence", "control[1]"),
+    ("rank", True, "BadRankSequence", "control[1]"),
+    ("rank", "2", "BadRankSequence", "control[1]"),
+])
+def test_list_form_requires_json_integers(key, value, code, field):
+    # the list form is held to the same rule as the dual-label form: no coercion
+    raw = raw_record("q1", [5, 4])
+    raw["control"][1][key] = value
+    with pytest.raises(DatasetValidationError) as exc:
+        validate_dataset([raw])
+    assert [(v.code, v.field) for v in exc.value.violations] == [(code, field)]
 
 
 def test_validate_reports_all_violations_not_just_first():
