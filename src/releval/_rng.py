@@ -1,10 +1,11 @@
 """Deterministic seeded substreams.
 
 Every randomized operation derives an independent generator from
-(seed, scope...) so that work partitioned across strata/queries in parallel
-reproduces the sequential output bit for bit. Scope parts are hashed with
-SHA-256, so stream identity is stable across platforms and Python versions
-(no reliance on hash()).
+(seed, scope...), so its draws do not depend on what else ran before it.
+The simulator keys its streams by (seed, purpose, stratum) and draws each
+stratum as one row-major block, so runs are prefix-stable per stratum.
+Scope parts are hashed with SHA-256, so stream identity is stable across
+platforms and Python versions (no reliance on hash()).
 """
 
 from __future__ import annotations

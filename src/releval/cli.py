@@ -298,14 +298,12 @@ def _dataset_agreement(dataset):
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
 @click.option("--rho-shared", type=float, default=0.0, show_default=True,
               help="Probability that both arms share a labeler draw per position.")
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="Worker threads (output is identical for any value).")
 @click.option("--k", "k_depth", type=int, default=None,
               help="Override the spec file's k_depth.")
 @click.option("--out", "out_path", type=click.Path(), required=True)
 @error_json_option
 @guarded
-def cli_simulate(spec_path, confusion_path, effect_path, seed, rho_shared, jobs, k_depth, out_path):
+def cli_simulate(spec_path, confusion_path, effect_path, seed, rho_shared, k_depth, out_path):
     """Generate a synthetic paired experiment dataset (JSONL)."""
     spec, spec_k = load_population_spec(spec_path)
     confusion = load_confusion(confusion_path) if confusion_path else ConfusionMatrix.identity()
@@ -313,7 +311,7 @@ def cli_simulate(spec_path, confusion_path, effect_path, seed, rho_shared, jobs,
     dataset = run_synthetic_experiment(
         spec, effect, confusion,
         k_depth=k_depth if k_depth is not None else spec_k,
-        seed=seed, rho_shared=rho_shared, jobs=jobs)
+        seed=seed, rho_shared=rho_shared)
     write_dataset(dataset, out_path)
 
 

@@ -195,25 +195,42 @@ def _parse_arm(raw: Any, query_id: str, arm: str, violations: list[RecordError])
 
 
 def record_from_raw(raw: Mapping[str, Any], violations: list[RecordError]) -> QueryRecord | None:
-    """Build a QueryRecord from a parsed JSON object, collecting violations."""
-    query_id = str(raw.get("query_id", ""))
+    """Build a QueryRecord from a parsed JSON object, collecting violations.
+
+    ``query_id``, ``market`` and the stratum ``interest`` must be JSON
+    strings; any other value is a violation at that field, never coerced.
+    """
+    query_id = raw.get("query_id", "")
+    if type(query_id) is not str:
+        violations.append(BadLabelValue(
+            f"query_id must be a string, got {query_id!r}", field="query_id"))
+        return None
     if not query_id:
         violations.append(MissingArm("record is missing query_id", field="query_id"))
         return None
     ok = True
 
-    market = str(raw.get("market", ""))
-    stratum_raw = raw.get("stratum") or {}
-    try:
-        stratum = StratumKey(
-            interest=str(stratum_raw.get("interest", "")),
-            popularity=PopularitySegment(str(stratum_raw.get("popularity", ""))),
-        )
-    except (AttributeError, ValueError, RecordError):
+    market = raw.get("market", "")
+    if type(market) is not str:
         violations.append(BadLabelValue(
-            f"invalid stratum {stratum_raw!r}", query_id=query_id, field="stratum"))
-        stratum = None
+            f"market must be a string, got {market!r}", query_id=query_id, field="market"))
         ok = False
+    stratum_raw = raw.get("stratum") or {}
+    interest = stratum_raw.get("interest", "") if isinstance(stratum_raw, Mapping) else ""
+    stratum = None
+    if type(interest) is not str:
+        violations.append(BadLabelValue(
+            f"stratum interest must be a string, got {interest!r}",
+            query_id=query_id, field="stratum.interest"))
+    else:
+        try:
+            stratum = StratumKey(
+                interest=interest,
+                popularity=PopularitySegment(str(stratum_raw.get("popularity", ""))),
+            )
+        except (AttributeError, ValueError, RecordError):
+            violations.append(BadLabelValue(
+                f"invalid stratum {stratum_raw!r}", query_id=query_id, field="stratum"))
 
     if "control" not in raw:
         violations.append(MissingArm("record has no control arm", query_id=query_id, field="control"))

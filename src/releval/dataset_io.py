@@ -131,15 +131,15 @@ def load_design(path: str | Path) -> list[StratumSpec]:
         raw = json.load(fh)
     if not isinstance(raw, list):
         raise BadSpec("design file must be a JSON list of stratum objects")
-    specs = []
-    for obj in raw:
-        specs.append(StratumSpec(
+    try:
+        return [StratumSpec(
             key=_stratum_key(obj),
             weight=float(obj["weight"]),
             sigma=None if obj.get("sigma") is None else float(obj["sigma"]),
             mu=None if obj.get("mu") is None else float(obj["mu"]),
-        ))
-    return specs
+        ) for obj in raw]
+    except (KeyError, TypeError, ValueError) as err:
+        raise BadSpec(f"invalid design entry: {err!r}") from err
 
 
 def design_weights(specs: Iterable[StratumSpec]) -> dict[StratumKey, float]:
@@ -168,9 +168,10 @@ def load_population_spec(path: str | Path) -> tuple[PopulationSpec, int]:
         spec = PopulationSpec(strata=tuple(strata),
                               queries_per_stratum=int(raw["queries_per_stratum"]),
                               market=str(raw.get("market", "US")))
-    except (KeyError, TypeError, ValueError) as err:
+        k_depth = int(raw.get("k_depth", 25))
+    except (KeyError, TypeError, ValueError, AttributeError) as err:
         raise BadSpec(f"invalid population spec: {err}") from err
-    return spec, int(raw.get("k_depth", 25))
+    return spec, k_depth
 
 
 def _as_prob_tuple(probs) -> tuple:
@@ -183,19 +184,25 @@ def load_confusion(path: str | Path) -> ConfusionMatrix:
     """Confusion file: {"rows": 5x5} or {"calibrate": {"exact":, "within_one":}}."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
-    if "calibrate" in raw:
-        cal = raw["calibrate"]
-        return calibrate_confusion(float(cal["exact"]), float(cal["within_one"]))
-    if "rows" in raw:
+    if not isinstance(raw, dict) or not ("calibrate" in raw or "rows" in raw):
+        raise BadSpec("confusion file must contain either 'rows' or 'calibrate'")
+    try:
+        if "calibrate" in raw:
+            cal = raw["calibrate"]
+            return calibrate_confusion(float(cal["exact"]), float(cal["within_one"]))
         return ConfusionMatrix(rows=tuple(tuple(float(p) for p in row) for row in raw["rows"]))
-    raise BadSpec("confusion file must contain either 'rows' or 'calibrate'")
+    except (KeyError, TypeError, ValueError) as err:
+        raise BadSpec(f"invalid confusion file: {err!r}") from err
 
 
 def load_effect(path: str | Path) -> EffectSpec:
     """Effect file: {"default": float, "shifts": [{interest, popularity, shift}]}."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
-    shifts = {}
-    for obj in raw.get("shifts", []):
-        shifts[_stratum_key(obj)] = float(obj["shift"])
-    return EffectSpec(shifts=shifts, default=float(raw.get("default", 0.0)))
+    if not isinstance(raw, dict):
+        raise BadSpec("effect file must be a JSON object")
+    try:
+        shifts = {_stratum_key(obj): float(obj["shift"]) for obj in raw.get("shifts", [])}
+        return EffectSpec(shifts=shifts, default=float(raw.get("default", 0.0)))
+    except (KeyError, TypeError, ValueError) as err:
+        raise BadSpec(f"invalid effect file: {err!r}") from err

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import stdtr, stdtrit
 
 from .core import EvalDataset, PopularitySegment, StratumKey
 from .errors import (
@@ -90,6 +89,8 @@ def srs_estimate(deltas: Sequence[float], alpha: float = 0.05) -> EstimateResult
     se = float(arr.std(ddof=1)) / math.sqrt(n)
     if se == 0.0:
         return _degenerate(mean, n, SRS, alpha)
+    # imported here: scipy.special costs every CLI process ~0.1 s at startup
+    from scipy.special import stdtr, stdtrit
     df = n - 1
     t = mean / se
     p = 2.0 * float(stdtr(df, -abs(t)))

@@ -74,8 +74,15 @@ def normal_quantile(p: float) -> float:
     return x - u / (1.0 + x * u / 2.0)
 
 
+def _check_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise OutOfDomain(f"{name} must be finite, got {value}")
+
+
 def mde(mu_hat: float, sigma_hat: float, n: int, cfg: PowerConfig = PowerConfig()) -> float:
     """Smallest relative lift detectable at the configured alpha and power."""
+    _check_finite(mu_hat=mu_hat, sigma_hat=sigma_hat)
     if mu_hat <= 0:
         raise NonPositiveMean(f"mu_hat must be > 0, got {mu_hat}")
     if sigma_hat < 0:
@@ -93,6 +100,7 @@ def required_n(mu_hat: float, sigma_hat: float, target_mde: float,
     Ceil of the closed-form inverse, then adjusted by direct evaluation so
     the result is exact despite rounding in the closed form.
     """
+    _check_finite(mu_hat=mu_hat, sigma_hat=sigma_hat, target_mde=target_mde)
     if mu_hat <= 0:
         raise NonPositiveMean(f"mu_hat must be > 0, got {mu_hat}")
     if sigma_hat <= 0 or target_mde <= 0:

@@ -8,6 +8,7 @@ convention separately.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -38,8 +39,8 @@ class StratumSpec:
     def __post_init__(self):
         if not 0.0 < self.weight <= 1.0:
             raise WeightMismatch(f"stratum {self.key} weight must be in (0, 1], got {self.weight}")
-        if self.sigma is not None and self.sigma < 0:
-            raise MissingSigma(f"stratum {self.key} sigma must be >= 0, got {self.sigma}")
+        if self.sigma is not None and not 0.0 <= self.sigma < math.inf:
+            raise MissingSigma(f"stratum {self.key} sigma must be finite and >= 0, got {self.sigma}")
 
 
 @dataclass(frozen=True)

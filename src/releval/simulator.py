@@ -4,14 +4,15 @@ Produces stratified query populations with known per-position label
 distributions, applies treatment effects as coupled label shifts, and
 corrupts true labels through a row-stochastic confusion matrix standing in
 for a machine labeler. Every generator is a pure function of (inputs, seed):
-substreams are keyed by (seed, purpose, stratum, query index), so any
-parallel partitioning by stratum reproduces the sequential output.
+substreams are keyed by (seed, purpose, stratum), and each stratum's draws
+come out as one row-major block per purpose, row q for query q. Runs are
+prefix-stable per stratum: the first n queries of a stratum are the same for
+any ``queries_per_stratum`` >= n.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -47,13 +48,15 @@ class LabelProfile:
         if self.kind == "categorical":
             rows = self._rows()
             for row in rows:
-                if len(row) != 5 or any(p < 0 for p in row):
+                if len(row) != 5 or not all(p >= 0 for p in row):
                     raise BadSpec(f"categorical profile rows must be 5 non-negative probs, got {row}")
-                if abs(sum(row) - 1.0) > _PROB_TOL:
+                if not abs(sum(row) - 1.0) <= _PROB_TOL:
                     raise BadSpec(f"categorical profile row must sum to 1, got {sum(row)!r}")
         elif self.kind == "curve":
             if not 1.0 <= self.mean_top <= 5.0:
                 raise BadSpec(f"curve mean_top must be in [1, 5], got {self.mean_top}")
+            if not math.isfinite(self.decay):
+                raise BadSpec(f"curve decay must be finite, got {self.decay}")
         else:
             raise BadSpec(f"unknown profile kind {self.kind!r}")
 
@@ -80,6 +83,8 @@ class LabelProfile:
 
     def pmf_matrix(self, k_depth: int) -> np.ndarray:
         """(k_depth, 5) matrix of per-rank distributions."""
+        if k_depth < 1:
+            raise BadSpec(f"k_depth must be >= 1, got {k_depth}")
         return np.stack([self.pmf(k) for k in range(1, k_depth + 1)])
 
 
@@ -142,9 +147,9 @@ class ConfusionMatrix:
         if len(self.rows) != 5 or any(len(r) != 5 for r in self.rows):
             raise BadMatrix("confusion matrix must be 5x5")
         for r, row in enumerate(self.rows):
-            if any(p < 0 for p in row):
-                raise BadMatrix(f"row {r + 1} has a negative entry")
-            if abs(sum(row) - 1.0) > _PROB_TOL:
+            if not all(p >= 0 for p in row):
+                raise BadMatrix(f"row {r + 1} has a negative or NaN entry")
+            if not abs(sum(row) - 1.0) <= _PROB_TOL:
                 raise BadMatrix(f"row {r + 1} must sum to 1, got {sum(row)!r}")
 
     def as_array(self) -> np.ndarray:
@@ -161,6 +166,11 @@ class EffectSpec:
 
     shifts: Mapping[StratumKey, float] = field(default_factory=dict)
     default: float = 0.0
+
+    def __post_init__(self):
+        for value in (self.default, *self.shifts.values()):
+            if not math.isfinite(value):
+                raise BadSpec(f"effect shifts must be finite, got {value}")
 
     def shift_for(self, key: StratumKey) -> float:
         return self.shifts.get(key, self.default)
@@ -199,31 +209,25 @@ def calibrate_confusion(exact_target: float, within_one_target: float) -> Confus
     return ConfusionMatrix(rows=tuple(rows))
 
 
-def _stratum_true_pages(profile: LabelProfile, count: int, k_depth: int,
-                        seed: int, key: StratumKey) -> np.ndarray:
-    """(count, k_depth) matrix of control-arm labels, one substream per query."""
-    pmfs = profile.pmf_matrix(k_depth)
-    cdf = np.cumsum(pmfs, axis=1)
+def _draw_levels(profile: LabelProfile, count: int, k_depth: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """(count, k_depth) labels drawn by inverse CDF from one uniform block."""
+    cdf = np.cumsum(profile.pmf_matrix(k_depth), axis=1)
     cdf[:, -1] = 1.0
-    pages = np.empty((count, k_depth), dtype=np.int64)
-    for q in range(count):
-        u = substream(seed, "pop", key, q).random(k_depth)
-        pages[q] = (u[:, None] > cdf).sum(axis=1) + 1
-    return pages
+    u = rng.random((count, k_depth))
+    return (u[:, :, None] > cdf).sum(axis=2) + 1
 
 
 def _apply_effect(pages: np.ndarray, delta: float, seed: int, key: StratumKey) -> np.ndarray:
     """Coupled treatment labels: clamp(L + f [+1 w.p. frac]), marginally shift_pmf."""
     if delta == 0.0:
         return pages.copy()
+    # past +-4 every label clamps to 5 (or 1) either way; this keeps f small
+    delta = min(4.0, max(-4.0, delta))
     f = math.floor(delta)
     frac = delta - f
-    out = np.empty_like(pages)
-    for q in range(pages.shape[0]):
-        u = substream(seed, "effect", key, q).random(pages.shape[1])
-        step = f + (u < frac).astype(np.int64)
-        out[q] = np.clip(pages[q] + step, 1, 5)
-    return out
+    u = substream(seed, "effect", key).random(pages.shape)
+    return np.clip(pages + f + (u < frac), 1, 5)
 
 
 def _machine_labels(true_levels: np.ndarray, cdf_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -232,15 +236,42 @@ def _machine_labels(true_levels: np.ndarray, cdf_rows: np.ndarray, u: np.ndarray
     return (u[..., None] > row_cdf).sum(axis=-1) + 1
 
 
+def _machine_arms(control: np.ndarray, treatment: np.ndarray, u: np.ndarray,
+                  cdf_rows: np.ndarray, rho_shared: float) -> tuple[np.ndarray, np.ndarray]:
+    """Machine labels for both arms from uniforms ``u[..., i, :]``.
+
+    i = 0 labels control, i = 1 is the share flag, i = 2 labels treatment
+    unless the flag reuses the control uniform.
+    """
+    u_control = u[..., 0, :]
+    u_treatment = np.where(u[..., 1, :] < rho_shared, u_control, u[..., 2, :])
+    return (_machine_labels(control, cdf_rows, u_control),
+            _machine_labels(treatment, cdf_rows, u_treatment))
+
+
+def _labeler_cdf(confusion: ConfusionMatrix, rho_shared: float) -> np.ndarray:
+    """Row-wise CDFs of the confusion matrix, once ``rho_shared`` is checked."""
+    if not 0.0 <= rho_shared <= 1.0:
+        raise BadMatrix(f"rho_shared must be in [0, 1], got {rho_shared}")
+    cdf_rows = np.cumsum(confusion.as_array(), axis=1)
+    cdf_rows[:, -1] = 1.0
+    return cdf_rows
+
+
+def _query_id(key: StratumKey, q: int) -> str:
+    return f"{key.interest}-{key.popularity.value}-{q:06d}"
+
+
 def generate_population(spec: PopulationSpec, k_depth: int, seed: int) -> list[QueryRecord]:
     """True-labeled paired records; both arms identical (no effect applied yet)."""
     records: list[QueryRecord] = []
     for sp in spec.strata:
-        pages = _stratum_true_pages(sp.profile, spec.queries_per_stratum, k_depth, seed, sp.key)
-        for q in range(spec.queries_per_stratum):
-            page = RankedPage.from_levels(pages[q])
+        pages = _draw_levels(sp.profile, spec.queries_per_stratum, k_depth,
+                             substream(seed, "pop", sp.key))
+        for q, levels in enumerate(pages.tolist()):
+            page = RankedPage(tuple(levels))
             records.append(QueryRecord(
-                query_id=f"{sp.key.interest}-{sp.key.popularity.value}-{q:06d}",
+                query_id=_query_id(sp.key, q),
                 market=spec.market, stratum=sp.key, control=page, treatment=page))
     return records
 
@@ -252,32 +283,28 @@ def apply_labeler(records: Sequence[QueryRecord], confusion: ConfusionMatrix,
     ``rho_shared`` in [0, 1] is the probability that a (query, position)
     reuses the same latent uniform for both arms, correlating labeler errors
     across arms (when true labels agree, the machine labels then agree too).
+    Each record takes a ``(3, k)`` uniform block, in record order, from its
+    stratum's labeler substream: the rows ``run_synthetic_experiment`` draws
+    for the same stratum, so both give the same labels for the same pages.
     """
-    if not 0.0 <= rho_shared <= 1.0:
-        raise BadMatrix(f"rho_shared must be in [0, 1], got {rho_shared}")
-    cdf_rows = np.cumsum(confusion.as_array(), axis=1)
-    cdf_rows[:, -1] = 1.0
+    cdf_rows = _labeler_cdf(confusion, rho_shared)
+    rngs: dict[StratumKey, np.random.Generator] = {}
     out = []
-    for idx, rec in enumerate(records):
-        rng = substream(seed, "labeler", rec.stratum, rec.query_id)
-        k = len(rec.control)
-        u_control = rng.random(k)
-        control_levels = np.array(rec.control.levels)
-        machine_control = _machine_labels(control_levels, cdf_rows, u_control)
-        treatment = treatment_ref = None
-        if rec.treatment is not None:
-            share = rng.random(k) < rho_shared
-            u_treatment = np.where(share, u_control, rng.random(k))
-            treatment_levels = np.array(rec.treatment.levels)
-            machine_treatment = _machine_labels(treatment_levels, cdf_rows, u_treatment)
-            treatment = RankedPage.from_levels(machine_treatment)
-            treatment_ref = rec.treatment
+    for rec in records:
+        if rec.stratum not in rngs:
+            rngs[rec.stratum] = substream(seed, "labeler", rec.stratum)
+        u = rngs[rec.stratum].random((3, len(rec.control)))
+        control = np.array(rec.control.levels, dtype=np.int64)
+        treatment = (control if rec.treatment is None
+                     else np.array(rec.treatment.levels, dtype=np.int64))
+        machine_control, machine_treatment = _machine_arms(
+            control, treatment, u, cdf_rows, rho_shared)
         out.append(QueryRecord(
             query_id=rec.query_id, market=rec.market, stratum=rec.stratum,
             control=RankedPage.from_levels(machine_control),
-            treatment=treatment,
+            treatment=None if rec.treatment is None else RankedPage.from_levels(machine_treatment),
             control_reference=rec.control,
-            treatment_reference=treatment_ref))
+            treatment_reference=rec.treatment))
     return out
 
 
@@ -288,33 +315,32 @@ def run_synthetic_experiment(
     k_depth: int,
     seed: int,
     rho_shared: float = 0.0,
-    jobs: int = 1,
 ) -> EvalDataset:
     """Full paired experiment: population, effect, labeler, ready for the pipeline.
 
     Treatment pages are the control pages shifted by the stratum's effect
     (marginally, the shifted label distribution); both arms are labeled by
-    the same confusion-matrix labeler. Byte-identical output for any
-    ``jobs`` count because all randomness lives in keyed substreams.
+    the same confusion-matrix labeler. Each stratum is drawn whole: one
+    block per purpose from its ("pop" | "effect" | "labeler", stratum)
+    substream, row q for query q.
     """
-    def build_stratum(sp: StratumProfile) -> list[QueryRecord]:
-        pages = _stratum_true_pages(sp.profile, spec.queries_per_stratum, k_depth, seed, sp.key)
+    cdf_rows = _labeler_cdf(confusion, rho_shared)
+    count = spec.queries_per_stratum
+    records: list[QueryRecord] = []
+    for sp in spec.strata:
+        pages = _draw_levels(sp.profile, count, k_depth, substream(seed, "pop", sp.key))
         treated = _apply_effect(pages, effect.shift_for(sp.key), seed, sp.key)
-        records = []
-        for q in range(spec.queries_per_stratum):
+        u = substream(seed, "labeler", sp.key).random((count, 3, k_depth))
+        machine_control, machine_treatment = _machine_arms(pages, treated, u, cdf_rows, rho_shared)
+        rows = zip(pages.tolist(), treated.tolist(),
+                   machine_control.tolist(), machine_treatment.tolist())
+        for q, (control, treatment, m_control, m_treatment) in enumerate(rows):
             records.append(QueryRecord(
-                query_id=f"{sp.key.interest}-{sp.key.popularity.value}-{q:06d}",
-                market=spec.market, stratum=sp.key,
-                control=RankedPage.from_levels(pages[q]),
-                treatment=RankedPage.from_levels(treated[q])))
-        return apply_labeler(records, confusion, seed, rho_shared)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(build_stratum, spec.strata))
-    else:
-        chunks = [build_stratum(sp) for sp in spec.strata]
-    records = [rec for chunk in chunks for rec in chunk]
+                query_id=_query_id(sp.key, q), market=spec.market, stratum=sp.key,
+                control=RankedPage(tuple(m_control)),
+                treatment=RankedPage(tuple(m_treatment)),
+                control_reference=RankedPage(tuple(control)),
+                treatment_reference=RankedPage(tuple(treatment))))
     return EvalDataset(records=tuple(records), k_depth=k_depth)
 
 
@@ -350,11 +376,7 @@ def stratum_score_moments(profile: LabelProfile, k_depth: int,
 def sample_stratum_scores(profile: LabelProfile, count: int, k_depth: int,
                           rng: np.random.Generator) -> np.ndarray:
     """Vectorized draw of ``count`` page scores from one stratum's profile."""
-    pmfs = profile.pmf_matrix(k_depth)
-    cdf = np.cumsum(pmfs, axis=1)
-    cdf[:, -1] = 1.0
-    u = rng.random((count, k_depth))
-    levels = (u[:, :, None] > cdf[None, :, :]).sum(axis=2) + 1
+    levels = _draw_levels(profile, count, k_depth, rng)
     disc = np.array(_discounts(k_depth))
     return (levels @ disc) / (5.0 * disc.sum())
 

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import releval
 from releval.cli import main
 
 from conftest import raw_record
@@ -35,6 +40,30 @@ def dual_raw(query_id, machine, reference, machine_t=None, reference_t=None,
 
 def paired_records(n=6, c=(3, 4), t=(4, 4)):
     return [raw_record(f"q{i}", list(c), list(t)) for i in range(n)]
+
+
+def sim_spec(k_depth=4, decay=0.3, weights=(0.5, 0.5)):
+    return {
+        "k_depth": k_depth,
+        "queries_per_stratum": 20,
+        "strata": [
+            {"interest": "a", "popularity": "head", "weight": weights[0],
+             "profile": {"kind": "curve", "mean_top": 4.2, "decay": decay}},
+            {"interest": "b", "popularity": "tail", "weight": weights[1],
+             "profile": {"kind": "categorical",
+                         "probs": [0.1, 0.2, 0.4, 0.2, 0.1]}},
+        ]}
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.special is only needed by the t test, so it is imported on first use
+    src = str(Path(releval.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, releval.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 class TestMetric:
@@ -194,7 +223,32 @@ class TestDesign:
         assert payload["error"]
 
 
+    @pytest.mark.parametrize("entries, code", [
+        ([{"interest": "a", "popularity": "head", "sigma": 1.0}], "BadSpec"),
+        ([5], "BadSpec"),
+        ([{"interest": "a", "popularity": "head", "weight": 1.0, "sigma": float("nan")}],
+         "MissingSigma"),
+    ])
+    def test_bad_design_file_is_typed_error(self, runner, tmp_path, entries, code):
+        path = tmp_path / "strata.json"
+        path.write_text(json.dumps(entries))
+        result = runner.invoke(main, ["design", "--strata", str(path), "--budget", "8",
+                                      "--error-json"])
+        assert result.exit_code == 1
+        assert json.loads(result.output)["error"] == code
+
+
 class TestMde:
+    @pytest.mark.parametrize("args", [
+        ["--mu", "nan", "--sigma", "0.1", "--n", "100"],
+        ["--mu", "0.8", "--sigma", "nan", "--n", "100"],
+        ["--mu", "0.8", "--sigma", "0.1", "--target", "nan"],
+    ])
+    def test_non_finite_input_is_typed_error(self, runner, args):
+        result = runner.invoke(main, ["mde", *args, "--error-json"])
+        assert result.exit_code == 1
+        assert json.loads(result.output)["error"] == "OutOfDomain"
+
     def test_zero_sigma(self, runner):
         result = runner.invoke(main, ["mde", "--mu", "0.8", "--sigma", "0", "--n", "100"])
         assert result.exit_code == 0
@@ -264,16 +318,7 @@ class TestAlign:
 class TestSimulate:
     def spec_file(self, tmp_path, weights=(0.5, 0.5)):
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps({
-            "k_depth": 4,
-            "queries_per_stratum": 20,
-            "strata": [
-                {"interest": "a", "popularity": "head", "weight": weights[0],
-                 "profile": {"kind": "curve", "mean_top": 4.2, "decay": 0.3}},
-                {"interest": "b", "popularity": "tail", "weight": weights[1],
-                 "profile": {"kind": "categorical",
-                             "probs": [0.1, 0.2, 0.4, 0.2, 0.1]}},
-            ]}))
+        path.write_text(json.dumps(sim_spec(weights=weights)))
         return str(path)
 
     def test_same_seed_byte_identical(self, runner, tmp_path):
@@ -284,13 +329,6 @@ class TestSimulate:
                                           "--out", str(out)])
             assert result.exit_code == 0
         assert out1.read_bytes() == out2.read_bytes()
-
-    def test_jobs_do_not_change_output(self, runner, tmp_path):
-        spec = self.spec_file(tmp_path)
-        out1, out4 = tmp_path / "j1.jsonl", tmp_path / "j4.jsonl"
-        runner.invoke(main, ["simulate", "--spec", spec, "--jobs", "1", "--out", str(out1)])
-        runner.invoke(main, ["simulate", "--spec", spec, "--jobs", "4", "--out", str(out4)])
-        assert out1.read_bytes() == out4.read_bytes()
 
     def test_identity_labeler_matches_reference(self, runner, tmp_path):
         spec = self.spec_file(tmp_path)
@@ -334,6 +372,27 @@ class TestSimulate:
             worse += t < c
         assert worse == 0
         assert improved > same
+
+    @pytest.mark.parametrize("option, text", [
+        ("--effect", "[1]"),
+        ("--effect", '{"shifts": [{"interest": "a", "popularity": "head"}]}'),
+        ("--effect", '{"default": NaN}'),
+        ("--effect", '{"default": 1e309}'),
+        ("--confusion", '{"calibrate": {"exact": 0.7}}'),
+        ("--spec", json.dumps(sim_spec(k_depth=0))),
+        ("--spec", json.dumps(sim_spec(decay=float("nan")))),
+    ], ids=["effect-list", "shift-missing", "default-nan", "default-inf",
+            "calibrate-no-within-one", "spec-k-depth-0", "spec-decay-nan"])
+    def test_bad_input_file_is_typed_error(self, runner, tmp_path, option, text):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        spec = str(path) if option == "--spec" else self.spec_file(tmp_path)
+        args = ["simulate", "--spec", spec, "--out", str(tmp_path / "x.jsonl"), "--error-json"]
+        if option != "--spec":
+            args += [option, str(path)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert json.loads(result.output)["error"] == "BadSpec"
 
     def test_bad_weights_rejected(self, runner, tmp_path):
         spec = self.spec_file(tmp_path, weights=(0.7, 0.7))

@@ -90,6 +90,23 @@ def test_list_form_requires_json_integers(key, value, code, field):
     assert [(v.code, v.field) for v in exc.value.violations] == [(code, field)]
 
 
+@pytest.mark.parametrize("key, value, field", [
+    ("query_id", None, "query_id"),
+    ("query_id", 7, "query_id"),
+    ("market", None, "market"),
+    ("market", 1, "market"),
+    ("interest", None, "stratum.interest"),
+    ("interest", 3, "stratum.interest"),
+])
+def test_identity_fields_must_be_strings(key, value, field):
+    # a non-string is reported, never turned into a string such as "None"
+    raw = raw_record("q1", [5, 4])
+    (raw["stratum"] if key == "interest" else raw)[key] = value
+    with pytest.raises(DatasetValidationError) as exc:
+        validate_dataset([raw])
+    assert [(v.code, v.field) for v in exc.value.violations] == [("BadLabelValue", field)]
+
+
 def test_validate_reports_all_violations_not_just_first():
     raws = [
         raw_record("q1", [5, 6]),          # bad label

@@ -1,9 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from releval import simulator
 from releval._rng import substream
+from releval.core import RankedPage
 from releval.errors import BadMatrix, BadSpec, InfeasibleTargets
 from releval.metrics import sdcg_at_k
 from releval.sampling import decompose_variance
@@ -238,15 +241,65 @@ class TestRunSyntheticExperiment:
         expected = mean_t - mean_c
         assert abs(deltas.mean() - expected) < 3 * deltas.std(ddof=1) / math.sqrt(len(deltas))
 
-    def test_same_seed_identical_and_jobs_invariant(self):
+    def test_huge_shift_clamps_every_label(self):
+        spec = two_strata_spec(point_mass(2), point_mass(4), count=5)
+        for shift, level in ((1e300, 5), (-1e300, 1), (4.5, 5), (-4.5, 1)):
+            ds = run_synthetic_experiment(spec, EffectSpec(default=shift),
+                                          ConfusionMatrix.identity(), 3, seed=23)
+            assert {rec.treatment_reference.levels for rec in ds.records} == {(level,) * 3}
+
+    def test_same_seed_identical(self):
         prof = LabelProfile(kind="curve", mean_top=3.8, decay=0.15)
         spec = two_strata_spec(prof, point_mass(3), count=60)
         cm = calibrate_confusion(0.737, 0.917)
         effect = EffectSpec(shifts={sk("a"): 0.4}, default=0.0)
         one = run_synthetic_experiment(spec, effect, cm, 8, seed=31, rho_shared=0.5)
         two = run_synthetic_experiment(spec, effect, cm, 8, seed=31, rho_shared=0.5)
-        four = run_synthetic_experiment(spec, effect, cm, 8, seed=31, rho_shared=0.5, jobs=4)
-        assert one == two == four
+        assert one == two
+
+    def test_one_substream_per_stratum_and_purpose(self, monkeypatch):
+        scopes = []
+
+        def counting(seed, *scope):
+            scopes.append(scope)
+            return substream(seed, *scope)
+
+        monkeypatch.setattr(simulator, "substream", counting)
+        prof = LabelProfile(kind="curve", mean_top=3.8, decay=0.15)
+        run_synthetic_experiment(two_strata_spec(prof, prof, count=40), EffectSpec(default=0.3),
+                                 calibrate_confusion(0.737, 0.917), 8, seed=34)
+        assert sorted(scopes) == sorted((purpose, key) for purpose in ("pop", "effect", "labeler")
+                                        for key in (sk("a"), sk("b")))
+
+    def test_first_queries_of_a_stratum_are_prefix_stable(self):
+        prof = LabelProfile(kind="curve", mean_top=3.8, decay=0.15)
+        cm = calibrate_confusion(0.737, 0.917)
+        effect = EffectSpec(shifts={sk("a"): 0.4}, default=-0.3)
+        small, large = (
+            run_synthetic_experiment(two_strata_spec(prof, point_mass(3), count=count),
+                                     effect, cm, 8, seed=32, rho_shared=0.5)
+            for count in (7, 30))
+        by_stratum = {}
+        for rec in large.records:
+            by_stratum.setdefault(rec.stratum, []).append(rec)
+        expected = [rec for recs in by_stratum.values() for rec in recs[:7]]
+        assert list(small.records) == expected
+
+    def test_apply_labeler_matches_whole_stratum_draws(self):
+        prof = LabelProfile(kind="categorical", probs=(0.1, 0.2, 0.3, 0.25, 0.15))
+        spec = two_strata_spec(prof, LabelProfile(kind="curve", mean_top=4.1, decay=0.2),
+                               count=25)
+        cm = calibrate_confusion(0.6, 0.85)
+        # an integer shift is deterministic: treatment is clamp(L + shift)
+        shifts = {sk("a"): 1.0, sk("b"): -2.0}
+        population = [
+            dataclasses.replace(rec, treatment=RankedPage.from_levels(
+                np.clip(np.array(rec.control.levels) + int(shifts[rec.stratum]), 1, 5)))
+            for rec in generate_population(spec, 9, seed=33)]
+        labeled = apply_labeler(population, cm, seed=33, rho_shared=0.4)
+        ds = run_synthetic_experiment(spec, EffectSpec(shifts=shifts), cm, 9, seed=33,
+                                      rho_shared=0.4)
+        assert tuple(labeled) == ds.records
 
     def test_rho_shared_tightens_paired_errors(self):
         prof = LabelProfile(kind="curve", mean_top=4.2, decay=0.1)
