@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import EvalDataset, PopularitySegment, QueryRecord
+from .core import EvalDataset, PopularitySegment
 from .errors import (
     AllTied,
     EmptyInput,
@@ -22,7 +22,7 @@ from .errors import (
     MissingReferenceLabels,
     TooFewSamples,
 )
-from .metrics import sdcg_at_k
+from .metrics import arm_scores
 
 OVERALL = "overall"
 
@@ -192,9 +192,12 @@ class AlignmentReport:
 
 
 def _segment_row(market: str | None, name: str,
-                 records: list[QueryRecord], k_depth: int) -> SegmentAlignment:
-    machine = [sdcg_at_k(rec.control, k_depth).value for rec in records]
-    reference = [sdcg_at_k(rec.control_reference, k_depth).value for rec in records]
+                 rows: list[int], dataset: EvalDataset) -> SegmentAlignment:
+    """One segment's row over the records at indices ``rows``."""
+    control = arm_scores(dataset, "control")
+    control_ref = arm_scores(dataset, "control_reference")
+    machine = [control[i] for i in rows]
+    reference = [control_ref[i] for i in rows]
     try:
         tau = kendall_tau(machine, reference)
         rho = spearman_rho(machine, reference)
@@ -203,14 +206,16 @@ def _segment_row(market: str | None, name: str,
     errors = error_distribution(machine, reference)
 
     paired = None
-    if all(rec.treatment is not None and rec.treatment_reference is not None for rec in records):
-        m_delta = [sdcg_at_k(rec.treatment, k_depth).value - m
-                   for rec, m in zip(records, machine)]
-        r_delta = [sdcg_at_k(rec.treatment_reference, k_depth).value - r
-                   for rec, r in zip(records, reference)]
+    records = dataset.records
+    # alignment_report has checked that every treatment page has a reference
+    if all(records[i].treatment is not None for i in rows):
+        treatment = arm_scores(dataset, "treatment")
+        treatment_ref = arm_scores(dataset, "treatment_reference")
+        m_delta = [treatment[i] - m for i, m in zip(rows, machine)]
+        r_delta = [treatment_ref[i] - r for i, r in zip(rows, reference)]
         paired = error_distribution(m_delta, r_delta)
     return SegmentAlignment(market=market, segment=name, kendall=tau, spearman=rho,
-                            errors=errors, paired_errors=paired, n=len(records))
+                            errors=errors, paired_errors=paired, n=len(rows))
 
 
 def alignment_report(dataset: EvalDataset, by_market: bool = False) -> AlignmentReport:
@@ -236,18 +241,20 @@ def alignment_report(dataset: EvalDataset, by_market: bool = False) -> Alignment
     else:
         markets = [None]
 
-    rows: list[SegmentAlignment] = []
+    records = dataset.records
+    segments: list[SegmentAlignment] = []
     excluded: list[tuple[str, int]] = []
     for market in markets:
-        pool = [rec for rec in dataset.records if market is None or rec.market == market]
-        groups: list[tuple[str, list[QueryRecord]]] = [(OVERALL, pool)]
+        pool = [i for i, rec in enumerate(records) if market is None or rec.market == market]
+        groups: list[tuple[str, list[int]]] = [(OVERALL, pool)]
         for seg in PopularitySegment:
-            groups.append((seg.value, [rec for rec in pool if rec.stratum.popularity == seg]))
-        for name, records in groups:
+            groups.append((seg.value, [i for i in pool if records[i].stratum.popularity == seg]))
+        for name, rows in groups:
             label = name if market is None else f"{market}/{name}"
-            if len(records) < 2:
-                if records or name == OVERALL:
-                    excluded.append((label, len(records)))
+            if len(rows) < 2:
+                if rows or name == OVERALL:
+                    excluded.append((label, len(rows)))
                 continue
-            rows.append(_segment_row(market, name, records, dataset.k_depth))
-    return AlignmentReport(segments=tuple(rows), excluded=tuple(excluded), k_depth=dataset.k_depth)
+            segments.append(_segment_row(market, name, rows, dataset))
+    return AlignmentReport(segments=tuple(segments), excluded=tuple(excluded),
+                           k_depth=dataset.k_depth)

@@ -37,7 +37,7 @@ from .estimation import (
     srs_estimate,
     stratified_estimate,
 )
-from .metrics import paired_delta, sdcg_at_k
+from .metrics import arm_scores, paired_deltas
 from .power import PowerConfig, mde as compute_mde, required_n
 from .sampling import allocate
 from .simulator import ConfusionMatrix, EffectSpec, run_synthetic_experiment
@@ -94,13 +94,13 @@ def cli_metric(dataset_path, k_depth, out_path):
     """Per-query page-score CSV for every arm in DATASET_PATH."""
     dataset = read_dataset(dataset_path, k_depth=k_depth)
     rows = [f"# k_depth={k_depth}", "query_id,arm,sdcg,short_page"]
-    for rec in dataset.records:
-        arms = [("control", rec.control)]
-        if rec.treatment is not None:
-            arms.append(("treatment", rec.treatment))
-        for arm, page in arms:
-            score = sdcg_at_k(page, k_depth)
-            rows.append(f"{rec.query_id},{arm},{score.value:.10f},{str(score.short_page).lower()}")
+    control = arm_scores(dataset, "control")
+    treatment = arm_scores(dataset, "treatment")
+    for rec, c, t in zip(dataset.records, control, treatment):
+        for arm, page, value in (("control", rec.control, c), ("treatment", rec.treatment, t)):
+            if page is not None:
+                short = "true" if len(page) < k_depth else "false"
+                rows.append(f"{rec.query_id},{arm},{value:.10f},{short}")
     text = "\n".join(rows) + "\n"
     if out_path == "-":
         click.echo(text, nl=False)
@@ -111,8 +111,7 @@ def cli_metric(dataset_path, k_depth, out_path):
 
 def _topline_mde(dataset, deltas, per_stratum, weights, cfg):
     """Sensitivity block: current-design MDE per estimator at the current n."""
-    mu_hat = float(np.mean([sdcg_at_k(rec.control, dataset.k_depth).value
-                            for rec in dataset.records]))
+    mu_hat = float(np.mean(arm_scores(dataset, "control")))
     n = len(deltas)
     out = {"mu_hat": mu_hat, "n": n}
     sigma_srs = float(np.std(deltas, ddof=1))
@@ -147,7 +146,7 @@ def _topline_mde(dataset, deltas, per_stratum, weights, cfg):
 def cli_evaluate(dataset_path, design_path, estimator, alpha, q, grouping, k_depth, out_path):
     """Topline and per-segment paired-delta estimates with BH-corrected flags."""
     dataset = read_dataset(dataset_path, k_depth=k_depth, paired=True)
-    deltas = [paired_delta(rec, k_depth) for rec in dataset.records]
+    deltas = paired_deltas(dataset)
 
     per_stratum = weights = None
     if design_path is not None:
@@ -263,9 +262,8 @@ def cli_align(dataset_path, by, k_depth, out_path, errors_csv):
             writer = csv.writer(fh)
             writer.writerow(["query_id", "market", "segment",
                              "machine_sdcg", "reference_sdcg", "error"])
-            for rec in dataset.records:
-                m = sdcg_at_k(rec.control, k_depth).value
-                r = sdcg_at_k(rec.control_reference, k_depth).value
+            for rec, m, r in zip(dataset.records, arm_scores(dataset, "control"),
+                                 arm_scores(dataset, "control_reference")):
                 writer.writerow([rec.query_id, rec.market, rec.stratum.popularity.value,
                                  f"{m:.10f}", f"{r:.10f}", f"{m - r:.10f}"])
 

@@ -1,14 +1,15 @@
 """Domain types and dataset validation.
 
-All types are frozen dataclasses: immutable after construction and safe to
-share across workers. Validation is a pure function and reports every
-violation it finds, not just the first.
+All types are frozen dataclasses, immutable after construction; the one
+mutable part is EvalDataset's page-score memo, filled on first use. The
+record types are slotted, to keep a large dataset small. Validation is a pure
+function and reports every violation it finds, not just the first.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -38,7 +39,7 @@ class PopularitySegment(str, enum.Enum):
     SINGLE = "single"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class StratumKey:
     """(interest, popularity) cell; strata partition the query population."""
 
@@ -60,7 +61,7 @@ def _checked_level(value: Any) -> int:
     raise BadLabelValue(f"label level must be an integer in [1, 5], got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankedPage:
     """Ordered top-K relevance levels for one (query, arm) pair.
 
@@ -96,7 +97,7 @@ class RankedPage:
         return len(self.levels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryRecord:
     """One evaluation query: stratum, market, and its ranked page(s).
 
@@ -124,10 +125,15 @@ class QueryRecord:
 
 @dataclass(frozen=True)
 class EvalDataset:
-    """Validated collection of query records with a shared metric depth."""
+    """Validated collection of query records with a shared metric depth.
+
+    ``_scores`` holds each arm's page scores once ``metrics.arm_scores`` has
+    computed them; it takes no part in init, repr or equality.
+    """
 
     records: tuple[QueryRecord, ...]
     k_depth: int = DEFAULT_K_DEPTH
+    _scores: dict[str, list] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k_depth < 1:

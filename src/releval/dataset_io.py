@@ -12,7 +12,7 @@ import dataclasses
 import json
 import warnings
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from .core import (
     EvalDataset,
@@ -35,9 +35,12 @@ from .simulator import (
 KNOWN_RECORD_FIELDS = {"query_id", "market", "stratum", "control", "treatment"}
 
 
-def read_jsonl(path: str | Path) -> list[dict]:
-    """Parse a JSONL file; malformed lines are reported with their line number."""
-    records = []
+def read_jsonl(path: str | Path) -> Iterator[dict]:
+    """Yield the object on each line of a JSONL file, one at a time.
+
+    Malformed lines are collected with their line numbers and raised
+    together, as one DatasetValidationError, once the file is exhausted.
+    """
     violations: list[RecordError] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -54,16 +57,20 @@ def read_jsonl(path: str | Path) -> list[dict]:
                     f"line {lineno}: expected a JSON object, got {type(obj).__name__}",
                     field=f"line {lineno}"))
                 continue
-            unknown = set(obj) - KNOWN_RECORD_FIELDS
-            if unknown:
+            if not KNOWN_RECORD_FIELDS.issuperset(obj):
+                unknown = set(obj) - KNOWN_RECORD_FIELDS
                 warnings.warn(f"{path}: line {lineno}: ignoring unknown fields {sorted(unknown)}")
-            records.append(obj)
+            yield obj
     if violations:
         raise DatasetValidationError(violations)
-    return records
 
 
 def read_dataset(path: str | Path, k_depth: int = 25, paired: bool = False) -> EvalDataset:
+    """Stream a JSONL file into validation: each raw object is dropped once checked.
+
+    A file with malformed lines reports only those, as it is read in full
+    before any record violation is raised.
+    """
     return validate_dataset(read_jsonl(path), k_depth=k_depth, paired=paired)
 
 
@@ -116,13 +123,42 @@ def to_jsonable(obj: Any) -> Any:
 
 
 # -- design / spec files ------------------------------------------------------
+# Fields take exactly the JSON types their schemas declare: a number is an
+# int or float (never a bool), and nothing is coerced with int(), float() or
+# str().
+
+def _json_number(value: Any, name: str) -> float:
+    if type(value) not in (int, float):
+        raise BadSpec(f"{name} must be a JSON number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as err:
+        raise BadSpec(f"{name} is out of range, got {value!r}") from err
+
+
+def _json_int(value: Any, name: str) -> int:
+    if type(value) is not int:
+        raise BadSpec(f"{name} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _json_str(value: Any, name: str) -> str:
+    if type(value) is not str:
+        raise BadSpec(f"{name} must be a JSON string, got {value!r}")
+    return value
+
 
 def _stratum_key(obj: Mapping[str, Any]) -> StratumKey:
     try:
-        return StratumKey(interest=str(obj["interest"]),
-                          popularity=PopularitySegment(str(obj["popularity"])))
+        return StratumKey(interest=_json_str(obj["interest"], "interest"),
+                          popularity=PopularitySegment(_json_str(obj["popularity"], "popularity")))
     except (KeyError, ValueError) as err:
         raise BadSpec(f"invalid stratum reference {obj!r}") from err
+
+
+def _optional_number(obj: Mapping[str, Any], key: str) -> float | None:
+    value = obj.get(key)
+    return None if value is None else _json_number(value, key)
 
 
 def load_design(path: str | Path) -> list[StratumSpec]:
@@ -134,9 +170,9 @@ def load_design(path: str | Path) -> list[StratumSpec]:
     try:
         return [StratumSpec(
             key=_stratum_key(obj),
-            weight=float(obj["weight"]),
-            sigma=None if obj.get("sigma") is None else float(obj["sigma"]),
-            mu=None if obj.get("mu") is None else float(obj["mu"]),
+            weight=_json_number(obj["weight"], "weight"),
+            sigma=_optional_number(obj, "sigma"),
+            mu=_optional_number(obj, "mu"),
         ) for obj in raw]
     except (KeyError, TypeError, ValueError) as err:
         raise BadSpec(f"invalid design entry: {err!r}") from err
@@ -156,19 +192,19 @@ def load_population_spec(path: str | Path) -> tuple[PopulationSpec, int]:
             prof = obj["profile"]
             kind = prof.get("kind", "categorical")
             if kind == "categorical":
-                profile = LabelProfile(kind="categorical",
-                                       probs=_as_prob_tuple(prof["probs"]))
+                profile = LabelProfile(kind=kind, probs=_as_prob_tuple(prof["probs"]))
             else:
-                profile = LabelProfile(kind="curve",
-                                       mean_top=float(prof["mean_top"]),
-                                       decay=float(prof.get("decay", 0.0)))
+                profile = LabelProfile(kind=kind,
+                                       mean_top=_json_number(prof["mean_top"], "mean_top"),
+                                       decay=_json_number(prof.get("decay", 0.0), "decay"))
             strata.append(StratumProfile(key=_stratum_key(obj),
-                                         weight=float(obj["weight"]),
+                                         weight=_json_number(obj["weight"], "weight"),
                                          profile=profile))
         spec = PopulationSpec(strata=tuple(strata),
-                              queries_per_stratum=int(raw["queries_per_stratum"]),
-                              market=str(raw.get("market", "US")))
-        k_depth = int(raw.get("k_depth", 25))
+                              queries_per_stratum=_json_int(raw["queries_per_stratum"],
+                                                            "queries_per_stratum"),
+                              market=_json_str(raw.get("market", "US"), "market"))
+        k_depth = _json_int(raw.get("k_depth", 25), "k_depth")
     except (KeyError, TypeError, ValueError, AttributeError) as err:
         raise BadSpec(f"invalid population spec: {err}") from err
     return spec, k_depth
@@ -176,8 +212,8 @@ def load_population_spec(path: str | Path) -> tuple[PopulationSpec, int]:
 
 def _as_prob_tuple(probs) -> tuple:
     if probs and isinstance(probs[0], list):
-        return tuple(tuple(float(p) for p in row) for row in probs)
-    return tuple(float(p) for p in probs)
+        return tuple(tuple(_json_number(p, "probs") for p in row) for row in probs)
+    return tuple(_json_number(p, "probs") for p in probs)
 
 
 def load_confusion(path: str | Path) -> ConfusionMatrix:
@@ -189,8 +225,10 @@ def load_confusion(path: str | Path) -> ConfusionMatrix:
     try:
         if "calibrate" in raw:
             cal = raw["calibrate"]
-            return calibrate_confusion(float(cal["exact"]), float(cal["within_one"]))
-        return ConfusionMatrix(rows=tuple(tuple(float(p) for p in row) for row in raw["rows"]))
+            return calibrate_confusion(_json_number(cal["exact"], "exact"),
+                                       _json_number(cal["within_one"], "within_one"))
+        return ConfusionMatrix(rows=tuple(tuple(_json_number(p, "rows") for p in row)
+                                          for row in raw["rows"]))
     except (KeyError, TypeError, ValueError) as err:
         raise BadSpec(f"invalid confusion file: {err!r}") from err
 
@@ -202,7 +240,8 @@ def load_effect(path: str | Path) -> EffectSpec:
     if not isinstance(raw, dict):
         raise BadSpec("effect file must be a JSON object")
     try:
-        shifts = {_stratum_key(obj): float(obj["shift"]) for obj in raw.get("shifts", [])}
-        return EffectSpec(shifts=shifts, default=float(raw.get("default", 0.0)))
+        shifts = {_stratum_key(obj): _json_number(obj["shift"], "shift")
+                  for obj in raw.get("shifts", [])}
+        return EffectSpec(shifts=shifts, default=_json_number(raw.get("default", 0.0), "default"))
     except (KeyError, TypeError, ValueError) as err:
         raise BadSpec(f"invalid effect file: {err!r}") from err

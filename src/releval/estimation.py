@@ -21,7 +21,7 @@ from .errors import (
     WeightMismatch,
 )
 from .fdr import benjamini_hochberg
-from .metrics import paired_delta
+from .metrics import paired_deltas
 from .power import normal_cdf, normal_quantile
 from .sampling import check_weights
 
@@ -170,9 +170,8 @@ def segment_effects(
     rather than silently dropped. Effects are sorted by segment key.
     """
     groups: dict[Hashable, list[float]] = {}
-    for record in dataset.records:
-        groups.setdefault(_segment_key(record, grouping), []).append(
-            paired_delta(record, dataset.k_depth))
+    for record, delta in zip(dataset.records, paired_deltas(dataset)):
+        groups.setdefault(_segment_key(record, grouping), []).append(delta)
 
     included = sorted((s for s, d in groups.items() if len(d) >= 2), key=_segment_sort_key)
     excluded = tuple(sorted(((s, len(groups[s])) for s in groups if len(groups[s]) < 2),

@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
-from .core import QueryRecord, RankedPage
+from .core import EvalDataset, QueryRecord, RankedPage
 from .errors import EmptyPage, MissingArm
 
 MAX_LEVEL = 5
 
 _discount_cache: list[float] = []
+# MAX_LEVEL * sum of the first k discounts, by k
+_denominator_cache: dict[int, float] = {}
 
 
 def _discounts(k: int) -> list[float]:
@@ -25,6 +28,13 @@ def _discounts(k: int) -> list[float]:
         rank = len(_discount_cache) + 1
         _discount_cache.append(1.0 / math.log2(1.0 + rank))
     return _discount_cache[:k]
+
+
+def _denominator(k: int) -> float:
+    den = _denominator_cache.get(k)
+    if den is None:
+        den = _denominator_cache[k] = MAX_LEVEL * sum(_discounts(k))
+    return den
 
 
 @dataclass(frozen=True)
@@ -53,16 +63,48 @@ def sdcg_at_k(page: RankedPage, k_depth: int) -> SdcgScore:
     if n == 0:
         raise EmptyPage("cannot score an empty page")
     k_eff = min(k_depth, n)
-    disc = _discounts(k_eff)
-    levels = page.levels
-    num = sum(levels[i] * disc[i] for i in range(k_eff))
-    den = MAX_LEVEL * sum(disc)
+    den = _denominator(k_eff)  # fills _discount_cache up to k_eff
+    # summed left to right, so the value matches a plain loop bit for bit
+    num = sum(map(mul, page.levels[:k_eff], _discount_cache))
     return SdcgScore(value=num / den, k_effective=k_eff, short_page=n < k_depth)
+
+
+def _require_treatment(record: QueryRecord) -> None:
+    if record.treatment is None:
+        raise MissingArm(f"record {record.query_id!r} has no treatment arm",
+                         query_id=record.query_id, field="treatment")
 
 
 def paired_delta(record: QueryRecord, k_depth: int) -> float:
     """Treatment-minus-control score difference for one paired query."""
-    if record.treatment is None:
-        raise MissingArm(f"record {record.query_id!r} has no treatment arm",
-                         query_id=record.query_id, field="treatment")
+    _require_treatment(record)
     return sdcg_at_k(record.treatment, k_depth).value - sdcg_at_k(record.control, k_depth).value
+
+
+def arm_scores(dataset: EvalDataset, arm: str) -> list[float | None]:
+    """Page scores of one arm of every record, at the dataset's depth.
+
+    ``arm`` is a page field of QueryRecord: "control", "treatment",
+    "control_reference" or "treatment_reference". The entry is None where a
+    record has no such page. Each arm is scored once per dataset and kept on
+    it, so every consumer reads the same floats.
+    """
+    scores = dataset._scores.get(arm)
+    if scores is None:
+        k_depth = dataset.k_depth
+        scores = dataset._scores[arm] = [
+            None if page is None else sdcg_at_k(page, k_depth).value
+            for page in (getattr(rec, arm) for rec in dataset.records)]
+    return scores
+
+
+def paired_deltas(dataset: EvalDataset) -> list[float]:
+    """Treatment-minus-control score of every record, in record order.
+
+    Raises MissingArm, as paired_delta does, for the first record without a
+    treatment arm.
+    """
+    for rec in dataset.records:
+        _require_treatment(rec)
+    return [t - c for t, c in zip(arm_scores(dataset, "treatment"),
+                                  arm_scores(dataset, "control"))]

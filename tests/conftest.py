@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from releval.core import (
     PopularitySegment,
@@ -20,6 +21,11 @@ from releval.core import (
 )
 
 SEGMENTS = list(PopularitySegment)
+
+# property tests draw the same examples on every run and keep no example
+# database, so a failure reproduces from the source alone
+settings.register_profile("ci", derandomize=True, database=None, deadline=None)
+settings.load_profile("ci")
 
 
 def sk(interest: str, popularity: str = "head") -> StratumKey:

@@ -66,6 +66,72 @@ def test_cli_import_leaves_scipy_unloaded():
     assert result.stdout.strip() == "[]"
 
 
+def _spec_with(**fields):
+    spec = sim_spec()
+    for key, value in fields.items():
+        if key in ("interest", "weight"):
+            spec["strata"][0][key] = value
+        elif key in ("kind", "mean_top", "decay"):
+            spec["strata"][0]["profile"][key] = value
+        elif key == "probs":
+            spec["strata"][1]["profile"]["probs"] = value
+        else:
+            spec[key] = value
+    return spec
+
+
+_DESIGN_ENTRY = {"interest": "a", "popularity": "head", "weight": 1.0, "sigma": 0.2}
+
+
+@pytest.mark.parametrize("command, text", [
+    ("simulate", json.dumps(_spec_with(k_depth=2.7))),
+    ("simulate", json.dumps(_spec_with(k_depth=True))),
+    ("simulate", json.dumps(_spec_with(k_depth=4.0))),
+    ("simulate", json.dumps(_spec_with(queries_per_stratum=2.5))),
+    ("simulate", json.dumps(_spec_with(queries_per_stratum="3"))),
+    ("simulate", json.dumps(_spec_with(market=7))),
+    ("simulate", json.dumps(_spec_with(interest=5))),
+    ("simulate", json.dumps(_spec_with(weight="0.5"))),
+    ("simulate", json.dumps(_spec_with(mean_top="4"))),
+    ("simulate", json.dumps(_spec_with(decay=False))),
+    ("simulate", json.dumps(_spec_with(kind="curvy"))),
+    ("simulate", json.dumps(_spec_with(probs=[0.1, 0.2, "0.4", 0.2, 0.1]))),
+    ("design", json.dumps([dict(_DESIGN_ENTRY, weight="1")])),
+    ("design", json.dumps([dict(_DESIGN_ENTRY, weight=True)])),
+    ("design", json.dumps([dict(_DESIGN_ENTRY, sigma="0.2")])),
+    ("design", json.dumps([dict(_DESIGN_ENTRY, mu=[0.5])])),
+    ("design", json.dumps([dict(_DESIGN_ENTRY, interest=5)])),
+    ("design", json.dumps([dict(_DESIGN_ENTRY, weight=int("1" + "0" * 400))])),
+    ("effect", '{"default": "1"}'),
+    ("effect", '{"default": true}'),
+    ("effect", '{"shifts": [{"interest": "a", "popularity": "head", "shift": "0.5"}]}'),
+    ("effect", '{"shifts": [{"interest": 5, "popularity": "head", "shift": 0.5}]}'),
+    ("confusion", '{"calibrate": {"exact": "0.7", "within_one": 0.9}}'),
+], ids=["k-depth-float", "k-depth-bool", "k-depth-integral-float", "queries-float",
+        "queries-string", "market-int", "interest-int", "weight-string", "mean-top-string",
+        "decay-bool", "kind-unknown", "probs-string", "design-weight-string", "design-weight-bool",
+        "design-sigma-string", "design-mu-list", "design-interest-int", "design-weight-huge",
+        "effect-default-string", "effect-default-bool", "effect-shift-string",
+        "effect-interest-int", "confusion-exact-string"])
+def test_spec_fields_take_only_their_json_types(runner, tmp_path, command, text):
+    # numbers are JSON numbers (never bools), integers are JSON integers and
+    # names are JSON strings: nothing is coerced into a different value
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(sim_spec()))
+    out = ["--out", str(tmp_path / "x.jsonl"), "--error-json"]
+    args = {
+        "simulate": ["simulate", "--spec", str(path), *out],
+        "design": ["design", "--strata", str(path), "--budget", "8", "--error-json"],
+        "effect": ["simulate", "--spec", str(spec), "--effect", str(path), *out],
+        "confusion": ["simulate", "--spec", str(spec), "--confusion", str(path), *out],
+    }[command]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1, result.output
+    assert json.loads(result.stdout)["error"] == "BadSpec"
+
+
 class TestMetric:
     def test_perfect_pages_score_one(self, runner, tmp_path):
         path = write_jsonl(tmp_path / "d.jsonl",
@@ -125,6 +191,47 @@ class TestMetric:
         payload = json.loads(result.output)
         assert payload["error"] == "DatasetValidationError"
         assert [(v["error"], v["field"]) for v in payload["violations"]] == [(code, field)]
+
+
+class TestScoreOnce:
+    """Each command scores every page it needs exactly once."""
+
+    @pytest.fixture
+    def scored(self, monkeypatch):
+        # count calls through every module that holds the scorer
+        from releval import metrics
+
+        original = metrics.sdcg_at_k
+        pages = []
+
+        def counting(page, k_depth):
+            pages.append(page)
+            return original(page, k_depth)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "releval":
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+        return pages
+
+    def dual_file(self, tmp_path, n=6):
+        records = [dual_raw(f"q{i}", [3, 4, 5], [3, 3, 5], [4, 4, 5], [4, 3, i % 5 + 1],
+                            popularity=("head", "tail")[i % 2], market=("US", "FR")[i % 3 == 0])
+                   for i in range(n)]
+        return write_jsonl(tmp_path / "dual.jsonl", records)
+
+    @pytest.mark.parametrize("args, per_query", [
+        (["metric"], 2),
+        (["evaluate"], 4),
+        (["align", "--by", "market", "--errors-csv", "errors.csv"], 4),
+    ], ids=["metric", "evaluate", "align-errors-csv"])
+    def test_pages_scored_per_query(self, runner, tmp_path, monkeypatch, scored, args, per_query):
+        monkeypatch.chdir(tmp_path)
+        path = self.dual_file(tmp_path)
+        result = runner.invoke(main, [args[0], path, *args[1:]])
+        assert result.exit_code == 0, result.output
+        assert len(scored) == 6 * per_query
 
 
 class TestEvaluate:

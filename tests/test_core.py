@@ -178,3 +178,10 @@ def test_dual_label_form_roundtrip(tmp_path):
 def test_market_is_free_form():
     ds = validate_dataset([raw_record("q1", [5], market="BR")])
     assert ds.records[0].market == "BR"
+
+
+def test_record_types_are_slotted():
+    # slotted instances carry no per-instance __dict__
+    rec = record("q1", page(5, 4), page(4, 4))
+    for obj in (rec, rec.stratum, rec.control):
+        assert not hasattr(obj, "__dict__")

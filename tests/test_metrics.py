@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from releval import metrics
+from releval.core import EvalDataset
 from releval.errors import EmptyPage, MissingArm
-from releval.metrics import paired_delta, sdcg_at_k
+from releval.metrics import arm_scores, paired_delta, paired_deltas, sdcg_at_k
 
 from conftest import page, record
 
@@ -114,3 +116,46 @@ def test_delta_range():
     assert worst == pytest.approx(-0.8, abs=1e-12)
     best = paired_delta(record("q", page(1, 1), page(5, 5)), 2)
     assert best == pytest.approx(0.8, abs=1e-12)
+
+
+def test_score_equals_plain_loop_bit_for_bit(rng):
+    # the score's sums run left to right from the first rank
+    for _ in range(300):
+        levels = rng.integers(1, 6, size=int(rng.integers(1, 40))).tolist()
+        k = int(rng.integers(1, 40))
+        k_eff = min(k, len(levels))
+        disc = [1.0 / math.log2(1.0 + r) for r in range(1, k_eff + 1)]
+        num = sum(levels[i] * disc[i] for i in range(k_eff))
+        assert sdcg_at_k(page(*levels), k).value == num / (5 * sum(disc))
+
+
+def _dataset(k_depth=3):
+    return EvalDataset(records=(
+        record("q0", page(5, 4, 3), page(4, 4, 4)),
+        record("q1", page(1, 2), page(2, 2), control_reference=page(1, 1)),
+        record("q2", page(3), None),
+    ), k_depth=k_depth)
+
+
+def test_arm_scores_score_each_page_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(metrics, "sdcg_at_k",
+                        lambda page, k: calls.append(page) or sdcg_at_k(page, k))
+    ds = _dataset()
+    control = arm_scores(ds, "control")
+    assert control == [sdcg_at_k(rec.control, 3).value for rec in ds.records]
+    assert arm_scores(ds, "control") is control
+    assert arm_scores(ds, "treatment")[2] is None
+    assert arm_scores(ds, "control_reference") == [None, sdcg_at_k(page(1, 1), 3).value, None]
+    arm_scores(ds, "treatment")
+    assert len(calls) == 3 + 2 + 1
+    # the memo is no part of the dataset's value
+    assert ds == _dataset() and repr(ds) == repr(_dataset())
+
+
+def test_paired_deltas_match_paired_delta_and_name_first_unpaired():
+    ds = EvalDataset(records=_dataset().records[:2], k_depth=3)
+    assert paired_deltas(ds) == [paired_delta(rec, 3) for rec in ds.records]
+    with pytest.raises(MissingArm) as exc:
+        paired_deltas(_dataset())
+    assert exc.value.query_id == "q2"
