@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
+from ._lazy import np
 
 
 def substream(seed: int, *scope: object) -> np.random.Generator:

@@ -12,8 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .core import EvalDataset, PopularitySegment
 from .errors import (
     AllTied,

@@ -14,9 +14,9 @@ import json
 import sys
 
 import click
-import numpy as np
 
 from . import __version__
+from ._lazy import np
 from .alignment import alignment_report
 from .core import DEFAULT_K_DEPTH
 from .dataset_io import (
@@ -33,6 +33,7 @@ from .dataset_io import (
 from .errors import RelevalError
 from .estimation import (
     GROUP_BY_POPULARITY,
+    check_design,
     segment_effects,
     srs_estimate,
     stratified_estimate,
@@ -154,6 +155,8 @@ def cli_evaluate(dataset_path, design_path, estimator, alpha, q, grouping, k_dep
         per_stratum = {}
         for rec, d in zip(dataset.records, deltas):
             per_stratum.setdefault(rec.stratum, []).append(d)
+        # the MDE block weights every observed stratum, whichever the estimator
+        check_design(per_stratum, weights)
 
     if estimator == "stratified":
         if weights is None:

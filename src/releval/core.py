@@ -12,8 +12,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .errors import (
     BadLabelValue,
     BadRankSequence,
@@ -56,7 +55,10 @@ class StratumKey:
 
 def _checked_level(value: Any) -> int:
     """One label as a plain int in 1..5; numpy integers are normalized."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and 1 <= value <= 5:
+    # np.integer is asked for only for numpy values: asking loads numpy
+    integral = isinstance(value, int) or (
+        type(value).__module__ == "numpy" and isinstance(value, np.integer))
+    if integral and not isinstance(value, bool) and 1 <= value <= 5:
         return int(value)
     raise BadLabelValue(f"label level must be an integer in [1, 5], got {value!r}")
 
@@ -83,7 +85,9 @@ class RankedPage:
 
     @classmethod
     def from_levels(cls, levels: Iterable[int]) -> "RankedPage":
-        return cls(tuple(levels.tolist() if isinstance(levels, np.ndarray) else levels))
+        if not isinstance(levels, (list, tuple)) and isinstance(levels, np.ndarray):
+            levels = levels.tolist()
+        return cls(tuple(levels))
 
     @classmethod
     def from_entries(cls, entries: Sequence[tuple[int, int]]) -> "RankedPage":

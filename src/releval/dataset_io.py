@@ -156,6 +156,12 @@ def _stratum_key(obj: Mapping[str, Any]) -> StratumKey:
         raise BadSpec(f"invalid stratum reference {obj!r}") from err
 
 
+def _check_unique(keys: list[StratumKey], where: str) -> None:
+    if len(set(keys)) != len(keys):
+        repeated = sorted({str(k) for k in keys if keys.count(k) > 1})
+        raise BadSpec(f"duplicate stratum keys in {where}: {repeated}")
+
+
 def _optional_number(obj: Mapping[str, Any], key: str) -> float | None:
     value = obj.get(key)
     return None if value is None else _json_number(value, key)
@@ -168,7 +174,7 @@ def load_design(path: str | Path) -> list[StratumSpec]:
     if not isinstance(raw, list):
         raise BadSpec("design file must be a JSON list of stratum objects")
     try:
-        return [StratumSpec(
+        specs = [StratumSpec(
             key=_stratum_key(obj),
             weight=_json_number(obj["weight"], "weight"),
             sigma=_optional_number(obj, "sigma"),
@@ -176,6 +182,8 @@ def load_design(path: str | Path) -> list[StratumSpec]:
         ) for obj in raw]
     except (KeyError, TypeError, ValueError) as err:
         raise BadSpec(f"invalid design entry: {err!r}") from err
+    _check_unique([s.key for s in specs], "design file")
+    return specs
 
 
 def design_weights(specs: Iterable[StratumSpec]) -> dict[StratumKey, float]:
@@ -240,8 +248,10 @@ def load_effect(path: str | Path) -> EffectSpec:
     if not isinstance(raw, dict):
         raise BadSpec("effect file must be a JSON object")
     try:
-        shifts = {_stratum_key(obj): _json_number(obj["shift"], "shift")
-                  for obj in raw.get("shifts", [])}
-        return EffectSpec(shifts=shifts, default=_json_number(raw.get("default", 0.0), "default"))
+        shifts = [(_stratum_key(obj), _json_number(obj["shift"], "shift"))
+                  for obj in raw.get("shifts", [])]
+        default = _json_number(raw.get("default", 0.0), "default")
     except (KeyError, TypeError, ValueError) as err:
         raise BadSpec(f"invalid effect file: {err!r}") from err
+    _check_unique([key for key, _ in shifts], "effect file")
+    return EffectSpec(shifts=dict(shifts), default=default)

@@ -11,8 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
-import numpy as np
-
+from ._lazy import np
 from .core import EvalDataset, PopularitySegment, StratumKey
 from .errors import (
     NoSegments,
@@ -100,6 +99,15 @@ def srs_estimate(deltas: Sequence[float], alpha: float = 0.05) -> EstimateResult
                           p_value=min(p, 1.0), n=n, estimator=SRS, alpha=alpha)
 
 
+def check_design(per_stratum: Mapping[StratumKey, object],
+                 weights: Mapping[StratumKey, float]) -> None:
+    """Design weights name exactly the observed strata and sum to 1."""
+    if set(per_stratum) != set(weights):
+        missing = set(per_stratum) ^ set(weights)
+        raise WeightMismatch(f"strata and weights disagree on {sorted(map(str, missing))}")
+    check_weights(weights.values())
+
+
 def stratified_estimate(
     per_stratum: Mapping[StratumKey, Sequence[float]],
     weights: Mapping[StratumKey, float],
@@ -110,12 +118,9 @@ def stratified_estimate(
     Uses the normal approximation for the interval and test; requires
     explicit design weights (never inferred from sample counts) summing to 1.
     """
-    if set(per_stratum) != set(weights):
-        missing = set(per_stratum) ^ set(weights)
-        raise WeightMismatch(f"strata and weights disagree on {sorted(map(str, missing))}")
-    if not per_stratum:
+    if not per_stratum and not weights:
         raise TooFewSamplesInStratum("stratified_estimate needs at least one stratum")
-    check_weights(weights.values())
+    check_design(per_stratum, weights)
 
     mean = 0.0
     var = 0.0

@@ -22,6 +22,8 @@ _C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
 _D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
       3.754408661907416e+00)
 _P_LOW = 0.02425
+# largest n up to which every integer is a distinct float
+_EXACT_N = 2 ** 53
 
 
 @dataclass(frozen=True)
@@ -90,7 +92,12 @@ def mde(mu_hat: float, sigma_hat: float, n: int, cfg: PowerConfig = PowerConfig(
     if n < 1:
         raise OutOfDomain(f"n must be >= 1, got {n}")
     z = normal_quantile(1.0 - cfg.alpha / 2.0) + normal_quantile(cfg.power)
-    return z * math.sqrt(2.0 * sigma_hat * sigma_hat / n) / mu_hat
+    try:
+        value = z * math.sqrt(2.0 * sigma_hat * sigma_hat / n) / mu_hat
+    except OverflowError as err:  # n beyond the float range
+        raise OutOfDomain(f"n is too large, got {n}") from err
+    _check_finite(mde=value)
+    return value
 
 
 def required_n(mu_hat: float, sigma_hat: float, target_mde: float,
@@ -106,7 +113,14 @@ def required_n(mu_hat: float, sigma_hat: float, target_mde: float,
     if sigma_hat <= 0 or target_mde <= 0:
         raise OutOfDomain("sigma_hat and target_mde must be > 0")
     z = normal_quantile(1.0 - cfg.alpha / 2.0) + normal_quantile(cfg.power)
-    n = max(1, math.ceil(2.0 * (sigma_hat * z / (mu_hat * target_mde)) ** 2))
+    try:
+        n = max(1, math.ceil(2.0 * (sigma_hat * z / (mu_hat * target_mde)) ** 2))
+    except (OverflowError, ZeroDivisionError) as err:
+        raise OutOfDomain(f"required n is beyond the float range for target_mde={target_mde}, "
+                          f"mu_hat={mu_hat}, sigma_hat={sigma_hat}") from err
+    # above 2**53 neighbouring n are one float and the steps would never end
+    if n > _EXACT_N:
+        return n
     while n > 1 and mde(mu_hat, sigma_hat, n - 1, cfg) <= target_mde:
         n -= 1
     while mde(mu_hat, sigma_hat, n, cfg) > target_mde:

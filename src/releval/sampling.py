@@ -12,14 +12,14 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
+from ._lazy import np
 from ._rng import substream
 from .core import StratumKey
 from .errors import (
     BudgetTooSmall,
     EmptyInput,
     MissingSigma,
+    OutOfDomain,
     StratumExhausted,
     WeightMismatch,
 )
@@ -65,7 +65,7 @@ class Allocation:
 
 def check_weights(weights: Iterable[float], tol: float = 1e-9) -> None:
     total = float(sum(weights))
-    if abs(total - 1.0) > tol:
+    if not abs(total - 1.0) <= tol:  # a NaN total fails too
         raise WeightMismatch(f"stratum weights must sum to 1 +/- {tol}, got {total!r}")
 
 
@@ -143,6 +143,13 @@ def allocate(
             fallback = True
     else:
         shares = [s.weight for s in strata]
+    # bounds every target below, which is at most budget * share
+    try:
+        finite = math.isfinite(budget * sum(shares))
+    except OverflowError:  # a budget beyond the float range
+        finite = False
+    if not finite:
+        raise OutOfDomain(f"budget {budget} times the summed stratum shares is not finite")
 
     keys = [s.key for s in strata]
     active = list(range(len(strata)))

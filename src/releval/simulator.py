@@ -16,8 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-import numpy as np
-
+from ._lazy import np
 from ._rng import substream
 from .core import EvalDataset, QueryRecord, RankedPage, StratumKey
 from .errors import BadMatrix, BadSpec, InfeasibleTargets

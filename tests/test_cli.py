@@ -55,15 +55,61 @@ def sim_spec(k_depth=4, decay=0.3, weights=(0.5, 0.5)):
         ]}
 
 
+def _python_env():
+    src = str(Path(releval.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy.special is only needed by the t test, so it is imported on first use
-    src = str(Path(releval.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, releval.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    result = subprocess.run([sys.executable, "-c", code], env=env,
+    result = subprocess.run([sys.executable, "-c", code], env=_python_env(),
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+# runs one command in a fresh interpreter, then prints its exit code and
+# whether numpy's code ran
+_RUN_AND_REPORT_NUMPY = """
+import sys
+from releval.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit as exc:
+    print("exit", exc.code, "numpy._core" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("command, code, loaded", [
+    ("version", 0, False),
+    ("metric-list-form", 0, False),
+    ("metric-dual-label", 0, False),
+    ("evaluate-rejected", 1, False),
+    ("simulate", 0, True),
+])
+def test_numpy_loads_only_for_commands_that_use_it(tmp_path, command, code, loaded):
+    listed = write_jsonl(tmp_path / "list.jsonl", paired_records())
+    dual = write_jsonl(tmp_path / "dual.jsonl",
+                       [dual_raw(f"q{i}", [3, 4], [3, 3], [4, 4], [4, 3]) for i in range(4)])
+    invalid = write_jsonl(tmp_path / "invalid.jsonl",
+                          [*paired_records(), raw_record("q9", [3, 7], [4, 4])])
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(sim_spec()))
+    args = {
+        "version": ["--version"],
+        "metric-list-form": ["metric", listed],
+        "metric-dual-label": ["metric", dual],
+        "evaluate-rejected": ["evaluate", invalid, "--error-json"],
+        "simulate": ["simulate", "--spec", str(spec), "--out", str(tmp_path / "sim.jsonl")],
+    }[command]
+    result = subprocess.run([sys.executable, "-c", _RUN_AND_REPORT_NUMPY, *args],
+                            env=_python_env(), capture_output=True, text=True, check=True)
+    *output, marker = result.stdout.splitlines()
+    assert result.stderr == ""
+    assert marker == f"exit {code} {loaded}"
+    if command == "evaluate-rejected":
+        assert json.loads(output[0])["violations"][0]["error"] == "BadLabelValue"
 
 
 def _spec_with(**fields):
@@ -130,6 +176,37 @@ def test_spec_fields_take_only_their_json_types(runner, tmp_path, command, text)
     result = runner.invoke(main, args)
     assert result.exit_code == 1, result.output
     assert json.loads(result.stdout)["error"] == "BadSpec"
+
+
+_DUPLICATE = [{"interest": "a", "popularity": "head", "weight": 0.5, "sigma": 1.0},
+              {"interest": "a", "popularity": "head", "weight": 0.5, "sigma": 1.0}]
+
+
+@pytest.mark.parametrize("command", ["design", "evaluate", "effect"])
+def test_duplicate_strata_are_rejected(runner, tmp_path, command):
+    # a repeated stratum would collapse into one key and lose its share
+    path = tmp_path / "input.json"
+    if command == "effect":
+        path.write_text(json.dumps({"shifts": [
+            {"interest": "a", "popularity": "head", "shift": 0.5},
+            {"interest": "a", "popularity": "head", "shift": -0.5}]}))
+    else:
+        path.write_text(json.dumps(_DUPLICATE))
+    data = write_jsonl(tmp_path / "d.jsonl",
+                       [raw_record(f"q{i}", [3, 4], [4, 4], interest="a") for i in range(4)])
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(sim_spec()))
+    args = {
+        "design": ["design", "--strata", str(path), "--budget", "10"],
+        "evaluate": ["evaluate", data, "--design", str(path)],
+        "effect": ["simulate", "--spec", str(spec), "--effect", str(path),
+                   "--out", str(tmp_path / "x.jsonl")],
+    }[command]
+    result = runner.invoke(main, [*args, "--error-json"])
+    assert result.exit_code == 1, result.output
+    payload = json.loads(result.stdout)
+    assert payload["error"] == "BadSpec"
+    assert "a/head" in payload["message"]
 
 
 class TestMetric:
@@ -264,6 +341,25 @@ class TestEvaluate:
         assert strat["topline"]["mean"] == pytest.approx(srs["topline"]["mean"])
         assert "stratified" in strat["mde"]
 
+    @pytest.mark.parametrize("estimator", ["srs", "stratified"])
+    @pytest.mark.parametrize("design", [
+        [{"interest": "art", "popularity": "head", "weight": 1.0}],
+        [{"interest": "art", "popularity": "head", "weight": 0.5},
+         {"interest": "food", "popularity": "head", "weight": 0.3},
+         {"interest": "cars", "popularity": "head", "weight": 0.2}],
+    ], ids=["lacks-a-stratum", "adds-a-stratum"])
+    def test_design_must_name_the_observed_strata(self, runner, tmp_path, estimator, design):
+        # the MDE block weights every observed stratum, so srs checks the design too
+        records = [raw_record(f"q{i}", [3, 4], [4, 4 - i % 2], interest=("art", "food")[i % 2])
+                   for i in range(8)]
+        data = write_jsonl(tmp_path / "d.jsonl", records)
+        path = tmp_path / "design.json"
+        path.write_text(json.dumps(design))
+        result = runner.invoke(main, ["evaluate", data, "--k", "2", "--design", str(path),
+                                      "--estimator", estimator, "--error-json"])
+        assert result.exit_code == 1, result.output
+        assert json.loads(result.stdout)["error"] == "WeightMismatch"
+
     def test_missing_treatment_rejected(self, runner, tmp_path):
         path = write_jsonl(tmp_path / "d.jsonl", [raw_record("q0", [3]),
                                                   raw_record("q1", [4])])
@@ -335,6 +431,9 @@ class TestDesign:
         ([5], "BadSpec"),
         ([{"interest": "a", "popularity": "head", "weight": 1.0, "sigma": float("nan")}],
          "MissingSigma"),
+        ([{"interest": "a", "popularity": "head", "weight": 0.5, "sigma": 1e308},
+          {"interest": "b", "popularity": "head", "weight": 0.5, "sigma": 1e308}],
+         "OutOfDomain"),
     ])
     def test_bad_design_file_is_typed_error(self, runner, tmp_path, entries, code):
         path = tmp_path / "strata.json"
@@ -355,6 +454,26 @@ class TestMde:
         result = runner.invoke(main, ["mde", *args, "--error-json"])
         assert result.exit_code == 1
         assert json.loads(result.output)["error"] == "OutOfDomain"
+
+    @pytest.mark.parametrize("args", [
+        ["--mu", "0.5", "--sigma", "0.2", "--n", "1" + "0" * 400],
+        ["--mu", "1e-300", "--sigma", "1e300", "--n", "5"],
+        ["--mu", "0.5", "--sigma", "0.2", "--target", "1e-300"],
+        ["--mu", "1e-300", "--sigma", "1e300", "--target", "0.01"],
+    ], ids=["n-beyond-float", "mde-overflows", "n-overflows", "n-infinite"])
+    def test_result_beyond_float_range_is_typed_error(self, runner, args):
+        result = runner.invoke(main, ["mde", *args, "--error-json"])
+        assert result.exit_code == 1, result.output
+        assert json.loads(result.output)["error"] == "OutOfDomain"
+
+    def test_required_n_beyond_exact_integers_terminates(self):
+        # above 2**53 n - 1 and n are one float, so stepping n one by one never ends
+        result = subprocess.run(
+            [sys.executable, "-m", "releval.cli", "mde", "--mu", "0.5", "--sigma", "0.2",
+             "--target", "1e-100"],
+            env=_python_env(), capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0
+        assert int(result.stdout) > 2 ** 53
 
     def test_zero_sigma(self, runner):
         result = runner.invoke(main, ["mde", "--mu", "0.8", "--sigma", "0", "--n", "100"])
@@ -488,8 +607,9 @@ class TestSimulate:
         ("--confusion", '{"calibrate": {"exact": 0.7}}'),
         ("--spec", json.dumps(sim_spec(k_depth=0))),
         ("--spec", json.dumps(sim_spec(decay=float("nan")))),
+        ("--spec", json.dumps(sim_spec(weights=(float("nan"), 0.5)))),
     ], ids=["effect-list", "shift-missing", "default-nan", "default-inf",
-            "calibrate-no-within-one", "spec-k-depth-0", "spec-decay-nan"])
+            "calibrate-no-within-one", "spec-k-depth-0", "spec-decay-nan", "spec-weight-nan"])
     def test_bad_input_file_is_typed_error(self, runner, tmp_path, option, text):
         path = tmp_path / "input.json"
         path.write_text(text)

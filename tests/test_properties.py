@@ -1,13 +1,19 @@
-"""Property tests of the JSONL input boundary, through the CLI.
+"""Property tests of the input boundary, through the CLI.
 
-Records are drawn around the schema: mostly valid, with wrong types, bad
-labels and ranks, missing arms, duplicate ids, unknown fields and lines that
-are not JSON objects mixed in. Every input must end in exit 0, 1 or 2 with
-no traceback and, on failure, a parseable ``--error-json`` payload. The
-accept/reject decision and the set of violations must not depend on the
-order of the lines.
+JSONL records are drawn around the schema: mostly valid, with wrong types,
+bad labels and ranks, missing arms, duplicate ids, unknown fields and lines
+that are not JSON objects mixed in. The accept/reject decision and the set of
+violations must not depend on the order of the lines.
+
+Spec files (design, population spec, effect, confusion) are drawn valid and
+then have at most one node replaced, deleted or repeated; ``mde`` takes its
+numbers from a pool of edge values.
+
+Every input must end in exit 0, 1 or 2 with no traceback and, on failure, a
+parseable ``--error-json`` payload.
 """
 
+import copy
 import json
 import re
 import tempfile
@@ -15,7 +21,7 @@ import warnings
 from pathlib import Path
 
 from click.testing import CliRunner
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from releval.cli import main
@@ -121,3 +127,173 @@ def test_cli_boundary_is_typed_and_order_free(lines, data):
     shuffled = data.draw(st.permutations(lines))
     for args in COMMANDS:
         assert _run(args, lines) == _run(args, shuffled), args
+
+
+# -- spec files -----------------------------------------------------------------
+
+JUNK_VALUE = st.sampled_from([None, True, 0, -1, 3, 0.5, 2.5, -0.5, 1e308, 10 ** 400,
+                              float("nan"), float("inf"), "x", "", "head", [], [1], {},
+                              {"interest": "a"}])
+# what takes the place of a number: mostly numbers at the edges of the float range
+NUMBER_JUNK = st.sampled_from([0, -1, 1e308, 10 ** 400, float("nan"), float("inf"), True, "1"])
+# the simulator's work grows with these, so no huge integer goes there
+SIZE_FIELDS = ("k_depth", "queries_per_stratum")
+KEYS = [("a", "head"), ("b", "tail"), ("c", "single")]
+STRATA = st.lists(st.sampled_from(KEYS), min_size=1, max_size=3, unique=True)
+
+
+def _strata(draw, keys, fields):
+    """``keys`` with equal weights, plus per-stratum ``fields``."""
+    return [{"interest": i, "popularity": p, "weight": 1.0 / len(keys), **draw(fields)}
+            for i, p in keys]
+
+
+def _paths(node, path=()):
+    """Every path into a JSON document, the root included."""
+    yield path
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, (*path, key))
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` as drawn, or with one node replaced by junk, deleted or repeated."""
+    doc = copy.deepcopy(doc)
+    path = draw(st.sampled_from(list(_paths(doc))))
+    op = draw(st.sampled_from(["keep", "keep", "replace", "replace", "delete", "repeat"]))
+    if op == "keep":
+        return doc
+    if not path:
+        return draw(JUNK_VALUE)
+    *head, last = path
+    parent = doc
+    for key in head:
+        parent = parent[key]
+    if op == "replace":
+        junk = NUMBER_JUNK if type(parent[last]) in (int, float) else JUNK_VALUE
+        if last in SIZE_FIELDS:
+            junk = junk.filter(lambda v: not (type(v) is int and v > 3))
+        parent[last] = draw(junk)
+    elif op == "delete":
+        del parent[last]
+    elif isinstance(parent, list):  # a repeated dict key is no change
+        parent.insert(last, copy.deepcopy(parent[last]))
+    return doc
+
+
+SIGMA = st.fixed_dictionaries({"sigma": st.sampled_from([0.0, 0.1, 1.0])},
+                              optional={"mu": st.sampled_from([0.5])})
+PROFILE = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("curve"), "mean_top": st.sampled_from([1.0, 4.2, 5.0]),
+                           "decay": st.sampled_from([0.0, 0.3])}),
+    st.fixed_dictionaries({"kind": st.just("categorical"),
+                           "probs": st.just([0.1, 0.2, 0.4, 0.2, 0.1])}))
+
+
+@st.composite
+def design_doc(draw, keys):
+    return draw(mutated(_strata(draw, keys, SIGMA)))
+
+
+@st.composite
+def spec_doc(draw):
+    return draw(mutated({"k_depth": draw(st.integers(1, 3)),
+                         "queries_per_stratum": draw(st.integers(1, 3)),
+                         "market": "US",
+                         "strata": _strata(draw, draw(STRATA),
+                                           st.fixed_dictionaries({"profile": PROFILE}))}))
+
+
+@st.composite
+def effect_doc(draw):
+    shifts = [{"interest": i, "popularity": p, "shift": draw(st.sampled_from([-1.0, 0.25, 2.0]))}
+              for i, p in draw(st.lists(st.sampled_from(KEYS), max_size=2, unique=True))]
+    return draw(mutated({"default": draw(st.sampled_from([0.0, 0.05])), "shifts": shifts}))
+
+
+@st.composite
+def confusion_doc(draw):
+    if draw(st.booleans()):
+        doc = {"calibrate": {"exact": draw(st.sampled_from([0.5, 0.737, 1.0])),
+                             "within_one": draw(st.sampled_from([0.917, 1.0]))}}
+    else:
+        doc = {"rows": [[1.0 if i == j else 0.0 for j in range(5)] for i in range(5)]}
+    return draw(mutated(doc))
+
+
+def _invoke(args, files, keys=()):
+    """Run one command with ``files`` (name to JSON document) written beside it,
+    and a paired dataset of two records in each stratum of ``keys``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, doc in files.items():
+            paths[name] = str(Path(tmp) / f"{name}.json")
+            Path(paths[name]).write_text(json.dumps(doc), encoding="utf-8")
+        data = Path(tmp) / "data.jsonl"
+        data.write_text("".join(
+            json.dumps({"query_id": f"q{n}", "stratum": {"interest": i, "popularity": p},
+                        "control": _list_arm([3, 4]), "treatment": _list_arm([4, n % 5 + 1])})
+            + "\n" for n, (i, p) in enumerate(list(keys) * 2)), encoding="utf-8")
+        paths["data"] = str(data)
+        paths["out"] = str(Path(tmp) / "out.jsonl")
+        result = CliRunner().invoke(main, [a.format(**paths) for a in args] + ["--error-json"])
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        repr(result.exception))
+    assert result.exit_code in (0, 1, 2)
+    if result.exit_code == 1:
+        assert "error" in json.loads(result.stdout)
+    return result
+
+
+@settings(max_examples=300)
+@given(keys=STRATA, data=st.data(), budget=st.sampled_from(["1", "8", "100"]),
+       estimator=st.sampled_from(["srs", "stratified"]))
+def test_design_file_boundary_is_typed(keys, data, budget, estimator):
+    design = data.draw(design_doc(keys))
+    result = _invoke(["design", "--strata", "{design}", "--budget", budget], {"design": design})
+    if result.exit_code == 0:
+        assert sum(json.loads(result.stdout)["per_stratum"].values()) == int(budget)
+    result = _invoke(["evaluate", "{data}", "--design", "{design}", "--estimator", estimator],
+                     {"design": design}, keys)
+    if result.exit_code == 0:
+        assert json.loads(result.stdout)["topline"]["n"] == 2 * len(keys)
+
+
+@settings(max_examples=300)
+@given(spec=spec_doc(), effect=st.none() | effect_doc(), confusion=st.none() | confusion_doc())
+def test_simulate_spec_files_boundary_is_typed(spec, effect, confusion):
+    files = {"spec": spec}
+    args = ["simulate", "--spec", "{spec}", "--out", "{out}"]
+    for name, doc in (("effect", effect), ("confusion", confusion)):
+        if doc is not None:
+            files[name] = doc
+            args += [f"--{name}", "{" + name + "}"]
+    _invoke(args, files)
+
+
+EDGE = ["0", "-1", "1", "1e-300", "1e300", "nan", "inf", "1" + "0" * 400]
+
+
+@st.composite
+def mde_args(draw):
+    """Typical options, or with one value replaced by an edge value."""
+    size = draw(st.sampled_from(["--n", "--target"]))
+    args = {"--mu": draw(st.sampled_from(["0.5", "0.8"])),
+            "--sigma": draw(st.sampled_from(["0", "0.2"])),
+            "--alpha": "0.05", "--power": "0.8",
+            size: draw(st.sampled_from(["100", "1" + "0" * 30] if size == "--n"
+                                       else ["0.02", "1e-8", "1e-100"]))}
+    key = draw(st.sampled_from([None, *args]))
+    if key is not None:
+        # --n is an integer option, which click checks itself
+        edges = [v for v in EDGE if v.isdigit()] if key == "--n" else EDGE
+        args[key] = draw(st.sampled_from(edges))
+    return [part for item in args.items() for part in item]
+
+
+@settings(max_examples=300)
+@given(args=mde_args())
+def test_mde_boundary_is_typed(args):
+    _invoke(["mde", *args], {})
