@@ -17,7 +17,7 @@ from .core import (
     StratumKey,
     validate_dataset,
 )
-from .metrics import SdcgScore, paired_delta, sdcg_at_k
+from .metrics import paired_delta, sdcg_at_k
 from .sampling import (
     Allocation,
     StratumSpec,
@@ -54,7 +54,6 @@ from .simulator import (
     StratumProfile,
     apply_labeler,
     calibrate_confusion,
-    generate_population,
     run_synthetic_experiment,
 )
 
@@ -62,7 +61,7 @@ __all__ = [
     "__version__",
     "EvalDataset", "PopularitySegment", "QueryRecord", "RankedPage",
     "StratumKey", "validate_dataset",
-    "SdcgScore", "paired_delta", "sdcg_at_k",
+    "paired_delta", "sdcg_at_k",
     "Allocation", "StratumSpec", "VarianceDecomposition", "allocate",
     "decompose_variance", "draw_sample",
     "EstimateResult", "SegmentAnalysis", "SegmentEffect", "segment_effects",
@@ -74,5 +73,5 @@ __all__ = [
     "label_agreement", "spearman_rho",
     "ConfusionMatrix", "EffectSpec", "LabelProfile", "PopulationSpec",
     "StratumProfile", "apply_labeler", "calibrate_confusion",
-    "generate_population", "run_synthetic_experiment",
+    "run_synthetic_experiment",
 ]

@@ -21,7 +21,6 @@ from .alignment import alignment_report
 from .core import DEFAULT_K_DEPTH
 from .dataset_io import (
     canonical_json,
-    design_weights,
     load_confusion,
     load_design,
     load_effect,
@@ -41,7 +40,7 @@ from .estimation import (
 from .metrics import arm_scores, paired_deltas
 from .power import PowerConfig, mde as compute_mde, required_n
 from .sampling import allocate
-from .simulator import ConfusionMatrix, EffectSpec, run_synthetic_experiment
+from .simulator import MAX_K_DEPTH, ConfusionMatrix, EffectSpec, run_synthetic_experiment
 
 DEFAULT_SEED = 20240901
 
@@ -151,7 +150,7 @@ def cli_evaluate(dataset_path, design_path, estimator, alpha, q, grouping, k_dep
 
     per_stratum = weights = None
     if design_path is not None:
-        weights = design_weights(load_design(design_path))
+        weights = {s.key: s.weight for s in load_design(design_path)}
         per_stratum = {}
         for rec, d in zip(dataset.records, deltas):
             per_stratum.setdefault(rec.stratum, []).append(d)
@@ -300,7 +299,7 @@ def _dataset_agreement(dataset):
 @click.option("--rho-shared", type=float, default=0.0, show_default=True,
               help="Probability that both arms share a labeler draw per position.")
 @click.option("--k", "k_depth", type=int, default=None,
-              help="Override the spec file's k_depth.")
+              help=f"Override the spec file's k_depth (1 to {MAX_K_DEPTH}).")
 @click.option("--out", "out_path", type=click.Path(), required=True)
 @error_json_option
 @guarded

@@ -118,14 +118,6 @@ class QueryRecord:
     control_reference: RankedPage | None = None
     treatment_reference: RankedPage | None = None
 
-    @property
-    def is_paired(self) -> bool:
-        return self.treatment is not None
-
-    @property
-    def has_reference(self) -> bool:
-        return self.control_reference is not None
-
 
 @dataclass(frozen=True)
 class EvalDataset:
@@ -249,7 +241,7 @@ def record_from_raw(raw: Mapping[str, Any], violations: list[RecordError]) -> Qu
     ok = ok and control is not None
 
     treatment = treatment_ref = None
-    if raw.get("treatment") is not None:
+    if "treatment" in raw:
         treatment, treatment_ref = _parse_arm(raw["treatment"], query_id, "treatment", violations)
         ok = ok and treatment is not None
 
@@ -267,7 +259,7 @@ def record_from_raw(raw: Mapping[str, Any], violations: list[RecordError]) -> Qu
 
 
 def validate_dataset(
-    raw_records: Iterable[Mapping[str, Any] | QueryRecord],
+    raw_records: Iterable[Mapping[str, Any]],
     k_depth: int = DEFAULT_K_DEPTH,
     paired: bool = False,
 ) -> EvalDataset:
@@ -282,12 +274,9 @@ def validate_dataset(
     violations: list[RecordError] = []
     records: list[QueryRecord] = []
     for raw in raw_records:
-        if isinstance(raw, QueryRecord):
-            records.append(raw)
-        else:
-            rec = record_from_raw(raw, violations)
-            if rec is not None:
-                records.append(rec)
+        rec = record_from_raw(raw, violations)
+        if rec is not None:
+            records.append(rec)
 
     seen: dict[str, int] = {}
     for rec in records:

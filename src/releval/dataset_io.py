@@ -12,7 +12,7 @@ import dataclasses
 import json
 import warnings
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
 from .core import (
     EvalDataset,
@@ -30,6 +30,7 @@ from .simulator import (
     PopulationSpec,
     StratumProfile,
     calibrate_confusion,
+    check_k_depth,
 )
 
 KNOWN_RECORD_FIELDS = {"query_id", "market", "stratum", "control", "treatment"}
@@ -186,12 +187,9 @@ def load_design(path: str | Path) -> list[StratumSpec]:
     return specs
 
 
-def design_weights(specs: Iterable[StratumSpec]) -> dict[StratumKey, float]:
-    return {s.key: s.weight for s in specs}
-
-
 def load_population_spec(path: str | Path) -> tuple[PopulationSpec, int]:
-    """Population spec JSON; returns (spec, k_depth). k_depth defaults to 25."""
+    """Population spec JSON; returns (spec, k_depth). k_depth defaults to 25;
+    a size past MAX_K_DEPTH or MAX_QUERIES_PER_STRATUM is a BadSpec."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     try:
@@ -215,6 +213,7 @@ def load_population_spec(path: str | Path) -> tuple[PopulationSpec, int]:
         k_depth = _json_int(raw.get("k_depth", 25), "k_depth")
     except (KeyError, TypeError, ValueError, AttributeError) as err:
         raise BadSpec(f"invalid population spec: {err}") from err
+    check_k_depth(k_depth)
     return spec, k_depth
 
 

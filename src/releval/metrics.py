@@ -9,7 +9,6 @@ it is a pure relevance ratio in [0.2, 1.0]: 0.2 when every label is 1 and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import mul
 
 from .core import EvalDataset, QueryRecord, RankedPage
@@ -37,25 +36,12 @@ def _denominator(k: int) -> float:
     return den
 
 
-@dataclass(frozen=True)
-class SdcgScore:
-    """Page score plus the effective depth it was computed at.
-
-    ``short_page`` is set when the page had fewer than k_depth results; the
-    score then truncates both numerator and denominator to the page length.
-    """
-
-    value: float
-    k_effective: int
-    short_page: bool
-
-
-def sdcg_at_k(page: RankedPage, k_depth: int) -> SdcgScore:
+def sdcg_at_k(page: RankedPage, k_depth: int) -> float:
     """Score one ranked page at depth ``k_depth``.
 
     value = [sum_{k<=K'} L_k / log2(1+k)] / [sum_{k<=K'} 5 / log2(1+k)]
-    with K' = min(k_depth, len(page)). Deterministic; raises EmptyPage for a
-    page with no results.
+    with K' = min(k_depth, len(page)), so a short page is scored over its
+    length. Deterministic; raises EmptyPage for a page with no results.
     """
     if k_depth < 1:
         raise EmptyPage(f"k_depth must be >= 1, got {k_depth}")
@@ -66,7 +52,7 @@ def sdcg_at_k(page: RankedPage, k_depth: int) -> SdcgScore:
     den = _denominator(k_eff)  # fills _discount_cache up to k_eff
     # summed left to right, so the value matches a plain loop bit for bit
     num = sum(map(mul, page.levels[:k_eff], _discount_cache))
-    return SdcgScore(value=num / den, k_effective=k_eff, short_page=n < k_depth)
+    return num / den
 
 
 def _require_treatment(record: QueryRecord) -> None:
@@ -78,7 +64,7 @@ def _require_treatment(record: QueryRecord) -> None:
 def paired_delta(record: QueryRecord, k_depth: int) -> float:
     """Treatment-minus-control score difference for one paired query."""
     _require_treatment(record)
-    return sdcg_at_k(record.treatment, k_depth).value - sdcg_at_k(record.control, k_depth).value
+    return sdcg_at_k(record.treatment, k_depth) - sdcg_at_k(record.control, k_depth)
 
 
 def arm_scores(dataset: EvalDataset, arm: str) -> list[float | None]:
@@ -93,7 +79,7 @@ def arm_scores(dataset: EvalDataset, arm: str) -> list[float | None]:
     if scores is None:
         k_depth = dataset.k_depth
         scores = dataset._scores[arm] = [
-            None if page is None else sdcg_at_k(page, k_depth).value
+            None if page is None else sdcg_at_k(page, k_depth)
             for page in (getattr(rec, arm) for rec in dataset.records)]
     return scores
 

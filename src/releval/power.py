@@ -11,17 +11,6 @@ from dataclasses import dataclass
 
 from .errors import NonPositiveMean, OutOfDomain
 
-# Acklam's rational approximation to the standard normal quantile
-# (|relative error| < 1.15e-9 before refinement).
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
 # largest n up to which every integer is a distinct float
 _EXACT_N = 2 ** 53
 
@@ -45,35 +34,13 @@ def normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def _acklam(p: float) -> float:
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-                / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    if p > 1.0 - _P_LOW:
-        return -_acklam(1.0 - p)
-    q = p - 0.5
-    r = q * q
-    return ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-            / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
-
-
 def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF, |error| <= 1e-9 across (1e-12, 1-1e-12).
-
-    Rational approximation refined by one Halley step on the CDF. The upper
-    tail goes through the exact reflection q(p) = -q(1 - p) (1 - p is exact
-    for p >= 0.5), since the CDF loses precision near 1.
-    """
+    """Inverse standard normal CDF (the standard library's AS241)."""
     if not 0.0 < p < 1.0:
         raise OutOfDomain(f"quantile argument must be in (0, 1), got {p}")
-    if p > 0.5:
-        return -normal_quantile(1.0 - p)
-    x = _acklam(p)
-    # Halley refinement: e = Phi(x) - p, u = e / phi(x)
-    e = normal_cdf(x) - p
-    u = e * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
-    return x - u / (1.0 + x * u / 2.0)
+    # imported on first use: statistics loads fractions and decimal too
+    from statistics import NormalDist
+    return NormalDist().inv_cdf(p)
 
 
 def _check_finite(**values: float) -> None:

@@ -25,6 +25,7 @@ from .errors import (
 )
 
 MIN_PER_STRATUM = 2
+WEIGHT_TOL = 1e-9  # how far stratum weights may sum from 1
 
 
 @dataclass(frozen=True)
@@ -41,6 +42,8 @@ class StratumSpec:
             raise WeightMismatch(f"stratum {self.key} weight must be in (0, 1], got {self.weight}")
         if self.sigma is not None and not 0.0 <= self.sigma < math.inf:
             raise MissingSigma(f"stratum {self.key} sigma must be finite and >= 0, got {self.sigma}")
+        if self.mu is not None and not math.isfinite(self.mu):
+            raise OutOfDomain(f"stratum {self.key} mu must be finite, got {self.mu}")
 
 
 @dataclass(frozen=True)
@@ -63,10 +66,10 @@ class Allocation:
     fallback_proportional: bool = False
 
 
-def check_weights(weights: Iterable[float], tol: float = 1e-9) -> None:
+def check_weights(weights: Iterable[float]) -> None:
     total = float(sum(weights))
-    if not abs(total - 1.0) <= tol:  # a NaN total fails too
-        raise WeightMismatch(f"stratum weights must sum to 1 +/- {tol}, got {total!r}")
+    if not abs(total - 1.0) <= WEIGHT_TOL:  # a NaN total fails too
+        raise WeightMismatch(f"stratum weights must sum to 1 +/- {WEIGHT_TOL}, got {total!r}")
 
 
 def decompose_variance(values: Iterable[tuple[StratumKey, float]]) -> VarianceDecomposition:
@@ -100,7 +103,7 @@ def _largest_remainder(targets: Sequence[float], keys: Sequence[StratumKey], bud
     Leftover units go to the largest fractional remainders; ties break by
     stratum key in lexicographic order so the result is deterministic.
     """
-    floors = [int(np.floor(t)) for t in targets]
+    floors = [math.floor(t) for t in targets]
     leftover = budget - sum(floors)
     order = sorted(range(len(targets)),
                    key=lambda i: (-(targets[i] - floors[i]), keys[i]))
@@ -127,6 +130,8 @@ def allocate(
         raise ValueError(f"unknown allocation mode {mode!r}")
     if not strata:
         raise EmptyInput("allocate requires at least one stratum")
+    if min_per_stratum < 0:
+        raise OutOfDomain(f"min_per_stratum must be >= 0, got {min_per_stratum}")
     check_weights(s.weight for s in strata)
     if budget < min_per_stratum * len(strata):
         raise BudgetTooSmall(

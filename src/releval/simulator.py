@@ -24,6 +24,15 @@ from .metrics import _discounts
 from .sampling import _largest_remainder, check_weights
 
 _PROB_TOL = 1e-9
+# largest simulated page depth and stratum size; work and memory grow with
+# their product, and a size past either is a BadSpec before anything is drawn
+MAX_K_DEPTH = 1000
+MAX_QUERIES_PER_STRATUM = 10 ** 6
+
+
+def check_k_depth(k_depth: int) -> None:
+    if not 1 <= k_depth <= MAX_K_DEPTH:
+        raise BadSpec(f"k_depth must be in [1, {MAX_K_DEPTH}], got {k_depth}")
 
 
 @dataclass(frozen=True)
@@ -64,27 +73,21 @@ class LabelProfile:
             return tuple(tuple(float(p) for p in row) for row in self.probs)
         return (tuple(float(p) for p in self.probs),)
 
-    def pmf(self, rank: int) -> np.ndarray:
-        """Distribution over labels 1..5 at a 1-based rank."""
-        if self.kind == "categorical":
-            rows = self._rows()
-            return np.array(rows[min(rank - 1, len(rows) - 1)])
-        m = min(5.0, max(1.0, self.mean_top - self.decay * (rank - 1)))
-        lo = int(math.floor(m))
-        out = np.zeros(5)
-        if lo >= 5:
-            out[4] = 1.0
-        else:
-            w_hi = m - lo
-            out[lo - 1] = 1.0 - w_hi
-            out[lo] = w_hi
-        return out
-
     def pmf_matrix(self, k_depth: int) -> np.ndarray:
-        """(k_depth, 5) matrix of per-rank distributions."""
-        if k_depth < 1:
-            raise BadSpec(f"k_depth must be >= 1, got {k_depth}")
-        return np.stack([self.pmf(k) for k in range(1, k_depth + 1)])
+        """(k_depth, 5) matrix: row r is the distribution over labels 1..5 at rank r+1."""
+        check_k_depth(k_depth)
+        ranks = np.arange(k_depth)
+        if self.kind == "categorical":
+            rows = np.array(self._rows())
+            return rows[np.minimum(ranks, len(rows) - 1)]
+        m = np.clip(self.mean_top - self.decay * ranks, 1.0, 5.0)
+        lo = np.floor(m).astype(np.int64)
+        w_hi = m - lo
+        out = np.zeros((k_depth, 5))
+        # upper label first: where m is 5 both writes hit label 5, and 1 - 0 wins
+        out[ranks, np.minimum(lo, 4)] = w_hi
+        out[ranks, lo - 1] = 1.0 - w_hi
+        return out
 
 
 def shift_pmf(pmf: np.ndarray, delta: float) -> np.ndarray:
@@ -125,8 +128,9 @@ class PopulationSpec:
     def __post_init__(self):
         if not self.strata:
             raise BadSpec("population spec needs at least one stratum")
-        if self.queries_per_stratum < 1:
-            raise BadSpec(f"queries_per_stratum must be >= 1, got {self.queries_per_stratum}")
+        if not 1 <= self.queries_per_stratum <= MAX_QUERIES_PER_STRATUM:
+            raise BadSpec(f"queries_per_stratum must be in [1, {MAX_QUERIES_PER_STRATUM}], "
+                          f"got {self.queries_per_stratum}")
         keys = [s.key for s in self.strata]
         if len(set(keys)) != len(keys):
             raise BadSpec("duplicate stratum keys in population spec")
@@ -261,20 +265,6 @@ def _query_id(key: StratumKey, q: int) -> str:
     return f"{key.interest}-{key.popularity.value}-{q:06d}"
 
 
-def generate_population(spec: PopulationSpec, k_depth: int, seed: int) -> list[QueryRecord]:
-    """True-labeled paired records; both arms identical (no effect applied yet)."""
-    records: list[QueryRecord] = []
-    for sp in spec.strata:
-        pages = _draw_levels(sp.profile, spec.queries_per_stratum, k_depth,
-                             substream(seed, "pop", sp.key))
-        for q, levels in enumerate(pages.tolist()):
-            page = RankedPage(tuple(levels))
-            records.append(QueryRecord(
-                query_id=_query_id(sp.key, q),
-                market=spec.market, stratum=sp.key, control=page, treatment=page))
-    return records
-
-
 def apply_labeler(records: Sequence[QueryRecord], confusion: ConfusionMatrix,
                   seed: int, rho_shared: float = 0.0) -> list[QueryRecord]:
     """Corrupt true labels into machine labels; true labels move to reference.
@@ -321,8 +311,12 @@ def run_synthetic_experiment(
     (marginally, the shifted label distribution); both arms are labeled by
     the same confusion-matrix labeler. Each stratum is drawn whole: one
     block per purpose from its ("pop" | "effect" | "labeler", stratum)
-    substream, row q for query q.
+    substream, row q for query q. A shift for a stratum the spec lacks is a
+    BadSpec.
     """
+    unknown = set(effect.shifts).difference(sp.key for sp in spec.strata)
+    if unknown:
+        raise BadSpec(f"effect shifts name strata the spec lacks: {sorted(map(str, unknown))}")
     cdf_rows = _labeler_cdf(confusion, rho_shared)
     count = spec.queries_per_stratum
     records: list[QueryRecord] = []

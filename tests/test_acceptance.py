@@ -51,9 +51,9 @@ def check(criterion: int, ok: bool, detail: str) -> None:
 def test_criterion_1_page_score_anchors_and_properties():
     start = time.perf_counter()
     anchors_ok = (
-        abs(sdcg_at_k(RankedPage.from_levels([5] * 25), 25).value - 1.0) < 1e-6
-        and abs(sdcg_at_k(RankedPage.from_levels([1] * 25), 25).value - 0.2) < 1e-6
-        and abs(sdcg_at_k(RankedPage.from_levels([5, 1]), 2).value - 0.690518) < 1e-6
+        abs(sdcg_at_k(RankedPage.from_levels([5] * 25), 25) - 1.0) < 1e-6
+        and abs(sdcg_at_k(RankedPage.from_levels([1] * 25), 25) - 0.2) < 1e-6
+        and abs(sdcg_at_k(RankedPage.from_levels([5, 1]), 2) - 0.690518) < 1e-6
     )
 
     rng = np.random.default_rng(1001)
@@ -62,14 +62,14 @@ def test_criterion_1_page_score_anchors_and_properties():
     for _ in range(10_000):
         n = int(rng.integers(1, 26))
         levels = rng.integers(1, 6, size=n)
-        base = sdcg_at_k(RankedPage.from_levels(levels), 25).value
+        base = sdcg_at_k(RankedPage.from_levels(levels), 25)
 
         low = np.flatnonzero(levels < 5)
         if len(low):
             i = int(low[rng.integers(len(low))])
             bumped = levels.copy()
             bumped[i] += 1
-            if not sdcg_at_k(RankedPage.from_levels(bumped), 25).value > base:
+            if not sdcg_at_k(RankedPage.from_levels(bumped), 25) > base:
                 props_ok = False
             mono_checked += 1
 
@@ -79,7 +79,7 @@ def test_criterion_1_page_score_anchors_and_properties():
                 swapped = levels.copy()
                 swapped[i], swapped[j] = swapped[j], swapped[i]
                 # moving the better result earlier must strictly help
-                if not sdcg_at_k(RankedPage.from_levels(swapped), 25).value > base:
+                if not sdcg_at_k(RankedPage.from_levels(swapped), 25) > base:
                     props_ok = False
                 swap_checked += 1
 
@@ -282,10 +282,10 @@ def test_criterion_8_paired_error_tightening():
                                       seed=seed, rho_shared=0.7)
         single, paired = [], []
         for rec in ds.records:
-            m_c = sdcg_at_k(rec.control, 8).value
-            r_c = sdcg_at_k(rec.control_reference, 8).value
-            m_t = sdcg_at_k(rec.treatment, 8).value
-            r_t = sdcg_at_k(rec.treatment_reference, 8).value
+            m_c = sdcg_at_k(rec.control, 8)
+            r_c = sdcg_at_k(rec.control_reference, 8)
+            m_t = sdcg_at_k(rec.treatment, 8)
+            r_t = sdcg_at_k(rec.treatment_reference, 8)
             single.append(m_c - r_c)
             paired.append((m_t - m_c) - (r_t - r_c))
         if float(np.std(paired)) < float(np.std(single)):

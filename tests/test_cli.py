@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -61,6 +62,10 @@ def _python_env():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy.special is only needed by the t test, so it is imported on first use
     code = "import sys, releval.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
@@ -86,6 +91,7 @@ except SystemExit as exc:
     ("metric-list-form", 0, False),
     ("metric-dual-label", 0, False),
     ("evaluate-rejected", 1, False),
+    ("design", 0, False),
     ("simulate", 0, True),
 ])
 def test_numpy_loads_only_for_commands_that_use_it(tmp_path, command, code, loaded):
@@ -96,11 +102,16 @@ def test_numpy_loads_only_for_commands_that_use_it(tmp_path, command, code, load
                           [*paired_records(), raw_record("q9", [3, 7], [4, 4])])
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(sim_spec()))
+    design = tmp_path / "design.json"
+    design.write_text(json.dumps([
+        {"interest": "a", "popularity": "head", "weight": 0.3, "sigma": 0.2},
+        {"interest": "b", "popularity": "head", "weight": 0.7, "sigma": 0.1}]))
     args = {
         "version": ["--version"],
         "metric-list-form": ["metric", listed],
         "metric-dual-label": ["metric", dual],
         "evaluate-rejected": ["evaluate", invalid, "--error-json"],
+        "design": ["design", "--strata", str(design), "--budget", "11"],
         "simulate": ["simulate", "--spec", str(spec), "--out", str(tmp_path / "sim.jsonl")],
     }[command]
     result = subprocess.run([sys.executable, "-c", _RUN_AND_REPORT_NUMPY, *args],
@@ -434,6 +445,8 @@ class TestDesign:
         ([{"interest": "a", "popularity": "head", "weight": 0.5, "sigma": 1e308},
           {"interest": "b", "popularity": "head", "weight": 0.5, "sigma": 1e308}],
          "OutOfDomain"),
+        ([{"interest": "a", "popularity": "head", "weight": 1.0, "sigma": 1.0,
+           "mu": float("nan")}], "OutOfDomain"),
     ])
     def test_bad_design_file_is_typed_error(self, runner, tmp_path, entries, code):
         path = tmp_path / "strata.json"
@@ -442,6 +455,13 @@ class TestDesign:
                                       "--error-json"])
         assert result.exit_code == 1
         assert json.loads(result.output)["error"] == code
+
+    def test_negative_min_per_stratum_is_typed_error(self, runner, tmp_path):
+        result = runner.invoke(main, ["design", "--strata", self.strata_file(tmp_path),
+                                      "--budget", "8", "--min-per-stratum", "-5",
+                                      "--error-json"])
+        assert result.exit_code == 1
+        assert json.loads(result.output)["error"] == "OutOfDomain"
 
 
 class TestMde:
@@ -608,8 +628,10 @@ class TestSimulate:
         ("--spec", json.dumps(sim_spec(k_depth=0))),
         ("--spec", json.dumps(sim_spec(decay=float("nan")))),
         ("--spec", json.dumps(sim_spec(weights=(float("nan"), 0.5)))),
+        ("--effect", '{"shifts": [{"interest": "zz", "popularity": "head", "shift": 0.5}]}'),
     ], ids=["effect-list", "shift-missing", "default-nan", "default-inf",
-            "calibrate-no-within-one", "spec-k-depth-0", "spec-decay-nan", "spec-weight-nan"])
+            "calibrate-no-within-one", "spec-k-depth-0", "spec-decay-nan", "spec-weight-nan",
+            "shift-unknown-stratum"])
     def test_bad_input_file_is_typed_error(self, runner, tmp_path, option, text):
         path = tmp_path / "input.json"
         path.write_text(text)
@@ -620,6 +642,29 @@ class TestSimulate:
         result = runner.invoke(main, args)
         assert result.exit_code == 1
         assert json.loads(result.output)["error"] == "BadSpec"
+
+    @pytest.mark.parametrize("fields, args", [
+        ({"k_depth": 10 ** 400}, []),
+        ({"k_depth": 1001}, []),
+        ({}, ["--k", "100000000"]),
+        ({"queries_per_stratum": 10 ** 30}, []),
+        ({"queries_per_stratum": 10 ** 6 + 1}, []),
+    ], ids=["k-depth-huge", "k-depth-over", "k-option-huge", "queries-huge", "queries-over"])
+    def test_size_beyond_its_maximum_is_typed_error(self, tmp_path, fields, args):
+        # checked before anything is drawn; past the maximum a run would loop or
+        # allocate without bound, so it runs in its own process, under a
+        # timeout and a 1 GiB address-space limit
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(dict(sim_spec(), **fields)))
+        result = subprocess.run(
+            [sys.executable, "-m", "releval.cli", "simulate", "--spec", str(path), *args,
+             "--out", str(tmp_path / "x.jsonl"), "--error-json"],
+            env=_python_env(), capture_output=True, text=True, timeout=60,
+            preexec_fn=_limit_address_space)
+        assert result.returncode == 1, result.stderr
+        payload = json.loads(result.stdout)
+        assert payload["error"] == "BadSpec"
+        assert next(iter(fields), "k_depth") in payload["message"]
 
     def test_bad_weights_rejected(self, runner, tmp_path):
         spec = self.spec_file(tmp_path, weights=(0.7, 0.7))

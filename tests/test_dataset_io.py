@@ -3,10 +3,13 @@
 import gc
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import releval
+from releval.core import validate_dataset
 from releval.dataset_io import read_dataset, read_jsonl
 from releval.errors import DatasetValidationError
 
@@ -68,3 +71,23 @@ def test_peak_memory_is_close_to_the_dataset(tmp_path):
         tracemalloc.stop()
     assert len(dataset) == 2000
     assert peak <= 1.5 * live
+
+
+@pytest.mark.parametrize("probe", ["as-written", "market-missing", "treatment-null"])
+def test_record_schema_and_loader_agree(probe):
+    # a record without market is valid (market defaults to ""); a null
+    # treatment is not, as a null control is not
+    jsonschema = pytest.importorskip("jsonschema")
+    schema_path = Path(releval.__file__).parent / "schemas" / "dataset_record.schema.json"
+    validator = jsonschema.Draft202012Validator(json.loads(schema_path.read_text()))
+    obj = raw_record("q0", [3, 4], [4, 4])
+    if probe == "market-missing":
+        del obj["market"]
+    elif probe == "treatment-null":
+        obj["treatment"] = None
+    try:
+        validate_dataset([obj])
+        loader_accepts = True
+    except DatasetValidationError:
+        loader_accepts = False
+    assert validator.is_valid(obj) == loader_accepts == (probe != "treatment-null")

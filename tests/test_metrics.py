@@ -16,28 +16,26 @@ SDCG_L5_L1_AT_2 = 0.6905177542123668
 
 def test_all_top_labels_score_one():
     for k in (1, 2, 5, 25):
-        assert sdcg_at_k(page(*([5] * 30)), k).value == pytest.approx(1.0, abs=1e-12)
+        assert sdcg_at_k(page(*([5] * 30)), k) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_all_bottom_labels_score_point_two():
     for k in (1, 3, 25):
-        assert sdcg_at_k(page(*([1] * 30)), k).value == pytest.approx(0.2, abs=1e-12)
+        assert sdcg_at_k(page(*([1] * 30)), k) == pytest.approx(0.2, abs=1e-12)
 
 
 def test_two_result_anchor():
-    assert sdcg_at_k(page(5, 1), 2).value == pytest.approx(SDCG_L5_L1_AT_2, abs=1e-6)
+    assert sdcg_at_k(page(5, 1), 2) == pytest.approx(SDCG_L5_L1_AT_2, abs=1e-6)
 
 
 def test_single_result_ratio():
-    assert sdcg_at_k(page(3), 1).value == pytest.approx(0.6, abs=1e-12)
+    assert sdcg_at_k(page(3), 1) == pytest.approx(0.6, abs=1e-12)
 
 
-def test_short_page_truncates_and_flags():
-    score = sdcg_at_k(page(5, 1), 25)
-    assert score.short_page
-    assert score.k_effective == 2
-    assert score.value == pytest.approx(SDCG_L5_L1_AT_2, abs=1e-12)
-    assert not sdcg_at_k(page(5, 1), 2).short_page
+def test_short_page_truncates():
+    # the short-page flag is the metric command's: tests/test_cli.py TestMetric
+    assert sdcg_at_k(page(5, 1), 25) == sdcg_at_k(page(5, 1), 2)
+    assert sdcg_at_k(page(5, 1), 25) == pytest.approx(SDCG_L5_L1_AT_2, abs=1e-12)
 
 
 def test_empty_page_rejected():
@@ -49,9 +47,9 @@ def test_entries_beyond_k_never_affect_score(rng):
     for _ in range(100):
         k = int(rng.integers(1, 10))
         levels = list(rng.integers(1, 6, size=k + int(rng.integers(1, 10))))
-        base = sdcg_at_k(page(*levels), k).value
+        base = sdcg_at_k(page(*levels), k)
         tail_changed = levels[:k] + list(rng.integers(1, 6, size=len(levels) - k))
-        assert sdcg_at_k(page(*tail_changed), k).value == base
+        assert sdcg_at_k(page(*tail_changed), k) == base
 
 
 def test_raising_any_label_strictly_increases(rng):
@@ -61,7 +59,7 @@ def test_raising_any_label_strictly_increases(rng):
         i = int(rng.integers(0, k))
         raised = list(levels)
         raised[i] += 1
-        assert sdcg_at_k(page(*raised), k).value > sdcg_at_k(page(*levels), k).value
+        assert sdcg_at_k(page(*raised), k) > sdcg_at_k(page(*levels), k)
 
 
 def test_swapping_higher_label_earlier_strictly_increases(rng):
@@ -75,12 +73,12 @@ def test_swapping_higher_label_earlier_strictly_increases(rng):
         lo_first[i], lo_first[j] = min(levels[i], levels[j]), max(levels[i], levels[j])
         hi_first = list(levels)
         hi_first[i], hi_first[j] = max(levels[i], levels[j]), min(levels[i], levels[j])
-        assert sdcg_at_k(page(*hi_first), k).value > sdcg_at_k(page(*lo_first), k).value
+        assert sdcg_at_k(page(*hi_first), k) > sdcg_at_k(page(*lo_first), k)
 
 
 def test_accumulation_insensitivity():
     levels = [((i * 7) % 5) + 1 for i in range(500)]
-    forward = sdcg_at_k(page(*levels), 500).value
+    forward = sdcg_at_k(page(*levels), 500)
     disc = [1.0 / math.log2(1.0 + k) for k in range(1, 501)]
     reverse_num = sum(lab * d for lab, d in zip(reversed(levels), reversed(disc)))
     reverse = reverse_num / (5.0 * sum(reversed(disc)))
@@ -126,7 +124,7 @@ def test_score_equals_plain_loop_bit_for_bit(rng):
         k_eff = min(k, len(levels))
         disc = [1.0 / math.log2(1.0 + r) for r in range(1, k_eff + 1)]
         num = sum(levels[i] * disc[i] for i in range(k_eff))
-        assert sdcg_at_k(page(*levels), k).value == num / (5 * sum(disc))
+        assert sdcg_at_k(page(*levels), k) == num / (5 * sum(disc))
 
 
 def _dataset(k_depth=3):
@@ -143,10 +141,10 @@ def test_arm_scores_score_each_page_once(monkeypatch):
                         lambda page, k: calls.append(page) or sdcg_at_k(page, k))
     ds = _dataset()
     control = arm_scores(ds, "control")
-    assert control == [sdcg_at_k(rec.control, 3).value for rec in ds.records]
+    assert control == [sdcg_at_k(rec.control, 3) for rec in ds.records]
     assert arm_scores(ds, "control") is control
     assert arm_scores(ds, "treatment")[2] is None
-    assert arm_scores(ds, "control_reference") == [None, sdcg_at_k(page(1, 1), 3).value, None]
+    assert arm_scores(ds, "control_reference") == [None, sdcg_at_k(page(1, 1), 3), None]
     arm_scores(ds, "treatment")
     assert len(calls) == 3 + 2 + 1
     # the memo is no part of the dataset's value

@@ -43,7 +43,7 @@ class TestNormalQuantile:
             assert normal_quantile(p) == pytest.approx(-normal_quantile(1 - p), abs=1e-9)
 
     def test_domain(self):
-        for bad in (0.0, 1.0, -0.2, 1.5):
+        for bad in (0.0, 1.0, -0.2, 1.5, float("nan")):
             with pytest.raises(OutOfDomain):
                 normal_quantile(bad)
 

@@ -136,8 +136,6 @@ JUNK_VALUE = st.sampled_from([None, True, 0, -1, 3, 0.5, 2.5, -0.5, 1e308, 10 **
                               {"interest": "a"}])
 # what takes the place of a number: mostly numbers at the edges of the float range
 NUMBER_JUNK = st.sampled_from([0, -1, 1e308, 10 ** 400, float("nan"), float("inf"), True, "1"])
-# the simulator's work grows with these, so no huge integer goes there
-SIZE_FIELDS = ("k_depth", "queries_per_stratum")
 KEYS = [("a", "head"), ("b", "tail"), ("c", "single")]
 STRATA = st.lists(st.sampled_from(KEYS), min_size=1, max_size=3, unique=True)
 
@@ -172,10 +170,7 @@ def mutated(draw, doc):
     for key in head:
         parent = parent[key]
     if op == "replace":
-        junk = NUMBER_JUNK if type(parent[last]) in (int, float) else JUNK_VALUE
-        if last in SIZE_FIELDS:
-            junk = junk.filter(lambda v: not (type(v) is int and v > 3))
-        parent[last] = draw(junk)
+        parent[last] = draw(NUMBER_JUNK if type(parent[last]) in (int, float) else JUNK_VALUE)
     elif op == "delete":
         del parent[last]
     elif isinstance(parent, list):  # a repeated dict key is no change
@@ -271,6 +266,25 @@ def test_simulate_spec_files_boundary_is_typed(spec, effect, confusion):
             files[name] = doc
             args += [f"--{name}", "{" + name + "}"]
     _invoke(args, files)
+
+
+# the simulator's work grows with these; each is legal up to its maximum
+SIZE = st.integers(1, 3) | st.sampled_from([0, 1000, 1001, 10 ** 6 + 1, 10 ** 30, 10 ** 400])
+
+
+@settings(max_examples=100)
+@given(k_depth=SIZE, queries=SIZE.filter(lambda n: n != 1000), k_option=st.none() | SIZE)
+def test_simulate_sizes_are_bounded(k_depth, queries, k_option):
+    spec = {"k_depth": k_depth, "queries_per_stratum": queries,
+            "strata": [{"interest": "a", "popularity": "head", "weight": 1.0,
+                        "profile": {"kind": "curve", "mean_top": 4.2, "decay": 0.3}}]}
+    args = ["simulate", "--spec", "{spec}", "--out", "{out}"]
+    if k_option is not None:
+        args += ["--k", str(k_option)]
+    result = _invoke(args, {"spec": spec})
+    sizes = [k_depth, queries, 1 if k_option is None else k_option]
+    assert (result.exit_code == 0) == all(1 <= n <= limit for n, limit in
+                                          zip(sizes, [1000, 10 ** 6, 1000]))
 
 
 EDGE = ["0", "-1", "1", "1e-300", "1e300", "nan", "inf", "1" + "0" * 400]

@@ -19,7 +19,6 @@ from releval.simulator import (
     apply_labeler,
     calibrate_confusion,
     draw_metric_samples,
-    generate_population,
     page_score_moments,
     run_synthetic_experiment,
     sample_stratum_scores,
@@ -34,6 +33,17 @@ def point_mass(level):
     probs = [0.0] * 5
     probs[level - 1] = 1.0
     return LabelProfile(kind="categorical", probs=tuple(probs))
+
+
+def true_population(spec, k_depth, seed):
+    """The true pages run_synthetic_experiment draws: its reference arms under a
+    null effect, as paired records with identical arms and no references."""
+    ds = run_synthetic_experiment(spec, EffectSpec.null(), ConfusionMatrix.identity(),
+                                  k_depth, seed)
+    return [dataclasses.replace(rec, control=rec.control_reference,
+                                treatment=rec.treatment_reference,
+                                control_reference=None, treatment_reference=None)
+            for rec in ds.records]
 
 
 def two_strata_spec(profile_a, profile_b, count=50, wa=0.5):
@@ -54,8 +64,7 @@ class TestLabelProfile:
 
     def test_curve_two_point_matches_mean(self):
         prof = LabelProfile(kind="curve", mean_top=4.3, decay=0.5)
-        for rank in range(1, 10):
-            pmf = prof.pmf(rank)
+        for rank, pmf in enumerate(prof.pmf_matrix(9), start=1):
             expect = float(pmf @ np.arange(1, 6))
             target = min(5.0, max(1.0, 4.3 - 0.5 * (rank - 1)))
             assert expect == pytest.approx(target, abs=1e-12)
@@ -63,9 +72,10 @@ class TestLabelProfile:
     def test_per_position_rows(self):
         prof = LabelProfile(kind="categorical",
                             probs=((1, 0, 0, 0, 0), (0, 0, 0, 0, 1)))
-        assert prof.pmf(1)[0] == 1.0
-        assert prof.pmf(2)[4] == 1.0
-        assert prof.pmf(7)[4] == 1.0  # repeats the last row
+        pmfs = prof.pmf_matrix(7)
+        assert pmfs[0][0] == 1.0
+        assert pmfs[1][4] == 1.0
+        assert pmfs[6][4] == 1.0  # repeats the last row
 
 
 class TestShiftPmf:
@@ -96,17 +106,17 @@ class TestShiftPmf:
 class TestGeneratePopulation:
     def test_point_mass_top_profile(self):
         spec = two_strata_spec(point_mass(5), point_mass(5), count=10)
-        records = generate_population(spec, k_depth=4, seed=1)
+        records = true_population(spec, k_depth=4, seed=1)
         assert len(records) == 20
         for rec in records:
             assert rec.control.levels == (5, 5, 5, 5)
             assert rec.treatment.levels == rec.control.levels
-            assert sdcg_at_k(rec.control, 4).value == pytest.approx(1.0)
+            assert sdcg_at_k(rec.control, 4) == pytest.approx(1.0)
 
     def test_two_point_masses_variance_decomposition(self):
         spec = two_strata_spec(point_mass(1), point_mass(5), count=30)
-        records = generate_population(spec, k_depth=3, seed=2)
-        values = [(rec.stratum, sdcg_at_k(rec.control, 3).value) for rec in records]
+        records = true_population(spec, k_depth=3, seed=2)
+        values = [(rec.stratum, sdcg_at_k(rec.control, 3)) for rec in records]
         vd = decompose_variance(values)
         assert vd.within == pytest.approx(0.0, abs=1e-15)
         assert vd.between == pytest.approx(0.16, abs=1e-12)
@@ -114,8 +124,8 @@ class TestGeneratePopulation:
     def test_same_seed_identical(self):
         prof = LabelProfile(kind="curve", mean_top=4.0, decay=0.2)
         spec = two_strata_spec(prof, prof, count=15)
-        assert generate_population(spec, 5, seed=9) == generate_population(spec, 5, seed=9)
-        assert generate_population(spec, 5, seed=9) != generate_population(spec, 5, seed=10)
+        assert true_population(spec, 5, seed=9) == true_population(spec, 5, seed=9)
+        assert true_population(spec, 5, seed=9) != true_population(spec, 5, seed=10)
 
     def test_bad_spec(self):
         with pytest.raises(BadSpec):
@@ -179,7 +189,7 @@ class TestConfusionMatrix:
 class TestApplyLabeler:
     def base_records(self, count=40, k=6, seed=3):
         prof = LabelProfile(kind="categorical", probs=(0.2, 0.2, 0.2, 0.2, 0.2))
-        return generate_population(two_strata_spec(prof, prof, count=count), k, seed)
+        return true_population(two_strata_spec(prof, prof, count=count), k, seed)
 
     def test_identity_matrix_keeps_labels(self):
         records = self.base_records()
@@ -202,7 +212,7 @@ class TestApplyLabeler:
     def test_marginal_distribution_converges(self):
         cm = calibrate_confusion(0.6, 0.9)
         prof = LabelProfile(kind="categorical", probs=(0.1, 0.15, 0.3, 0.25, 0.2))
-        records = generate_population(two_strata_spec(prof, prof, count=800), 10, seed=8)
+        records = true_population(two_strata_spec(prof, prof, count=800), 10, seed=8)
         labeled = apply_labeler(records, cm, seed=9)
         machine = np.concatenate([rec.control.levels for rec in labeled])
         empirical = np.bincount(machine, minlength=6)[1:] / len(machine)
@@ -222,7 +232,7 @@ class TestRunSyntheticExperiment:
         spec = two_strata_spec(prof, prof, count=400)
         ds = run_synthetic_experiment(spec, EffectSpec.null(),
                                       ConfusionMatrix.identity(), k_depth=10, seed=21)
-        deltas = [sdcg_at_k(r.treatment, 10).value - sdcg_at_k(r.control, 10).value
+        deltas = [sdcg_at_k(r.treatment, 10) - sdcg_at_k(r.control, 10)
                   for r in ds.records]
         # zero effect with coupled arms: deltas are exactly zero
         assert max(abs(d) for d in deltas) == 0.0
@@ -234,7 +244,7 @@ class TestRunSyntheticExperiment:
         ds = run_synthetic_experiment(spec, effect, ConfusionMatrix.identity(),
                                       k_depth=6, seed=22)
         deltas = np.array([
-            sdcg_at_k(r.treatment, 6).value - sdcg_at_k(r.control, 6).value
+            sdcg_at_k(r.treatment, 6) - sdcg_at_k(r.control, 6)
             for r in ds.records])
         mean_c, _ = stratum_score_moments(prof, 6)
         mean_t, _ = stratum_score_moments(prof, 6, shift=1.0)
@@ -295,7 +305,7 @@ class TestRunSyntheticExperiment:
         population = [
             dataclasses.replace(rec, treatment=RankedPage.from_levels(
                 np.clip(np.array(rec.control.levels) + int(shifts[rec.stratum]), 1, 5)))
-            for rec in generate_population(spec, 9, seed=33)]
+            for rec in true_population(spec, 9, seed=33)]
         labeled = apply_labeler(population, cm, seed=33, rho_shared=0.4)
         ds = run_synthetic_experiment(spec, EffectSpec(shifts=shifts), cm, 9, seed=33,
                                       rho_shared=0.4)
@@ -309,10 +319,10 @@ class TestRunSyntheticExperiment:
                                       rho_shared=0.8)
         single, paired = [], []
         for rec in ds.records:
-            m_c = sdcg_at_k(rec.control, 8).value
-            r_c = sdcg_at_k(rec.control_reference, 8).value
-            m_t = sdcg_at_k(rec.treatment, 8).value
-            r_t = sdcg_at_k(rec.treatment_reference, 8).value
+            m_c = sdcg_at_k(rec.control, 8)
+            r_c = sdcg_at_k(rec.control_reference, 8)
+            m_t = sdcg_at_k(rec.treatment, 8)
+            r_t = sdcg_at_k(rec.treatment_reference, 8)
             single.append(m_c - r_c)
             paired.append((m_t - m_c) - (r_t - r_c))
         assert np.std(paired) < np.std(single)
