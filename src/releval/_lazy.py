@@ -1,15 +1,22 @@
-"""numpy, loaded on first attribute access.
+"""Heavy dependencies, loaded no earlier and no wider than a command needs.
 
 ``metric``, ``mde``, a rejected ``evaluate`` and ``--version`` never call
 numpy, and importing it is a large share of a short command's start. ``np``
 is bound at import time and numpy's own code runs when a command first reads
 ``np.<name>``.
+
+The t test needs only scipy's compiled ``stdtr`` and ``stdtrit``, from
+``scipy.special._ufuncs``. ``t_ufuncs`` loads that one extension module
+without running ``scipy.special``'s package init, which pulls in scipy's
+array-API layer, ``numpy.f2py`` and ``numpy.testing`` and costs about 0.1 s.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import sys
+import types
 
 
 def load(name: str):
@@ -26,3 +33,42 @@ def load(name: str):
 
 
 np = load("numpy")
+
+
+def _ufuncs_without_package_init():
+    """``scipy.special._ufuncs``, imported under a bare stand-in for its package.
+
+    The stand-in has the real package's ``__path__``, so the extension and
+    what it imports load from scipy as usual. It is removed afterwards, so a
+    later ``import scipy.special`` runs the real init, which reuses the loaded
+    extension: its ``stdtr`` is the same object.
+    """
+    import scipy  # the parent package; its own init is cheap
+
+    stub = types.ModuleType("scipy.special")
+    stub.__path__ = list(importlib.util.find_spec("scipy.special").submodule_search_locations)
+    sys.modules["scipy.special"] = stub
+    try:
+        from scipy.special import _ufuncs
+    finally:
+        del sys.modules["scipy.special"]
+        # vars(), not hasattr(): scipy's module __getattr__ would import the package
+        vars(scipy).pop("special", None)
+    return _ufuncs
+
+
+@functools.cache
+def t_ufuncs():
+    """scipy's ``(stdtr, stdtrit)``, resolved once per process.
+
+    Taken from ``scipy.special`` if it is already imported; else from its
+    compiled ``_ufuncs`` alone; else, should a scipy release break that path,
+    from ``scipy.special`` after all.
+    """
+    special = sys.modules.get("scipy.special")
+    if special is None:
+        try:
+            special = _ufuncs_without_package_init()
+        except ImportError:
+            import scipy.special as special
+    return special.stdtr, special.stdtrit

@@ -153,7 +153,7 @@ def _stratum_key(obj: Mapping[str, Any]) -> StratumKey:
     try:
         return StratumKey(interest=_json_str(obj["interest"], "interest"),
                           popularity=PopularitySegment(_json_str(obj["popularity"], "popularity")))
-    except (KeyError, ValueError) as err:
+    except (KeyError, ValueError, RecordError) as err:  # RecordError: an empty interest
         raise BadSpec(f"invalid stratum reference {obj!r}") from err
 
 
@@ -164,16 +164,16 @@ def _check_unique(keys: list[StratumKey], where: str) -> None:
 
 
 def _optional_number(obj: Mapping[str, Any], key: str) -> float | None:
-    value = obj.get(key)
-    return None if value is None else _json_number(value, key)
+    # an absent key is None; a present null is not a number
+    return _json_number(obj[key], key) if key in obj else None
 
 
 def load_design(path: str | Path) -> list[StratumSpec]:
     """Strata design file: JSON list of {interest, popularity, weight, sigma?, mu?}."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
-    if not isinstance(raw, list):
-        raise BadSpec("design file must be a JSON list of stratum objects")
+    if not isinstance(raw, list) or not raw:
+        raise BadSpec("design file must be a non-empty JSON list of stratum objects")
     try:
         specs = [StratumSpec(
             key=_stratum_key(obj),
@@ -189,14 +189,15 @@ def load_design(path: str | Path) -> list[StratumSpec]:
 
 def load_population_spec(path: str | Path) -> tuple[PopulationSpec, int]:
     """Population spec JSON; returns (spec, k_depth). k_depth defaults to 25;
-    a size past MAX_K_DEPTH or MAX_QUERIES_PER_STRATUM is a BadSpec."""
+    every profile names its kind; a size past MAX_K_DEPTH or
+    MAX_QUERIES_PER_STRATUM is a BadSpec."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     try:
         strata = []
         for obj in raw["strata"]:
             prof = obj["profile"]
-            kind = prof.get("kind", "categorical")
+            kind = prof["kind"]
             if kind == "categorical":
                 profile = LabelProfile(kind=kind, probs=_as_prob_tuple(prof["probs"]))
             else:
@@ -224,11 +225,11 @@ def _as_prob_tuple(probs) -> tuple:
 
 
 def load_confusion(path: str | Path) -> ConfusionMatrix:
-    """Confusion file: {"rows": 5x5} or {"calibrate": {"exact":, "within_one":}}."""
+    """Confusion file: {"rows": 5x5} or {"calibrate": {"exact":, "within_one":}}, not both."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
-    if not isinstance(raw, dict) or not ("calibrate" in raw or "rows" in raw):
-        raise BadSpec("confusion file must contain either 'rows' or 'calibrate'")
+    if not isinstance(raw, dict) or ("calibrate" in raw) == ("rows" in raw):
+        raise BadSpec("confusion file must contain either 'rows' or 'calibrate', not both")
     try:
         if "calibrate" in raw:
             cal = raw["calibrate"]
@@ -244,8 +245,8 @@ def load_effect(path: str | Path) -> EffectSpec:
     """Effect file: {"default": float, "shifts": [{interest, popularity, shift}]}."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise BadSpec("effect file must be a JSON object")
+    if not isinstance(raw, dict) or not isinstance(raw.get("shifts", []), list):
+        raise BadSpec("effect file must be a JSON object whose 'shifts' is a list")
     try:
         shifts = [(_stratum_key(obj), _json_number(obj["shift"], "shift"))
                   for obj in raw.get("shifts", [])]

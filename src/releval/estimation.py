@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
-from ._lazy import np
+from ._lazy import np, t_ufuncs
 from .core import EvalDataset, PopularitySegment, StratumKey
 from .errors import (
     NoSegments,
@@ -88,8 +88,9 @@ def srs_estimate(deltas: Sequence[float], alpha: float = 0.05) -> EstimateResult
     se = float(arr.std(ddof=1)) / math.sqrt(n)
     if se == 0.0:
         return _degenerate(mean, n, SRS, alpha)
-    # imported here: scipy.special costs every CLI process ~0.1 s at startup
-    from scipy.special import stdtr, stdtrit
+    # scipy's compiled ufuncs, loaded on first use without scipy.special's
+    # package init, which would cost every evaluate ~0.1 s
+    stdtr, stdtrit = t_ufuncs()
     df = n - 1
     t = mean / se
     p = 2.0 * float(stdtr(df, -abs(t)))

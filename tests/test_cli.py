@@ -74,6 +74,73 @@ def test_cli_import_leaves_scipy_unloaded():
     assert result.stdout.strip() == "[]"
 
 
+# runs evaluate in a fresh interpreter, then reports what it loaded of scipy
+# and whether the t ufuncs it used are those of a later `import scipy.special`
+_EVALUATE_AND_REPORT_SCIPY = """
+import json, sys
+from releval._lazy import t_ufuncs
+from releval.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+report = {"loaded": sorted(m for m in sys.modules if m.startswith(("scipy", "numpy.")))}
+report["resolved"] = t_ufuncs.cache_info().currsize == 1
+used = t_ufuncs()
+import scipy.special, scipy.stats
+report["same"] = [used[0] is scipy.special.stdtr, used[1] is scipy.special.stdtrit]
+report["stats_t"] = float(scipy.stats.t.cdf(-1.5, 5)) == float(used[0](5, -1.5))
+print(json.dumps(report))
+"""
+
+
+@pytest.fixture(scope="module")
+def evaluate_scipy_report(tmp_path_factory):
+    # one non-constant delta, so the t test runs
+    data = write_jsonl(tmp_path_factory.mktemp("evaluate") / "data.jsonl",
+                       [*paired_records(), raw_record("q9", [3, 4], [4, 5])])
+    result = subprocess.run([sys.executable, "-c", _EVALUATE_AND_REPORT_SCIPY, "evaluate", data],
+                            env=_python_env(), capture_output=True, text=True, check=True)
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_evaluate_loads_only_the_compiled_t_ufuncs(evaluate_scipy_report):
+    loaded = evaluate_scipy_report["loaded"]
+    assert "scipy.special._ufuncs" in loaded
+    for heavy in ("scipy.special", "scipy.special._support_alternative_backends",
+                  "scipy._lib._array_api", "numpy.f2py"):
+        assert heavy not in loaded
+
+
+def test_t_ufuncs_are_those_of_scipy_special(evaluate_scipy_report):
+    # a real `import scipy.special` after evaluate reuses the loaded extension
+    assert evaluate_scipy_report["resolved"]
+    assert evaluate_scipy_report["same"] == [True, True]
+    assert evaluate_scipy_report["stats_t"]
+
+
+_FALLBACK = """
+import sys
+from releval import _lazy
+from releval.estimation import srs_estimate
+
+def unloadable():
+    raise ImportError("scipy.special._ufuncs moved")
+
+deltas = [0.1, -0.2, 0.35, 0.05, 0.2, -0.05]
+fast = srs_estimate(deltas)
+_lazy._ufuncs_without_package_init = unloadable
+_lazy.t_ufuncs.cache_clear()
+print(srs_estimate(deltas) == fast, "scipy.special" in sys.modules)
+"""
+
+
+def test_t_ufuncs_fall_back_to_scipy_special():
+    result = subprocess.run([sys.executable, "-c", _FALLBACK], env=_python_env(),
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.split() == ["True", "True"]
+
+
 # runs one command in a fresh interpreter, then prints its exit code and
 # whether numpy's code ran
 _RUN_AND_REPORT_NUMPY = """
@@ -121,6 +188,12 @@ def test_numpy_loads_only_for_commands_that_use_it(tmp_path, command, code, load
     assert marker == f"exit {code} {loaded}"
     if command == "evaluate-rejected":
         assert json.loads(output[0])["violations"][0]["error"] == "BadLabelValue"
+
+
+def _without_profile_kind():
+    spec = sim_spec()
+    del spec["strata"][1]["profile"]["kind"]  # a categorical profile
+    return spec
 
 
 def _spec_with(**fields):
@@ -447,6 +520,9 @@ class TestDesign:
          "OutOfDomain"),
         ([{"interest": "a", "popularity": "head", "weight": 1.0, "sigma": 1.0,
            "mu": float("nan")}], "OutOfDomain"),
+        ([], "BadSpec"),
+        ([{"interest": "a", "popularity": "head", "weight": 1.0, "sigma": None}], "BadSpec"),
+        ([{"interest": "", "popularity": "head", "weight": 1.0, "sigma": 0.1}], "BadSpec"),
     ])
     def test_bad_design_file_is_typed_error(self, runner, tmp_path, entries, code):
         path = tmp_path / "strata.json"
@@ -629,9 +705,15 @@ class TestSimulate:
         ("--spec", json.dumps(sim_spec(decay=float("nan")))),
         ("--spec", json.dumps(sim_spec(weights=(float("nan"), 0.5)))),
         ("--effect", '{"shifts": [{"interest": "zz", "popularity": "head", "shift": 0.5}]}'),
+        ("--spec", json.dumps(_without_profile_kind())),
+        ("--confusion", json.dumps({"rows": [[1.0 if i == j else 0.0 for j in range(5)]
+                                             for i in range(5)],
+                                    "calibrate": {"exact": 0.5, "within_one": 0.9}})),
+        ("--effect", '{"shifts": {}}'),
     ], ids=["effect-list", "shift-missing", "default-nan", "default-inf",
             "calibrate-no-within-one", "spec-k-depth-0", "spec-decay-nan", "spec-weight-nan",
-            "shift-unknown-stratum"])
+            "shift-unknown-stratum", "spec-kind-missing", "confusion-rows-and-calibrate",
+            "effect-shifts-object"])
     def test_bad_input_file_is_typed_error(self, runner, tmp_path, option, text):
         path = tmp_path / "input.json"
         path.write_text(text)

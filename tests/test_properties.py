@@ -10,21 +10,35 @@ then have at most one node replaced, deleted or repeated; ``mde`` takes its
 numbers from a pool of edge values.
 
 Every input must end in exit 0, 1 or 2 with no traceback and, on failure, a
-parseable ``--error-json`` payload.
+parseable ``--error-json`` payload. The same spec files, read by their
+loaders, must agree with their JSON Schemas under ``releval/schemas/``.
 """
 
 import copy
+import functools
 import json
+import math
 import re
+import sys
 import tempfile
 import warnings
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import releval
 from releval.cli import main
+from releval.dataset_io import (
+    load_confusion,
+    load_design,
+    load_effect,
+    load_population_spec,
+    read_dataset,
+)
+from releval.errors import RelevalError
 
 LABEL = st.integers(1, 5)
 BAD_LABEL = st.sampled_from([0, 6, 2.5, True, "3", None, [3]])
@@ -266,6 +280,129 @@ def test_simulate_spec_files_boundary_is_typed(spec, effect, confusion):
             files[name] = doc
             args += [f"--{name}", "{" + name + "}"]
     _invoke(args, files)
+
+
+# -- schema and loader agree -------------------------------------------------------
+# Whatever a loader accepts, its schema accepts. The converse holds too, except
+# where the loader rejects for a rule the schema cannot state: numbers JSON
+# cannot hold as floats (NaN, infinity, 10**400), weights or probabilities
+# that must sum to 1, stratum keys that must be unique, exact <= within_one,
+# ranks that run 1..n, and dual-label arrays of one length. (Nor can a schema
+# tell 3.0 from 3, which the loaders reject as an integer; nothing draws it.)
+
+
+@functools.cache
+def _validator(name):
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = Path(releval.__file__).parent / "schemas" / f"{name}.schema.json"
+    return jsonschema.Draft202012Validator(json.loads(schema.read_text(encoding="utf-8")))
+
+
+def _float_range(node):
+    """Every number in ``node`` is a finite float or an int a float can hold."""
+    if isinstance(node, dict):
+        return all(_float_range(v) for v in node.values())
+    if isinstance(node, list):
+        return all(_float_range(v) for v in node)
+    if isinstance(node, float):
+        return math.isfinite(node)
+    return not isinstance(node, int) or abs(node) <= sys.float_info.max
+
+
+def _sums_to_one(values):
+    return abs(sum(values) - 1.0) <= 1e-9
+
+
+def _unique_keys(entries):
+    keys = [(e["interest"], e["popularity"]) for e in entries]
+    return len(set(keys)) == len(keys)
+
+
+def _assert_agree(schema, loader, doc, rules_beyond_schema_hold):
+    """``rules_beyond_schema_hold`` is asked only of documents the schema accepts."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        try:
+            loader(path)
+            accepted = True
+        except RelevalError:
+            accepted = False
+    valid = _validator(schema).is_valid(doc)
+    if accepted:
+        assert valid
+    elif valid:
+        assert not (_float_range(doc) and rules_beyond_schema_hold(doc))
+
+
+def _spec_rules_hold(doc):
+    probs = [s["profile"]["probs"] for s in doc["strata"] if s["profile"]["kind"] == "categorical"]
+    rows = [row for p in probs for row in (p if not p or isinstance(p[0], list) else [p])]
+    return (_sums_to_one(s["weight"] for s in doc["strata"]) and _unique_keys(doc["strata"])
+            and all(_sums_to_one(row) for row in rows))
+
+
+def _confusion_rules_hold(doc):
+    if "rows" in doc:
+        return all(_sums_to_one(row) for row in doc["rows"])
+    return doc["calibrate"]["exact"] <= doc["calibrate"]["within_one"]
+
+
+def _record_rules_hold(obj):
+    arms = [obj[arm] for arm in ("control", "treatment") if arm in obj]
+    return all([e["rank"] for e in arm] == list(range(1, len(arm) + 1)) if isinstance(arm, list)
+               else len(arm["machine_labels"]) == len(arm["reference_labels"]) for arm in arms)
+
+
+def _read_record(path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # unknown fields
+        read_dataset(path)
+
+
+_PROBS = [0.1, 0.2, 0.4, 0.2, 0.1]
+_IDENTITY = [[1.0 if i == j else 0.0 for j in range(5)] for i in range(5)]
+
+
+def _one_stratum_spec(profile):
+    return {"queries_per_stratum": 2, "strata": [
+        {"interest": "a", "popularity": "head", "weight": 1.0, "profile": profile}]}
+
+
+@settings(max_examples=300)
+@given(obj=(VALID | broken()).map(lambda obj: {"query_id": "q0", **obj}))
+def test_dataset_record_schema_and_loader_agree(obj):
+    _assert_agree("dataset_record", _read_record, obj, _record_rules_hold)
+
+
+@settings(max_examples=300)
+@given(doc=spec_doc())
+@example(doc=_one_stratum_spec({"probs": _PROBS}))  # a profile must name its kind
+@example(doc=_one_stratum_spec({"kind": "categorical", "probs": []}))  # no rows at all
+def test_population_spec_schema_and_loader_agree(doc):
+    _assert_agree("population_spec", load_population_spec, doc, _spec_rules_hold)
+
+
+@settings(max_examples=300)
+@given(doc=confusion_doc())
+@example(doc={"rows": _IDENTITY, "calibrate": {"exact": 0.5, "within_one": 0.9}})  # not both
+def test_confusion_schema_and_loader_agree(doc):
+    _assert_agree("confusion_matrix", load_confusion, doc, _confusion_rules_hold)
+
+
+@settings(max_examples=300)
+@given(doc=STRATA.flatmap(design_doc))
+@example(doc=[])
+@example(doc=[{"interest": "a", "popularity": "head", "weight": 1.0, "sigma": None}])  # null
+def test_design_schema_and_loader_agree(doc):
+    _assert_agree("design", load_design, doc, _unique_keys)
+
+
+@settings(max_examples=300)
+@given(doc=effect_doc())
+@example(doc={"shifts": {}})
+def test_effect_schema_and_loader_agree(doc):
+    _assert_agree("effect_spec", load_effect, doc, lambda d: _unique_keys(d.get("shifts", [])))
 
 
 # the simulator's work grows with these; each is legal up to its maximum
