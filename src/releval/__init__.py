@@ -13,7 +13,6 @@ from .core import (
     EvalDataset,
     PopularitySegment,
     QueryRecord,
-    RankedPage,
     StratumKey,
     validate_dataset,
 )
@@ -59,8 +58,8 @@ from .simulator import (
 
 __all__ = [
     "__version__",
-    "EvalDataset", "PopularitySegment", "QueryRecord", "RankedPage",
-    "StratumKey", "validate_dataset",
+    "EvalDataset", "PopularitySegment", "QueryRecord", "StratumKey",
+    "validate_dataset",
     "paired_delta", "sdcg_at_k",
     "Allocation", "StratumSpec", "VarianceDecomposition", "allocate",
     "decompose_variance", "draw_sample",

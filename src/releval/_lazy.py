@@ -1,9 +1,9 @@
 """Heavy dependencies, loaded no earlier and no wider than a command needs.
 
-``metric``, ``mde``, a rejected ``evaluate`` and ``--version`` never call
-numpy, and importing it is a large share of a short command's start. ``np``
-is bound at import time and numpy's own code runs when a command first reads
-``np.<name>``.
+``metric``, ``mde``, ``design``, a rejected ``evaluate`` and ``--version``
+never call numpy, and importing it is a large share of a short command's
+start. ``np`` is bound at import time and numpy's own code runs when a
+command first reads ``np.<name>``.
 
 The t test needs only scipy's compiled ``stdtr`` and ``stdtrit``, from
 ``scipy.special._ufuncs``. ``t_ufuncs`` loads that one extension module

@@ -281,8 +281,8 @@ def _dataset_agreement(dataset):
         for page, ref in pairs:
             if ref is None:
                 continue
-            machine.extend(page.levels)
-            reference.extend(ref.levels)
+            machine.extend(page)
+            reference.extend(ref)
     if not machine:
         return None
     return label_agreement(machine, reference)

@@ -12,7 +12,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
-from ._lazy import np
 from .errors import (
     BadLabelValue,
     BadRankSequence,
@@ -53,70 +52,40 @@ class StratumKey:
         return f"{self.interest}/{self.popularity.value}"
 
 
-def _checked_level(value: Any) -> int:
-    """One label as a plain int in 1..5; numpy integers are normalized."""
-    # np.integer is asked for only for numpy values: asking loads numpy
-    integral = isinstance(value, int) or (
-        type(value).__module__ == "numpy" and isinstance(value, np.integer))
-    if integral and not isinstance(value, bool) and 1 <= value <= 5:
-        return int(value)
-    raise BadLabelValue(f"label level must be an integer in [1, 5], got {value!r}")
+def _checked_page(labels: Sequence[Any], query_id: str, field: str,
+                  violations: list[RecordError]) -> tuple[int, ...] | None:
+    """One page's labels as a tuple of plain ints in 1..5, or None with a violation.
 
-
-@dataclass(frozen=True, slots=True)
-class RankedPage:
-    """Ordered top-K relevance levels for one (query, arm) pair.
-
-    Each level is an ordinal 5-point judgment, 1 (highly irrelevant) .. 5
-    (highly relevant), stored as a plain int. Ranks are implicit: position i
-    holds rank i+1. Use ``from_entries`` to build from explicit (rank, label)
-    pairs with rank-sequence checking.
+    Each label is an ordinal 5-point judgment, 1 (highly irrelevant) .. 5
+    (highly relevant); position i holds rank i+1.
     """
-
-    levels: tuple[int, ...]
-
-    def __post_init__(self):
-        levels = self.levels
-        # whole-page test first; numpy integers to normalize and bad values to
-        # report take the per-label path. Types go first: all-int is hashable.
-        if (type(levels) is not tuple or not _INT.issuperset(map(type, levels))
-                or not _LEVELS.issuperset(levels)):
-            object.__setattr__(self, "levels", tuple(_checked_level(v) for v in levels))
-
-    @classmethod
-    def from_levels(cls, levels: Iterable[int]) -> "RankedPage":
-        if not isinstance(levels, (list, tuple)) and isinstance(levels, np.ndarray):
-            levels = levels.tolist()
-        return cls(tuple(levels))
-
-    @classmethod
-    def from_entries(cls, entries: Sequence[tuple[int, int]]) -> "RankedPage":
-        ranks = [r for r, _ in entries]
-        if (ranks != list(range(1, len(entries) + 1))
-                or not all(type(r) is int for r in ranks)):
-            raise BadRankSequence(f"ranks must be exactly 1..{len(entries)}, got {ranks}")
-        return cls(tuple(lab for _, lab in entries))
-
-    def __len__(self) -> int:
-        return len(self.levels)
+    page = tuple(labels)
+    # whole-page test first; types go first, as an all-int page is hashable
+    if _INT.issuperset(map(type, page)) and _LEVELS.issuperset(page):
+        return page
+    bad = next(v for v in page if type(v) is not int or not 1 <= v <= 5)
+    violations.append(BadLabelValue(
+        f"label level must be an integer in [1, 5], got {bad!r}", query_id=query_id, field=field))
+    return None
 
 
 @dataclass(frozen=True, slots=True)
 class QueryRecord:
     """One evaluation query: stratum, market, and its ranked page(s).
 
-    ``control``/``treatment`` hold the working labels (machine labels when a
-    second source exists); ``*_reference`` hold reference (human) labels for
-    the same ranked results, when present.
+    A page is a tuple of plain int labels in 1..5, checked where the record
+    is parsed. ``control``/``treatment`` hold the working labels (machine
+    labels when a second source exists); ``*_reference`` hold reference
+    (human) labels for the same ranked results, when present.
     """
 
     query_id: str
     market: str
     stratum: StratumKey
-    control: RankedPage
-    treatment: RankedPage | None = None
-    control_reference: RankedPage | None = None
-    treatment_reference: RankedPage | None = None
+    control: tuple[int, ...]
+    treatment: tuple[int, ...] | None = None
+    control_reference: tuple[int, ...] | None = None
+    treatment_reference: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -139,7 +108,8 @@ class EvalDataset:
         return len(self.records)
 
 
-def _parse_arm(raw: Any, query_id: str, arm: str, violations: list[RecordError]) -> tuple[RankedPage | None, RankedPage | None]:
+def _parse_arm(raw: Any, query_id: str, arm: str, violations: list[RecordError]
+               ) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
     """Parse one arm into (page, reference_page). Appends violations in place.
 
     Accepted forms:
@@ -159,23 +129,15 @@ def _parse_arm(raw: Any, query_id: str, arm: str, violations: list[RecordError])
                 f"{arm}: machine and reference label arrays differ in length",
                 query_id=query_id, field=arm))
             return None, None
-        pages = []
-        for name, levels in (("machine_labels", machine), ("reference_labels", reference)):
-            try:
-                pages.append(RankedPage.from_levels(levels))
-            except RecordError as err:
-                err.query_id = query_id
-                err.field = f"{arm}.{name}"
-                violations.append(err)
-                pages.append(None)
-        return pages[0], pages[1]
+        return (_checked_page(machine, query_id, f"{arm}.machine_labels", violations),
+                _checked_page(reference, query_id, f"{arm}.reference_labels", violations))
 
     if not isinstance(raw, (list, tuple)):
         violations.append(MissingArm(
             f"{arm}: expected a list of rank/label objects or a dual-label object",
             query_id=query_id, field=arm))
         return None, None
-    entries = []
+    ranks, labels = [], []
     for i, item in enumerate(raw):
         try:
             rank, label = item["rank"], item["label"]
@@ -186,14 +148,13 @@ def _parse_arm(raw: Any, query_id: str, arm: str, violations: list[RecordError])
                 f"{arm}[{i}]: expected an object with integer rank and label",
                 query_id=query_id, field=f"{arm}[{i}]"))
             return None, None
-        entries.append((rank, label))
-    try:
-        return RankedPage.from_entries(entries), None
-    except RecordError as err:
-        err.query_id = query_id
-        err.field = arm
-        violations.append(err)
+        ranks.append(rank)
+        labels.append(label)
+    if ranks != list(range(1, len(ranks) + 1)):
+        violations.append(BadRankSequence(
+            f"ranks must be exactly 1..{len(ranks)}, got {ranks}", query_id=query_id, field=arm))
         return None, None
+    return _checked_page(labels, query_id, arm, violations), None
 
 
 def record_from_raw(raw: Mapping[str, Any], violations: list[RecordError]) -> QueryRecord | None:

@@ -77,9 +77,8 @@ def read_dataset(path: str | Path, k_depth: int = 25, paired: bool = False) -> E
 
 def _arm_to_json(page, reference) -> Any:
     if reference is not None:
-        return {"machine_labels": list(page.levels),
-                "reference_labels": list(reference.levels)}
-    return [{"rank": r, "label": lab} for r, lab in enumerate(page.levels, start=1)]
+        return {"machine_labels": list(page), "reference_labels": list(reference)}
+    return [{"rank": r, "label": lab} for r, lab in enumerate(page, start=1)]
 
 
 def record_to_json(rec: QueryRecord) -> dict:

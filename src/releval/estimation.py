@@ -21,7 +21,7 @@ from .errors import (
 )
 from .fdr import benjamini_hochberg
 from .metrics import paired_deltas
-from .power import normal_cdf, normal_quantile
+from .power import check_alpha, normal_cdf, normal_quantile
 from .sampling import check_weights
 
 SRS = "srs"
@@ -78,8 +78,7 @@ def srs_estimate(deltas: Sequence[float], alpha: float = 0.05) -> EstimateResult
     n = len(deltas)
     if n < 2:
         raise TooFewSamples(f"srs_estimate needs n >= 2, got {n}")
-    if not 0.0 < alpha < 1.0:
-        raise WeightMismatch(f"alpha must be in (0, 1), got {alpha}")
+    check_alpha(alpha)
     arr = np.asarray(deltas, dtype=float)
     mean = float(arr.mean())
     # constant inputs: report an exactly zero SE (np.std leaves float dust)
@@ -119,6 +118,7 @@ def stratified_estimate(
     Uses the normal approximation for the interval and test; requires
     explicit design weights (never inferred from sample counts) summing to 1.
     """
+    check_alpha(alpha)
     if not per_stratum and not weights:
         raise TooFewSamplesInStratum("stratified_estimate needs at least one stratum")
     check_design(per_stratum, weights)

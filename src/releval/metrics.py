@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from operator import mul
 
-from .core import EvalDataset, QueryRecord, RankedPage
+from .core import EvalDataset, QueryRecord
 from .errors import EmptyPage, MissingArm
 
 MAX_LEVEL = 5
@@ -36,8 +36,8 @@ def _denominator(k: int) -> float:
     return den
 
 
-def sdcg_at_k(page: RankedPage, k_depth: int) -> float:
-    """Score one ranked page at depth ``k_depth``.
+def sdcg_at_k(page: tuple[int, ...], k_depth: int) -> float:
+    """Score one ranked page, a tuple of labels in rank order, at depth ``k_depth``.
 
     value = [sum_{k<=K'} L_k / log2(1+k)] / [sum_{k<=K'} 5 / log2(1+k)]
     with K' = min(k_depth, len(page)), so a short page is scored over its
@@ -51,7 +51,7 @@ def sdcg_at_k(page: RankedPage, k_depth: int) -> float:
     k_eff = min(k_depth, n)
     den = _denominator(k_eff)  # fills _discount_cache up to k_eff
     # summed left to right, so the value matches a plain loop bit for bit
-    num = sum(map(mul, page.levels[:k_eff], _discount_cache))
+    num = sum(map(mul, page[:k_eff], _discount_cache))
     return num / den
 
 
@@ -73,14 +73,21 @@ def arm_scores(dataset: EvalDataset, arm: str) -> list[float | None]:
     ``arm`` is a page field of QueryRecord: "control", "treatment",
     "control_reference" or "treatment_reference". The entry is None where a
     record has no such page. Each arm is scored once per dataset and kept on
-    it, so every consumer reads the same floats.
+    it, so every consumer reads the same floats. An empty page raises
+    EmptyPage naming the first record that has one.
     """
     scores = dataset._scores.get(arm)
     if scores is None:
         k_depth = dataset.k_depth
-        scores = dataset._scores[arm] = [
-            None if page is None else sdcg_at_k(page, k_depth)
-            for page in (getattr(rec, arm) for rec in dataset.records)]
+        try:
+            scores = dataset._scores[arm] = [
+                None if page is None else sdcg_at_k(page, k_depth)
+                for page in (getattr(rec, arm) for rec in dataset.records)]
+        except EmptyPage as err:
+            # located only on failure, so scoring pays nothing for it
+            err.query_id = next(r.query_id for r in dataset.records if getattr(r, arm) == ())
+            err.field = arm
+            raise
     return scores
 
 

@@ -15,6 +15,12 @@ from .errors import NonPositiveMean, OutOfDomain
 _EXACT_N = 2 ** 53
 
 
+def check_alpha(alpha: float) -> None:
+    """A significance level lies in (0, 1); NaN does not."""
+    if not 0.0 < alpha < 1.0:
+        raise OutOfDomain(f"alpha must be in (0, 1), got {alpha}")
+
+
 @dataclass(frozen=True)
 class PowerConfig:
     """Significance level and statistical power (standard defaults)."""
@@ -23,8 +29,7 @@ class PowerConfig:
     power: float = 0.8
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise OutOfDomain(f"alpha must be in (0, 1), got {self.alpha}")
+        check_alpha(self.alpha)
         if not 0.0 < self.power < 1.0:
             raise OutOfDomain(f"power must be in (0, 1), got {self.power}")
 

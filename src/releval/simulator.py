@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 from ._lazy import np
 from ._rng import substream
-from .core import EvalDataset, QueryRecord, RankedPage, StratumKey
+from .core import EvalDataset, QueryRecord, StratumKey
 from .errors import BadMatrix, BadSpec, InfeasibleTargets
 from .metrics import _discounts
 from .sampling import _largest_remainder, check_weights
@@ -283,15 +283,15 @@ def apply_labeler(records: Sequence[QueryRecord], confusion: ConfusionMatrix,
         if rec.stratum not in rngs:
             rngs[rec.stratum] = substream(seed, "labeler", rec.stratum)
         u = rngs[rec.stratum].random((3, len(rec.control)))
-        control = np.array(rec.control.levels, dtype=np.int64)
+        control = np.array(rec.control, dtype=np.int64)
         treatment = (control if rec.treatment is None
-                     else np.array(rec.treatment.levels, dtype=np.int64))
+                     else np.array(rec.treatment, dtype=np.int64))
         machine_control, machine_treatment = _machine_arms(
             control, treatment, u, cdf_rows, rho_shared)
         out.append(QueryRecord(
             query_id=rec.query_id, market=rec.market, stratum=rec.stratum,
-            control=RankedPage.from_levels(machine_control),
-            treatment=None if rec.treatment is None else RankedPage.from_levels(machine_treatment),
+            control=tuple(machine_control.tolist()),
+            treatment=None if rec.treatment is None else tuple(machine_treatment.tolist()),
             control_reference=rec.control,
             treatment_reference=rec.treatment))
     return out
@@ -330,10 +330,8 @@ def run_synthetic_experiment(
         for q, (control, treatment, m_control, m_treatment) in enumerate(rows):
             records.append(QueryRecord(
                 query_id=_query_id(sp.key, q), market=spec.market, stratum=sp.key,
-                control=RankedPage(tuple(m_control)),
-                treatment=RankedPage(tuple(m_treatment)),
-                control_reference=RankedPage(tuple(control)),
-                treatment_reference=RankedPage(tuple(treatment))))
+                control=tuple(m_control), treatment=tuple(m_treatment),
+                control_reference=tuple(control), treatment_reference=tuple(treatment)))
     return EvalDataset(records=tuple(records), k_depth=k_depth)
 
 

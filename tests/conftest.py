@@ -16,7 +16,6 @@ from hypothesis import settings
 from releval.core import (
     PopularitySegment,
     QueryRecord,
-    RankedPage,
     StratumKey,
 )
 
@@ -32,8 +31,8 @@ def sk(interest: str, popularity: str = "head") -> StratumKey:
     return StratumKey(interest=interest, popularity=PopularitySegment(popularity))
 
 
-def page(*levels: int) -> RankedPage:
-    return RankedPage.from_levels(levels)
+def page(*levels: int) -> tuple[int, ...]:
+    return levels
 
 
 def record(query_id: str, control, treatment=None, stratum=None, market="US",
@@ -42,9 +41,8 @@ def record(query_id: str, control, treatment=None, stratum=None, market="US",
         query_id=query_id,
         market=market,
         stratum=stratum or sk("art"),
-        control=control if isinstance(control, RankedPage) else page(*control),
-        treatment=(treatment if treatment is None or isinstance(treatment, RankedPage)
-                   else page(*treatment)),
+        control=tuple(control),
+        treatment=None if treatment is None else tuple(treatment),
         control_reference=control_reference,
         treatment_reference=treatment_reference,
     )
@@ -61,6 +59,19 @@ def raw_record(query_id: str, control_levels, treatment_levels=None,
     if treatment_levels is not None:
         obj["treatment"] = [{"rank": i + 1, "label": lab}
                             for i, lab in enumerate(treatment_levels)]
+    return obj
+
+
+def dual_raw(query_id, machine, reference, machine_t=None, reference_t=None,
+             interest="art", popularity="head", market="US"):
+    obj = {
+        "query_id": query_id,
+        "market": market,
+        "stratum": {"interest": interest, "popularity": popularity},
+        "control": {"machine_labels": machine, "reference_labels": reference},
+    }
+    if machine_t is not None:
+        obj["treatment"] = {"machine_labels": machine_t, "reference_labels": reference_t}
     return obj
 
 

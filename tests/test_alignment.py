@@ -8,7 +8,7 @@ from releval.alignment import (
     label_agreement,
     spearman_rho,
 )
-from releval.core import EvalDataset, PopularitySegment, RankedPage
+from releval.core import EvalDataset, PopularitySegment
 from releval.errors import (
     AllTied,
     EmptyInput,

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 import releval
 from releval.cli import main
 
-from conftest import raw_record
+from conftest import dual_raw, raw_record
 
 
 @pytest.fixture
@@ -24,19 +24,6 @@ def write_jsonl(path, records):
         for obj in records:
             fh.write(json.dumps(obj) + "\n")
     return str(path)
-
-
-def dual_raw(query_id, machine, reference, machine_t=None, reference_t=None,
-             interest="art", popularity="head", market="US"):
-    obj = {
-        "query_id": query_id,
-        "market": market,
-        "stratum": {"interest": interest, "popularity": popularity},
-        "control": {"machine_labels": machine, "reference_labels": reference},
-    }
-    if machine_t is not None:
-        obj["treatment"] = {"machine_labels": machine_t, "reference_labels": reference_t}
-    return obj
 
 
 def paired_records(n=6, c=(3, 4), t=(4, 4)):
@@ -395,6 +382,19 @@ class TestScoreOnce:
         assert len(scored) == 6 * per_query
 
 
+@pytest.mark.parametrize("command, records, field", [
+    ("metric", [raw_record("q0", [3], [4]), raw_record("q1", [5], [])], "treatment"),
+    ("align", [dual_raw("q0", [3, 4], [3, 4]), dual_raw("q1", [], [])], "control"),
+])
+def test_empty_page_error_names_its_record(runner, tmp_path, command, records, field):
+    path = write_jsonl(tmp_path / "d.jsonl", records)
+    result = runner.invoke(main, [command, path, "--error-json"])
+    assert result.exit_code == 1
+    assert json.loads(result.output) == {
+        "error": "EmptyPage", "message": "cannot score an empty page",
+        "query_id": "q1", "field": field}
+
+
 class TestEvaluate:
     def design_file(self, tmp_path, weight=1.0):
         path = tmp_path / "design.json"
@@ -443,6 +443,18 @@ class TestEvaluate:
                                       "--estimator", estimator, "--error-json"])
         assert result.exit_code == 1, result.output
         assert json.loads(result.stdout)["error"] == "WeightMismatch"
+
+    @pytest.mark.parametrize("estimator", ["srs", "stratified"])
+    @pytest.mark.parametrize("alpha", ["0", "1", "1.5", "-0.1", "nan"])
+    def test_alpha_outside_unit_interval_is_typed_error(self, runner, tmp_path, estimator, alpha):
+        data = write_jsonl(tmp_path / "d.jsonl",
+                           [raw_record(f"q{i}", [3, 4], [4, 4 - i % 2]) for i in range(6)])
+        result = runner.invoke(main, ["evaluate", data, "--k", "2", "--alpha", alpha,
+                                      "--design", self.design_file(tmp_path),
+                                      "--estimator", estimator, "--error-json"])
+        assert result.exit_code == 1, result.output
+        assert json.loads(result.output) == {
+            "error": "OutOfDomain", "message": f"alpha must be in (0, 1), got {float(alpha)}"}
 
     def test_missing_treatment_rejected(self, runner, tmp_path):
         path = write_jsonl(tmp_path / "d.jsonl", [raw_record("q0", [3]),

@@ -1,36 +1,36 @@
 import itertools
 
-import numpy as np
 import pytest
 
 from releval.core import (
     EvalDataset,
     PopularitySegment,
-    RankedPage,
     StratumKey,
     validate_dataset,
 )
 from releval.dataset_io import read_dataset, record_to_json, write_dataset
 from releval.errors import (
     BadLabelValue,
-    BadRankSequence,
     DatasetValidationError,
 )
 
-from conftest import page, raw_record, record, sk
+from conftest import dual_raw, page, raw_record, record, sk
 
 
 def test_relevance_label_range():
-    for level in (1, 2, 3, 4, 5):
-        assert RankedPage.from_levels([level]).levels == (level,)
+    # a page is checked once, where its record is parsed, in both arm forms
+    good = [1, 2, 3, 4, 5]
+    ds = validate_dataset([raw_record("q1", good), dual_raw("q2", good, good[::-1])])
+    assert ds.records[0].control == ds.records[1].control == (1, 2, 3, 4, 5)
+    assert ds.records[1].control_reference == (5, 4, 3, 2, 1)
+    assert all(type(v) is int for rec in ds.records for v in rec.control)
     for bad in (0, 6, -1, 2.5, "3", True):
-        with pytest.raises(BadLabelValue):
-            RankedPage.from_levels([4, bad])
-    with pytest.raises(BadLabelValue):
-        RankedPage((0,))
-    levels = RankedPage.from_levels([np.int64(3)]).levels
-    assert levels == (3,) and type(levels[0]) is int
-    assert RankedPage.from_levels(np.array([2, 5])).levels == (2, 5)
+        raws = [raw_record("q1", [4, bad]), dual_raw("q2", [4, 4], [4, bad])]
+        with pytest.raises(DatasetValidationError) as exc:
+            validate_dataset(raws)
+        assert [(v.code, v.query_id, v.field, str(v)) for v in exc.value.violations] == [
+            ("BadLabelValue", qid, field, f"label level must be an integer in [1, 5], got {bad!r}")
+            for qid, field in (("q1", "control"), ("q2", "control.reference_labels"))]
 
 
 def test_stratum_key_requires_interest():
@@ -38,20 +38,28 @@ def test_stratum_key_requires_interest():
         StratumKey(interest="", popularity=PopularitySegment.HEAD)
 
 
-def test_ranked_page_from_entries_checks_sequence():
-    assert RankedPage.from_entries([(1, 5), (2, 3)]).levels == (5, 3)
-    for ranks in ([(1, 5), (3, 3)], [(2, 5), (1, 3)], [(1, 5), (1, 3)], [(0, 5)],
-                  [(True, 5)], [(1.0, 5)]):
-        with pytest.raises(BadRankSequence):
-            RankedPage.from_entries(ranks)
-
-
 def test_validate_two_good_paired_records():
     raws = [raw_record("q1", [5, 4], [4, 4]), raw_record("q2", [3, 2], [3, 3])]
     ds = validate_dataset(raws, k_depth=2, paired=True)
     assert len(ds) == 2
     assert ds.records[0].stratum == sk("art")
-    assert ds.records[1].treatment.levels == (3, 3)
+    assert ds.records[1].treatment == (3, 3)
+
+
+def test_ranked_page_from_entries_checks_sequence():
+    # a page given as ranked entries becomes a tuple of its labels in rank order
+    ds = validate_dataset([raw_record("q1", [5, 3])])
+    assert ds.records[0].control == (5, 3)
+    # a gap, then out of order, a repeat, rank 0 and ranks that are not JSON integers
+    for ranks, field in (([1, 3], "control"), ([2, 1], "control"), ([1, 1], "control"),
+                         ([0], "control"), ([True], "control[0]"), ([1.0], "control[0]")):
+        raw = raw_record("q1", [5, 4][:len(ranks)])
+        for entry, rank in zip(raw["control"], ranks):
+            entry["rank"] = rank
+        with pytest.raises(DatasetValidationError) as exc:
+            validate_dataset([raw])
+        assert [(v.code, v.query_id, v.field) for v in exc.value.violations] == [
+            ("BadRankSequence", "q1", field)]
 
 
 def test_validate_reports_rank_gap():

@@ -6,6 +6,7 @@ import pytest
 from releval.core import EvalDataset, PopularitySegment
 from releval.errors import (
     NoSegments,
+    OutOfDomain,
     TooFewSamples,
     TooFewSamplesInStratum,
     WeightMismatch,
@@ -119,6 +120,16 @@ class TestStratifiedEstimate:
                                         {sk("a"): 0.5, sk("b"): 0.5})
             srs = srs_estimate(a + b)
             assert strat.std_error < srs.std_error
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, float("nan")])
+def test_alpha_outside_unit_interval_is_out_of_domain(alpha):
+    # both estimators, also on constant inputs, where no quantile is needed
+    for deltas in ([0.1, 0.3, 0.2], [0.2, 0.2, 0.2]):
+        with pytest.raises(OutOfDomain, match=r"alpha must be in \(0, 1\)"):
+            srs_estimate(deltas, alpha)
+        with pytest.raises(OutOfDomain, match=r"alpha must be in \(0, 1\)"):
+            stratified_estimate({sk("a"): deltas}, {sk("a"): 1.0}, alpha)
 
 
 def paired_dataset(groups, k_depth=1):

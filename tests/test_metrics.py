@@ -97,8 +97,8 @@ def test_paired_delta_examples():
 def test_paired_delta_antisymmetry(rng):
     for _ in range(100):
         k = int(rng.integers(1, 8))
-        a = page(*rng.integers(1, 6, size=k))
-        b = page(*rng.integers(1, 6, size=k))
+        a = page(*rng.integers(1, 6, size=k).tolist())
+        b = page(*rng.integers(1, 6, size=k).tolist())
         fwd = paired_delta(record("q", a, b), k)
         rev = paired_delta(record("q", b, a), k)
         assert fwd == -rev

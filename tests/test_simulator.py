@@ -6,7 +6,6 @@ import pytest
 
 from releval import simulator
 from releval._rng import substream
-from releval.core import RankedPage
 from releval.errors import BadMatrix, BadSpec, InfeasibleTargets
 from releval.metrics import sdcg_at_k
 from releval.sampling import decompose_variance
@@ -109,8 +108,8 @@ class TestGeneratePopulation:
         records = true_population(spec, k_depth=4, seed=1)
         assert len(records) == 20
         for rec in records:
-            assert rec.control.levels == (5, 5, 5, 5)
-            assert rec.treatment.levels == rec.control.levels
+            assert rec.control == (5, 5, 5, 5)
+            assert rec.treatment == rec.control
             assert sdcg_at_k(rec.control, 4) == pytest.approx(1.0)
 
     def test_two_point_masses_variance_decomposition(self):
@@ -195,7 +194,7 @@ class TestApplyLabeler:
         records = self.base_records()
         labeled = apply_labeler(records, ConfusionMatrix.identity(), seed=5)
         for before, after in zip(records, labeled):
-            assert after.control.levels == before.control.levels
+            assert after.control == before.control
             assert after.control_reference == before.control
             assert after.treatment_reference == before.treatment
 
@@ -203,8 +202,8 @@ class TestApplyLabeler:
         uniform = ConfusionMatrix(rows=tuple(tuple([0.2] * 5) for _ in range(5)))
         records = self.base_records(count=500, k=10)
         labeled = apply_labeler(records, uniform, seed=6)
-        machine = np.concatenate([rec.control.levels for rec in labeled])
-        truth = np.concatenate([rec.control_reference.levels for rec in labeled])
+        machine = np.concatenate([rec.control for rec in labeled])
+        truth = np.concatenate([rec.control_reference for rec in labeled])
         n = len(machine)
         rate = float((machine == truth).mean())
         assert abs(rate - 0.2) < 3 * math.sqrt(0.2 * 0.8 / n)
@@ -214,7 +213,7 @@ class TestApplyLabeler:
         prof = LabelProfile(kind="categorical", probs=(0.1, 0.15, 0.3, 0.25, 0.2))
         records = true_population(two_strata_spec(prof, prof, count=800), 10, seed=8)
         labeled = apply_labeler(records, cm, seed=9)
-        machine = np.concatenate([rec.control.levels for rec in labeled])
+        machine = np.concatenate([rec.control for rec in labeled])
         empirical = np.bincount(machine, minlength=6)[1:] / len(machine)
         expected = np.array(prof.probs) @ cm.as_array()
         assert np.abs(empirical - expected).max() < 0.01
@@ -256,7 +255,7 @@ class TestRunSyntheticExperiment:
         for shift, level in ((1e300, 5), (-1e300, 1), (4.5, 5), (-4.5, 1)):
             ds = run_synthetic_experiment(spec, EffectSpec(default=shift),
                                           ConfusionMatrix.identity(), 3, seed=23)
-            assert {rec.treatment_reference.levels for rec in ds.records} == {(level,) * 3}
+            assert {rec.treatment_reference for rec in ds.records} == {(level,) * 3}
 
     def test_same_seed_identical(self):
         prof = LabelProfile(kind="curve", mean_top=3.8, decay=0.15)
@@ -303,8 +302,8 @@ class TestRunSyntheticExperiment:
         # an integer shift is deterministic: treatment is clamp(L + shift)
         shifts = {sk("a"): 1.0, sk("b"): -2.0}
         population = [
-            dataclasses.replace(rec, treatment=RankedPage.from_levels(
-                np.clip(np.array(rec.control.levels) + int(shifts[rec.stratum]), 1, 5)))
+            dataclasses.replace(rec, treatment=tuple(
+                np.clip(np.array(rec.control) + int(shifts[rec.stratum]), 1, 5).tolist()))
             for rec in true_population(spec, 9, seed=33)]
         labeled = apply_labeler(population, cm, seed=33, rho_shared=0.4)
         ds = run_synthetic_experiment(spec, EffectSpec(shifts=shifts), cm, 9, seed=33,
