@@ -16,6 +16,7 @@ from ._lazy import np
 from .core import EvalDataset, PopularitySegment
 from .errors import (
     AllTied,
+    BadLabelValue,
     EmptyInput,
     LengthMismatch,
     MissingReferenceLabels,
@@ -42,8 +43,6 @@ def _tied_pairs(values: np.ndarray, axis: int | None = None) -> int:
 def _merge_count(arr: list[float]) -> int:
     """Count strict inversions (pairs i<j with arr[i] > arr[j]) by merge sort."""
     n = len(arr)
-    if n < 2:
-        return 0
     buf = arr[:]
     src = arr[:]
     count = 0
@@ -153,12 +152,17 @@ class AgreementStats:
 
 
 def label_agreement(machine: Sequence[int], reference: Sequence[int]) -> AgreementStats:
+    """Agreement of two label sequences; a label outside 1..5 raises BadLabelValue."""
     if len(machine) != len(reference):
         raise LengthMismatch(f"length mismatch: {len(machine)} vs {len(reference)}")
     if len(machine) == 0:
         raise EmptyInput("label_agreement requires at least one label pair")
     m = np.asarray(machine, dtype=np.int64)
     r = np.asarray(reference, dtype=np.int64)
+    for name, labels in (("machine", m), ("reference", r)):
+        outside = labels[(labels < 1) | (labels > 5)]
+        if outside.size:
+            raise BadLabelValue(f"{name} label must be in [1, 5], got {outside[0]}")
     confusion = np.zeros((5, 5), dtype=int)
     np.add.at(confusion, (r - 1, m - 1), 1)
     n = len(m)

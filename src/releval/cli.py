@@ -26,7 +26,6 @@ from .dataset_io import (
     load_effect,
     load_population_spec,
     read_dataset,
-    to_jsonable,
     write_dataset,
 )
 from .errors import RelevalError
@@ -316,7 +315,7 @@ def cli_simulate(spec_path, confusion_path, effect_path, seed, rho_shared, k_dep
 
 
 def _emit_json(report, out_path):
-    text = canonical_json(to_jsonable(report))
+    text = canonical_json(report)
     if out_path == "-":
         click.echo(text, nl=False)
     else:

@@ -19,6 +19,7 @@ from .errors import (
     DuplicateQueryId,
     EmptyPage,
     MissingArm,
+    OutOfDomain,
     RecordError,
 )
 
@@ -26,6 +27,12 @@ DEFAULT_K_DEPTH = 25
 
 _LEVELS = frozenset(range(1, 6))
 _INT = frozenset((int,))
+
+
+def check_metric_depth(k_depth: int) -> None:
+    """The metric depth K counts ranks, so it is at least 1."""
+    if k_depth < 1:
+        raise OutOfDomain(f"k_depth must be >= 1, got {k_depth}")
 
 
 class PopularitySegment(str, enum.Enum):
@@ -101,8 +108,7 @@ class EvalDataset:
     _scores: dict[str, list] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.k_depth < 1:
-            raise BadLabelValue(f"k_depth must be >= 1, got {self.k_depth}")
+        check_metric_depth(self.k_depth)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -230,8 +236,10 @@ def validate_dataset(
     invalid. ``paired=True`` additionally requires both arms per record and
     rejects empty pages (a page with zero results has no defined score).
     The accept/reject decision and the violation set are independent of
-    record order.
+    record order. A ``k_depth`` below 1 raises OutOfDomain before the first
+    record is drawn, so a file behind ``raw_records`` is never opened.
     """
+    check_metric_depth(k_depth)
     violations: list[RecordError] = []
     records: list[QueryRecord] = []
     for raw in raw_records:

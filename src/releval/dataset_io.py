@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Any, Iterator, Mapping
 
 from .core import (
+    DEFAULT_K_DEPTH,
     EvalDataset,
     PopularitySegment,
     QueryRecord,
@@ -66,7 +67,8 @@ def read_jsonl(path: str | Path) -> Iterator[dict]:
         raise DatasetValidationError(violations)
 
 
-def read_dataset(path: str | Path, k_depth: int = 25, paired: bool = False) -> EvalDataset:
+def read_dataset(path: str | Path, k_depth: int = DEFAULT_K_DEPTH,
+                 paired: bool = False) -> EvalDataset:
     """Stream a JSONL file into validation: each raw object is dropped once checked.
 
     A file with malformed lines reports only those, as it is read in full
@@ -100,26 +102,15 @@ def write_dataset(dataset: EvalDataset, path: str | Path) -> None:
             fh.write(json.dumps(record_to_json(rec), sort_keys=True) + "\n")
 
 
+def _dataclass_fields(obj: Any) -> dict:
+    # json's hook: a dataclass is written as its fields; anything else raises TypeError
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+
+
 def canonical_json(obj: Any) -> str:
-    """Deterministic JSON rendering used for all report files."""
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
-def to_jsonable(obj: Any) -> Any:
-    """Recursively convert dataclasses, enums, and numpy scalars to JSON types."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, PopularitySegment):
-        return obj.value
-    if isinstance(obj, StratumKey):
-        return str(obj)
-    if isinstance(obj, Mapping):
-        return {str(to_jsonable(k)): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if hasattr(obj, "item") and not isinstance(obj, (str, bytes)):
-        return obj.item()
-    return obj
+    """Deterministic JSON rendering used for all report files; a str enum is its value."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
+                      default=_dataclass_fields) + "\n"
 
 
 # -- design / spec files ------------------------------------------------------
@@ -187,7 +178,7 @@ def load_design(path: str | Path) -> list[StratumSpec]:
 
 
 def load_population_spec(path: str | Path) -> tuple[PopulationSpec, int]:
-    """Population spec JSON; returns (spec, k_depth). k_depth defaults to 25;
+    """Population spec JSON; returns (spec, k_depth). k_depth defaults to DEFAULT_K_DEPTH;
     every profile names its kind; a size past MAX_K_DEPTH or
     MAX_QUERIES_PER_STRATUM is a BadSpec."""
     with open(path, encoding="utf-8") as fh:
@@ -210,7 +201,7 @@ def load_population_spec(path: str | Path) -> tuple[PopulationSpec, int]:
                               queries_per_stratum=_json_int(raw["queries_per_stratum"],
                                                             "queries_per_stratum"),
                               market=_json_str(raw.get("market", "US"), "market"))
-        k_depth = _json_int(raw.get("k_depth", 25), "k_depth")
+        k_depth = _json_int(raw.get("k_depth", DEFAULT_K_DEPTH), "k_depth")
     except (KeyError, TypeError, ValueError, AttributeError) as err:
         raise BadSpec(f"invalid population spec: {err}") from err
     check_k_depth(k_depth)

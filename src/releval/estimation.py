@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
 from ._lazy import np, t_ufuncs
-from .core import EvalDataset, PopularitySegment, StratumKey
+from .core import EvalDataset, StratumKey
 from .errors import (
     NoSegments,
     TooFewSamples,
@@ -156,14 +156,6 @@ def _segment_key(record, grouping: str) -> Hashable:
     raise ValueError(f"unknown grouping {grouping!r}")
 
 
-def _segment_sort_key(segment: Hashable):
-    if isinstance(segment, StratumKey):
-        return (segment.interest, segment.popularity.value)
-    if isinstance(segment, PopularitySegment):
-        return (segment.value,)
-    return (str(segment),)
-
-
 def segment_effects(
     dataset: EvalDataset,
     grouping: str = GROUP_BY_POPULARITY,
@@ -179,9 +171,9 @@ def segment_effects(
     for record, delta in zip(dataset.records, paired_deltas(dataset)):
         groups.setdefault(_segment_key(record, grouping), []).append(delta)
 
-    included = sorted((s for s, d in groups.items() if len(d) >= 2), key=_segment_sort_key)
-    excluded = tuple(sorted(((s, len(groups[s])) for s in groups if len(groups[s]) < 2),
-                            key=lambda item: _segment_sort_key(item[0])))
+    # a StratumKey sorts as (interest, popularity) and a PopularitySegment as its string
+    included = sorted(s for s, d in groups.items() if len(d) >= 2)
+    excluded = tuple(sorted((s, len(d)) for s, d in groups.items() if len(d) < 2))
     if not included:
         raise NoSegments("no segment has at least 2 paired queries")
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from operator import mul
 
-from .core import EvalDataset, QueryRecord
+from .core import EvalDataset, QueryRecord, check_metric_depth
 from .errors import EmptyPage, MissingArm
 
 MAX_LEVEL = 5
@@ -41,10 +41,10 @@ def sdcg_at_k(page: tuple[int, ...], k_depth: int) -> float:
 
     value = [sum_{k<=K'} L_k / log2(1+k)] / [sum_{k<=K'} 5 / log2(1+k)]
     with K' = min(k_depth, len(page)), so a short page is scored over its
-    length. Deterministic; raises EmptyPage for a page with no results.
+    length. Deterministic; raises EmptyPage for a page with no results and
+    OutOfDomain for a depth below 1.
     """
-    if k_depth < 1:
-        raise EmptyPage(f"k_depth must be >= 1, got {k_depth}")
+    check_metric_depth(k_depth)
     n = len(page)
     if n == 0:
         raise EmptyPage("cannot score an empty page")

@@ -162,12 +162,10 @@ def allocate(
     remaining = budget
     # Pin strata whose target is below the minimum, then re-scale the rest.
     while active:
+        # never 0: the first round pins every zero share when the minimum is
+        # positive, and pins nothing when it is 0
         share_sum = sum(shares[i] for i in active)
-        if share_sum == 0.0:
-            # all remaining shares zero: split the leftover evenly
-            targets = {i: remaining / len(active) for i in active}
-        else:
-            targets = {i: remaining * shares[i] / share_sum for i in active}
+        targets = {i: remaining * shares[i] / share_sum for i in active}
         below = [i for i in active if targets[i] < min_per_stratum]
         if not below:
             break

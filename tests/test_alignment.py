@@ -11,6 +11,7 @@ from releval.alignment import (
 from releval.core import EvalDataset, PopularitySegment
 from releval.errors import (
     AllTied,
+    BadLabelValue,
     EmptyInput,
     LengthMismatch,
     MissingReferenceLabels,
@@ -159,6 +160,13 @@ class TestLabelAgreement:
             label_agreement([], [])
         with pytest.raises(LengthMismatch):
             label_agreement([1], [1, 2])
+
+    @pytest.mark.parametrize("machine, reference", [
+        ([0, 3], [0, 3]), ([6], [6]), ([3, -1], [3, 3]), ([4, 2], [4, 7]),
+    ])
+    def test_label_outside_levels_is_bad_label_value(self, machine, reference):
+        with pytest.raises(BadLabelValue):
+            label_agreement(machine, reference)
 
 
 def dual_record(qid, machine_c, ref_c, machine_t=None, ref_t=None,

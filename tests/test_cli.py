@@ -330,6 +330,10 @@ class TestMetric:
          '"control": 5}', "MissingArm", "control"),
         ('{"query_id": "q1", "stratum": {"interest": "art", "popularity": "head"}, '
          '"control": {"machine_labels": 5, "reference_labels": [3]}}', "MissingArm", "control"),
+        ('{"query_id": "q1", "stratum": {"interest": "art", "popularity": "head"}, '
+         '"control": [5]}', "BadRankSequence", "control[0]"),
+        ('{"query_id": "q1", "stratum": {"interest": "art", "popularity": "head"}, '
+         '"control": [{"rank": 1}]}', "BadRankSequence", "control[0]"),
     ])
     def test_malformed_record_shape_is_typed_error(self, runner, tmp_path, line, code, field):
         path = tmp_path / "bad.jsonl"
@@ -393,6 +397,19 @@ def test_empty_page_error_names_its_record(runner, tmp_path, command, records, f
     assert json.loads(result.output) == {
         "error": "EmptyPage", "message": "cannot score an empty page",
         "query_id": "q1", "field": field}
+
+
+@pytest.mark.parametrize("command", ["metric", "evaluate", "align"])
+@pytest.mark.parametrize("k", ["0", "-1"])
+@pytest.mark.parametrize("exists", [True, False], ids=["file", "missing-file"])
+def test_depth_below_one_fails_before_the_dataset_is_read(runner, tmp_path, command, k, exists):
+    path = tmp_path / "d.jsonl"
+    if exists:
+        write_jsonl(path, [dual_raw(f"q{i}", [3, 4], [4, 4], [4, 4], [4, 5]) for i in range(4)])
+    result = runner.invoke(main, [command, str(path), "--k", k, "--error-json"])
+    assert result.exit_code == 1
+    assert json.loads(result.output) == {
+        "error": "OutOfDomain", "message": f"k_depth must be >= 1, got {k}"}
 
 
 class TestEvaluate:
@@ -759,6 +776,29 @@ class TestSimulate:
         payload = json.loads(result.stdout)
         assert payload["error"] == "BadSpec"
         assert next(iter(fields), "k_depth") in payload["message"]
+
+    @pytest.mark.parametrize("rho", ["1.5", "nan", "-0.1"])
+    def test_rho_shared_outside_unit_interval_is_typed_error(self, runner, tmp_path, rho):
+        result = runner.invoke(main, ["simulate", "--spec", self.spec_file(tmp_path),
+                                      "--rho-shared", rho, "--out", str(tmp_path / "x.jsonl"),
+                                      "--error-json"])
+        assert result.exit_code == 1
+        assert json.loads(result.output)["error"] == "BadMatrix"
+
+    def test_per_rank_probs_rows(self, runner, tmp_path):
+        # one row per rank; ranks past the last row repeat it
+        spec = sim_spec()
+        spec["strata"][1]["profile"]["probs"] = [[0, 0, 0, 0, 1], [1, 0, 0, 0, 0]]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "sim.jsonl"
+        result = runner.invoke(main, ["simulate", "--spec", str(path), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        pages = [obj[arm]["reference_labels"]
+                 for obj in map(json.loads, out.read_text().splitlines())
+                 if obj["stratum"]["interest"] == "b" for arm in ("control", "treatment")]
+        assert len(pages) == 40
+        assert all(p == [5, 1, 1, 1] for p in pages)
 
     def test_bad_weights_rejected(self, runner, tmp_path):
         spec = self.spec_file(tmp_path, weights=(0.7, 0.7))

@@ -12,6 +12,7 @@ from releval.dataset_io import read_dataset, record_to_json, write_dataset
 from releval.errors import (
     BadLabelValue,
     DatasetValidationError,
+    OutOfDomain,
 )
 
 from conftest import dual_raw, page, raw_record, record, sk
@@ -193,3 +194,15 @@ def test_record_types_are_slotted():
     rec = record("q1", page(5, 4), page(4, 4))
     for obj in (rec, rec.stratum, rec.control):
         assert not hasattr(obj, "__dict__")
+
+
+def test_depth_below_one_is_checked_before_any_record_is_drawn():
+    def records():
+        raise AssertionError("a record was drawn")
+        yield
+
+    for k in (0, -1):
+        with pytest.raises(OutOfDomain):
+            validate_dataset(records(), k_depth=k)
+        with pytest.raises(OutOfDomain):
+            EvalDataset(records=(), k_depth=k)

@@ -5,7 +5,7 @@ import pytest
 
 from releval import metrics
 from releval.core import EvalDataset
-from releval.errors import EmptyPage, MissingArm
+from releval.errors import EmptyPage, MissingArm, OutOfDomain
 from releval.metrics import arm_scores, paired_delta, paired_deltas, sdcg_at_k
 
 from conftest import page, record
@@ -41,6 +41,12 @@ def test_short_page_truncates():
 def test_empty_page_rejected():
     with pytest.raises(EmptyPage):
         sdcg_at_k(page(), 25)
+
+
+def test_depth_below_one_is_out_of_domain():
+    for k in (0, -1):
+        with pytest.raises(OutOfDomain):
+            sdcg_at_k(page(3), k)
 
 
 def test_entries_beyond_k_never_affect_score(rng):
