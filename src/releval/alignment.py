@@ -151,18 +151,32 @@ class AgreementStats:
     n: int
 
 
+def _label_array(labels: Sequence[int], name: str) -> np.ndarray:
+    """Labels as an int64 array; a label that is not an integer in 1..5 raises BadLabelValue.
+
+    A bool or a float is not an integer label, whatever its value. An array
+    of an integer dtype holds only integers, so its labels are not checked
+    one by one.
+    """
+    if not (isinstance(labels, np.ndarray) and labels.dtype.kind in "iu"):
+        for label in labels:
+            if type(label) is not int and not isinstance(label, np.integer):
+                raise BadLabelValue(f"{name} label must be an integer in [1, 5], got {label!r}")
+    array = np.asarray(labels, dtype=np.int64)
+    outside = array[(array < 1) | (array > 5)]
+    if outside.size:
+        raise BadLabelValue(f"{name} label must be in [1, 5], got {outside[0]}")
+    return array
+
+
 def label_agreement(machine: Sequence[int], reference: Sequence[int]) -> AgreementStats:
-    """Agreement of two label sequences; a label outside 1..5 raises BadLabelValue."""
+    """Agreement of two label sequences of integers in 1..5; any other label raises BadLabelValue."""
     if len(machine) != len(reference):
         raise LengthMismatch(f"length mismatch: {len(machine)} vs {len(reference)}")
     if len(machine) == 0:
         raise EmptyInput("label_agreement requires at least one label pair")
-    m = np.asarray(machine, dtype=np.int64)
-    r = np.asarray(reference, dtype=np.int64)
-    for name, labels in (("machine", m), ("reference", r)):
-        outside = labels[(labels < 1) | (labels > 5)]
-        if outside.size:
-            raise BadLabelValue(f"{name} label must be in [1, 5], got {outside[0]}")
+    m = _label_array(machine, "machine")
+    r = _label_array(reference, "reference")
     confusion = np.zeros((5, 5), dtype=int)
     np.add.at(confusion, (r - 1, m - 1), 1)
     n = len(m)

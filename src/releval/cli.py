@@ -28,7 +28,7 @@ from .dataset_io import (
     read_dataset,
     write_dataset,
 )
-from .errors import RelevalError
+from .errors import OutOfDomain, RelevalError
 from .estimation import (
     GROUP_BY_POPULARITY,
     check_design,
@@ -284,7 +284,9 @@ def _dataset_agreement(dataset):
             reference.extend(ref)
     if not machine:
         return None
-    return label_agreement(machine, reference)
+    # integer arrays: labels checked when their records were parsed are not
+    # checked one by one again
+    return label_agreement(np.array(machine, dtype=np.int64), np.array(reference, dtype=np.int64))
 
 
 @main.command("simulate")
@@ -304,6 +306,10 @@ def _dataset_agreement(dataset):
 @guarded
 def cli_simulate(spec_path, confusion_path, effect_path, seed, rho_shared, k_depth, out_path):
     """Generate a synthetic paired experiment dataset (JSONL)."""
+    # the option is checked as every command's --k is, before any file is read;
+    # a spec file's k_depth out of range stays a BadSpec
+    if k_depth is not None and not 1 <= k_depth <= MAX_K_DEPTH:
+        raise OutOfDomain(f"k_depth must be in [1, {MAX_K_DEPTH}], got {k_depth}")
     spec, spec_k = load_population_spec(spec_path)
     confusion = load_confusion(confusion_path) if confusion_path else ConfusionMatrix.identity()
     effect = load_effect(effect_path) if effect_path else EffectSpec.null()

@@ -2,8 +2,9 @@
 
 All types are frozen dataclasses, immutable after construction; the one
 mutable part is EvalDataset's page-score memo, filled on first use. The
-record types are slotted, to keep a large dataset small. Validation is a pure
-function and reports every violation it finds, not just the first.
+record types are slotted, and the records of one dataset share one object per
+distinct stratum and market, to keep a large dataset small. Validation is a
+pure function and reports every violation it finds, not just the first.
 """
 
 from __future__ import annotations
@@ -59,12 +60,13 @@ class StratumKey:
         return f"{self.interest}/{self.popularity.value}"
 
 
-def _checked_page(labels: Sequence[Any], query_id: str, field: str,
+def _checked_page(labels: Sequence[Any], query_id: str, arm: str, source: str,
                   violations: list[RecordError]) -> tuple[int, ...] | None:
     """One page's labels as a tuple of plain ints in 1..5, or None with a violation.
 
     Each label is an ordinal 5-point judgment, 1 (highly irrelevant) .. 5
-    (highly relevant); position i holds rank i+1.
+    (highly relevant); position i holds rank i+1. A violation names the
+    field ``arm + source``.
     """
     page = tuple(labels)
     # whole-page test first; types go first, as an all-int page is hashable
@@ -72,7 +74,8 @@ def _checked_page(labels: Sequence[Any], query_id: str, field: str,
         return page
     bad = next(v for v in page if type(v) is not int or not 1 <= v <= 5)
     violations.append(BadLabelValue(
-        f"label level must be an integer in [1, 5], got {bad!r}", query_id=query_id, field=field))
+        f"label level must be an integer in [1, 5], got {bad!r}", query_id=query_id,
+        field=arm + source))
     return None
 
 
@@ -121,8 +124,11 @@ def _parse_arm(raw: Any, query_id: str, arm: str, violations: list[RecordError]
     Accepted forms:
       * list of {"rank": int, "label": int} objects (single label source)
       * {"machine_labels": [...], "reference_labels": [...]} parallel arrays
+    Any Mapping, list or tuple is accepted; JSON's own dict and list take a
+    faster exact-type test before the general one.
     """
-    if isinstance(raw, Mapping):
+    kind = type(raw)
+    if kind is dict or (kind is not list and isinstance(raw, Mapping)):
         machine = raw.get("machine_labels")
         reference = raw.get("reference_labels")
         if not isinstance(machine, (list, tuple)) or not isinstance(reference, (list, tuple)):
@@ -135,39 +141,63 @@ def _parse_arm(raw: Any, query_id: str, arm: str, violations: list[RecordError]
                 f"{arm}: machine and reference label arrays differ in length",
                 query_id=query_id, field=arm))
             return None, None
-        return (_checked_page(machine, query_id, f"{arm}.machine_labels", violations),
-                _checked_page(reference, query_id, f"{arm}.reference_labels", violations))
+        return (_checked_page(machine, query_id, arm, ".machine_labels", violations),
+                _checked_page(reference, query_id, arm, ".reference_labels", violations))
 
-    if not isinstance(raw, (list, tuple)):
+    if kind is not list and not isinstance(raw, (list, tuple)):
         violations.append(MissingArm(
             f"{arm}: expected a list of rank/label objects or a dual-label object",
             query_id=query_id, field=arm))
         return None, None
-    ranks, labels = [], []
-    for i, item in enumerate(raw):
+    # one pass: each item must be an object with an integer rank; the ranks
+    # are listed again only to word a violation when they are not 1..n
+    labels = []
+    in_order = True
+    for position, item in enumerate(raw, start=1):
         try:
             rank, label = item["rank"], item["label"]
         except (KeyError, TypeError):
             rank = None
         if type(rank) is not int:
             violations.append(BadRankSequence(
-                f"{arm}[{i}]: expected an object with integer rank and label",
-                query_id=query_id, field=f"{arm}[{i}]"))
+                f"{arm}[{position - 1}]: expected an object with integer rank and label",
+                query_id=query_id, field=f"{arm}[{position - 1}]"))
             return None, None
-        ranks.append(rank)
+        if rank != position:
+            in_order = False
         labels.append(label)
-    if ranks != list(range(1, len(ranks) + 1)):
+    if not in_order:
+        ranks = [item["rank"] for item in raw]
         violations.append(BadRankSequence(
             f"ranks must be exactly 1..{len(ranks)}, got {ranks}", query_id=query_id, field=arm))
         return None, None
-    return _checked_page(labels, query_id, arm, violations), None
+    return _checked_page(labels, query_id, arm, "", violations), None
 
 
-def record_from_raw(raw: Mapping[str, Any], violations: list[RecordError]) -> QueryRecord | None:
+def _stratum(raw: Any, interest: str, interned: dict) -> StratumKey:
+    """The StratumKey of a raw stratum object, one object per distinct value.
+
+    Raises as building a StratumKey does: AttributeError for a raw value
+    that is not a mapping, ValueError for an unknown popularity and
+    RecordError for an empty interest.
+    """
+    popularity = str(raw.get("popularity", ""))
+    key = (interest, popularity)
+    stratum = interned.get(key)
+    if stratum is None:
+        stratum = interned[key] = StratumKey(interest=interest,
+                                             popularity=PopularitySegment(popularity))
+    return stratum
+
+
+def record_from_raw(raw: Mapping[str, Any], violations: list[RecordError],
+                    interned: dict) -> QueryRecord | None:
     """Build a QueryRecord from a parsed JSON object, collecting violations.
 
     ``query_id``, ``market`` and the stratum ``interest`` must be JSON
     strings; any other value is a violation at that field, never coerced.
+    ``interned`` is the caller's table of the strata and markets built so
+    far: records with equal strata, or equal markets, share one object.
     """
     query_id = raw.get("query_id", "")
     if type(query_id) is not str:
@@ -180,12 +210,17 @@ def record_from_raw(raw: Mapping[str, Any], violations: list[RecordError]) -> Qu
     ok = True
 
     market = raw.get("market", "")
-    if type(market) is not str:
+    if type(market) is str:
+        market = interned.setdefault(market, market)
+    else:
         violations.append(BadLabelValue(
             f"market must be a string, got {market!r}", query_id=query_id, field="market"))
         ok = False
     stratum_raw = raw.get("stratum") or {}
-    interest = stratum_raw.get("interest", "") if isinstance(stratum_raw, Mapping) else ""
+    if type(stratum_raw) is dict or isinstance(stratum_raw, Mapping):
+        interest = stratum_raw.get("interest", "")
+    else:
+        interest = ""
     stratum = None
     if type(interest) is not str:
         violations.append(BadLabelValue(
@@ -193,10 +228,7 @@ def record_from_raw(raw: Mapping[str, Any], violations: list[RecordError]) -> Qu
             query_id=query_id, field="stratum.interest"))
     else:
         try:
-            stratum = StratumKey(
-                interest=interest,
-                popularity=PopularitySegment(str(stratum_raw.get("popularity", ""))),
-            )
+            stratum = _stratum(stratum_raw, interest, interned)
         except (AttributeError, ValueError, RecordError):
             violations.append(BadLabelValue(
                 f"invalid stratum {stratum_raw!r}", query_id=query_id, field="stratum"))
@@ -214,15 +246,8 @@ def record_from_raw(raw: Mapping[str, Any], violations: list[RecordError]) -> Qu
 
     if not ok or stratum is None or control is None:
         return None
-    return QueryRecord(
-        query_id=query_id,
-        market=market,
-        stratum=stratum,
-        control=control,
-        treatment=treatment,
-        control_reference=control_ref,
-        treatment_reference=treatment_ref,
-    )
+    # positional: the fields in declaration order, a step cheaper than keywords
+    return QueryRecord(query_id, market, stratum, control, treatment, control_ref, treatment_ref)
 
 
 def validate_dataset(
@@ -237,13 +262,16 @@ def validate_dataset(
     rejects empty pages (a page with zero results has no defined score).
     The accept/reject decision and the violation set are independent of
     record order. A ``k_depth`` below 1 raises OutOfDomain before the first
-    record is drawn, so a file behind ``raw_records`` is never opened.
+    record is drawn, so a file behind ``raw_records`` is never opened. Each
+    call interns its strata and markets in a table of its own, dropped when
+    it returns.
     """
     check_metric_depth(k_depth)
     violations: list[RecordError] = []
     records: list[QueryRecord] = []
+    interned: dict = {}  # markets by value, strata by (interest, popularity)
     for raw in raw_records:
-        rec = record_from_raw(raw, violations)
+        rec = record_from_raw(raw, violations, interned)
         if rec is not None:
             records.append(rec)
 

@@ -35,6 +35,8 @@ from .simulator import (
 )
 
 KNOWN_RECORD_FIELDS = {"query_id", "market", "stratum", "control", "treatment"}
+# decodes one JSON value at the start of a string, returning it and its end
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 def read_jsonl(path: str | Path) -> Iterator[dict]:
@@ -42,27 +44,44 @@ def read_jsonl(path: str | Path) -> Iterator[dict]:
 
     Malformed lines are collected with their line numbers and raised
     together, as one DatasetValidationError, once the file is exhausted.
+    Unknown record fields are counted as the file is read; at its end each
+    field name gets one warning, with the number of lines that carry it and
+    the first of them.
     """
     violations: list[RecordError] = []
+    unknown: dict[str, list[int]] = {}  # field name -> [line count, first line]
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+            # a line that is one value followed by its newline decodes directly;
+            # any other line goes through json.loads, which skips blank
+            # padding and words every error as it always has
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as err:
-                violations.append(RecordError(
-                    f"line {lineno}: malformed JSON ({err.msg})", field=f"line {lineno}"))
-                continue
-            if not isinstance(obj, dict):
+                obj, end = _raw_decode(line)
+                direct = end == len(line) or line[end:] == "\n"
+            except json.JSONDecodeError:
+                direct = False
+            if not direct:
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as err:
+                    violations.append(RecordError(
+                        f"line {lineno}: malformed JSON ({err.msg})", field=f"line {lineno}"))
+                    continue
+            if type(obj) is not dict:
                 violations.append(RecordError(
                     f"line {lineno}: expected a JSON object, got {type(obj).__name__}",
                     field=f"line {lineno}"))
                 continue
             if not KNOWN_RECORD_FIELDS.issuperset(obj):
-                unknown = set(obj) - KNOWN_RECORD_FIELDS
-                warnings.warn(f"{path}: line {lineno}: ignoring unknown fields {sorted(unknown)}")
+                for name in obj.keys() - KNOWN_RECORD_FIELDS:
+                    seen = unknown.setdefault(name, [0, lineno])
+                    seen[0] += 1
             yield obj
+    for name, (count, first) in sorted(unknown.items()):
+        warnings.warn(f"{path}: line {first}: ignoring unknown fields {[name]} "
+                      f"(on {count} line{'s' if count > 1 else ''})")
     if violations:
         raise DatasetValidationError(violations)
 

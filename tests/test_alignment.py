@@ -168,6 +168,20 @@ class TestLabelAgreement:
         with pytest.raises(BadLabelValue):
             label_agreement(machine, reference)
 
+    @pytest.mark.parametrize("machine, reference", [
+        ([2.5, 4], [2, 4]), ([True, 4], [1, 4]), ([2, 4], [2, "4"]), ([3], [None]),
+        (np.array([2.5, 4.0]), [2, 4]), ([3, 3], np.array([True, True])),
+    ])
+    def test_label_that_is_not_an_integer_is_bad_label_value(self, machine, reference):
+        # never truncated or cast: 2.5 is not label 2, True is not label 1
+        with pytest.raises(BadLabelValue, match="must be an integer"):
+            label_agreement(machine, reference)
+
+    def test_integer_arrays_and_scalars_are_labels(self):
+        expected = label_agreement([5, 4, 2], [5, 5, 5])
+        assert label_agreement(np.array([5, 4, 2]), np.array([5, 5, 5], dtype=np.uint8)) == expected
+        assert label_agreement([np.int64(5), np.int32(4), 2], [5, 5, 5]) == expected
+
 
 def dual_record(qid, machine_c, ref_c, machine_t=None, ref_t=None,
                 popularity="head", market="US"):

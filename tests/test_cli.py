@@ -754,14 +754,15 @@ class TestSimulate:
         assert result.exit_code == 1
         assert json.loads(result.output)["error"] == "BadSpec"
 
-    @pytest.mark.parametrize("fields, args", [
-        ({"k_depth": 10 ** 400}, []),
-        ({"k_depth": 1001}, []),
-        ({}, ["--k", "100000000"]),
-        ({"queries_per_stratum": 10 ** 30}, []),
-        ({"queries_per_stratum": 10 ** 6 + 1}, []),
+    @pytest.mark.parametrize("fields, args, code", [
+        ({"k_depth": 10 ** 400}, [], "BadSpec"),
+        ({"k_depth": 1001}, [], "BadSpec"),
+        # an option's value is out of domain, as for every command's --k
+        ({}, ["--k", "100000000"], "OutOfDomain"),
+        ({"queries_per_stratum": 10 ** 30}, [], "BadSpec"),
+        ({"queries_per_stratum": 10 ** 6 + 1}, [], "BadSpec"),
     ], ids=["k-depth-huge", "k-depth-over", "k-option-huge", "queries-huge", "queries-over"])
-    def test_size_beyond_its_maximum_is_typed_error(self, tmp_path, fields, args):
+    def test_size_beyond_its_maximum_is_typed_error(self, tmp_path, fields, args, code):
         # checked before anything is drawn; past the maximum a run would loop or
         # allocate without bound, so it runs in its own process, under a
         # timeout and a 1 GiB address-space limit
@@ -774,8 +775,26 @@ class TestSimulate:
             preexec_fn=_limit_address_space)
         assert result.returncode == 1, result.stderr
         payload = json.loads(result.stdout)
-        assert payload["error"] == "BadSpec"
+        assert payload["error"] == code
         assert next(iter(fields), "k_depth") in payload["message"]
+
+    @pytest.mark.parametrize("k", ["0", "-1", "1001"])
+    def test_k_option_out_of_range_is_out_of_domain(self, runner, tmp_path, k):
+        # the same code as metric, evaluate and align give their --k
+        result = runner.invoke(main, ["simulate", "--spec", self.spec_file(tmp_path), "--k", k,
+                                      "--out", str(tmp_path / "x.jsonl"), "--error-json"])
+        assert result.exit_code == 1
+        assert json.loads(result.output) == {
+            "error": "OutOfDomain", "message": f"k_depth must be in [1, 1000], got {k}"}
+        assert not (tmp_path / "x.jsonl").exists()
+
+    def test_spec_k_depth_out_of_range_stays_bad_spec(self, runner, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(dict(sim_spec(), k_depth=0)))
+        result = runner.invoke(main, ["simulate", "--spec", str(path),
+                                      "--out", str(tmp_path / "x.jsonl"), "--error-json"])
+        assert result.exit_code == 1
+        assert json.loads(result.output)["error"] == "BadSpec"
 
     @pytest.mark.parametrize("rho", ["1.5", "nan", "-0.1"])
     def test_rho_shared_outside_unit_interval_is_typed_error(self, runner, tmp_path, rho):

@@ -1,4 +1,5 @@
 import itertools
+from types import MappingProxyType
 
 import pytest
 
@@ -206,3 +207,55 @@ def test_depth_below_one_is_checked_before_any_record_is_drawn():
             validate_dataset(records(), k_depth=k)
         with pytest.raises(OutOfDomain):
             EvalDataset(records=(), k_depth=k)
+
+
+def _frozen(value):
+    # the same JSON value with every object read-only and every array a tuple
+    if isinstance(value, dict):
+        return MappingProxyType({k: _frozen(v) for k, v in value.items()})
+    if isinstance(value, list):
+        return tuple(_frozen(v) for v in value)
+    return value
+
+
+def test_any_mapping_and_sequence_reads_as_json_does():
+    # library callers may pass read-only mappings and tuples, not only
+    # json's dicts and lists; record, stratum and arms alike
+    raws = [raw_record("q1", [5, 4, 3], [4, 4], interest="beauty", popularity="tail"),
+            dual_raw("q2", [3, 2], [3, 3], [1, 5], [2, 5], market="DE")]
+    expected = validate_dataset(raws, paired=True)
+    assert validate_dataset([_frozen(r) for r in raws], paired=True) == expected
+    tuple_arms = dict(raws[0], control=tuple(raws[0]["control"]),
+                      treatment=tuple(raws[0]["treatment"]))
+    assert validate_dataset([tuple_arms], paired=True).records == expected.records[:1]
+    bad = raw_record("q3", [5, 9])
+    with pytest.raises(DatasetValidationError) as plain:
+        validate_dataset([bad])
+    with pytest.raises(DatasetValidationError) as frozen:
+        validate_dataset([_frozen(bad)])
+    assert ([v.payload() for v in frozen.value.violations]
+            == [v.payload() for v in plain.value.violations])
+
+
+def _fresh(text: str) -> str:
+    # an equal string that is a distinct object, as each parsed line gives
+    return "".join(list(text))
+
+
+def test_equal_strata_and_markets_share_one_object():
+    raws = [raw_record(f"q{i}", [4, 3], interest=_fresh("travel"), popularity=_fresh("head"),
+                       market=_fresh("DE")) for i in range(4)]
+    raws.append(raw_record("q9", [4], interest=_fresh("travel"), popularity="tail",
+                           market=_fresh("US")))
+    records = validate_dataset(raws).records
+    assert len({id(r.stratum) for r in records[:4]}) == 1
+    assert len({id(r.market) for r in records[:4]}) == 1
+    assert records[4].stratum != records[0].stratum and records[4].market == "US"
+
+
+def test_each_validation_interns_on_its_own():
+    raws = [raw_record("q1", [4]), raw_record("q2", [3])]
+    first, second = validate_dataset(raws).records, validate_dataset(raws).records
+    assert first[0].stratum is first[1].stratum
+    assert first[0].stratum == second[0].stratum
+    assert first[0].stratum is not second[0].stratum

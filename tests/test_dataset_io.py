@@ -50,6 +50,16 @@ def test_unknown_fields_still_warn(tmp_path):
     assert len(dataset) == 1
 
 
+def test_unknown_field_warns_once_with_its_count(tmp_path):
+    lines = [json.dumps(dict(raw_record(f"q{i}", [3]), debug=i)) for i in range(1000)]
+    path = write_lines(tmp_path / "d.jsonl", lines)
+    with pytest.warns(UserWarning) as caught:
+        dataset = read_dataset(path)
+    assert len(dataset) == 1000
+    assert [str(w.message) for w in caught] == [
+        f"{path}: line 1: ignoring unknown fields ['debug'] (on 1000 lines)"]
+
+
 def test_peak_memory_is_close_to_the_dataset(tmp_path):
     # ragged list-form pages: the raw dicts of the whole file are several
     # times the size of the validated records, so holding them all at once

@@ -104,3 +104,62 @@ def test_report_bytes_are_pinned(tmp_path, monkeypatch, name):
     for file in files:
         digests[file] = hashlib.sha256((tmp_path / file).read_bytes()).hexdigest()
     assert digests == expected
+
+
+def _bad_records() -> list[dict]:
+    # one record per violation the record parser emits, in file order
+    def item(rank, label=3):
+        return {"rank": rank, "label": label}
+
+    return [
+        dict(raw_record("qid", [3]), query_id=7),
+        raw_record("", [3]),
+        dict(raw_record("market", [3]), market=5),
+        dict(raw_record("interest", [3]), stratum={"interest": 3, "popularity": "head"}),
+        raw_record("popularity", [3], [3], popularity="warm"),
+        dict(raw_record("stratum-list", [3], [3]), stratum=["art", "head"]),
+        dict(raw_record("no-interest", [3], [3]), stratum={"popularity": "tail"}),
+        dict(raw_record("not-object", [3]), control=[item(1), 5]),
+        dict(raw_record("no-rank", [3]), control=[item(1), {"label": 3}]),
+        dict(raw_record("no-label", [3]), control=[{"rank": 1}]),
+        dict(raw_record("true-rank", [3]), control=[item(1), item(True)]),
+        dict(raw_record("float-rank", [3]), control=[item(1.0), item(2)]),
+        dict(raw_record("rank-gap", [3]), control=[item(1), item(3)]),
+        raw_record("list-label", [4, 6], [2, 2.5]),
+        dual_raw("dual-label", [4, 0], [4, 4], [3, 3], [True, 3]),
+        dual_raw("dual-ref-label", [4, 4], [4, "4"], [3, 3], [3, 3]),
+        dual_raw("dual-length", [4, 4], [4], [3], [3]),
+        dict(dual_raw("dual-missing", [4], [4]), control={"machine_labels": [4]}),
+        dict(raw_record("scalar-arm", [3]), treatment=5),
+        {k: v for k, v in raw_record("no-control", [3], [3]).items() if k != "control"},
+        raw_record("dup", [3], [4]),
+        raw_record("dup", [2], [5]),
+        raw_record("empty", [], [4]),
+        raw_record("one-arm", [4]),
+        raw_record("ok", [5, 4], [4, 5]),
+    ]
+
+
+VIOLATIONS = {
+    # blank and padded lines are read as json.loads reads them: only space,
+    # tab, CR and LF count as JSON whitespace around a value
+    "lines": ("\n".join(['{"query_id": "q0", "control": [', " \x0c", "[1, 2]",
+                         " " + json.dumps(raw_record("fine", [3], [4])), '"text"', "{}} ",
+                         json.dumps(raw_record("feed", [3], [4])) + "\x0c", "\ufeff{}"]) + "\n",
+              "62cd675f2af4e03625e154cb06442f291b47ae7af4a34ec91dff16517158f62c"),
+    "records": ("".join(json.dumps(r) + "\n" for r in _bad_records()),
+                "f3348e144b612b7215d6bee67364415c9104402b478c640ee8302b3bc9755025"),
+}
+
+
+@pytest.mark.parametrize("name", VIOLATIONS)
+def test_violation_payloads_are_pinned(tmp_path, name):
+    # every violation the parser emits, in one --error-json payload per input:
+    # a file with malformed lines reports only those, so lines and records
+    # each have their own input
+    text, digest = VIOLATIONS[name]
+    path = tmp_path / "bad.jsonl"
+    path.write_text(text, encoding="utf-8")
+    result = CliRunner().invoke(main, ["evaluate", str(path), "--error-json"])
+    assert result.exit_code == 1, result.output
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
