@@ -60,7 +60,7 @@ def guarded(fn):
             else:
                 click.echo(f"error: {err}", err=True)
             sys.exit(EXIT_DOMAIN)
-        except (OSError, json.JSONDecodeError) as err:
+        except (OSError, json.JSONDecodeError, UnicodeDecodeError) as err:
             if error_json:
                 click.echo(json.dumps({"error": "IOError", "message": str(err)}, sort_keys=True))
             else:

@@ -15,6 +15,7 @@ from ._lazy import np, t_ufuncs
 from .core import EvalDataset, StratumKey
 from .errors import (
     NoSegments,
+    OutOfDomain,
     TooFewSamples,
     TooFewSamplesInStratum,
     WeightMismatch,
@@ -146,14 +147,11 @@ def stratified_estimate(
                           p_value=min(p, 1.0), n=n_total, estimator=STRATIFIED, alpha=alpha)
 
 
-def _segment_key(record, grouping: str) -> Hashable:
-    if grouping == GROUP_BY_POPULARITY:
-        return record.stratum.popularity
-    if grouping == GROUP_BY_INTEREST:
-        return record.stratum.interest
-    if grouping == GROUP_BY_STRATUM:
-        return record.stratum
-    raise ValueError(f"unknown grouping {grouping!r}")
+_SEGMENT_KEYS = {
+    GROUP_BY_POPULARITY: lambda stratum: stratum.popularity,
+    GROUP_BY_INTEREST: lambda stratum: stratum.interest,
+    GROUP_BY_STRATUM: lambda stratum: stratum,
+}
 
 
 def segment_effects(
@@ -167,9 +165,12 @@ def segment_effects(
     Segments with fewer than 2 paired queries are reported in ``excluded``
     rather than silently dropped. Effects are sorted by segment key.
     """
+    segment_of = _SEGMENT_KEYS.get(grouping)
+    if segment_of is None:
+        raise OutOfDomain(f"unknown grouping {grouping!r}")
     groups: dict[Hashable, list[float]] = {}
     for record, delta in zip(dataset.records, paired_deltas(dataset)):
-        groups.setdefault(_segment_key(record, grouping), []).append(delta)
+        groups.setdefault(segment_of(record.stratum), []).append(delta)
 
     # a StratumKey sorts as (interest, popularity) and a PopularitySegment as its string
     included = sorted(s for s, d in groups.items() if len(d) >= 2)

@@ -127,7 +127,7 @@ def allocate(
     minimum and the remaining budget re-allocated among the rest.
     """
     if mode not in ("neyman", "proportional"):
-        raise ValueError(f"unknown allocation mode {mode!r}")
+        raise OutOfDomain(f"unknown allocation mode {mode!r}")
     if not strata:
         raise EmptyInput("allocate requires at least one stratum")
     if min_per_stratum < 0:

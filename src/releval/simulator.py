@@ -20,8 +20,7 @@ from ._lazy import np
 from ._rng import substream
 from .core import EvalDataset, QueryRecord, StratumKey
 from .errors import BadMatrix, BadSpec, InfeasibleTargets
-from .metrics import _discounts
-from .sampling import _largest_remainder, check_weights
+from .sampling import check_weights
 
 _PROB_TOL = 1e-9
 # largest simulated page depth and stratum size; work and memory grow with
@@ -88,26 +87,6 @@ class LabelProfile:
         out[ranks, np.minimum(lo, 4)] = w_hi
         out[ranks, lo - 1] = 1.0 - w_hi
         return out
-
-
-def shift_pmf(pmf: np.ndarray, delta: float) -> np.ndarray:
-    """Distribution of clamp(L + delta) for a fractional label shift.
-
-    delta = f + frac applies an integer shift of f with probability 1-frac
-    and f+1 with probability frac, clamping into [1, 5]. Raises the expected
-    label by delta except where clamping binds.
-    """
-    if delta == 0.0:
-        return np.asarray(pmf, dtype=float)
-    f = math.floor(delta)
-    frac = delta - f
-    out = np.zeros(5)
-    for i in range(5):
-        for step, w in ((f, 1.0 - frac), (f + 1, frac)):
-            if w > 0.0:
-                j = min(4, max(0, i + step))
-                out[j] += pmf[i] * w
-    return out
 
 
 @dataclass(frozen=True)
@@ -222,7 +201,8 @@ def _draw_levels(profile: LabelProfile, count: int, k_depth: int,
 
 
 def _apply_effect(pages: np.ndarray, delta: float, seed: int, key: StratumKey) -> np.ndarray:
-    """Coupled treatment labels: clamp(L + f [+1 w.p. frac]), marginally shift_pmf."""
+    """Coupled treatment labels clamp(L + f [+1 w.p. frac]) with f = floor(delta),
+    frac = delta - f: each label rises by delta in expectation unless clamped to [1, 5]."""
     if delta == 0.0:
         return pages.copy()
     # past +-4 every label clamps to 5 (or 1) either way; this keeps f small
@@ -333,63 +313,3 @@ def run_synthetic_experiment(
                 control=tuple(m_control), treatment=tuple(m_treatment),
                 control_reference=tuple(control), treatment_reference=tuple(treatment)))
     return EvalDataset(records=tuple(records), k_depth=k_depth)
-
-
-# -- analytic moments and vectorized sampling (oracle support) ----------------
-
-def page_score_moments(pmfs: np.ndarray) -> tuple[float, float]:
-    """Exact mean and variance of the page score for independent per-rank labels.
-
-    pmfs is (K, 5). The score is linear in the per-rank labels, so
-    mean = sum_k E[L_k] d_k / D and var = sum_k Var[L_k] d_k^2 / D^2 with
-    d_k = 1/log2(1+k), D = 5 * sum_k d_k.
-    """
-    k = pmfs.shape[0]
-    disc = np.array(_discounts(k))
-    levels = np.arange(1, 6)
-    means = pmfs @ levels
-    second = pmfs @ (levels ** 2)
-    variances = second - means ** 2
-    denom = 5.0 * disc.sum()
-    return (float((means * disc).sum() / denom),
-            float((variances * disc ** 2).sum() / denom ** 2))
-
-
-def stratum_score_moments(profile: LabelProfile, k_depth: int,
-                          shift: float = 0.0) -> tuple[float, float]:
-    """Mean/variance of the page score for one stratum, optionally shifted."""
-    pmfs = profile.pmf_matrix(k_depth)
-    if shift != 0.0:
-        pmfs = np.stack([shift_pmf(row, shift) for row in pmfs])
-    return page_score_moments(pmfs)
-
-
-def sample_stratum_scores(profile: LabelProfile, count: int, k_depth: int,
-                          rng: np.random.Generator) -> np.ndarray:
-    """Vectorized draw of ``count`` page scores from one stratum's profile."""
-    levels = _draw_levels(profile, count, k_depth, rng)
-    disc = np.array(_discounts(k_depth))
-    return (levels @ disc) / (5.0 * disc.sum())
-
-
-def draw_metric_samples(spec: PopulationSpec, n_total: int, k_depth: int,
-                        seed: int, design: str = "stratified") -> dict[StratumKey, np.ndarray]:
-    """Per-stratum page-score samples under a stratified or SRS design.
-
-    "stratified" splits ``n_total`` by largest-remainder proportional
-    allocation; "srs" draws stratum counts from the multinomial over weights
-    (simple random sampling from the infinite mixture population).
-    """
-    keys = [sp.key for sp in spec.strata]
-    weights = [sp.weight for sp in spec.strata]
-    if design == "stratified":
-        counts = _largest_remainder([n_total * w for w in weights], keys, n_total)
-    elif design == "srs":
-        counts = substream(seed, "counts", design).multinomial(n_total, weights).tolist()
-    else:
-        raise BadSpec(f"unknown design {design!r}")
-    out = {}
-    for sp, count in zip(spec.strata, counts):
-        rng = substream(seed, "scores", design, sp.key)
-        out[sp.key] = sample_stratum_scores(sp.profile, count, k_depth, rng)
-    return out

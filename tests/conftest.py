@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's fast paths: correlation by
 O(n^2) pair scan, BH by direct threshold enumeration, pooled variance by
-direct computation.
+direct computation, page-score moments in closed form, and page scores drawn
+from a probability vector with their own discounts.
 """
 
 from __future__ import annotations
@@ -135,6 +136,42 @@ def brute_bh_rejections(p_values, q) -> list[bool]:
 def pooled_population_variance(values) -> float:
     arr = np.asarray(values, dtype=float)
     return float(arr.var())
+
+
+def shift_pmf(pmf, delta: float) -> np.ndarray:
+    """Distribution over labels 1..5 of clamp(L + delta) for a fractional shift:
+    L moves up by floor(delta) w.p. 1 - frac and by one more w.p. frac."""
+    pmf = np.asarray(pmf, dtype=float)
+    f = math.floor(delta)
+    frac = delta - f
+    moved = np.arange(5) + f
+    return (np.bincount(np.clip(moved, 0, 4), pmf * (1.0 - frac), minlength=5)
+            + np.bincount(np.clip(moved + 1, 0, 4), pmf * frac, minlength=5))
+
+
+def stratum_score_moments(probs, k_depth: int, shift: float = 0.0) -> tuple[float, float]:
+    """Exact mean and variance of the page score when each of ``k_depth`` labels
+    is drawn independently from ``probs`` shifted by ``shift``.
+
+    The score is linear in the labels: with d_k = 1/log2(1+k) and D = 5 sum d_k,
+    mean = E[L] sum d_k / D = E[L] / 5 and var = Var[L] sum d_k^2 / D^2.
+    """
+    pmf = shift_pmf(probs, shift)
+    levels = np.arange(1, 6)
+    mean = pmf @ levels
+    disc = 1.0 / np.log2(np.arange(2, k_depth + 2))
+    var = (pmf @ levels ** 2 - mean ** 2) * (disc ** 2).sum() / (5.0 * disc.sum()) ** 2
+    return float(mean / 5.0), float(var)
+
+
+def sample_stratum_scores(probs, count: int, k_depth: int, rng) -> np.ndarray:
+    """``count`` page scores, each of ``k_depth`` labels drawn from ``probs`` by
+    inverse CDF on one ``(count, k_depth)`` block of uniforms."""
+    cdf = np.cumsum(probs)
+    cdf[-1] = 1.0
+    levels = np.searchsorted(cdf, rng.random((count, k_depth))) + 1
+    disc = 1.0 / np.log2(np.arange(2, k_depth + 2))
+    return levels @ disc / (5.0 * disc.sum())
 
 
 @pytest.fixture

@@ -26,8 +26,6 @@ from releval.simulator import (
     StratumProfile,
     calibrate_confusion,
     run_synthetic_experiment,
-    sample_stratum_scores,
-    stratum_score_moments,
 )
 
 from conftest import (
@@ -35,7 +33,9 @@ from conftest import (
     brute_kendall_tau,
     brute_spearman_rho,
     pooled_population_variance,
+    sample_stratum_scores,
     sk,
+    stratum_score_moments,
 )
 
 from releval.alignment import kendall_tau, spearman_rho
@@ -117,12 +117,13 @@ def test_criterion_2_variance_identity():
 
 
 def _two_point_profiles(p, levels_a=(1, 2), levels_b=(4, 5)):
-    """Two strata whose page score at depth 1 is a two-point distribution."""
+    """Label probabilities of two strata whose page score at depth 1 is a
+    two-point distribution."""
     def prof(levels):
         probs = [0.0] * 5
         probs[levels[0] - 1] = 1.0 - p
         probs[levels[1] - 1] = p
-        return LabelProfile(kind="categorical", probs=tuple(probs))
+        return probs
     return prof(levels_a), prof(levels_b)
 
 

@@ -386,6 +386,31 @@ class TestScoreOnce:
         assert len(scored) == 6 * per_query
 
 
+@pytest.mark.parametrize("args", [
+    ["metric", "BAD"],
+    ["evaluate", "BAD"],
+    ["align", "BAD"],
+    ["evaluate", "DATA", "--design", "BAD"],
+    ["design", "--strata", "BAD", "--budget", "10"],
+    ["simulate", "--spec", "BAD", "--out", "OUT"],
+    ["simulate", "--spec", "SPEC", "--confusion", "BAD", "--out", "OUT"],
+    ["simulate", "--spec", "SPEC", "--effect", "BAD", "--out", "OUT"],
+], ids=["metric", "evaluate", "align", "evaluate-design", "design-strata", "simulate-spec",
+        "simulate-confusion", "simulate-effect"])
+def test_file_not_utf8_is_io_error(runner, tmp_path, args):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(json.dumps(raw_record("q0", [3], [4])).encode() + b'\n{"x": "\xff"}\n')
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(sim_spec()))
+    files = {"BAD": str(bad), "SPEC": str(spec), "OUT": str(tmp_path / "x.jsonl"),
+             "DATA": write_jsonl(tmp_path / "d.jsonl", paired_records())}
+    result = runner.invoke(main, [files.get(a, a) for a in args] + ["--error-json"])
+    assert result.exit_code == 2, result.output
+    payload = json.loads(result.stdout)
+    assert payload["error"] == "IOError"
+    assert "can't decode byte 0xff" in payload["message"]
+
+
 @pytest.mark.parametrize("command, records, field", [
     ("metric", [raw_record("q0", [3], [4]), raw_record("q1", [5], [])], "treatment"),
     ("align", [dual_raw("q0", [3, 4], [3, 4]), dual_raw("q1", [], [])], "control"),

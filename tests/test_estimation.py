@@ -189,3 +189,10 @@ class TestSegmentEffects:
         groups = {sk("a", "head"): [(3, 3)]}
         with pytest.raises(NoSegments):
             segment_effects(paired_dataset(groups))
+
+    @pytest.mark.parametrize("groups", [{}, {sk("a", "head"): [(3, 4)] * 3}],
+                             ids=["empty", "paired"])
+    def test_unknown_grouping_is_out_of_domain(self, groups):
+        # checked before any delta, so an empty dataset is not NoSegments
+        with pytest.raises(OutOfDomain, match="unknown grouping 'market'"):
+            segment_effects(paired_dataset(groups), grouping="market")

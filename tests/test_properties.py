@@ -1,9 +1,10 @@
 """Property tests of the input boundary, through the CLI.
 
 JSONL records are drawn around the schema: mostly valid, with wrong types,
-bad labels and ranks, missing arms, duplicate ids, unknown fields and lines
-that are not JSON objects mixed in. The accept/reject decision and the set of
-violations must not depend on the order of the lines.
+bad labels and ranks, missing arms, duplicate ids, unknown fields, lines
+that are not JSON objects and bytes that are not UTF-8 mixed in. The
+accept/reject decision and the set of violations must not depend on the
+order of the lines.
 
 Spec files (design, population spec, effect, confusion) are drawn valid and
 then have at most one node replaced, deleted or repeated; ``mde`` takes its
@@ -93,7 +94,8 @@ def broken(draw):
     return obj
 
 
-JUNK = st.sampled_from(["{not json", "[1, 2]", "5", '"q1"', "null", ""])
+# "\udcff" is written as the byte 0xff, so the file is not valid UTF-8
+JUNK = st.sampled_from(["{not json", "[1, 2]", "5", '"q1"', "null", "", "\udcff"])
 
 
 @st.composite
@@ -117,7 +119,8 @@ def _run(args, lines):
     """Run one command on ``lines``; returns what must not depend on line order."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.jsonl"
-        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8",
+                        errors="surrogateescape")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # unknown fields
             result = CliRunner().invoke(main, [args[0], str(path), *args[1:], "--error-json"])
@@ -129,7 +132,9 @@ def _run(args, lines):
         return 0, sorted(result.stdout.splitlines()) if args == ["metric"] else None
     payload = json.loads(result.stdout)
     if "violations" not in payload:
-        return result.exit_code, payload
+        # an undecodable byte is named by its offset, which moves with the shuffle
+        return result.exit_code, dict(
+            payload, message=re.sub(r"position \d+", "position #", payload["message"]))
     # a line-level violation names its line, which moves with the shuffle
     violations = [re.sub(r"line \d+", "line #", json.dumps(v, sort_keys=True))
                   for v in payload["violations"]]

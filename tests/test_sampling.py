@@ -5,6 +5,7 @@ from releval.errors import (
     BudgetTooSmall,
     EmptyInput,
     MissingSigma,
+    OutOfDomain,
     StratumExhausted,
 )
 from releval.sampling import (
@@ -113,6 +114,8 @@ class TestAllocate:
             allocate(strata, 10, mode="neyman")
         with pytest.raises(BudgetTooSmall):
             allocate(strata, 3, mode="proportional")
+        with pytest.raises(OutOfDomain, match="unknown allocation mode 'optimal'"):
+            allocate(strata, 10, mode="optimal")
 
     def test_neyman_counts_round_real_targets(self, rng):
         # without pinning, every count is the floor or ceiling of the

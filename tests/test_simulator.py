@@ -17,15 +17,10 @@ from releval.simulator import (
     StratumProfile,
     apply_labeler,
     calibrate_confusion,
-    draw_metric_samples,
-    page_score_moments,
     run_synthetic_experiment,
-    sample_stratum_scores,
-    shift_pmf,
-    stratum_score_moments,
 )
 
-from conftest import sk
+from conftest import shift_pmf, sk, stratum_score_moments
 
 
 def point_mass(level):
@@ -133,10 +128,11 @@ class TestGeneratePopulation:
                            queries_per_stratum=5)
 
     def test_empirical_moments_match_analytic(self):
-        prof = LabelProfile(kind="categorical", probs=(0.1, 0.2, 0.3, 0.25, 0.15))
-        mean, var = stratum_score_moments(prof, k_depth=8)
-        rng = substream(77, "moments")
-        scores = sample_stratum_scores(prof, 20_000, 8, rng)
+        probs = (0.1, 0.2, 0.3, 0.25, 0.15)
+        prof = LabelProfile(kind="categorical", probs=probs)
+        records = true_population(two_strata_spec(prof, prof, count=10_000), 8, seed=77)
+        scores = np.array([sdcg_at_k(rec.control, 8) for rec in records])
+        mean, var = stratum_score_moments(probs, k_depth=8)
         mc_se_mean = math.sqrt(var / len(scores))
         assert abs(scores.mean() - mean) < 3 * mc_se_mean
         # variance of the sample variance ~ 2 var^2 / n for near-normal scores;
@@ -245,8 +241,8 @@ class TestRunSyntheticExperiment:
         deltas = np.array([
             sdcg_at_k(r.treatment, 6) - sdcg_at_k(r.control, 6)
             for r in ds.records])
-        mean_c, _ = stratum_score_moments(prof, 6)
-        mean_t, _ = stratum_score_moments(prof, 6, shift=1.0)
+        mean_c, _ = stratum_score_moments(prof.probs, 6)
+        mean_t, _ = stratum_score_moments(prof.probs, 6, shift=1.0)
         expected = mean_t - mean_c
         assert abs(deltas.mean() - expected) < 3 * deltas.std(ddof=1) / math.sqrt(len(deltas))
 
@@ -325,24 +321,3 @@ class TestRunSyntheticExperiment:
             single.append(m_c - r_c)
             paired.append((m_t - m_c) - (r_t - r_c))
         assert np.std(paired) < np.std(single)
-
-
-class TestDrawMetricSamples:
-    def test_stratified_counts_are_proportional(self):
-        prof = point_mass(3)
-        spec = two_strata_spec(prof, prof, count=10, wa=0.25)
-        samples = draw_metric_samples(spec, 100, 1, seed=1, design="stratified")
-        assert len(samples[sk("a")]) == 25
-        assert len(samples[sk("b")]) == 75
-
-    def test_srs_counts_are_random_but_total(self):
-        prof = point_mass(3)
-        spec = two_strata_spec(prof, prof, count=10)
-        samples = draw_metric_samples(spec, 100, 1, seed=2, design="srs")
-        assert sum(len(v) for v in samples.values()) == 100
-
-    def test_scores_match_profile_support(self):
-        spec = two_strata_spec(point_mass(1), point_mass(5), count=10)
-        samples = draw_metric_samples(spec, 40, 3, seed=3)
-        assert np.allclose(samples[sk("a")], 0.2)
-        assert np.allclose(samples[sk("b")], 1.0)
