@@ -17,7 +17,7 @@ import click
 
 from . import __version__
 from ._lazy import np
-from .alignment import alignment_report
+from .alignment import alignment_report, label_agreement
 from .core import DEFAULT_K_DEPTH
 from .dataset_io import (
     canonical_json,
@@ -28,7 +28,7 @@ from .dataset_io import (
     read_dataset,
     write_dataset,
 )
-from .errors import OutOfDomain, RelevalError
+from .errors import RelevalError
 from .estimation import (
     GROUP_BY_POPULARITY,
     check_design,
@@ -39,7 +39,7 @@ from .estimation import (
 from .metrics import arm_scores, paired_deltas
 from .power import PowerConfig, mde as compute_mde, required_n
 from .sampling import allocate
-from .simulator import MAX_K_DEPTH, ConfusionMatrix, EffectSpec, run_synthetic_experiment
+from .simulator import ConfusionMatrix, EffectSpec, run_synthetic_experiment
 
 DEFAULT_SEED = 20240901
 
@@ -271,7 +271,6 @@ def cli_align(dataset_path, by, k_depth, out_path, errors_csv):
 
 def _dataset_agreement(dataset):
     """Pooled label-level agreement over every position with both sources."""
-    from .alignment import label_agreement
     machine, reference = [], []
     for rec in dataset.records:
         pairs = [(rec.control, rec.control_reference)]
@@ -299,24 +298,15 @@ def _dataset_agreement(dataset):
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
 @click.option("--rho-shared", type=float, default=0.0, show_default=True,
               help="Probability that both arms share a labeler draw per position.")
-@click.option("--k", "k_depth", type=int, default=None,
-              help=f"Override the spec file's k_depth (1 to {MAX_K_DEPTH}).")
 @click.option("--out", "out_path", type=click.Path(), required=True)
 @error_json_option
 @guarded
-def cli_simulate(spec_path, confusion_path, effect_path, seed, rho_shared, k_depth, out_path):
+def cli_simulate(spec_path, confusion_path, effect_path, seed, rho_shared, out_path):
     """Generate a synthetic paired experiment dataset (JSONL)."""
-    # the option is checked as every command's --k is, before any file is read;
-    # a spec file's k_depth out of range stays a BadSpec
-    if k_depth is not None and not 1 <= k_depth <= MAX_K_DEPTH:
-        raise OutOfDomain(f"k_depth must be in [1, {MAX_K_DEPTH}], got {k_depth}")
-    spec, spec_k = load_population_spec(spec_path)
+    spec, k_depth = load_population_spec(spec_path)
     confusion = load_confusion(confusion_path) if confusion_path else ConfusionMatrix.identity()
     effect = load_effect(effect_path) if effect_path else EffectSpec.null()
-    dataset = run_synthetic_experiment(
-        spec, effect, confusion,
-        k_depth=k_depth if k_depth is not None else spec_k,
-        seed=seed, rho_shared=rho_shared)
+    dataset = run_synthetic_experiment(spec, effect, confusion, k_depth, seed, rho_shared)
     write_dataset(dataset, out_path)
 
 

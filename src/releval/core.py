@@ -121,17 +121,15 @@ def _parse_arm(raw: Any, query_id: str, arm: str, violations: list[RecordError]
                ) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
     """Parse one arm into (page, reference_page). Appends violations in place.
 
-    Accepted forms:
+    Accepted forms, as JSON decodes them (a dict or a list, nothing else):
       * list of {"rank": int, "label": int} objects (single label source)
       * {"machine_labels": [...], "reference_labels": [...]} parallel arrays
-    Any Mapping, list or tuple is accepted; JSON's own dict and list take a
-    faster exact-type test before the general one.
     """
     kind = type(raw)
-    if kind is dict or (kind is not list and isinstance(raw, Mapping)):
+    if kind is dict:
         machine = raw.get("machine_labels")
         reference = raw.get("reference_labels")
-        if not isinstance(machine, (list, tuple)) or not isinstance(reference, (list, tuple)):
+        if type(machine) is not list or type(reference) is not list:
             violations.append(MissingArm(
                 f"{arm}: dual-label form requires machine_labels and reference_labels",
                 query_id=query_id, field=arm))
@@ -144,7 +142,7 @@ def _parse_arm(raw: Any, query_id: str, arm: str, violations: list[RecordError]
         return (_checked_page(machine, query_id, arm, ".machine_labels", violations),
                 _checked_page(reference, query_id, arm, ".reference_labels", violations))
 
-    if kind is not list and not isinstance(raw, (list, tuple)):
+    if kind is not list:
         violations.append(MissingArm(
             f"{arm}: expected a list of rank/label objects or a dual-label object",
             query_id=query_id, field=arm))
@@ -174,17 +172,31 @@ def _parse_arm(raw: Any, query_id: str, arm: str, violations: list[RecordError]
     return _checked_page(labels, query_id, arm, "", violations), None
 
 
+def _is_text(value: str) -> bool:
+    """Whether a str encodes as UTF-8, as every file releval writes needs.
+
+    A lone surrogate, which a JSON escape such as ``\\ud800`` decodes to, does not.
+    """
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _stratum(raw: Any, interest: str, interned: dict) -> StratumKey:
     """The StratumKey of a raw stratum object, one object per distinct value.
 
     Raises as building a StratumKey does: AttributeError for a raw value
     that is not a mapping, ValueError for an unknown popularity and
-    RecordError for an empty interest.
+    RecordError for an empty interest; and UnicodeEncodeError for an
+    interest that is not UTF-8 text, checked once per distinct stratum.
     """
     popularity = str(raw.get("popularity", ""))
     key = (interest, popularity)
     stratum = interned.get(key)
     if stratum is None:
+        interest.encode("utf-8")  # UnicodeEncodeError for a lone surrogate
         stratum = interned[key] = StratumKey(interest=interest,
                                              popularity=PopularitySegment(popularity))
     return stratum
@@ -195,9 +207,11 @@ def record_from_raw(raw: Mapping[str, Any], violations: list[RecordError],
     """Build a QueryRecord from a parsed JSON object, collecting violations.
 
     ``query_id``, ``market`` and the stratum ``interest`` must be JSON
-    strings; any other value is a violation at that field, never coerced.
+    strings of UTF-8 text; any other value, a string holding a lone
+    surrogate included, is a violation at that field, never coerced.
     ``interned`` is the caller's table of the strata and markets built so
-    far: records with equal strata, or equal markets, share one object.
+    far: records with equal strata, or equal markets, share one object, and
+    each distinct one is checked for text once, when it enters the table.
     """
     query_id = raw.get("query_id", "")
     if type(query_id) is not str:
@@ -207,20 +221,25 @@ def record_from_raw(raw: Mapping[str, Any], violations: list[RecordError],
     if not query_id:
         violations.append(MissingArm("record is missing query_id", field="query_id"))
         return None
+    if not (query_id.isascii() or _is_text(query_id)):
+        violations.append(BadLabelValue(
+            f"query_id must be UTF-8 text, got {query_id!r}", field="query_id"))
+        return None
     ok = True
 
     market = raw.get("market", "")
-    if type(market) is str:
-        market = interned.setdefault(market, market)
-    else:
+    if type(market) is not str:
         violations.append(BadLabelValue(
             f"market must be a string, got {market!r}", query_id=query_id, field="market"))
         ok = False
-    stratum_raw = raw.get("stratum") or {}
-    if type(stratum_raw) is dict or isinstance(stratum_raw, Mapping):
-        interest = stratum_raw.get("interest", "")
+    elif market in interned or _is_text(market):
+        market = interned.setdefault(market, market)
     else:
-        interest = ""
+        violations.append(BadLabelValue(
+            f"market must be UTF-8 text, got {market!r}", query_id=query_id, field="market"))
+        ok = False
+    stratum_raw = raw.get("stratum") or {}
+    interest = stratum_raw.get("interest", "") if type(stratum_raw) is dict else ""
     stratum = None
     if type(interest) is not str:
         violations.append(BadLabelValue(
@@ -229,6 +248,10 @@ def record_from_raw(raw: Mapping[str, Any], violations: list[RecordError],
     else:
         try:
             stratum = _stratum(stratum_raw, interest, interned)
+        except UnicodeEncodeError:
+            violations.append(BadLabelValue(
+                f"stratum interest must be UTF-8 text, got {interest!r}",
+                query_id=query_id, field="stratum.interest"))
         except (AttributeError, ValueError, RecordError):
             violations.append(BadLabelValue(
                 f"invalid stratum {stratum_raw!r}", query_id=query_id, field="stratum"))

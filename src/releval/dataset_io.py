@@ -37,13 +37,19 @@ from .simulator import (
 KNOWN_RECORD_FIELDS = {"query_id", "market", "stratum", "control", "treatment"}
 # decodes one JSON value at the start of a string, returning it and its end
 _raw_decode = json.JSONDecoder().raw_decode
+# what json raises for a text it cannot decode: a JSONDecodeError (a
+# ValueError) for malformed JSON, a bare ValueError for an integer of more
+# digits than int() converts (sys.get_int_max_str_digits()) and a
+# RecursionError for a value nested deeper than the interpreter's stack
+_UNDECODABLE = (ValueError, RecursionError)
 
 
 def read_jsonl(path: str | Path) -> Iterator[dict]:
     """Yield the object on each line of a JSONL file, one at a time.
 
-    Malformed lines are collected with their line numbers and raised
-    together, as one DatasetValidationError, once the file is exhausted.
+    Malformed lines, and lines json cannot decode for their size, are
+    collected with their line numbers and raised together, as one
+    DatasetValidationError, once the file is exhausted.
     Unknown record fields are counted as the file is read; at its end each
     field name gets one warning, with the number of lines that carry it and
     the first of them.
@@ -58,16 +64,17 @@ def read_jsonl(path: str | Path) -> Iterator[dict]:
             try:
                 obj, end = _raw_decode(line)
                 direct = end == len(line) or line[end:] == "\n"
-            except json.JSONDecodeError:
+            except _UNDECODABLE:
                 direct = False
             if not direct:
                 if not line.strip():
                     continue
                 try:
                     obj = json.loads(line)
-                except json.JSONDecodeError as err:
+                except _UNDECODABLE as err:
                     violations.append(RecordError(
-                        f"line {lineno}: malformed JSON ({err.msg})", field=f"line {lineno}"))
+                        f"line {lineno}: malformed JSON ({getattr(err, 'msg', err)})",
+                        field=f"line {lineno}"))
                     continue
             if type(obj) is not dict:
                 violations.append(RecordError(
@@ -177,10 +184,25 @@ def _optional_number(obj: Mapping[str, Any], key: str) -> float | None:
     return _json_number(obj[key], key) if key in obj else None
 
 
+def _load_json(path: str | Path) -> Any:
+    """The JSON value in a spec file.
+
+    The CLI maps OSError and JSONDecodeError to an I/O error (exit 2); a file
+    json cannot decode for its size, which raises neither, is an OSError.
+    """
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except _UNDECODABLE as err:
+        raise OSError(f"{path}: malformed JSON ({err})") from err
+
+
 def load_design(path: str | Path) -> list[StratumSpec]:
     """Strata design file: JSON list of {interest, popularity, weight, sigma?, mu?}."""
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = _load_json(path)
     if not isinstance(raw, list) or not raw:
         raise BadSpec("design file must be a non-empty JSON list of stratum objects")
     try:
@@ -200,8 +222,7 @@ def load_population_spec(path: str | Path) -> tuple[PopulationSpec, int]:
     """Population spec JSON; returns (spec, k_depth). k_depth defaults to DEFAULT_K_DEPTH;
     every profile names its kind; a size past MAX_K_DEPTH or
     MAX_QUERIES_PER_STRATUM is a BadSpec."""
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = _load_json(path)
     try:
         strata = []
         for obj in raw["strata"]:
@@ -235,8 +256,7 @@ def _as_prob_tuple(probs) -> tuple:
 
 def load_confusion(path: str | Path) -> ConfusionMatrix:
     """Confusion file: {"rows": 5x5} or {"calibrate": {"exact":, "within_one":}}, not both."""
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = _load_json(path)
     if not isinstance(raw, dict) or ("calibrate" in raw) == ("rows" in raw):
         raise BadSpec("confusion file must contain either 'rows' or 'calibrate', not both")
     try:
@@ -252,8 +272,7 @@ def load_confusion(path: str | Path) -> ConfusionMatrix:
 
 def load_effect(path: str | Path) -> EffectSpec:
     """Effect file: {"default": float, "shifts": [{interest, popularity, shift}]}."""
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = _load_json(path)
     if not isinstance(raw, dict) or not isinstance(raw.get("shifts", []), list):
         raise BadSpec("effect file must be a JSON object whose 'shifts' is a list")
     try:

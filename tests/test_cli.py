@@ -386,7 +386,22 @@ class TestScoreOnce:
         assert len(scored) == 6 * per_query
 
 
-@pytest.mark.parametrize("args", [
+def test_each_command_has_its_option_set():
+    # adding or removing a setting is a one-line edit here
+    assert {name: sorted(p.name for p in cmd.params) for name, cmd in main.commands.items()} == {
+        "align": ["by", "dataset_path", "error_json", "errors_csv", "k_depth", "out_path"],
+        "design": ["budget", "error_json", "min_per_stratum", "mode", "out_path", "strata_path"],
+        "evaluate": ["alpha", "dataset_path", "design_path", "error_json", "estimator",
+                     "grouping", "k_depth", "out_path", "q"],
+        "mde": ["alpha", "error_json", "mu", "n_queries", "power", "sigma", "target"],
+        "metric": ["dataset_path", "error_json", "k_depth", "out_path"],
+        "simulate": ["confusion_path", "effect_path", "error_json", "out_path", "rho_shared",
+                     "seed", "spec_path"],
+    }
+
+
+# every file a command reads; BAD is the file under test
+each_input_file = pytest.mark.parametrize("args", [
     ["metric", "BAD"],
     ["evaluate", "BAD"],
     ["align", "BAD"],
@@ -397,18 +412,71 @@ class TestScoreOnce:
     ["simulate", "--spec", "SPEC", "--effect", "BAD", "--out", "OUT"],
 ], ids=["metric", "evaluate", "align", "evaluate-design", "design-strata", "simulate-spec",
         "simulate-confusion", "simulate-effect"])
-def test_file_not_utf8_is_io_error(runner, tmp_path, args):
+
+
+def _invoke_on_bad_file(runner, tmp_path, args, content: bytes):
     bad = tmp_path / "bad.json"
-    bad.write_bytes(json.dumps(raw_record("q0", [3], [4])).encode() + b'\n{"x": "\xff"}\n')
+    bad.write_bytes(content)
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(sim_spec()))
     files = {"BAD": str(bad), "SPEC": str(spec), "OUT": str(tmp_path / "x.jsonl"),
              "DATA": write_jsonl(tmp_path / "d.jsonl", paired_records())}
-    result = runner.invoke(main, [files.get(a, a) for a in args] + ["--error-json"])
+    return runner.invoke(main, [files.get(a, a) for a in args] + ["--error-json"])
+
+
+@each_input_file
+def test_file_not_utf8_is_io_error(runner, tmp_path, args):
+    result = _invoke_on_bad_file(runner, tmp_path, args, json.dumps(
+        raw_record("q0", [3], [4])).encode() + b'\n{"x": "\xff"}\n')
     assert result.exit_code == 2, result.output
     payload = json.loads(result.stdout)
     assert payload["error"] == "IOError"
     assert "can't decode byte 0xff" in payload["message"]
+
+
+@each_input_file
+@pytest.mark.parametrize("value, message", [
+    ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+    ("1" * 5000, "Exceeds the limit"),
+], ids=["deeply-nested", "long-integer"])
+def test_json_too_large_to_decode_is_typed_error(runner, tmp_path, args, value, message):
+    # json raises a RecursionError and a bare ValueError for these, not a
+    # JSONDecodeError: a dataset line is a violation, a spec file an I/O error
+    content = '{"query_id": "q0", "control": %s}\n' % value
+    result = _invoke_on_bad_file(runner, tmp_path, args, content.encode())
+    payload = json.loads(result.stdout)
+    if args[1] == "BAD":
+        assert result.exit_code == 1, result.output
+        assert payload["error"] == "DatasetValidationError"
+        [violation] = payload["violations"]
+        assert violation["field"] == "line 1"
+        assert violation["message"].startswith("line 1: malformed JSON (" + message)
+    else:
+        assert result.exit_code == 2, result.output
+        assert payload["error"] == "IOError"
+        assert f"malformed JSON ({message}" in payload["message"]
+
+
+@pytest.mark.parametrize("command, field, record", [
+    ("metric", "query_id", raw_record("q\ud800", [3])),
+    ("metric", "market", raw_record("q0", [3], market="D\ud800")),
+    ("metric", "stratum.interest", raw_record("q0", [3], interest="art\ud800")),
+    ("align", "market", dual_raw("q0", [3], [4], market="D\ud800")),
+], ids=["metric-query-id", "metric-market", "metric-interest", "align-market"])
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_lone_surrogate_is_bad_label_value(runner, tmp_path, command, field, record, to_file):
+    # a JSON "\ud800" escape decodes to a str no CSV or report file can hold
+    path = write_jsonl(tmp_path / "d.jsonl", [record])
+    out = tmp_path / "out.csv"
+    args = [command, path, "--error-json"]
+    if to_file:
+        args += ["--out", str(out)] if command == "metric" else ["--errors-csv", str(out)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1, result.output
+    payload = json.loads(result.stdout)
+    assert payload["error"] == "DatasetValidationError"
+    assert [(v["error"], v["field"]) for v in payload["violations"]] == [("BadLabelValue", field)]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, records, field", [
@@ -779,39 +847,43 @@ class TestSimulate:
         assert result.exit_code == 1
         assert json.loads(result.output)["error"] == "BadSpec"
 
-    @pytest.mark.parametrize("fields, args, code", [
-        ({"k_depth": 10 ** 400}, [], "BadSpec"),
-        ({"k_depth": 1001}, [], "BadSpec"),
-        # an option's value is out of domain, as for every command's --k
-        ({}, ["--k", "100000000"], "OutOfDomain"),
-        ({"queries_per_stratum": 10 ** 30}, [], "BadSpec"),
-        ({"queries_per_stratum": 10 ** 6 + 1}, [], "BadSpec"),
-    ], ids=["k-depth-huge", "k-depth-over", "k-option-huge", "queries-huge", "queries-over"])
-    def test_size_beyond_its_maximum_is_typed_error(self, tmp_path, fields, args, code):
+    @pytest.mark.parametrize("fields", [
+        {"k_depth": 10 ** 400},
+        {"k_depth": 1001},
+        {"queries_per_stratum": 10 ** 30},
+        {"queries_per_stratum": 10 ** 6 + 1},
+    ], ids=["k-depth-huge", "k-depth-over", "queries-huge", "queries-over"])
+    def test_size_beyond_its_maximum_is_typed_error(self, tmp_path, fields):
         # checked before anything is drawn; past the maximum a run would loop or
         # allocate without bound, so it runs in its own process, under a
         # timeout and a 1 GiB address-space limit
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(dict(sim_spec(), **fields)))
         result = subprocess.run(
-            [sys.executable, "-m", "releval.cli", "simulate", "--spec", str(path), *args,
+            [sys.executable, "-m", "releval.cli", "simulate", "--spec", str(path),
              "--out", str(tmp_path / "x.jsonl"), "--error-json"],
             env=_python_env(), capture_output=True, text=True, timeout=60,
             preexec_fn=_limit_address_space)
         assert result.returncode == 1, result.stderr
         payload = json.loads(result.stdout)
-        assert payload["error"] == code
-        assert next(iter(fields), "k_depth") in payload["message"]
+        assert payload["error"] == "BadSpec"
+        assert next(iter(fields)) in payload["message"]
 
-    @pytest.mark.parametrize("k", ["0", "-1", "1001"])
-    def test_k_option_out_of_range_is_out_of_domain(self, runner, tmp_path, k):
-        # the same code as metric, evaluate and align give their --k
-        result = runner.invoke(main, ["simulate", "--spec", self.spec_file(tmp_path), "--k", k,
-                                      "--out", str(tmp_path / "x.jsonl"), "--error-json"])
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 32), str(-2 ** 32)])
+    def test_seed_outside_32_bits_is_out_of_domain(self, runner, tmp_path, seed):
+        # never reduced modulo 2**32, which would give another seed's bytes
+        out = tmp_path / "x.jsonl"
+        result = runner.invoke(main, ["simulate", "--spec", self.spec_file(tmp_path),
+                                      "--seed", seed, "--out", str(out), "--error-json"])
         assert result.exit_code == 1
         assert json.loads(result.output) == {
-            "error": "OutOfDomain", "message": f"k_depth must be in [1, 1000], got {k}"}
-        assert not (tmp_path / "x.jsonl").exists()
+            "error": "OutOfDomain", "message": f"seed must be in [0, 2**32), got {seed}"}
+        assert not out.exists()
+
+    def test_largest_seed_runs(self, runner, tmp_path):
+        result = runner.invoke(main, ["simulate", "--spec", self.spec_file(tmp_path),
+                                      "--seed", str(2 ** 32 - 1), "--out", str(tmp_path / "x")])
+        assert result.exit_code == 0, result.output
 
     def test_spec_k_depth_out_of_range_stays_bad_spec(self, runner, tmp_path):
         path = tmp_path / "spec.json"

@@ -209,32 +209,42 @@ def test_depth_below_one_is_checked_before_any_record_is_drawn():
             EvalDataset(records=(), k_depth=k)
 
 
-def _frozen(value):
-    # the same JSON value with every object read-only and every array a tuple
-    if isinstance(value, dict):
-        return MappingProxyType({k: _frozen(v) for k, v in value.items()})
-    if isinstance(value, list):
-        return tuple(_frozen(v) for v in value)
-    return value
+@pytest.mark.parametrize("raw, field", [
+    (dict(raw_record("q1", [4]), stratum=MappingProxyType({"interest": "art",
+                                                           "popularity": "head"})),
+     "stratum"),
+    (dict(raw_record("q1", [4]), control=({"rank": 1, "label": 4},)), "control"),
+    (dict(dual_raw("q1", [4], [4]), control=MappingProxyType(
+        {"machine_labels": [4], "reference_labels": [4]})), "control"),
+    (dual_raw("q1", (4,), (4,)), "control"),
+], ids=["stratum-mapping", "arm-tuple", "arm-mapping", "label-arrays-tuples"])
+def test_containers_json_does_not_give_are_violations(raw, field):
+    # records are what JSON decodes to: an object is a dict and an array a list
+    with pytest.raises(DatasetValidationError) as err:
+        validate_dataset([raw])
+    [violation] = err.value.violations
+    assert (violation.query_id, violation.field) == ("q1", field)
 
 
-def test_any_mapping_and_sequence_reads_as_json_does():
-    # library callers may pass read-only mappings and tuples, not only
-    # json's dicts and lists; record, stratum and arms alike
-    raws = [raw_record("q1", [5, 4, 3], [4, 4], interest="beauty", popularity="tail"),
-            dual_raw("q2", [3, 2], [3, 3], [1, 5], [2, 5], market="DE")]
-    expected = validate_dataset(raws, paired=True)
-    assert validate_dataset([_frozen(r) for r in raws], paired=True) == expected
-    tuple_arms = dict(raws[0], control=tuple(raws[0]["control"]),
-                      treatment=tuple(raws[0]["treatment"]))
-    assert validate_dataset([tuple_arms], paired=True).records == expected.records[:1]
-    bad = raw_record("q3", [5, 9])
-    with pytest.raises(DatasetValidationError) as plain:
-        validate_dataset([bad])
-    with pytest.raises(DatasetValidationError) as frozen:
-        validate_dataset([_frozen(bad)])
-    assert ([v.payload() for v in frozen.value.violations]
-            == [v.payload() for v in plain.value.violations])
+@pytest.mark.parametrize("raw, field", [
+    (raw_record("q\ud800", [4]), "query_id"),
+    (raw_record("q1", [4], market="D\udfff"), "market"),
+    (raw_record("q1", [4], interest="art\ud800"), "stratum.interest"),
+], ids=["query-id", "market", "interest"])
+def test_lone_surrogate_is_bad_label_value(raw, field):
+    # a JSON "\ud800" escape decodes to a str that UTF-8 cannot encode; each
+    # record that repeats it is a violation of its own
+    second = dict(raw, query_id=raw["query_id"] + "-2")
+    with pytest.raises(DatasetValidationError) as err:
+        validate_dataset([raw, second])
+    assert [(type(v), v.field) for v in err.value.violations] == [(BadLabelValue, field)] * 2
+
+
+def test_non_ascii_text_is_accepted():
+    raw = raw_record("q\u00e9\U0001f600", [4], interest="\u00e9t\u00e9", market="\u65e5")
+    [rec] = validate_dataset([raw]).records
+    assert (rec.query_id, rec.market, rec.stratum.interest) == ("q\u00e9\U0001f600", "\u65e5",
+                                                                "\u00e9t\u00e9")
 
 
 def _fresh(text: str) -> str:

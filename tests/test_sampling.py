@@ -180,3 +180,9 @@ class TestDrawSample:
         pop = self.make_population({sk("a"): 3})
         with pytest.raises(StratumExhausted):
             draw_sample(pop, Allocation({sk("a"): 4}, 4), seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 32, -2 ** 32])
+    def test_seed_outside_32_bits_is_out_of_domain(self, seed):
+        pop = self.make_population({sk("a"): 3})
+        with pytest.raises(OutOfDomain):
+            draw_sample(pop, Allocation({sk("a"): 2}, 2), seed=seed)
