@@ -1,9 +1,21 @@
-"""Heavy dependencies, loaded no earlier and no wider than a command needs.
+"""Modules loaded no earlier and no wider than a command needs.
 
-``metric``, ``mde``, ``design``, a rejected ``evaluate`` and ``--version``
-never call numpy, and importing it is a large share of a short command's
-start. ``np`` is bound at import time and numpy's own code runs when a
-command first reads ``np.<name>``.
+A command's fixed cost is mostly start-up: every module it imports is read
+and, where no bytecode cache is written, compiled on every run. So
+``releval/__init__.py`` registers each submodule with ``load`` instead of
+importing it. Each is in ``sys.modules`` and bound on the package from the
+start, so ``from . import estimation`` and code that walks ``sys.modules``
+see it, but its code runs only when something first reads one of its
+attributes. ``cli`` binds the modules that only some commands use and calls
+them qualified, so ``--version``, ``metric`` and a rejected ``evaluate``
+never run estimation, BH, the power and sampling code, alignment or the
+simulator; ``evaluate`` runs no alignment (unless the dataset carries
+reference labels) or simulator, ``align`` no estimation, sampling or
+simulator, and ``simulate`` no estimation or alignment.
+
+numpy is registered the same way: ``np`` is bound at import time and numpy's
+own code runs when a command first reads ``np.<name>``. ``metric``, ``mde``,
+``design``, a rejected ``evaluate`` and ``--version`` never call it.
 
 The t test needs only scipy's compiled ``stdtr`` and ``stdtrit``, from
 ``scipy.special._ufuncs``. ``t_ufuncs`` loads that one extension module

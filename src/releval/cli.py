@@ -15,31 +15,12 @@ import sys
 
 import click
 
-from . import __version__
+# bound, not imported: a module's code runs when a command first reads it
+# (see releval/__init__.py), so each command runs only the modules it uses
+from . import __version__, alignment, dataset_io, estimation, metrics, power, sampling, simulator
 from ._lazy import np
-from .alignment import alignment_report, label_agreement
-from .core import DEFAULT_K_DEPTH
-from .dataset_io import (
-    canonical_json,
-    load_confusion,
-    load_design,
-    load_effect,
-    load_population_spec,
-    read_dataset,
-    write_dataset,
-)
-from .errors import RelevalError
-from .estimation import (
-    GROUP_BY_POPULARITY,
-    check_design,
-    segment_effects,
-    srs_estimate,
-    stratified_estimate,
-)
-from .metrics import arm_scores, paired_deltas
-from .power import PowerConfig, mde as compute_mde, required_n
-from .sampling import allocate
-from .simulator import ConfusionMatrix, EffectSpec, run_synthetic_experiment
+from .core import DEFAULT_K_DEPTH, GROUP_BY_POPULARITY, check_alpha, check_fdr_level
+from .errors import OutOfDomain, RelevalError
 
 DEFAULT_SEED = 20240901
 
@@ -91,15 +72,19 @@ def main():
 @guarded
 def cli_metric(dataset_path, k_depth, out_path):
     """Per-query page-score CSV for every arm in DATASET_PATH."""
-    dataset = read_dataset(dataset_path, k_depth=k_depth)
+    dataset = dataset_io.read_dataset(dataset_path, k_depth=k_depth)
     rows = [f"# k_depth={k_depth}", "query_id,arm,sdcg,short_page"]
-    control = arm_scores(dataset, "control")
-    treatment = arm_scores(dataset, "treatment")
+    control = metrics.arm_scores(dataset, "control")
+    treatment = metrics.arm_scores(dataset, "treatment")
     for rec, c, t in zip(dataset.records, control, treatment):
+        query_id = rec.query_id
+        if "," in query_id or '"' in query_id or "\r" in query_id or "\n" in query_id:
+            # the one free-text field, quoted as csv.QUOTE_MINIMAL quotes it
+            query_id = '"' + query_id.replace('"', '""') + '"'
         for arm, page, value in (("control", rec.control, c), ("treatment", rec.treatment, t)):
             if page is not None:
                 short = "true" if len(page) < k_depth else "false"
-                rows.append(f"{rec.query_id},{arm},{value:.10f},{short}")
+                rows.append(f"{query_id},{arm},{value:.10f},{short}")
     text = "\n".join(rows) + "\n"
     if out_path == "-":
         click.echo(text, nl=False)
@@ -110,19 +95,19 @@ def cli_metric(dataset_path, k_depth, out_path):
 
 def _topline_mde(dataset, deltas, per_stratum, weights, cfg):
     """Sensitivity block: current-design MDE per estimator at the current n."""
-    mu_hat = float(np.mean(arm_scores(dataset, "control")))
+    mu_hat = float(np.mean(metrics.arm_scores(dataset, "control")))
     n = len(deltas)
     out = {"mu_hat": mu_hat, "n": n}
     sigma_srs = float(np.std(deltas, ddof=1))
     out["srs"] = {"sigma_hat": sigma_srs,
-                  "mde": compute_mde(mu_hat, sigma_srs, n, cfg)}
+                  "mde": power.mde(mu_hat, sigma_srs, n, cfg)}
     if per_stratum is not None and all(len(v) >= 2 for v in per_stratum.values()):
         # effective sigma implied by the stratified variance at the same n
         var = sum(weights[k] ** 2 * float(np.var(v, ddof=1)) / len(v)
                   for k, v in per_stratum.items())
         sigma_strat = float(np.sqrt(var * n))
         out["stratified"] = {"sigma_hat": sigma_strat,
-                             "mde": compute_mde(mu_hat, sigma_strat, n, cfg)}
+                             "mde": power.mde(mu_hat, sigma_strat, n, cfg)}
     out["current"] = out["stratified"]["mde"] if "stratified" in out else out["srs"]["mde"]
     return out
 
@@ -144,27 +129,30 @@ def _topline_mde(dataset, deltas, per_stratum, weights, cfg):
 @guarded
 def cli_evaluate(dataset_path, design_path, estimator, alpha, q, grouping, k_depth, out_path):
     """Topline and per-segment paired-delta estimates with BH-corrected flags."""
-    dataset = read_dataset(dataset_path, k_depth=k_depth, paired=True)
-    deltas = paired_deltas(dataset)
+    # the options are checked before any file is read
+    if estimator == "stratified" and design_path is None:
+        raise OutOfDomain("stratified estimator requires --design weights")
+    check_alpha(alpha)
+    check_fdr_level(q)
+    dataset = dataset_io.read_dataset(dataset_path, k_depth=k_depth, paired=True)
+    deltas = metrics.paired_deltas(dataset)
 
     per_stratum = weights = None
     if design_path is not None:
-        weights = {s.key: s.weight for s in load_design(design_path)}
+        weights = {s.key: s.weight for s in dataset_io.load_design(design_path)}
         per_stratum = {}
         for rec, d in zip(dataset.records, deltas):
             per_stratum.setdefault(rec.stratum, []).append(d)
         # the MDE block weights every observed stratum, whichever the estimator
-        check_design(per_stratum, weights)
+        estimation.check_design(per_stratum, weights)
 
     if estimator == "stratified":
-        if weights is None:
-            raise RelevalError("stratified estimator requires --design weights")
-        topline = stratified_estimate(per_stratum, weights, alpha)
+        topline = estimation.stratified_estimate(per_stratum, weights, alpha)
     else:
-        topline = srs_estimate(deltas, alpha)
+        topline = estimation.srs_estimate(deltas, alpha)
 
-    analysis = segment_effects(dataset, grouping=grouping, alpha=alpha, q=q)
-    cfg = PowerConfig()
+    analysis = estimation.segment_effects(dataset, grouping=grouping, alpha=alpha, q=q)
+    cfg = power.PowerConfig()
     report = {
         "version": __version__,
         "seed": None,
@@ -181,7 +169,7 @@ def cli_evaluate(dataset_path, design_path, estimator, alpha, q, grouping, k_dep
         and (rec.treatment is None or rec.treatment_reference is not None)
         for rec in dataset.records)
     if has_refs:
-        report["alignment"] = alignment_report(dataset, by_market=True)
+        report["alignment"] = alignment.alignment_report(dataset, by_market=True)
     _emit_json(report, out_path)
 
 
@@ -197,8 +185,8 @@ def cli_evaluate(dataset_path, design_path, estimator, alpha, q, grouping, k_dep
 @guarded
 def cli_design(strata_path, budget, mode, min_per_stratum, out_path):
     """Allocate a sample budget to strata (optimal or proportional)."""
-    specs = load_design(strata_path)
-    alloc = allocate(specs, budget, mode=mode, min_per_stratum=min_per_stratum)
+    specs = dataset_io.load_design(strata_path)
+    alloc = sampling.allocate(specs, budget, mode=mode, min_per_stratum=min_per_stratum)
     report = {
         "version": __version__,
         "mode": mode,
@@ -221,13 +209,16 @@ def cli_design(strata_path, budget, mode, min_per_stratum, out_path):
 @guarded
 def cli_mde(mu, sigma, n_queries, target, alpha, power):
     """Minimum detectable effect, or required n for a target MDE."""
+    # the option `power` hides the module of that name in this function
+    from .power import PowerConfig, mde, required_n
+
     cfg = PowerConfig(alpha=alpha, power=power)
     if (n_queries is None) == (target is None):
-        raise RelevalError("provide exactly one of --n or --target")
+        raise OutOfDomain("provide exactly one of --n or --target")
     if target is not None:
         click.echo(str(required_n(mu, sigma, target, cfg)))
     else:
-        value = compute_mde(mu, sigma, n_queries, cfg)
+        value = mde(mu, sigma, n_queries, cfg)
         click.echo(f"{value * 100:.4f}%")
 
 
@@ -244,8 +235,8 @@ def cli_mde(mu, sigma, n_queries, target, alpha, power):
 @guarded
 def cli_align(dataset_path, by, k_depth, out_path, errors_csv):
     """Machine-vs-reference alignment report (correlations, error percentiles)."""
-    dataset = read_dataset(dataset_path, k_depth=k_depth)
-    report_obj = alignment_report(dataset, by_market=(by == "market"))
+    dataset = dataset_io.read_dataset(dataset_path, k_depth=k_depth)
+    report_obj = alignment.alignment_report(dataset, by_market=(by == "market"))
 
     agreement = _dataset_agreement(dataset)
     report = {
@@ -263,8 +254,8 @@ def cli_align(dataset_path, by, k_depth, out_path, errors_csv):
             writer = csv.writer(fh)
             writer.writerow(["query_id", "market", "segment",
                              "machine_sdcg", "reference_sdcg", "error"])
-            for rec, m, r in zip(dataset.records, arm_scores(dataset, "control"),
-                                 arm_scores(dataset, "control_reference")):
+            for rec, m, r in zip(dataset.records, metrics.arm_scores(dataset, "control"),
+                                 metrics.arm_scores(dataset, "control_reference")):
                 writer.writerow([rec.query_id, rec.market, rec.stratum.popularity.value,
                                  f"{m:.10f}", f"{r:.10f}", f"{m - r:.10f}"])
 
@@ -285,7 +276,8 @@ def _dataset_agreement(dataset):
         return None
     # integer arrays: labels checked when their records were parsed are not
     # checked one by one again
-    return label_agreement(np.array(machine, dtype=np.int64), np.array(reference, dtype=np.int64))
+    return alignment.label_agreement(np.array(machine, dtype=np.int64),
+                                     np.array(reference, dtype=np.int64))
 
 
 @main.command("simulate")
@@ -303,15 +295,17 @@ def _dataset_agreement(dataset):
 @guarded
 def cli_simulate(spec_path, confusion_path, effect_path, seed, rho_shared, out_path):
     """Generate a synthetic paired experiment dataset (JSONL)."""
-    spec, k_depth = load_population_spec(spec_path)
-    confusion = load_confusion(confusion_path) if confusion_path else ConfusionMatrix.identity()
-    effect = load_effect(effect_path) if effect_path else EffectSpec.null()
-    dataset = run_synthetic_experiment(spec, effect, confusion, k_depth, seed, rho_shared)
-    write_dataset(dataset, out_path)
+    spec, k_depth = dataset_io.load_population_spec(spec_path)
+    confusion = (dataset_io.load_confusion(confusion_path) if confusion_path
+                 else simulator.ConfusionMatrix.identity())
+    effect = dataset_io.load_effect(effect_path) if effect_path else simulator.EffectSpec.null()
+    dataset = simulator.run_synthetic_experiment(spec, effect, confusion, k_depth, seed,
+                                                 rho_shared)
+    dataset_io.write_dataset(dataset, out_path)
 
 
 def _emit_json(report, out_path):
-    text = canonical_json(report)
+    text = dataset_io.canonical_json(report)
     if out_path == "-":
         click.echo(text, nl=False)
     else:

@@ -15,6 +15,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import (
     BadLabelValue,
+    BadPValue,
     BadRankSequence,
     DatasetValidationError,
     DuplicateQueryId,
@@ -26,6 +27,13 @@ from .errors import (
 
 DEFAULT_K_DEPTH = 25
 
+# the ways estimation splits a dataset into segments: by a stratum's
+# popularity, its interest, or the whole stratum (defined here, where the CLI
+# can name its default without running estimation)
+GROUP_BY_POPULARITY = "popularity"
+GROUP_BY_INTEREST = "interest"
+GROUP_BY_STRATUM = "stratum"
+
 _LEVELS = frozenset(range(1, 6))
 _INT = frozenset((int,))
 
@@ -34,6 +42,21 @@ def check_metric_depth(k_depth: int) -> None:
     """The metric depth K counts ranks, so it is at least 1."""
     if k_depth < 1:
         raise OutOfDomain(f"k_depth must be >= 1, got {k_depth}")
+
+
+# the level checks of power and fdr live here, in the module every command
+# runs, so that a command can check its options before it reads any data
+
+def check_alpha(alpha: float) -> None:
+    """A significance level lies in (0, 1); NaN does not."""
+    if not 0.0 < alpha < 1.0:
+        raise OutOfDomain(f"alpha must be in (0, 1), got {alpha}")
+
+
+def check_fdr_level(q: float) -> None:
+    """An FDR level lies in (0, 1); NaN does not."""
+    if not 0.0 < q < 1.0:
+        raise BadPValue(f"q must be in (0, 1), got {q}")
 
 
 class PopularitySegment(str, enum.Enum):

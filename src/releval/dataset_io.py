@@ -14,6 +14,9 @@ import warnings
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
+# the spec loaders build these modules' types; reading and writing datasets
+# needs neither, so their code runs only when a loader first reads them
+from . import sampling, simulator
 from .core import (
     DEFAULT_K_DEPTH,
     EvalDataset,
@@ -23,16 +26,6 @@ from .core import (
     validate_dataset,
 )
 from .errors import BadSpec, DatasetValidationError, RecordError
-from .sampling import StratumSpec
-from .simulator import (
-    ConfusionMatrix,
-    EffectSpec,
-    LabelProfile,
-    PopulationSpec,
-    StratumProfile,
-    calibrate_confusion,
-    check_k_depth,
-)
 
 KNOWN_RECORD_FIELDS = {"query_id", "market", "stratum", "control", "treatment"}
 # decodes one JSON value at the start of a string, returning it and its end
@@ -200,13 +193,13 @@ def _load_json(path: str | Path) -> Any:
         raise OSError(f"{path}: malformed JSON ({err})") from err
 
 
-def load_design(path: str | Path) -> list[StratumSpec]:
+def load_design(path: str | Path) -> list[sampling.StratumSpec]:
     """Strata design file: JSON list of {interest, popularity, weight, sigma?, mu?}."""
     raw = _load_json(path)
     if not isinstance(raw, list) or not raw:
         raise BadSpec("design file must be a non-empty JSON list of stratum objects")
     try:
-        specs = [StratumSpec(
+        specs = [sampling.StratumSpec(
             key=_stratum_key(obj),
             weight=_json_number(obj["weight"], "weight"),
             sigma=_optional_number(obj, "sigma"),
@@ -218,7 +211,7 @@ def load_design(path: str | Path) -> list[StratumSpec]:
     return specs
 
 
-def load_population_spec(path: str | Path) -> tuple[PopulationSpec, int]:
+def load_population_spec(path: str | Path) -> tuple[simulator.PopulationSpec, int]:
     """Population spec JSON; returns (spec, k_depth). k_depth defaults to DEFAULT_K_DEPTH;
     every profile names its kind; a size past MAX_K_DEPTH or
     MAX_QUERIES_PER_STRATUM is a BadSpec."""
@@ -229,22 +222,22 @@ def load_population_spec(path: str | Path) -> tuple[PopulationSpec, int]:
             prof = obj["profile"]
             kind = prof["kind"]
             if kind == "categorical":
-                profile = LabelProfile(kind=kind, probs=_as_prob_tuple(prof["probs"]))
+                profile = simulator.LabelProfile(kind=kind, probs=_as_prob_tuple(prof["probs"]))
             else:
-                profile = LabelProfile(kind=kind,
-                                       mean_top=_json_number(prof["mean_top"], "mean_top"),
-                                       decay=_json_number(prof.get("decay", 0.0), "decay"))
-            strata.append(StratumProfile(key=_stratum_key(obj),
-                                         weight=_json_number(obj["weight"], "weight"),
-                                         profile=profile))
-        spec = PopulationSpec(strata=tuple(strata),
-                              queries_per_stratum=_json_int(raw["queries_per_stratum"],
-                                                            "queries_per_stratum"),
-                              market=_json_str(raw.get("market", "US"), "market"))
+                profile = simulator.LabelProfile(
+                    kind=kind, mean_top=_json_number(prof["mean_top"], "mean_top"),
+                    decay=_json_number(prof.get("decay", 0.0), "decay"))
+            strata.append(simulator.StratumProfile(key=_stratum_key(obj),
+                                                   weight=_json_number(obj["weight"], "weight"),
+                                                   profile=profile))
+        spec = simulator.PopulationSpec(
+            strata=tuple(strata),
+            queries_per_stratum=_json_int(raw["queries_per_stratum"], "queries_per_stratum"),
+            market=_json_str(raw.get("market", "US"), "market"))
         k_depth = _json_int(raw.get("k_depth", DEFAULT_K_DEPTH), "k_depth")
     except (KeyError, TypeError, ValueError, AttributeError) as err:
         raise BadSpec(f"invalid population spec: {err}") from err
-    check_k_depth(k_depth)
+    simulator.check_k_depth(k_depth)
     return spec, k_depth
 
 
@@ -254,7 +247,7 @@ def _as_prob_tuple(probs) -> tuple:
     return tuple(_json_number(p, "probs") for p in probs)
 
 
-def load_confusion(path: str | Path) -> ConfusionMatrix:
+def load_confusion(path: str | Path) -> simulator.ConfusionMatrix:
     """Confusion file: {"rows": 5x5} or {"calibrate": {"exact":, "within_one":}}, not both."""
     raw = _load_json(path)
     if not isinstance(raw, dict) or ("calibrate" in raw) == ("rows" in raw):
@@ -262,15 +255,15 @@ def load_confusion(path: str | Path) -> ConfusionMatrix:
     try:
         if "calibrate" in raw:
             cal = raw["calibrate"]
-            return calibrate_confusion(_json_number(cal["exact"], "exact"),
-                                       _json_number(cal["within_one"], "within_one"))
-        return ConfusionMatrix(rows=tuple(tuple(_json_number(p, "rows") for p in row)
-                                          for row in raw["rows"]))
+            return simulator.calibrate_confusion(_json_number(cal["exact"], "exact"),
+                                                 _json_number(cal["within_one"], "within_one"))
+        return simulator.ConfusionMatrix(rows=tuple(tuple(_json_number(p, "rows") for p in row)
+                                                    for row in raw["rows"]))
     except (KeyError, TypeError, ValueError) as err:
         raise BadSpec(f"invalid confusion file: {err!r}") from err
 
 
-def load_effect(path: str | Path) -> EffectSpec:
+def load_effect(path: str | Path) -> simulator.EffectSpec:
     """Effect file: {"default": float, "shifts": [{interest, popularity, shift}]}."""
     raw = _load_json(path)
     if not isinstance(raw, dict) or not isinstance(raw.get("shifts", []), list):
@@ -282,4 +275,4 @@ def load_effect(path: str | Path) -> EffectSpec:
     except (KeyError, TypeError, ValueError) as err:
         raise BadSpec(f"invalid effect file: {err!r}") from err
     _check_unique([key for key, _ in shifts], "effect file")
-    return EffectSpec(shifts=dict(shifts), default=default)
+    return simulator.EffectSpec(shifts=dict(shifts), default=default)

@@ -12,7 +12,14 @@ from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
 from ._lazy import np, t_ufuncs
-from .core import EvalDataset, StratumKey
+from .core import (
+    GROUP_BY_INTEREST,
+    GROUP_BY_POPULARITY,
+    GROUP_BY_STRATUM,
+    EvalDataset,
+    StratumKey,
+    check_alpha,
+)
 from .errors import (
     NoSegments,
     OutOfDomain,
@@ -22,15 +29,11 @@ from .errors import (
 )
 from .fdr import benjamini_hochberg
 from .metrics import paired_deltas
-from .power import check_alpha, normal_cdf, normal_quantile
+from .power import normal_cdf, normal_quantile
 from .sampling import check_weights
 
 SRS = "srs"
 STRATIFIED = "stratified"
-
-GROUP_BY_POPULARITY = "popularity"
-GROUP_BY_INTEREST = "interest"
-GROUP_BY_STRATUM = "stratum"
 
 
 @dataclass(frozen=True)

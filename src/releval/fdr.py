@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .core import check_fdr_level
 from .errors import BadPValue, EmptyInput
 
 
@@ -32,8 +33,7 @@ def benjamini_hochberg(p_values: Sequence[float], q: float = 0.05) -> BhResult:
     m = len(p_values)
     if m == 0:
         raise EmptyInput("benjamini_hochberg requires at least one p-value")
-    if not 0.0 < q < 1.0:
-        raise BadPValue(f"q must be in (0, 1), got {q}")
+    check_fdr_level(q)
     for p in p_values:
         if not 0.0 <= p <= 1.0:
             raise BadPValue(f"p-value out of [0, 1]: {p}")

@@ -9,16 +9,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .core import check_alpha
 from .errors import NonPositiveMean, OutOfDomain
 
 # largest n up to which every integer is a distinct float
 _EXACT_N = 2 ** 53
-
-
-def check_alpha(alpha: float) -> None:
-    """A significance level lies in (0, 1); NaN does not."""
-    if not 0.0 < alpha < 1.0:
-        raise OutOfDomain(f"alpha must be in (0, 1), got {alpha}")
 
 
 @dataclass(frozen=True)

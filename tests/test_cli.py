@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import resource
@@ -149,6 +151,18 @@ except SystemExit as exc:
     ("simulate", 0, True),
 ])
 def test_numpy_loads_only_for_commands_that_use_it(tmp_path, command, code, loaded):
+    result = subprocess.run([sys.executable, "-c", _RUN_AND_REPORT_NUMPY,
+                             *_command_args(tmp_path, command)],
+                            env=_python_env(), capture_output=True, text=True, check=True)
+    *output, marker = result.stdout.splitlines()
+    assert result.stderr == ""
+    assert marker == f"exit {code} {loaded}"
+    if command == "evaluate-rejected":
+        assert json.loads(output[0])["violations"][0]["error"] == "BadLabelValue"
+
+
+def _command_args(tmp_path, command):
+    """The arguments of ``command`` on small input files written to ``tmp_path``."""
     listed = write_jsonl(tmp_path / "list.jsonl", paired_records())
     dual = write_jsonl(tmp_path / "dual.jsonl",
                        [dual_raw(f"q{i}", [3, 4], [3, 3], [4, 4], [4, 3]) for i in range(4)])
@@ -160,21 +174,85 @@ def test_numpy_loads_only_for_commands_that_use_it(tmp_path, command, code, load
     design.write_text(json.dumps([
         {"interest": "a", "popularity": "head", "weight": 0.3, "sigma": 0.2},
         {"interest": "b", "popularity": "head", "weight": 0.7, "sigma": 0.1}]))
-    args = {
+    return {
         "version": ["--version"],
         "metric-list-form": ["metric", listed],
         "metric-dual-label": ["metric", dual],
+        "evaluate": ["evaluate", listed],
         "evaluate-rejected": ["evaluate", invalid, "--error-json"],
+        "align": ["align", dual, "--by", "market"],
         "design": ["design", "--strata", str(design), "--budget", "11"],
         "simulate": ["simulate", "--spec", str(spec), "--out", str(tmp_path / "sim.jsonl")],
     }[command]
-    result = subprocess.run([sys.executable, "-c", _RUN_AND_REPORT_NUMPY, *args],
+
+
+# runs one command in a fresh interpreter, then prints its exit code and the
+# releval modules whose code ran: type() reads no attribute, so it does not
+# run a registered module that nothing has read
+_RUN_AND_REPORT_MODULES = """
+import sys, types
+from releval.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit as exc:
+    print("exit", exc.code, *sorted(name[len("releval."):] for name, m in sys.modules.items()
+                                    if name.startswith("releval.") and type(m) is types.ModuleType))
+"""
+
+# the modules behind estimates, designs, alignment and simulation
+_ANALYSIS = {"estimation", "fdr", "power", "sampling", "_rng", "alignment", "simulator"}
+
+
+@pytest.mark.parametrize("command, code, run, not_run", [
+    ("version", 0, set(), _ANALYSIS | {"dataset_io", "metrics"}),
+    ("metric-list-form", 0, {"dataset_io", "metrics"}, _ANALYSIS),
+    ("evaluate-rejected", 1, {"dataset_io"}, _ANALYSIS | {"metrics"}),
+    ("evaluate", 0, {"estimation", "fdr", "power", "sampling"}, {"alignment", "simulator"}),
+    ("align", 0, {"alignment", "metrics"}, {"estimation", "sampling", "simulator"}),
+    ("simulate", 0, {"simulator", "sampling", "_rng"}, {"estimation", "alignment"}),
+], ids=["version", "metric", "evaluate-rejected", "evaluate", "align", "simulate"])
+def test_each_command_runs_only_the_modules_it_uses(tmp_path, command, code, run, not_run):
+    result = subprocess.run([sys.executable, "-c", _RUN_AND_REPORT_MODULES,
+                             *_command_args(tmp_path, command)],
                             env=_python_env(), capture_output=True, text=True, check=True)
-    *output, marker = result.stdout.splitlines()
+    exit_word, exit_code, *ran = result.stdout.splitlines()[-1].split()
     assert result.stderr == ""
-    assert marker == f"exit {code} {loaded}"
-    if command == "evaluate-rejected":
-        assert json.loads(output[0])["violations"][0]["error"] == "BadLabelValue"
+    assert (exit_word, int(exit_code)) == ("exit", code)
+    assert {"cli", "core", "errors"} | run <= set(ran)
+    assert not_run.isdisjoint(ran)
+
+
+_IMPORT_AND_REPORT_MODULES = """
+import sys, types
+import releval
+for name, m in sorted(sys.modules.items()):
+    if name.startswith("releval."):
+        print(name[len("releval."):], type(m) is types.ModuleType)
+"""
+
+
+def test_import_registers_every_submodule_and_runs_none():
+    result = subprocess.run([sys.executable, "-c", _IMPORT_AND_REPORT_MODULES],
+                            env=_python_env(), capture_output=True, text=True, check=True)
+    ran = dict(line.split() for line in result.stdout.splitlines())
+    package = Path(releval.__file__).parent
+    # cli is left out, so that `python -m releval.cli` finds it unimported
+    assert sorted(ran) == sorted(p.stem for p in package.glob("*.py")
+                                 if p.stem not in ("__init__", "cli"))
+    assert [name for name, value in ran.items() if value == "True"] == ["_lazy"]
+
+
+def test_public_names_resolve_and_are_listed():
+    listed = dir(releval)
+    for name in releval.__all__:
+        assert getattr(releval, name) is not None
+        assert name in listed
+    assert releval.sdcg_at_k is sys.modules["releval.metrics"].sdcg_at_k
+
+
+def test_unknown_public_name_is_attribute_error():
+    with pytest.raises(AttributeError, match="'releval' has no attribute 'nope'"):
+        releval.nope
 
 
 def _without_profile_kind():
@@ -318,6 +396,27 @@ class TestMetric:
     def test_missing_file_is_io_error(self, runner, tmp_path):
         result = runner.invoke(main, ["metric", str(tmp_path / "nope.jsonl")])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+    def test_query_ids_are_quoted_as_csv_needs(self, runner, tmp_path, to_file):
+        ids = ["plain", "a,b\nc", 'say "hi"', "cr\rhere", "trail\n", '"', "sp ace;x"]
+        path = write_jsonl(tmp_path / "d.jsonl", [raw_record(q, [3, 4], [4]) for q in ids])
+        out = tmp_path / "m.csv"
+        result = runner.invoke(main, ["metric", path, "--k", "2",
+                                      *(["--out", str(out)] if to_file else [])])
+        assert result.exit_code == 0, result.output
+        text = out.read_bytes().decode("utf-8") if to_file else result.output
+        comment, table = text.split("\n", 1)
+        assert comment == "# k_depth=2"
+        rows = list(csv.reader(io.StringIO(table, newline="")))
+        assert rows[0] == ["query_id", "arm", "sdcg", "short_page"]
+        assert all(len(row) == 4 for row in rows)
+        assert [row[0] for row in rows[1:]] == [q for q in ids for _ in range(2)]
+        # each id is written as csv.writer writes it: quoted only when it must be
+        for q in ids:
+            field = io.StringIO()
+            csv.writer(field).writerow([q])
+            assert f"\n{field.getvalue()[:-2]},control," in text
 
     @pytest.mark.parametrize("line, code, field", [
         ("[1, 2]", "Error", "line 2"),
@@ -574,8 +673,30 @@ class TestEvaluate:
 
     def test_stratified_without_design_rejected(self, runner, tmp_path):
         path = write_jsonl(tmp_path / "d.jsonl", paired_records())
-        result = runner.invoke(main, ["evaluate", path, "--estimator", "stratified"])
+        result = runner.invoke(main, ["evaluate", path, "--estimator", "stratified",
+                                      "--error-json"])
         assert result.exit_code == 1
+        assert json.loads(result.output) == {
+            "error": "OutOfDomain", "message": "stratified estimator requires --design weights"}
+
+    @pytest.mark.parametrize("options, error, message", [
+        (["--alpha", "0"], "OutOfDomain", "alpha must be in (0, 1), got 0.0"),
+        (["--alpha", "nan"], "OutOfDomain", "alpha must be in (0, 1), got nan"),
+        (["--q", "1"], "BadPValue", "q must be in (0, 1), got 1.0"),
+        (["--q", "-0.5"], "BadPValue", "q must be in (0, 1), got -0.5"),
+        (["--estimator", "stratified"], "OutOfDomain",
+         "stratified estimator requires --design weights"),
+    ], ids=["alpha-zero", "alpha-nan", "q-one", "q-negative", "stratified-without-design"])
+    def test_options_fail_before_the_dataset_is_read(self, runner, tmp_path, options, error,
+                                                     message):
+        # a missing dataset or design file is an I/O error only once the options hold
+        for design in ([], ["--design", str(tmp_path / "nope.json")]):
+            if design and "stratified" in options:
+                continue
+            result = runner.invoke(main, ["evaluate", str(tmp_path / "nope.jsonl"), *options,
+                                          *design, "--error-json"])
+            assert result.exit_code == 1, result.output
+            assert json.loads(result.output) == {"error": error, "message": message}
 
     def test_alignment_block_when_references_present(self, runner, tmp_path):
         records = [dual_raw(f"q{i}", [3 + i % 2, 2], [3 + i % 2, 2],
@@ -709,12 +830,14 @@ class TestMde:
         assert result.exit_code == 0
         assert abs(int(result.output.strip()) - 132866) <= 1
 
-    def test_exactly_one_of_n_or_target(self, runner):
-        both = runner.invoke(main, ["mde", "--mu", "0.8", "--sigma", "0.1",
-                                    "--n", "10", "--target", "0.01"])
-        neither = runner.invoke(main, ["mde", "--mu", "0.8", "--sigma", "0.1"])
-        assert both.exit_code == 1
-        assert neither.exit_code == 1
+    @pytest.mark.parametrize("size", [["--n", "10", "--target", "0.01"], []],
+                             ids=["both", "neither"])
+    def test_exactly_one_of_n_or_target(self, runner, size):
+        result = runner.invoke(main, ["mde", "--mu", "0.8", "--sigma", "0.1", *size,
+                                      "--error-json"])
+        assert result.exit_code == 1
+        assert json.loads(result.output) == {
+            "error": "OutOfDomain", "message": "provide exactly one of --n or --target"}
 
 
 class TestAlign:
