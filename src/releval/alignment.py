@@ -152,17 +152,19 @@ class AgreementStats:
 
 
 def _label_array(labels: Sequence[int], name: str) -> np.ndarray:
-    """Labels as an int64 array; a label that is not an integer in 1..5 raises BadLabelValue.
+    """Labels as a 1-D int64 array; a label that is not an integer in 1..5 raises BadLabelValue.
 
     A bool or a float is not an integer label, whatever its value. An array
     of an integer dtype holds only integers, so its labels are not checked
-    one by one.
+    one by one; an array that is not 1-D raises BadLabelValue naming its shape.
     """
     if not (isinstance(labels, np.ndarray) and labels.dtype.kind in "iu"):
         for label in labels:
             if type(label) is not int and not isinstance(label, np.integer):
                 raise BadLabelValue(f"{name} label must be an integer in [1, 5], got {label!r}")
     array = np.asarray(labels, dtype=np.int64)
+    if array.ndim != 1:
+        raise BadLabelValue(f"{name} labels must be a 1-D sequence, got shape {array.shape}")
     outside = array[(array < 1) | (array > 5)]
     if outside.size:
         raise BadLabelValue(f"{name} label must be in [1, 5], got {outside[0]}")
@@ -177,15 +179,13 @@ def label_agreement(machine: Sequence[int], reference: Sequence[int]) -> Agreeme
         raise EmptyInput("label_agreement requires at least one label pair")
     m = _label_array(machine, "machine")
     r = _label_array(reference, "reference")
-    confusion = np.zeros((5, 5), dtype=int)
-    np.add.at(confusion, (r - 1, m - 1), 1)
     n = len(m)
-    return AgreementStats(
-        exact_rate=float((m == r).mean()),
-        within_one_rate=float((np.abs(m - r) <= 1).mean()),
-        confusion=tuple(tuple(int(c) for c in row) for row in confusion),
-        n=n,
-    )
+    # exact matches lie on the diagonal, labels one level apart on either side of it
+    confusion = np.bincount(5 * r + m - 6, minlength=25).reshape(5, 5)
+    exact = int(np.trace(confusion))
+    within_one = exact + int(np.trace(confusion, 1) + np.trace(confusion, -1))
+    return AgreementStats(exact_rate=exact / n, within_one_rate=within_one / n,
+                          confusion=tuple(map(tuple, confusion.tolist())), n=n)
 
 
 @dataclass(frozen=True)
@@ -208,33 +208,6 @@ class AlignmentReport:
     k_depth: int
 
 
-def _segment_row(market: str | None, name: str,
-                 rows: list[int], dataset: EvalDataset) -> SegmentAlignment:
-    """One segment's row over the records at indices ``rows``."""
-    control = arm_scores(dataset, "control")
-    control_ref = arm_scores(dataset, "control_reference")
-    machine = [control[i] for i in rows]
-    reference = [control_ref[i] for i in rows]
-    try:
-        tau = kendall_tau(machine, reference)
-        rho = spearman_rho(machine, reference)
-    except AllTied:
-        tau = rho = None
-    errors = error_distribution(machine, reference)
-
-    paired = None
-    records = dataset.records
-    # alignment_report has checked that every treatment page has a reference
-    if all(records[i].treatment is not None for i in rows):
-        treatment = arm_scores(dataset, "treatment")
-        treatment_ref = arm_scores(dataset, "treatment_reference")
-        m_delta = [treatment[i] - m for i, m in zip(rows, machine)]
-        r_delta = [treatment_ref[i] - r for i, r in zip(rows, reference)]
-        paired = error_distribution(m_delta, r_delta)
-    return SegmentAlignment(market=market, segment=name, kendall=tau, spearman=rho,
-                            errors=errors, paired_errors=paired, n=len(rows))
-
-
 def alignment_report(dataset: EvalDataset, by_market: bool = False) -> AlignmentReport:
     """Overall + per-popularity-segment alignment rows (per market if asked).
 
@@ -242,36 +215,53 @@ def alignment_report(dataset: EvalDataset, by_market: bool = False) -> Alignment
     the treatment arm when present). Segments with fewer than 2 queries are
     listed as excluded.
     """
-    for rec in dataset.records:
+    records = dataset.records
+    for rec in records:
         if rec.control_reference is None:
             raise MissingReferenceLabels(
                 f"record {rec.query_id!r} has no reference labels for its control arm")
         if rec.treatment is not None and rec.treatment_reference is None:
             raise MissingReferenceLabels(
                 f"record {rec.query_id!r} has no reference labels for its treatment arm")
-    if not dataset.records:
+    if not records:
         raise EmptyInput("alignment_report requires a non-empty dataset")
 
-    markets: list[str | None]
+    # a record without a treatment page has NaN deltas: its segment is not paired
+    machine, reference, m_delta, r_delta = (
+        np.array(arm_scores(dataset, arm), dtype=float)
+        for arm in ("control", "control_reference", "treatment", "treatment_reference"))
+    m_delta -= machine
+    r_delta -= reference
+    segs = {seg: code for code, seg in enumerate(PopularitySegment)}
+    seg_of = np.fromiter((segs[rec.stratum.popularity] for rec in records), dtype=np.int8)
     if by_market:
-        markets = sorted({rec.market for rec in dataset.records})
+        # coded from the Python strings: a numpy string drops trailing NULs ("US\x00")
+        markets = {market: code for code, market in enumerate(sorted({r.market for r in records}))}
+        market_of = np.fromiter((markets[rec.market] for rec in records), dtype=np.int32)
+        pools = [(market, market_of == code) for market, code in markets.items()]
     else:
-        markets = [None]
+        pools = [(None, np.ones(len(records), dtype=bool))]
 
-    records = dataset.records
     segments: list[SegmentAlignment] = []
     excluded: list[tuple[str, int]] = []
-    for market in markets:
-        pool = [i for i, rec in enumerate(records) if market is None or rec.market == market]
-        groups: list[tuple[str, list[int]]] = [(OVERALL, pool)]
-        for seg in PopularitySegment:
-            groups.append((seg.value, [i for i in pool if records[i].stratum.popularity == seg]))
+    for market, pool in pools:
+        groups = [(OVERALL, pool)] + [(seg.value, pool & (seg_of == code))
+                                      for seg, code in segs.items()]
         for name, rows in groups:
-            label = name if market is None else f"{market}/{name}"
-            if len(rows) < 2:
-                if rows or name == OVERALL:
-                    excluded.append((label, len(rows)))
+            n = int(np.count_nonzero(rows))
+            if n < 2:
+                if n or name == OVERALL:
+                    excluded.append((name if market is None else f"{market}/{name}", n))
                 continue
-            segments.append(_segment_row(market, name, rows, dataset))
+            m, r = machine[rows], reference[rows]
+            try:
+                tau, rho = kendall_tau(m, r), spearman_rho(m, r)
+            except AllTied:
+                tau = rho = None
+            dm = m_delta[rows]
+            paired = None if np.isnan(dm).any() else error_distribution(dm, r_delta[rows])
+            segments.append(SegmentAlignment(market=market, segment=name, kendall=tau,
+                                             spearman=rho, errors=error_distribution(m, r),
+                                             paired_errors=paired, n=n))
     return AlignmentReport(segments=tuple(segments), excluded=tuple(excluded),
                            k_depth=dataset.k_depth)

@@ -12,6 +12,7 @@ import csv
 import functools
 import json
 import sys
+from itertools import chain
 
 import click
 
@@ -19,7 +20,8 @@ import click
 # (see releval/__init__.py), so each command runs only the modules it uses
 from . import __version__, alignment, dataset_io, estimation, metrics, power, sampling, simulator
 from ._lazy import np
-from .core import DEFAULT_K_DEPTH, GROUP_BY_POPULARITY, check_alpha, check_fdr_level
+from .core import (DEFAULT_K_DEPTH, GROUP_BY_POPULARITY, check_alpha, check_fdr_level,
+                   check_metric_depth)
 from .errors import OutOfDomain, RelevalError
 
 DEFAULT_SEED = 20240901
@@ -134,12 +136,16 @@ def cli_evaluate(dataset_path, design_path, estimator, alpha, q, grouping, k_dep
         raise OutOfDomain("stratified estimator requires --design weights")
     check_alpha(alpha)
     check_fdr_level(q)
+    check_metric_depth(k_depth)
+    # then the design, so a bad one is reported before the dataset is read
+    weights = None
+    if design_path is not None:
+        weights = {s.key: s.weight for s in dataset_io.load_design(design_path)}
     dataset = dataset_io.read_dataset(dataset_path, k_depth=k_depth, paired=True)
     deltas = metrics.paired_deltas(dataset)
 
-    per_stratum = weights = None
-    if design_path is not None:
-        weights = {s.key: s.weight for s in dataset_io.load_design(design_path)}
+    per_stratum = None
+    if weights is not None:
         per_stratum = {}
         for rec, d in zip(dataset.records, deltas):
             per_stratum.setdefault(rec.stratum, []).append(d)
@@ -152,7 +158,7 @@ def cli_evaluate(dataset_path, design_path, estimator, alpha, q, grouping, k_dep
         topline = estimation.srs_estimate(deltas, alpha)
 
     analysis = estimation.segment_effects(dataset, grouping=grouping, alpha=alpha, q=q)
-    cfg = power.PowerConfig()
+    cfg = power.PowerConfig(alpha=alpha)
     report = {
         "version": __version__,
         "seed": None,
@@ -262,22 +268,17 @@ def cli_align(dataset_path, by, k_depth, out_path, errors_csv):
 
 def _dataset_agreement(dataset):
     """Pooled label-level agreement over every position with both sources."""
-    machine, reference = [], []
-    for rec in dataset.records:
-        pairs = [(rec.control, rec.control_reference)]
-        if rec.treatment is not None:
-            pairs.append((rec.treatment, rec.treatment_reference))
-        for page, ref in pairs:
-            if ref is None:
-                continue
-            machine.extend(page)
-            reference.extend(ref)
-    if not machine:
+    def labels(i):
+        return np.fromiter(chain.from_iterable(
+            pair[i] for rec in dataset.records
+            for pair in ((rec.control, rec.control_reference),
+                         (rec.treatment, rec.treatment_reference))
+            if pair[1] is not None), dtype=np.int64)
+    machine = labels(0)
+    if not machine.size:
         return None
-    # integer arrays: labels checked when their records were parsed are not
-    # checked one by one again
-    return alignment.label_agreement(np.array(machine, dtype=np.int64),
-                                     np.array(reference, dtype=np.int64))
+    # int64 arrays: labels checked when their records were parsed are not checked again
+    return alignment.label_agreement(machine, labels(1))
 
 
 @main.command("simulate")

@@ -13,6 +13,7 @@ from releval.errors import (
     AllTied,
     BadLabelValue,
     EmptyInput,
+    EmptyPage,
     LengthMismatch,
     MissingReferenceLabels,
     TooFewSamples,
@@ -182,6 +183,24 @@ class TestLabelAgreement:
         assert label_agreement(np.array([5, 4, 2]), np.array([5, 5, 5], dtype=np.uint8)) == expected
         assert label_agreement([np.int64(5), np.int32(4), 2], [5, 5, 5]) == expected
 
+    @pytest.mark.parametrize("machine, reference, shape", [
+        (np.ones((2, 3), int), np.ones((2, 3), int), r"\(2, 3\)"),
+        (np.ones((2, 2), int), np.ones(2, int), r"\(2, 2\)"),
+        (np.ones(2, int), np.ones((2, 2), np.uint8), r"\(2, 2\)"),
+    ])
+    def test_label_array_that_is_not_1d_is_bad_label_value(self, machine, reference, shape):
+        # neither flattened nor broadcast: one label per position
+        with pytest.raises(BadLabelValue, match=f"1-D.*{shape}"):
+            label_agreement(machine, reference)
+
+    def test_rates_are_read_off_the_confusion(self, rng):
+        machine = rng.integers(1, 6, size=500)
+        reference = np.clip(machine + rng.integers(-2, 3, size=500), 1, 5)
+        stats = label_agreement(machine, reference)
+        assert stats.exact_rate == float((machine == reference).mean())
+        assert stats.within_one_rate == float((np.abs(machine - reference) <= 1).mean())
+        assert sum(map(sum, stats.confusion)) == stats.n == 500
+
 
 def dual_record(qid, machine_c, ref_c, machine_t=None, ref_t=None,
                 popularity="head", market="US"):
@@ -254,6 +273,35 @@ class TestAlignmentReport:
         assert overall.paired_errors is not None
         assert overall.paired_errors.mean == 0.0
         assert overall.paired_errors.p10 == overall.paired_errors.p90 == 0.0
+
+    def test_paired_errors_only_for_fully_paired_segments(self):
+        records = [dual_record(f"h{i}", [3, i % 5 + 1], [4, 2], [4, 4], [3, 5]) for i in range(3)]
+        records += [dual_record(f"t{i}", [2, i % 5 + 1], [2, 3], [5, 1], [4, 1], popularity="tail")
+                    for i in range(2)]
+        records.append(dual_record("t-single-arm", [1, 5], [2, 4], popularity="tail"))
+        rows = {row.segment: row for row in
+                alignment_report(EvalDataset(records=tuple(records), k_depth=2)).segments}
+        assert rows["overall"].paired_errors is None
+        assert rows["tail"].paired_errors is None
+        assert rows["head"].paired_errors is not None
+        assert rows["head"].paired_errors.n == rows["head"].errors.n == 3
+
+    def test_markets_differing_in_a_trailing_nul_stay_apart(self, rng):
+        records = [dual_record(f"q{i}", list(rng.integers(1, 6, size=3)),
+                               list(rng.integers(1, 6, size=3)), market=market)
+                   for i, market in enumerate(["US", "US\x00", "US", "US\x00", "US"])]
+        report = alignment_report(EvalDataset(records=tuple(records), k_depth=3),
+                                  by_market=True)
+        overall = [(row.market, row.n) for row in report.segments if row.segment == "overall"]
+        assert overall == [("US", 3), ("US\x00", 2)]
+
+    def test_empty_treatment_page_is_empty_page(self):
+        # every arm is scored once for the whole dataset, paired segment or not
+        records = [dual_record("q0", [3, 4], [3, 3]), dual_record("q1", [2, 4], [3, 5]),
+                   record("q2", page(3, 3), page(), control_reference=page(4, 4),
+                          treatment_reference=page())]
+        with pytest.raises(EmptyPage):
+            alignment_report(EvalDataset(records=tuple(records), k_depth=2))
 
     def test_missing_reference_rejected(self):
         rec = record("q0", page(3, 3))

@@ -686,7 +686,9 @@ class TestEvaluate:
         (["--q", "-0.5"], "BadPValue", "q must be in (0, 1), got -0.5"),
         (["--estimator", "stratified"], "OutOfDomain",
          "stratified estimator requires --design weights"),
-    ], ids=["alpha-zero", "alpha-nan", "q-one", "q-negative", "stratified-without-design"])
+        (["--k", "0"], "OutOfDomain", "k_depth must be >= 1, got 0"),
+    ], ids=["alpha-zero", "alpha-nan", "q-one", "q-negative", "stratified-without-design",
+            "depth-zero"])
     def test_options_fail_before_the_dataset_is_read(self, runner, tmp_path, options, error,
                                                      message):
         # a missing dataset or design file is an I/O error only once the options hold
@@ -697,6 +699,48 @@ class TestEvaluate:
                                           *design, "--error-json"])
             assert result.exit_code == 1, result.output
             assert json.loads(result.output) == {"error": error, "message": message}
+
+    @pytest.mark.parametrize("design, status, error", [
+        (None, 2, "IOError"),
+        ("[{", 2, "IOError"),
+        ([{"interest": "art", "popularity": "head", "sigma": 1.0}], 1, "BadSpec"),
+    ], ids=["missing", "not-json", "no-weight"])
+    @pytest.mark.parametrize("dataset", ["invalid", "large"])
+    def test_design_fails_before_the_dataset_is_read(self, runner, tmp_path, monkeypatch,
+                                                     design, status, error, dataset):
+        from releval import dataset_io
+
+        if dataset == "invalid":
+            records = [raw_record("q0", [3]), raw_record("q0", [0], [9])]
+        else:
+            records = paired_records(n=5000, c=[3] * 25, t=[4] * 25)
+        data = write_jsonl(tmp_path / "d.jsonl", records)
+        path = tmp_path / "design.json"
+        if design is not None:
+            path.write_text(design if isinstance(design, str) else json.dumps(design))
+        opened = []
+        monkeypatch.setattr(dataset_io, "read_jsonl", opened.append)
+        result = runner.invoke(main, ["evaluate", data, "--design", str(path), "--error-json"])
+        assert result.exit_code == status, result.output
+        assert json.loads(result.output)["error"] == error
+        assert opened == []
+
+    @pytest.mark.parametrize("alpha", [None, "0.01", "0.2"])
+    def test_mde_block_uses_the_run_alpha(self, runner, tmp_path, alpha):
+        from releval.power import PowerConfig, mde
+
+        records = [raw_record(f"q{i}", [3, 4], [4, 4 - i % 3]) for i in range(9)]
+        data = write_jsonl(tmp_path / "d.jsonl", records)
+        options = [] if alpha is None else ["--alpha", alpha]
+        report = json.loads(runner.invoke(main, ["evaluate", data, "--k", "2", *options]).output)
+        block = report["mde"]
+        cfg = PowerConfig(alpha=report["config"]["alpha"])
+        assert block["srs"]["mde"] == mde(block["mu_hat"], block["srs"]["sigma_hat"],
+                                          block["n"], cfg)
+        assert block["current"] == block["srs"]["mde"]
+        if alpha is not None:
+            assert block["srs"]["mde"] != mde(block["mu_hat"], block["srs"]["sigma_hat"],
+                                              block["n"], PowerConfig())
 
     def test_alignment_block_when_references_present(self, runner, tmp_path):
         records = [dual_raw(f"q{i}", [3 + i % 2, 2], [3 + i % 2, 2],

@@ -80,6 +80,9 @@ GOLDEN = {
         "stdout": "7e30190237c5ce246b2e0c1205e306e49a97f407fa764420611ddbdc1d1969b6",
         "errors.csv": "998c2b63ed5cb5880a9cb1636769a30b669b77c30a6ba631c6e965bd77aac59f",
     }),
+    "align-pooled": (["align", "dual.jsonl", "--by", "popularity"], [], {
+        "stdout": "fe43da07ac7a21db97a8ecbfed728a5179d678a5f8610d7708a9c23a5d7b01ab",
+    }),
     "design": (["design", "--strata", "design.json", "--budget", "40"], [], {
         "stdout": "41b556afe94a7046bef72feb3b79de6b835ffdbcb2d3d5f34882d616f619d82a",
     }),
