@@ -20,6 +20,7 @@ from .errors import (
     EmptyInput,
     LengthMismatch,
     MissingReferenceLabels,
+    OutOfDomain,
     TooFewSamples,
 )
 from .metrics import arm_scores
@@ -34,62 +35,59 @@ def _check_xy(x: Sequence[float], y: Sequence[float]) -> None:
         raise TooFewSamples(f"need at least 2 observations, got {len(x)}")
 
 
-def _tied_pairs(values: np.ndarray, axis: int | None = None) -> int:
-    """Sum of t*(t-1)/2 over groups of t equal values (rows when axis=0)."""
-    counts = np.unique(values, axis=axis, return_counts=True)[-1]
+def _scores(values: Sequence[float], name: str) -> np.ndarray:
+    """Values as a float array; NaN raises OutOfDomain (it has no rank), ±inf is kept."""
+    array = np.asarray(values, dtype=float)
+    if np.isnan(array).any():
+        raise OutOfDomain(f"{name} must not contain NaN")
+    return array
+
+
+def _tied_pairs(counts: np.ndarray) -> int:
+    """Sum of t*(t-1)/2 over groups of t equal values, given each group's t."""
     return int((counts * (counts - 1) // 2).sum())
 
 
-def _merge_count(arr: list[float]) -> int:
-    """Count strict inversions (pairs i<j with arr[i] > arr[j]) by merge sort."""
-    n = len(arr)
-    buf = arr[:]
-    src = arr[:]
-    count = 0
-    width = 1
+def _discordant(a: np.ndarray) -> int:
+    """Strict inversions (pairs i<j with a[i] > a[j]) of integers in [0, len(a)), by bottom-up merge.
+
+    At width w each key is offset by n per block of 2w, so all left halves form one sorted array.
+    """
+    n = len(a)
+    pos = np.arange(n)
+    count, width = 0, 1
     while width < n:
-        for lo in range(0, n, 2 * width):
-            mid = min(lo + width, n)
-            hi = min(lo + 2 * width, n)
-            i, j, k = lo, mid, lo
-            while i < mid and j < hi:
-                if src[i] <= src[j]:
-                    buf[k] = src[i]
-                    i += 1
-                else:
-                    buf[k] = src[j]
-                    count += mid - i
-                    j += 1
-                k += 1
-            buf[k:hi] = src[i:mid] if i < mid else src[j:hi]
-        src, buf = buf, src
+        offset = pos // (2 * width) * n
+        keys = a + offset
+        right = pos % (2 * width) >= width
+        # a right key's block and the blocks before it hold (block + 1) * width left keys
+        below = np.searchsorted(keys[~right], keys[right], side="right")
+        count += int(((offset[right] // n + 1) * width - below).sum())
+        a = np.sort(keys) - offset
         width *= 2
     return count
 
 
 def kendall_tau(x: Sequence[float], y: Sequence[float]) -> float:
-    """Tie-adjusted rank correlation (tau-b) in O(n log n).
+    """Tie-adjusted rank correlation (tau-b) in O(n log^2 n).
 
     (C - D) / sqrt((n0 - T_x)(n0 - T_y)) with n0 = n(n-1)/2 and T the tie
     pair counts. Raises AllTied when either variable is constant (the
-    denominator would be zero).
+    denominator would be zero) and OutOfDomain when either holds NaN.
     """
     _check_xy(x, y)
     n = len(x)
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-
-    n0 = n * (n - 1) // 2
-    t_x = _tied_pairs(xa)
-    t_y = _tied_pairs(ya)
-    joint = _tied_pairs(np.column_stack((xa, ya)), axis=0)
-
+    _, rx, cx = np.unique(_scores(x, "x"), return_inverse=True, return_counts=True)
+    _, ry, cy = np.unique(_scores(y, "y"), return_inverse=True, return_counts=True)
+    n0, t_x, t_y = n * (n - 1) // 2, _tied_pairs(cx), _tied_pairs(cy)
     if n0 == t_x or n0 == t_y:
         raise AllTied("correlation undefined: one variable is constant")
 
-    # inversions of y once pairs are sorted by (x, y)
-    discordant = _merge_count(ya[np.lexsort((ya, xa))].tolist())
-    con_minus_dis = n0 - t_x - t_y + joint - 2 * discordant
+    # dense ranks are below n, so each (x, y) pair is one integer; y's inversions sorted by it
+    joint = rx * n + ry
+    t_xy = _tied_pairs(np.unique(joint, return_counts=True)[1])
+    discordant = _discordant(ry[np.argsort(joint, kind="stable")])
+    con_minus_dis = n0 - t_x - t_y + t_xy - 2 * discordant
     return con_minus_dis / math.sqrt((n0 - t_x) * (n0 - t_y))
 
 
@@ -101,10 +99,10 @@ def _midranks(a: np.ndarray) -> np.ndarray:
 
 
 def spearman_rho(x: Sequence[float], y: Sequence[float]) -> float:
-    """Pearson correlation of midranks."""
+    """Pearson correlation of midranks; NaN in either variable raises OutOfDomain."""
     _check_xy(x, y)
-    rx = _midranks(np.asarray(x, dtype=float))
-    ry = _midranks(np.asarray(y, dtype=float))
+    rx = _midranks(_scores(x, "x"))
+    ry = _midranks(_scores(y, "y"))
     rx -= rx.mean()
     ry -= ry.mean()
     denom = math.sqrt(float(rx @ rx) * float(ry @ ry))
@@ -135,7 +133,7 @@ def error_distribution(machine_scores: Sequence[float],
             f"length mismatch: {len(machine_scores)} vs {len(reference_scores)}")
     if len(machine_scores) == 0:
         raise EmptyInput("error_distribution requires at least one score pair")
-    errors = np.asarray(machine_scores, dtype=float) - np.asarray(reference_scores, dtype=float)
+    errors = _scores(machine_scores, "machine_scores") - _scores(reference_scores, "reference_scores")
     p10, median, p90 = np.percentile(errors, [10, 50, 90])
     return ErrorDistribution(mean=float(errors.mean()), p10=float(p10),
                              median=float(median), p90=float(p90), n=len(errors))
@@ -152,23 +150,26 @@ class AgreementStats:
 
 
 def _label_array(labels: Sequence[int], name: str) -> np.ndarray:
-    """Labels as a 1-D int64 array; a label that is not an integer in 1..5 raises BadLabelValue.
+    """Labels as a 1-D int8 array; a label that is not an integer in 1..5 raises BadLabelValue.
 
     A bool or a float is not an integer label, whatever its value. An array
-    of an integer dtype holds only integers, so its labels are not checked
-    one by one; an array that is not 1-D raises BadLabelValue naming its shape.
+    of an integer dtype holds only integers, so it is range-checked whole in
+    its own dtype; an array that is not 1-D raises BadLabelValue naming its
+    shape. Any other sequence is checked label by label before numpy sees it.
     """
-    if not (isinstance(labels, np.ndarray) and labels.dtype.kind in "iu"):
-        for label in labels:
-            if type(label) is not int and not isinstance(label, np.integer):
-                raise BadLabelValue(f"{name} label must be an integer in [1, 5], got {label!r}")
-    array = np.asarray(labels, dtype=np.int64)
-    if array.ndim != 1:
-        raise BadLabelValue(f"{name} labels must be a 1-D sequence, got shape {array.shape}")
-    outside = array[(array < 1) | (array > 5)]
-    if outside.size:
-        raise BadLabelValue(f"{name} label must be in [1, 5], got {outside[0]}")
-    return array
+    if isinstance(labels, np.ndarray) and labels.dtype.kind in "iu":
+        if labels.ndim != 1:
+            raise BadLabelValue(f"{name} labels must be a 1-D sequence, got shape {labels.shape}")
+        outside = labels[(labels < 1) | (labels > 5)]
+        if outside.size:
+            raise BadLabelValue(f"{name} label must be in [1, 5], got {outside[0]}")
+        return labels.astype(np.int8, copy=False)
+    for label in labels:
+        if type(label) is not int and not isinstance(label, np.integer):
+            raise BadLabelValue(f"{name} label must be an integer in [1, 5], got {label!r}")
+        if not 1 <= label <= 5:
+            raise BadLabelValue(f"{name} label must be in [1, 5], got {label}")
+    return np.asarray(labels, dtype=np.int8)
 
 
 def label_agreement(machine: Sequence[int], reference: Sequence[int]) -> AgreementStats:

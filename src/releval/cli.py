@@ -273,11 +273,11 @@ def _dataset_agreement(dataset):
             pair[i] for rec in dataset.records
             for pair in ((rec.control, rec.control_reference),
                          (rec.treatment, rec.treatment_reference))
-            if pair[1] is not None), dtype=np.int64)
+            if pair[1] is not None), dtype=np.int8)
     machine = labels(0)
     if not machine.size:
         return None
-    # int64 arrays: labels checked when their records were parsed are not checked again
+    # int8 arrays: range-checked whole, not label by label
     return alignment.label_agreement(machine, labels(1))
 
 

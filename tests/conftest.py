@@ -1,9 +1,9 @@
 """Shared helpers: record builders and independent brute-force oracles.
 
-The oracles here deliberately avoid the library's fast paths: correlation by
-O(n^2) pair scan, BH by direct threshold enumeration, pooled variance by
-direct computation, page-score moments in closed form, and page scores drawn
-from a probability vector with their own discounts.
+The oracles here deliberately avoid the library's fast paths: correlation and
+inversion counts by O(n^2) pair scan, BH by direct threshold enumeration,
+pooled variance by direct computation, page-score moments in closed form, and
+page scores drawn from a probability vector with their own discounts.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def dual_raw(query_id, machine, reference, machine_t=None, reference_t=None,
 # -- oracles ------------------------------------------------------------------
 
 def brute_kendall_tau(x, y) -> float:
-    """Tau-b by blocked O(n^2) sign scan; independent of the merge-count path."""
+    """Tau-b by blocked O(n^2) sign scan; no ranks, no sort, no inversion count."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = len(x)
@@ -94,6 +94,12 @@ def brute_kendall_tau(x, y) -> float:
     t_x = sum(c * (c - 1) / 2.0 for c in np.unique(x, return_counts=True)[1])
     t_y = sum(c * (c - 1) / 2.0 for c in np.unique(y, return_counts=True)[1])
     return s / math.sqrt((n0 - t_x) * (n0 - t_y))
+
+
+def brute_inversions(a) -> int:
+    """Pairs i < j with a[i] > a[j], every pair compared directly."""
+    a = np.asarray(a)
+    return int(np.triu(a[:, None] > a[None, :], 1).sum())
 
 
 def brute_spearman_rho(x, y) -> float:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from releval.alignment import (
+    _discordant,
     alignment_report,
     error_distribution,
     kendall_tau,
@@ -16,11 +17,19 @@ from releval.errors import (
     EmptyPage,
     LengthMismatch,
     MissingReferenceLabels,
+    OutOfDomain,
     TooFewSamples,
 )
 from releval.metrics import sdcg_at_k
 
-from conftest import brute_kendall_tau, brute_spearman_rho, page, record, sk
+from conftest import (
+    brute_inversions,
+    brute_kendall_tau,
+    brute_spearman_rho,
+    page,
+    record,
+    sk,
+)
 
 
 class TestKendallTau:
@@ -65,6 +74,21 @@ class TestKendallTau:
         y = list(rng.permutation(30).astype(float))
         assert kendall_tau(x, y) == pytest.approx(kendall_tau(y, x), abs=1e-12)
         assert kendall_tau(x, [-v for v in y]) == pytest.approx(-kendall_tau(x, y), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 31, 33, 100, 129, 257, 300])
+    def test_discordant_counts_every_inversion(self, rng, n):
+        arrays = [rng.permutation(n), rng.integers(0, max(n // 4, 1), size=n),
+                  rng.integers(0, 2, size=n), rng.integers(0, int(rng.integers(1, n + 1)), size=n),
+                  np.zeros(n, dtype=np.intp), np.arange(n)]
+        for a in arrays:
+            assert _discordant(a) == brute_inversions(a)
+        assert _discordant(np.arange(n)[::-1]) == n * (n - 1) // 2
+
+    def test_infinities_are_ordered(self):
+        x = [-np.inf, 0.0, 1.0, np.inf]
+        assert kendall_tau(x, [1, 2, 3, 4]) == 1.0
+        assert kendall_tau(x, [4, 3, 2, 1]) == -1.0
+        assert spearman_rho(x, [1, 2, 3, 4]) == 1.0
 
 
 class TestSpearmanRho:
@@ -126,6 +150,21 @@ class TestErrorDistribution:
             error_distribution([], [])
 
 
+@pytest.mark.parametrize("at", [0, 2, 4], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("fn, first, second", [
+    (kendall_tau, "x", "y"), (spearman_rho, "x", "y"),
+    (error_distribution, "machine_scores", "reference_scores"),
+], ids=["kendall_tau", "spearman_rho", "error_distribution"])
+def test_nan_is_out_of_domain(fn, first, second, at):
+    # NaN has no rank: wherever it sits, the argument holding it is named
+    values = [0.3, 0.1, 0.4, 0.15, 0.5]
+    with_nan = values[:at] + [float("nan")] + values[at + 1:]
+    with pytest.raises(OutOfDomain, match=f"^{first} must not contain NaN"):
+        fn(with_nan, values)
+    with pytest.raises(OutOfDomain, match=f"^{second} must not contain NaN"):
+        fn(values, with_nan)
+
+
 class TestLabelAgreement:
     def test_identical(self):
         stats = label_agreement([5, 4, 3], [5, 4, 3])
@@ -182,6 +221,27 @@ class TestLabelAgreement:
         expected = label_agreement([5, 4, 2], [5, 5, 5])
         assert label_agreement(np.array([5, 4, 2]), np.array([5, 5, 5], dtype=np.uint8)) == expected
         assert label_agreement([np.int64(5), np.int32(4), 2], [5, 5, 5]) == expected
+
+    @pytest.mark.parametrize("label", [10**30, -10**30, 2**63, 128])
+    def test_oversized_integer_is_bad_label_value(self, label):
+        # checked before numpy sees it: no OverflowError, no wrap into 1..5
+        with pytest.raises(BadLabelValue, match=f"in \\[1, 5\\], got {label}$"):
+            label_agreement([label], [1])
+        with pytest.raises(BadLabelValue, match=f"got {label}$"):
+            label_agreement([1, 2], [2, label])
+
+    def test_integer_arrays_of_any_width_agree_with_lists(self, rng):
+        machine = rng.integers(1, 6, size=300)
+        reference = rng.integers(1, 6, size=300)
+        expected = label_agreement(machine.tolist(), reference.tolist())
+        assert label_agreement(machine.astype(np.uint64), reference.astype(np.int8)) == expected
+        assert label_agreement(reference.astype(np.int8), machine.astype(np.uint64)) == \
+            label_agreement(reference.tolist(), machine.tolist())
+
+    def test_out_of_range_wide_array_is_not_wrapped(self):
+        # 257 is 1 as int8: the range is checked in the array's own dtype
+        with pytest.raises(BadLabelValue, match="got 257"):
+            label_agreement(np.array([257, 3], dtype=np.uint64), [1, 3])
 
     @pytest.mark.parametrize("machine, reference, shape", [
         (np.ones((2, 3), int), np.ones((2, 3), int), r"\(2, 3\)"),
