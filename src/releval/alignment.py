@@ -128,12 +128,19 @@ class ErrorDistribution:
 
 def error_distribution(machine_scores: Sequence[float],
                        reference_scores: Sequence[float]) -> ErrorDistribution:
+    """Machine-minus-reference errors; NaN or ±inf in either argument raises
+    OutOfDomain naming it, as a percentile or a difference of them is NaN."""
     if len(machine_scores) != len(reference_scores):
         raise LengthMismatch(
             f"length mismatch: {len(machine_scores)} vs {len(reference_scores)}")
     if len(machine_scores) == 0:
         raise EmptyInput("error_distribution requires at least one score pair")
-    errors = _scores(machine_scores, "machine_scores") - _scores(reference_scores, "reference_scores")
+    machine = _scores(machine_scores, "machine_scores")
+    reference = _scores(reference_scores, "reference_scores")
+    for name, scores in (("machine_scores", machine), ("reference_scores", reference)):
+        if np.isinf(scores).any():
+            raise OutOfDomain(f"{name} must be finite, got {scores[np.isinf(scores)][0]}")
+    errors = machine - reference
     p10, median, p90 = np.percentile(errors, [10, 50, 90])
     return ErrorDistribution(mean=float(errors.mean()), p10=float(p10),
                              median=float(median), p90=float(p90), n=len(errors))

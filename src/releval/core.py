@@ -261,7 +261,7 @@ def record_from_raw(raw: Mapping[str, Any], violations: list[RecordError],
         violations.append(BadLabelValue(
             f"market must be UTF-8 text, got {market!r}", query_id=query_id, field="market"))
         ok = False
-    stratum_raw = raw.get("stratum") or {}
+    stratum_raw = raw.get("stratum", {})
     interest = stratum_raw.get("interest", "") if type(stratum_raw) is dict else ""
     stratum = None
     if type(interest) is not str:

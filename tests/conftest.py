@@ -2,12 +2,14 @@
 
 The oracles here deliberately avoid the library's fast paths: correlation and
 inversion counts by O(n^2) pair scan, BH by direct threshold enumeration,
-pooled variance by direct computation, page-score moments in closed form, and
-page scores drawn from a probability vector with their own discounts.
+pooled variance by direct computation, page-score moments in closed form,
+page scores drawn from a probability vector with their own discounts, and
+dataset lines by json.dumps on each record's JSON object.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -77,6 +79,33 @@ def dual_raw(query_id, machine, reference, machine_t=None, reference_t=None,
 
 
 # -- oracles ------------------------------------------------------------------
+
+def _arm_to_json(page, reference):
+    if reference is not None:
+        return {"machine_labels": list(page), "reference_labels": list(reference)}
+    return [{"rank": r, "label": lab} for r, lab in enumerate(page, start=1)]
+
+
+def record_to_json(rec: QueryRecord) -> dict:
+    """A record's JSON object: a list-form arm without reference labels, a
+    dual-label one with them, and no treatment key for a record without one."""
+    obj = {
+        "query_id": rec.query_id,
+        "market": rec.market,
+        "stratum": {"interest": rec.stratum.interest,
+                    "popularity": rec.stratum.popularity.value},
+        "control": _arm_to_json(rec.control, rec.control_reference),
+    }
+    if rec.treatment is not None:
+        obj["treatment"] = _arm_to_json(rec.treatment, rec.treatment_reference)
+    return obj
+
+
+def dataset_bytes(records) -> bytes:
+    """The bytes write_dataset must give: one json.dumps(sort_keys=True) line a record."""
+    return "".join(json.dumps(record_to_json(rec), sort_keys=True) + "\n"
+                   for rec in records).encode("utf-8")
+
 
 def brute_kendall_tau(x, y) -> float:
     """Tau-b by blocked O(n^2) sign scan; no ranks, no sort, no inversion count."""

@@ -165,6 +165,18 @@ def test_nan_is_out_of_domain(fn, first, second, at):
         fn(values, with_nan)
 
 
+@pytest.mark.parametrize("inf", [float("inf"), -float("inf")], ids=["inf", "-inf"])
+def test_error_distribution_rejects_infinite_scores(inf):
+    # an infinite error has no percentile (inf against a finite value
+    # interpolates to NaN) and inf - inf is NaN; rank statistics keep ±inf
+    with pytest.raises(OutOfDomain, match=f"^machine_scores must be finite, got {inf}$"):
+        error_distribution([inf, 0.5], [0.0, 0.5])
+    with pytest.raises(OutOfDomain, match=f"^reference_scores must be finite, got {inf}$"):
+        error_distribution([0.0, 0.5], [inf, 0.5])
+    with pytest.raises(OutOfDomain, match="^machine_scores must be finite"):
+        error_distribution([inf, 0.5], [inf, 0.5])
+
+
 class TestLabelAgreement:
     def test_identical(self):
         stats = label_agreement([5, 4, 3], [5, 4, 3])

@@ -327,6 +327,33 @@ def test_spec_fields_take_only_their_json_types(runner, tmp_path, command, text)
     assert json.loads(result.stdout)["error"] == "BadSpec"
 
 
+@pytest.mark.parametrize("command, field", [
+    ("simulate", "interest"), ("simulate", "market"), ("design", "interest"),
+], ids=["simulate-interest", "simulate-market", "design-interest"])
+def test_spec_strings_must_be_utf8_text(runner, tmp_path, command, field):
+    # a JSON "\ud800" escape decodes to a str that no output file can hold
+    path = tmp_path / "input.json"
+    out = tmp_path / "x.jsonl"
+    if command == "simulate":
+        spec = sim_spec()
+        if field == "market":
+            spec["market"] = "U\ud800"
+        else:
+            spec["strata"][0]["interest"] = "a\ud800"
+        path.write_text(json.dumps(spec))
+        args = ["simulate", "--spec", str(path), "--out", str(out)]
+    else:
+        path.write_text(json.dumps([{"interest": "a\ud800", "popularity": "head",
+                                     "weight": 1.0, "sigma": 1.0}]))
+        args = ["design", "--strata", str(path), "--budget", "8", "--out", str(out)]
+    result = runner.invoke(main, [*args, "--error-json"])
+    assert result.exit_code == 1, result.output
+    payload = json.loads(result.stdout)
+    assert payload["error"] == "BadSpec"
+    assert payload["message"].startswith(f"{field} must be UTF-8 text")
+    assert not out.exists()
+
+
 _DUPLICATE = [{"interest": "a", "popularity": "head", "weight": 0.5, "sigma": 1.0},
               {"interest": "a", "popularity": "head", "weight": 0.5, "sigma": 1.0}]
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 from types import MappingProxyType
 
 import pytest
@@ -9,7 +10,7 @@ from releval.core import (
     StratumKey,
     validate_dataset,
 )
-from releval.dataset_io import read_dataset, record_to_json, write_dataset
+from releval.dataset_io import read_dataset, write_dataset
 from releval.errors import (
     BadLabelValue,
     DatasetValidationError,
@@ -117,6 +118,22 @@ def test_identity_fields_must_be_strings(key, value, field):
     assert [(v.code, v.field) for v in exc.value.violations] == [("BadLabelValue", field)]
 
 
+@pytest.mark.parametrize("value, shown", [
+    (0, "0"), (False, "False"), ("", "''"), ([], "[]"), (None, "None"), ("missing", "{}"),
+], ids=["zero", "false", "empty-string", "empty-list", "null", "missing"])
+def test_a_stratum_that_is_not_an_object_is_shown_as_given(value, shown):
+    # a falsy stratum is reported as itself, not as the {} a missing one reads as
+    raw = raw_record("q1", [5, 4])
+    if value == "missing":
+        del raw["stratum"]
+    else:
+        raw["stratum"] = value
+    with pytest.raises(DatasetValidationError) as exc:
+        validate_dataset([raw])
+    [violation] = exc.value.violations
+    assert (violation.field, str(violation)) == ("stratum", f"invalid stratum {shown}")
+
+
 def test_validate_reports_all_violations_not_just_first():
     raws = [
         raw_record("q1", [5, 6]),          # bad label
@@ -181,7 +198,7 @@ def test_dual_label_form_roundtrip(tmp_path):
     write_dataset(ds, path)
     again = read_dataset(path, k_depth=2)
     assert again == ds
-    obj = record_to_json(rec)
+    obj = json.loads(path.read_text(encoding="utf-8"))
     assert obj["control"] == {"machine_labels": [5, 4], "reference_labels": [5, 5]}
 
 

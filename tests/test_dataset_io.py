@@ -1,4 +1,5 @@
-"""JSONL reading: records stream into validation one line at a time."""
+"""JSONL reading and writing: records stream into validation one line at a
+time, and are written a block of records at a time."""
 
 import gc
 import json
@@ -9,11 +10,12 @@ import numpy as np
 import pytest
 
 import releval
-from releval.core import validate_dataset
-from releval.dataset_io import read_dataset, read_jsonl
-from releval.errors import DatasetValidationError
+from releval import dataset_io
+from releval.core import EvalDataset, validate_dataset
+from releval.dataset_io import read_dataset, read_jsonl, write_dataset
+from releval.errors import BadLabelValue, DatasetValidationError
 
-from conftest import raw_record
+from conftest import dataset_bytes, raw_record, record, sk
 
 
 def write_lines(path, lines):
@@ -101,3 +103,58 @@ def test_record_schema_and_loader_agree(probe):
     except DatasetValidationError:
         loader_accepts = False
     assert validator.is_valid(obj) == loader_accepts == (probe != "treatment-null")
+
+
+def _mixed_records(n, long_at=None):
+    # every arm shape in turn: list-form or dual control, and no, list-form
+    # or dual treatment; pages of 0 to 12 labels, one of 20000 at long_at
+    rng = np.random.default_rng(n)
+    out = []
+    for i in range(n):
+        length = 20_000 if i == long_at else i % 13
+        def draw():
+            return tuple(rng.integers(1, 6, size=length).tolist())
+        shape = i % 6
+        treatment = None if shape < 2 else draw()
+        out.append(record(f"q{i}", draw(), treatment, stratum=sk(f"i{i % 3}", "tail"),
+                          market=("US", "FR")[i % 2],
+                          control_reference=draw() if shape % 2 else None,
+                          treatment_reference=draw() if shape >= 4 else None))
+    return out
+
+
+@pytest.mark.parametrize("n", [dataset_io._WRITE_CHUNK - 1, dataset_io._WRITE_CHUNK,
+                               dataset_io._WRITE_CHUNK + 1])
+def test_write_dataset_at_the_chunk_edges(tmp_path, n):
+    records = _mixed_records(n)
+    path = tmp_path / "d.jsonl"
+    write_dataset(EvalDataset(tuple(records)), path)
+    assert path.read_bytes() == dataset_bytes(records)
+    assert read_dataset(path).records == tuple(records)
+
+
+def test_a_long_page_halves_its_block(tmp_path):
+    # 20000 labels pad every page of a chunk past the block's cell budget, so
+    # the block is halved at arm starts until each part is within it
+    records = _mixed_records(300, long_at=131)
+    assert len(records[:dataset_io._WRITE_CHUNK]) * 20_000 > dataset_io._BLOCK_CELLS
+    path = tmp_path / "d.jsonl"
+    write_dataset(EvalDataset(tuple(records)), path)
+    assert path.read_bytes() == dataset_bytes(records)
+
+
+def test_write_dataset_of_no_records_is_empty(tmp_path):
+    path = tmp_path / "d.jsonl"
+    write_dataset(EvalDataset(()), path)
+    assert path.read_bytes() == b""
+
+
+@pytest.mark.parametrize("bad", [0, 6, -1, 300, 2.5, None])
+@pytest.mark.parametrize("arm", ["control", "treatment", "control_reference"])
+def test_write_dataset_rejects_a_label_outside_1_to_5(tmp_path, bad, arm):
+    # a digit is one byte: a label of 0 or 6 to 255 would write a wrong one
+    fields = {"control": (3, 4), "treatment": (4, 4), "control_reference": (5, 5)}
+    fields[arm] = (4, bad)
+    rec = record("q0", **fields)
+    with pytest.raises(BadLabelValue, match=r"\[1, 5\]"):
+        write_dataset(EvalDataset((rec,)), tmp_path / "d.jsonl")

@@ -13,6 +13,11 @@ numbers from a pool of edge values.
 Every input must end in exit 0, 1 or 2 with no traceback and, on failure, a
 parseable ``--error-json`` payload. The same spec files, read by their
 loaders, must agree with their JSON Schemas under ``releval/schemas/``.
+
+Datasets are drawn whole, ragged, list-form and dual-label pages, records
+without a treatment arm and query ids that JSON must escape included; the
+writer must give json.dumps's bytes for them, and reading them back the same
+dataset.
 """
 
 import copy
@@ -24,6 +29,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from click.testing import CliRunner
@@ -31,15 +37,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import releval
+from releval import dataset_io
 from releval.cli import main
+from releval.core import EvalDataset, PopularitySegment, QueryRecord, StratumKey
 from releval.dataset_io import (
     load_confusion,
     load_design,
     load_effect,
     load_population_spec,
     read_dataset,
+    write_dataset,
 )
 from releval.errors import RelevalError
+
+from conftest import dataset_bytes
 
 LABEL = st.integers(1, 5)
 BAD_LABEL = st.sampled_from([0, 6, 2.5, True, "3", None, [3]])
@@ -149,6 +160,49 @@ def test_cli_boundary_is_typed_and_order_free(lines, data):
     shuffled = data.draw(st.permutations(lines))
     for args in COMMANDS:
         assert _run(args, lines) == _run(args, shuffled), args
+
+
+# -- datasets written ------------------------------------------------------------
+
+# any text UTF-8 can encode: a lone surrogate is rejected where records are read
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+QUERY_ID = (TEXT.filter(bool)
+            | st.sampled_from(['q"0', "q\\0", "q\n\t", "\x00", "\u2028", "\u00e9", "\u65e5",
+                               "\U0001f600", "</q>"]))
+
+
+@st.composite
+def datasets(draw):
+    """Records whose pages hold 1 to K labels, each arm list-form or dual-label."""
+    k_depth = draw(st.integers(1, 30))
+    page = st.lists(LABEL, min_size=1, max_size=k_depth).map(tuple)
+
+    def arm():
+        machine = draw(page)
+        dual = draw(st.booleans())
+        return machine, draw(st.lists(LABEL, min_size=len(machine),
+                                      max_size=len(machine)).map(tuple)) if dual else None
+
+    records = []
+    for query_id in draw(st.lists(QUERY_ID, max_size=8, unique=True)):
+        control, control_reference = arm()
+        treatment, treatment_reference = arm() if draw(st.booleans()) else (None, None)
+        stratum = StratumKey(draw(TEXT.filter(bool)), draw(st.sampled_from(list(PopularitySegment))))
+        records.append(QueryRecord(query_id, draw(TEXT), stratum, control, treatment,
+                                   control_reference, treatment_reference))
+    return EvalDataset(tuple(records), k_depth=k_depth)
+
+
+# small chunks and cell budgets put the block edges and halvings inside a few records
+@given(dataset=datasets(), chunk=st.integers(1, 4), cells=st.sampled_from([1, 40, 1 << 20]))
+def test_write_dataset_gives_json_bytes_and_reads_back(dataset, chunk, cells):
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(dataset_io, "_WRITE_CHUNK", chunk), \
+            mock.patch.object(dataset_io, "_BLOCK_CELLS", cells):
+        path = Path(tmp) / "d.jsonl"
+        write_dataset(dataset, path)
+        assert path.read_bytes() == dataset_bytes(dataset.records)
+        assert read_dataset(path, k_depth=dataset.k_depth) == dataset
 
 
 # -- spec files -----------------------------------------------------------------
