@@ -100,12 +100,12 @@ def _topline_mde(dataset, deltas, per_stratum, weights, cfg):
     mu_hat = float(np.mean(metrics.arm_scores(dataset, "control")))
     n = len(deltas)
     out = {"mu_hat": mu_hat, "n": n}
-    sigma_srs = float(np.std(deltas, ddof=1))
+    sigma_srs = float(np.sqrt(estimation.sample_variance(deltas)))
     out["srs"] = {"sigma_hat": sigma_srs,
                   "mde": power.mde(mu_hat, sigma_srs, n, cfg)}
     if per_stratum is not None and all(len(v) >= 2 for v in per_stratum.values()):
         # effective sigma implied by the stratified variance at the same n
-        var = sum(weights[k] ** 2 * float(np.var(v, ddof=1)) / len(v)
+        var = sum(weights[k] ** 2 * estimation.sample_variance(v) / len(v)
                   for k, v in per_stratum.items())
         sigma_strat = float(np.sqrt(var * n))
         out["stratified"] = {"sigma_hat": sigma_strat,

@@ -1,4 +1,4 @@
-"""File formats: JSONL datasets, JSON design/spec/report files, CSV tables.
+"""File formats: JSONL datasets and JSON design, spec and report files.
 
 Datasets are JSONL (one query object per line, streamable); reports are
 canonical JSON (sorted keys, fixed indentation, trailing newline) so that
@@ -23,12 +23,12 @@ from .core import (
     DEFAULT_K_DEPTH,
     EvalDataset,
     PopularitySegment,
-    QueryRecord,
     StratumKey,
     _is_text,
     validate_dataset,
 )
-from .errors import BadLabelValue, BadSpec, DatasetValidationError, RecordError
+from .errors import (BadLabelValue, BadRankSequence, BadSpec, DatasetValidationError,
+                     MissingArm, RecordError)
 
 KNOWN_RECORD_FIELDS = {"query_id", "market", "stratum", "control", "treatment"}
 # decodes one JSON value at the start of a string, returning it and its end
@@ -99,129 +99,75 @@ def read_dataset(path: str | Path, k_depth: int = DEFAULT_K_DEPTH,
     return validate_dataset(read_jsonl(path), k_depth=k_depth, paired=paired)
 
 
-# records formatted per block, and the most label cells one padded block
-# may hold: both bound the block's arrays and text
+# records formatted per chunk: it bounds the chunk's arrays and text
 _WRITE_CHUNK = 128
-_BLOCK_CELLS = 1 << 20
 # a record line, fields in sort_keys order; the treatment field, when the
 # record has one, carries its own key
 _LINE = '{"control": %s, "market": %s, "query_id": %s, "stratum": %s%s}\n'
-# a page's role in its line: (prefix, ranked, suffix). An arm of one page is
-# a ranked list of {"label": L, "rank": r} objects, an arm of two a
-# dual-label object of bare label lists; a newline ends each arm.
-_ROLES = (
-    ("", True, "]\n"),
-    ('{"machine_labels": ', False, "]"),
-    (', "reference_labels": ', False, "]}\n"),
-    (', "treatment": ', True, "]\n"),
-    (', "treatment": {"machine_labels": ', False, "]"),
-)
-_CONTROL, _TREATMENT, _REFERENCE = 0, 3, 2  # a role's dual form is the next one
 
 
-def _arm_texts(pages: list[tuple[int, ...]], roles: list[int]) -> list[str]:
-    """The JSON text of each arm, as json.dumps(sort_keys=True) writes it in a line.
+def _page_texts(pages: list[tuple[int, ...] | None]) -> list[str | None]:
+    """Each page's labels as json writes a list's items ("4, 2, 5"); None stays None.
 
-    The pages go into a uint8 block, one row per page: the template row of
-    its role and length (prefix, "[", one piece ``0`` or
-    ``{"label": 0, "rank": r}`` per label joined by ", ", "]" and suffix,
-    padded with NULs), with its labels' digits written over the zeros. The
-    block's bytes, read in order and rid of the NULs, split on the newline
-    that ends each arm. A block of more than _BLOCK_CELLS padded cells is
-    halved at an arm's start. A label that is not an int in 1..5 raises
-    BadLabelValue.
+    Each label is a cell "d, " of one uint8 buffer, decoded once, and a page's
+    text is its cells less the last ", ". A label not an int in 1..5 raises BadLabelValue.
     """
-    lengths = np.fromiter(map(len, pages), np.intp, len(pages))
-    k = int(lengths.max(initial=0))
-    if len(pages) * k > _BLOCK_CELLS:
-        arm_starts = np.flatnonzero(np.asarray(roles) != _REFERENCE)
-        if arm_starts.size > 1:
-            mid = int(arm_starts[arm_starts.size // 2])
-            return _arm_texts(pages[:mid], roles[:mid]) + _arm_texts(pages[mid:], roles[mid:])
     try:
-        labels = np.frombuffer(bytes(chain.from_iterable(pages)), np.uint8)
+        labels = np.frombuffer(bytes(chain.from_iterable(filter(None, pages))), np.uint8)
         valid = not labels.size or 1 <= labels.min() <= labels.max() <= 5
     except (TypeError, ValueError):  # not an int in 0..255
         valid = False
     if not valid:
         raise BadLabelValue("label level must be an integer in [1, 5]")
-    pieces = {False: ["0, "] * k,
-              True: [f'{{"label": 0, "rank": {r}}}, ' for r in range(1, k + 1)]}
-    # where label j's digit sits after a row's "[": past the pieces before it
-    # and, in a ranked row, '{"label": '
-    digit = {ranked: np.array(list(accumulate(map(len, pieces[ranked]), initial=0))[:k])
-             + (len('{"label": ') if ranked else 0) for ranked in pieces}
-    # pages group by (role, length); keys span a small range, so a lookup
-    # table numbers them where a sort would cost more
-    key = np.asarray(roles) * (k + 1) + lengths
-    keys = np.flatnonzero(np.bincount(key))
-    number = np.zeros(keys[-1] + 1, np.intp)
-    number[keys] = np.arange(keys.size)
-    group = number[key]
-    shapes = [divmod(code, k + 1) for code in keys.tolist()]  # (role, length) of each group
-    templates = []
-    for role, length in shapes:
-        prefix, ranked, suffix = _ROLES[role]
-        templates.append(prefix + "[" + "".join(pieces[ranked][:length])[:-2] + suffix)
-    width = max(map(len, templates))
-    block = np.frombuffer("".join(t.ljust(width, "\0") for t in templates).encode("ascii"),
-                          np.uint8).reshape(len(templates), width)[group]
-    first_label = np.cumsum(lengths) - lengths
-    for g, (role, length) in enumerate(shapes):
-        at = np.flatnonzero(group == g)
-        prefix, ranked, _ = _ROLES[role]
-        block[at[:, None], len(prefix) + 1 + digit[ranked][:length]] = (
-            labels[first_label[at, None] + np.arange(length)] + ord("0"))
-    return block.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
+    cells = bytearray(b"0, ") * labels.size
+    np.frombuffer(cells, np.uint8)[::3] += labels
+    text = cells.decode("ascii")
+    ends = list(accumulate(3 * len(page or ()) for page in pages))
+    return [None if page is None else text[start:end - 2] if page else ""
+            for page, start, end in zip(pages, [0] + ends, ends)]
 
 
-def _roles(arms: list, ranked: int) -> list[int]:
-    """The role of each page of ``arms``, (page, reference) pairs, in order."""
-    return [r for _, reference in arms
-            for r in ((ranked,) if reference is None else (ranked + 1, _REFERENCE))]
-
-
-def _chunk_lines(records: tuple[QueryRecord, ...], markets: dict, strata: dict) -> Iterator[str]:
-    """The JSONL lines of ``records``.
-
-    ``markets`` and ``strata`` hold the JSON of each market and stratum met
-    so far, so each distinct one goes through json.dumps once. Strata are
-    keyed by id: the dataset keeps each alive while it is written, and a
-    StratumKey hashes in Python.
-    """
-    controls = [(rec.control, rec.control_reference) for rec in records]
-    treatments = [(rec.treatment, rec.treatment_reference) for rec in records
-                  if rec.treatment is not None]
-    texts = _arm_texts([page for arm in controls + treatments for page in arm if page is not None],
-                       _roles(controls, _CONTROL) + _roles(treatments, _TREATMENT))
-    treated = iter(texts[len(records):])
-    for rec in records:
-        if rec.market not in markets:
-            markets[rec.market] = json.dumps(rec.market)
-        if id(rec.stratum) not in strata:
-            strata[id(rec.stratum)] = json.dumps({"interest": rec.stratum.interest,
-                                                  "popularity": rec.stratum.popularity.value})
-    return map(_LINE.__mod__, zip(
-        texts[:len(records)],
-        [markets[rec.market] for rec in records],
-        [json.dumps(rec.query_id) for rec in records],
-        [strata[id(rec.stratum)] for rec in records],
-        [next(treated) if rec.treatment is not None else "" for rec in records]))
+def _arm_json(arm: str, page: str | None, reference: str | None, query_id: str) -> str:
+    """An arm's JSON from its pages' texts: a dual-label object when it has
+    reference labels, else a ranked list of {"label": L, "rank": r} objects."""
+    if reference is None:
+        return "[" + ", ".join(f'{{"label": {d}, "rank": {r}}}'
+                               for r, d in enumerate(page[::3], start=1)) + "]"
+    if page is None:
+        raise MissingArm(f"{arm}: reference labels without the arm's labels",
+                         query_id=query_id, field=arm)
+    if len(page) != len(reference):  # one digit a label: as long iff as many labels
+        raise BadRankSequence(f"{arm}: machine and reference label arrays differ in length",
+                              query_id=query_id, field=arm)
+    return '{"machine_labels": [%s], "reference_labels": [%s]}' % (page, reference)
 
 
 def write_dataset(dataset: EvalDataset, path: str | Path) -> None:
-    """Write ``dataset`` as JSONL, one record a line.
-
-    Each line holds the bytes of json.dumps(obj, sort_keys=True) for the
-    record's JSON object: its labels formatted in numpy and its strings by
-    json, a block of _WRITE_CHUNK records at a time.
+    """Write ``dataset`` as JSONL, one record a line: the bytes json.dumps(obj,
+    sort_keys=True) gives for its JSON object, labels formatted in numpy
+    _WRITE_CHUNK records at a time and strings by json, each distinct market
+    and stratum once. Reference labels read_dataset could not pair with their
+    page, of another length or beside no page, raise as it would.
     """
-    markets: dict = {}
-    strata: dict = {}
     records = dataset.records
+    markets = {market: json.dumps(market) for market in {rec.market for rec in records}}
+    # strata by id: the dataset keeps each alive, and a StratumKey hashes in Python
+    strata = {id(s): json.dumps({"interest": s.interest, "popularity": s.popularity.value})
+              for s in {id(rec.stratum): rec.stratum for rec in records}.values()}
     with open(path, "w", encoding="utf-8") as fh:
         for lo in range(0, len(records), _WRITE_CHUNK):
-            fh.write("".join(_chunk_lines(records[lo:lo + _WRITE_CHUNK], markets, strata)))
+            chunk = records[lo:lo + _WRITE_CHUNK]
+            lines = []  # drops the last chunk's lines before this chunk's texts are made
+            arms = iter(_page_texts([page for rec in chunk for page in (
+                rec.control, rec.control_reference, rec.treatment, rec.treatment_reference)]))
+            for control, control_ref, treatment, treatment_ref, rec in zip(*[arms] * 4, chunk):
+                if treatment is not None or treatment_ref is not None:
+                    treatment = ', "treatment": ' + _arm_json("treatment", treatment,
+                                                              treatment_ref, rec.query_id)
+                lines.append(_LINE % (_arm_json("control", control, control_ref, rec.query_id),
+                                      markets[rec.market], json.dumps(rec.query_id),
+                                      strata[id(rec.stratum)], treatment or ""))
+            fh.write("".join(lines))
 
 
 def _dataclass_fields(obj: Any) -> dict:

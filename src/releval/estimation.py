@@ -77,6 +77,13 @@ def _degenerate(mean: float, n: int, estimator: str, alpha: float) -> EstimateRe
                           p_value=p, n=n, estimator=estimator, alpha=alpha, degenerate=True)
 
 
+def sample_variance(values: Sequence[float]) -> float:
+    """The ddof=1 variance of ``values``; exactly 0.0 for constant inputs,
+    where numpy's two-pass variance can leave float dust."""
+    arr = np.asarray(values, dtype=float)
+    return 0.0 if np.ptp(arr) == 0.0 else float(arr.var(ddof=1))
+
+
 def srs_estimate(deltas: Sequence[float], alpha: float = 0.05) -> EstimateResult:
     """One-sample t inference on paired deltas under simple random sampling."""
     n = len(deltas)
@@ -85,12 +92,10 @@ def srs_estimate(deltas: Sequence[float], alpha: float = 0.05) -> EstimateResult
     check_alpha(alpha)
     arr = np.asarray(deltas, dtype=float)
     mean = float(arr.mean())
-    # constant inputs: report an exactly zero SE (np.std leaves float dust)
-    if np.ptp(arr) == 0.0:
+    var = sample_variance(arr)
+    if var == 0.0:
         return _degenerate(mean, n, SRS, alpha)
-    se = float(arr.std(ddof=1)) / math.sqrt(n)
-    if se == 0.0:
-        return _degenerate(mean, n, SRS, alpha)
+    se = math.sqrt(var) / math.sqrt(n)  # bit for bit arr.std(ddof=1) / sqrt(n)
     # scipy's compiled ufuncs, loaded on first use without scipy.special's
     # package init, which would cost every evaluate ~0.1 s
     stdtr, stdtrit = t_ufuncs()
@@ -137,7 +142,7 @@ def stratified_estimate(
             raise TooFewSamplesInStratum(f"stratum {key} has n={n_k}, need >= 2")
         w = weights[key]
         mean += w * float(arr.mean())
-        var += w * w * (0.0 if np.ptp(arr) == 0.0 else float(arr.var(ddof=1))) / n_k
+        var += w * w * sample_variance(arr) / n_k
         n_total += n_k
     se = math.sqrt(var)
     if se == 0.0:

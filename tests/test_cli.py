@@ -662,6 +662,18 @@ class TestEvaluate:
         assert "stratified" in strat["mde"]
 
     @pytest.mark.parametrize("estimator", ["srs", "stratified"])
+    def test_constant_deltas_give_an_exactly_zero_mde(self, runner, tmp_path, estimator):
+        # seven equal deltas, whose np.std is 7.49e-18, not 0
+        data = write_jsonl(tmp_path / "d.jsonl", paired_records(7, c=(1, 1, 1), t=(1, 1, 2)))
+        report = json.loads(runner.invoke(main, [
+            "evaluate", data, "--k", "3", "--design", self.design_file(tmp_path),
+            "--estimator", estimator]).output)
+        assert report["topline"]["degenerate"] and report["topline"]["std_error"] == 0.0
+        for block in ("srs", "stratified"):
+            assert report["mde"][block]["sigma_hat"] == report["mde"][block]["mde"] == 0.0
+        assert report["mde"]["current"] == 0.0
+
+    @pytest.mark.parametrize("estimator", ["srs", "stratified"])
     @pytest.mark.parametrize("design", [
         [{"interest": "art", "popularity": "head", "weight": 1.0}],
         [{"interest": "art", "popularity": "head", "weight": 0.5},

@@ -11,9 +11,9 @@ import pytest
 
 import releval
 from releval import dataset_io
-from releval.core import EvalDataset, validate_dataset
+from releval.core import EvalDataset, QueryRecord, validate_dataset
 from releval.dataset_io import read_dataset, read_jsonl, write_dataset
-from releval.errors import BadLabelValue, DatasetValidationError
+from releval.errors import BadLabelValue, BadRankSequence, DatasetValidationError, MissingArm
 
 from conftest import dataset_bytes, raw_record, record, sk
 
@@ -133,11 +133,9 @@ def test_write_dataset_at_the_chunk_edges(tmp_path, n):
     assert read_dataset(path).records == tuple(records)
 
 
-def test_a_long_page_halves_its_block(tmp_path):
-    # 20000 labels pad every page of a chunk past the block's cell budget, so
-    # the block is halved at arm starts until each part is within it
+def test_write_dataset_of_a_20000_label_page(tmp_path):
+    # one long page amid short ones, in the second chunk
     records = _mixed_records(300, long_at=131)
-    assert len(records[:dataset_io._WRITE_CHUNK]) * 20_000 > dataset_io._BLOCK_CELLS
     path = tmp_path / "d.jsonl"
     write_dataset(EvalDataset(tuple(records)), path)
     assert path.read_bytes() == dataset_bytes(records)
@@ -158,3 +156,25 @@ def test_write_dataset_rejects_a_label_outside_1_to_5(tmp_path, bad, arm):
     rec = record("q0", **fields)
     with pytest.raises(BadLabelValue, match=r"\[1, 5\]"):
         write_dataset(EvalDataset((rec,)), tmp_path / "d.jsonl")
+
+
+@pytest.mark.parametrize("reference", [(), (3,), (3, 4, 5)])
+@pytest.mark.parametrize("arm", ["control", "treatment"])
+def test_write_dataset_rejects_reference_labels_of_another_length(tmp_path, arm, reference):
+    # read_dataset rejects the line such a record gives, with this message
+    rec = record("q0", (1, 2), (2, 2), **{f"{arm}_reference": reference})
+    with pytest.raises(BadRankSequence) as err:
+        write_dataset(EvalDataset((rec,)), tmp_path / "d.jsonl")
+    assert str(err.value) == f"{arm}: machine and reference label arrays differ in length"
+    assert (err.value.query_id, err.value.field) == ("q0", arm)
+
+
+@pytest.mark.parametrize("arm", ["control", "treatment"])
+def test_write_dataset_rejects_reference_labels_beside_no_page(tmp_path, arm):
+    # a line has no place for reference labels without their page
+    fields = {"control": (1, 2), "treatment": (2, 2), f"{arm}_reference": (3, 3)}
+    fields[arm] = None
+    rec = QueryRecord("q0", "US", sk("art"), **fields)
+    with pytest.raises(MissingArm) as err:
+        write_dataset(EvalDataset((rec,)), tmp_path / "d.jsonl")
+    assert (err.value.query_id, err.value.field) == ("q0", arm)
