@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 validation/domain error, 2 I/O error. Every
+Exit codes: 0 success, 1 validation/domain error, 2 I/O or usage error. Every
 randomized subcommand takes an explicit --seed (with a fixed documented
 default, never wall-clock entropy), and every report embeds the seed and
 tool version so runs are reproducible byte for byte.
@@ -9,7 +9,6 @@ tool version so runs are reproducible byte for byte.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import sys
 from itertools import chain
@@ -20,8 +19,8 @@ import click
 # (see releval/__init__.py), so each command runs only the modules it uses
 from . import __version__, alignment, dataset_io, estimation, metrics, power, sampling, simulator
 from ._lazy import np
-from .core import (DEFAULT_K_DEPTH, GROUP_BY_POPULARITY, check_alpha, check_fdr_level,
-                   check_metric_depth)
+from .core import (DEFAULT_K_DEPTH, GROUP_BY_POPULARITY, GROUP_BY_STRATUM, check_alpha,
+                   check_fdr_level, check_metric_depth)
 from .errors import OutOfDomain, RelevalError
 
 DEFAULT_SEED = 20240901
@@ -30,32 +29,44 @@ EXIT_DOMAIN = 1
 EXIT_IO = 2
 
 
-def guarded(fn):
-    """Map domain errors to exit 1 and I/O errors to exit 2."""
+class Command(click.Command):
+    """A command with an --error-json flag, mapping each error to an exit code.
 
-    @functools.wraps(fn)
-    def wrapper(*args, error_json: bool = False, **kwargs):
+    Domain errors exit 1; I/O and usage errors exit 2. The error goes to
+    stderr as a message, or under --error-json to stdout as one JSON object.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.params.append(click.Option(
+            ["--error-json"], is_flag=True, default=False,
+            help="Emit machine-readable error JSON on stdout instead of a message on stderr."))
+
+    def make_context(self, info_name, args, parent=None, **extra):
+        error_json = "--error-json" in args  # read first: parsing consumes args
         try:
-            return fn(*args, **kwargs)
+            return super().make_context(info_name, args, parent=parent, **extra)
+        except click.UsageError as err:
+            if not error_json:
+                raise
+            click.echo(json.dumps({"error": "UsageError", "message": err.format_message()},
+                                  sort_keys=True))
+            sys.exit(err.exit_code)
+
+    def invoke(self, ctx):
+        error_json = ctx.params.pop("error_json")
+        try:
+            return super().invoke(ctx)
         except RelevalError as err:
-            if error_json:
-                click.echo(json.dumps(err.payload(), sort_keys=True))
-            else:
-                click.echo(f"error: {err}", err=True)
-            sys.exit(EXIT_DOMAIN)
+            code, payload, message = EXIT_DOMAIN, err.payload(), f"error: {err}"
         except (OSError, json.JSONDecodeError, UnicodeDecodeError) as err:
-            if error_json:
-                click.echo(json.dumps({"error": "IOError", "message": str(err)}, sort_keys=True))
-            else:
-                click.echo(f"I/O error: {err}", err=True)
-            sys.exit(EXIT_IO)
-
-    return wrapper
-
-
-error_json_option = click.option(
-    "--error-json", is_flag=True, default=False,
-    help="Emit machine-readable error JSON on stdout instead of a message on stderr.")
+            code, payload, message = (EXIT_IO, {"error": "IOError", "message": str(err)},
+                                      f"I/O error: {err}")
+        if error_json:
+            click.echo(json.dumps(payload, sort_keys=True))
+        else:
+            click.echo(message, err=True)
+        sys.exit(code)
 
 
 @click.group()
@@ -64,14 +75,15 @@ def main():
     """Whole-page relevance measurement for paired A/B experiments."""
 
 
+main.command_class = Command
+
+
 @main.command("metric")
 @click.argument("dataset_path", type=click.Path())
 @click.option("--k", "k_depth", type=int, default=DEFAULT_K_DEPTH, show_default=True,
               help="Metric depth K.")
 @click.option("--out", "out_path", type=click.Path(), default="-",
               help="Output CSV path (default stdout).")
-@error_json_option
-@guarded
 def cli_metric(dataset_path, k_depth, out_path):
     """Per-query page-score CSV for every arm in DATASET_PATH."""
     dataset = dataset_io.read_dataset(dataset_path, k_depth=k_depth)
@@ -105,8 +117,7 @@ def _topline_mde(dataset, deltas, per_stratum, weights, cfg):
                   "mde": power.mde(mu_hat, sigma_srs, n, cfg)}
     if per_stratum is not None and all(len(v) >= 2 for v in per_stratum.values()):
         # effective sigma implied by the stratified variance at the same n
-        var = sum(weights[k] ** 2 * estimation.sample_variance(v) / len(v)
-                  for k, v in per_stratum.items())
+        var = estimation.stratified_variance(per_stratum, weights)
         sigma_strat = float(np.sqrt(var * n))
         out["stratified"] = {"sigma_hat": sigma_strat,
                              "mde": power.mde(mu_hat, sigma_strat, n, cfg)}
@@ -127,8 +138,6 @@ def _topline_mde(dataset, deltas, per_stratum, weights, cfg):
               default=GROUP_BY_POPULARITY, show_default=True)
 @click.option("--k", "k_depth", type=int, default=DEFAULT_K_DEPTH, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default="-")
-@error_json_option
-@guarded
 def cli_evaluate(dataset_path, design_path, estimator, alpha, q, grouping, k_depth, out_path):
     """Topline and per-segment paired-delta estimates with BH-corrected flags."""
     # the options are checked before any file is read
@@ -146,9 +155,7 @@ def cli_evaluate(dataset_path, design_path, estimator, alpha, q, grouping, k_dep
 
     per_stratum = None
     if weights is not None:
-        per_stratum = {}
-        for rec, d in zip(dataset.records, deltas):
-            per_stratum.setdefault(rec.stratum, []).append(d)
+        per_stratum = estimation.group_deltas(dataset, GROUP_BY_STRATUM)
         # the MDE block weights every observed stratum, whichever the estimator
         estimation.check_design(per_stratum, weights)
 
@@ -187,8 +194,6 @@ def cli_evaluate(dataset_path, design_path, estimator, alpha, q, grouping, k_dep
               show_default=True)
 @click.option("--min-per-stratum", type=int, default=2, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default="-")
-@error_json_option
-@guarded
 def cli_design(strata_path, budget, mode, min_per_stratum, out_path):
     """Allocate a sample budget to strata (optimal or proportional)."""
     specs = dataset_io.load_design(strata_path)
@@ -211,8 +216,6 @@ def cli_design(strata_path, budget, mode, min_per_stratum, out_path):
               help="Target MDE as a fraction; prints the required n instead.")
 @click.option("--alpha", type=float, default=0.05, show_default=True)
 @click.option("--power", type=float, default=0.8, show_default=True)
-@error_json_option
-@guarded
 def cli_mde(mu, sigma, n_queries, target, alpha, power):
     """Minimum detectable effect, or required n for a target MDE."""
     # the option `power` hides the module of that name in this function
@@ -237,8 +240,6 @@ def cli_mde(mu, sigma, n_queries, target, alpha, power):
 @click.option("--out", "out_path", type=click.Path(), default="-")
 @click.option("--errors-csv", "errors_csv", type=click.Path(), default=None,
               help="Also write per-query machine/reference scores and errors.")
-@error_json_option
-@guarded
 def cli_align(dataset_path, by, k_depth, out_path, errors_csv):
     """Machine-vs-reference alignment report (correlations, error percentiles)."""
     dataset = dataset_io.read_dataset(dataset_path, k_depth=k_depth)
@@ -292,8 +293,6 @@ def _dataset_agreement(dataset):
 @click.option("--rho-shared", type=float, default=0.0, show_default=True,
               help="Probability that both arms share a labeler draw per position.")
 @click.option("--out", "out_path", type=click.Path(), required=True)
-@error_json_option
-@guarded
 def cli_simulate(spec_path, confusion_path, effect_path, seed, rho_shared, out_path):
     """Generate a synthetic paired experiment dataset (JSONL)."""
     spec, k_depth = dataset_io.load_population_spec(spec_path)

@@ -117,6 +117,19 @@ def check_design(per_stratum: Mapping[StratumKey, object],
     check_weights(weights.values())
 
 
+def stratified_variance(
+    per_stratum: Mapping[StratumKey, Sequence[float]],
+    weights: Mapping[StratumKey, float],
+) -> float:
+    """sum_k W_k^2 s_k^2 / n_k, summed over ``per_stratum`` in its key order."""
+    var = 0.0
+    for key, values in per_stratum.items():
+        if len(values) < 2:
+            raise TooFewSamplesInStratum(f"stratum {key} has n={len(values)}, need >= 2")
+        var += weights[key] * weights[key] * sample_variance(values) / len(values)
+    return var
+
+
 def stratified_estimate(
     per_stratum: Mapping[StratumKey, Sequence[float]],
     weights: Mapping[StratumKey, float],
@@ -132,19 +145,9 @@ def stratified_estimate(
         raise TooFewSamplesInStratum("stratified_estimate needs at least one stratum")
     check_design(per_stratum, weights)
 
-    mean = 0.0
-    var = 0.0
-    n_total = 0
-    for key in per_stratum:
-        arr = np.asarray(per_stratum[key], dtype=float)
-        n_k = arr.size
-        if n_k < 2:
-            raise TooFewSamplesInStratum(f"stratum {key} has n={n_k}, need >= 2")
-        w = weights[key]
-        mean += w * float(arr.mean())
-        var += w * w * sample_variance(arr) / n_k
-        n_total += n_k
-    se = math.sqrt(var)
+    se = math.sqrt(stratified_variance(per_stratum, weights))
+    mean = sum(weights[key] * float(np.mean(values)) for key, values in per_stratum.items())
+    n_total = sum(map(len, per_stratum.values()))
     if se == 0.0:
         return _degenerate(mean, n_total, STRATIFIED, alpha)
     z = mean / se
@@ -162,6 +165,17 @@ _SEGMENT_KEYS = {
 }
 
 
+def group_deltas(dataset: EvalDataset, grouping: str) -> dict[Hashable, list[float]]:
+    """Each segment's paired deltas in record order; segments in first-seen order."""
+    segment_of = _SEGMENT_KEYS.get(grouping)
+    if segment_of is None:
+        raise OutOfDomain(f"unknown grouping {grouping!r}")
+    groups: dict[Hashable, list[float]] = {}
+    for record, delta in zip(dataset.records, paired_deltas(dataset)):
+        groups.setdefault(segment_of(record.stratum), []).append(delta)
+    return groups
+
+
 def segment_effects(
     dataset: EvalDataset,
     grouping: str = GROUP_BY_POPULARITY,
@@ -173,12 +187,7 @@ def segment_effects(
     Segments with fewer than 2 paired queries are reported in ``excluded``
     rather than silently dropped. Effects are sorted by segment key.
     """
-    segment_of = _SEGMENT_KEYS.get(grouping)
-    if segment_of is None:
-        raise OutOfDomain(f"unknown grouping {grouping!r}")
-    groups: dict[Hashable, list[float]] = {}
-    for record, delta in zip(dataset.records, paired_deltas(dataset)):
-        groups.setdefault(segment_of(record.stratum), []).append(delta)
+    groups = group_deltas(dataset, grouping)
 
     # a StratumKey sorts as (interest, popularity) and a PopularitySegment as its string
     included = sorted(s for s, d in groups.items() if len(d) >= 2)

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from ._lazy import np
 from .core import check_fdr_level
 from .errors import BadPValue, EmptyInput
 
@@ -38,22 +39,15 @@ def benjamini_hochberg(p_values: Sequence[float], q: float = 0.05) -> BhResult:
         if not 0.0 <= p <= 1.0:
             raise BadPValue(f"p-value out of [0, 1]: {p}")
 
-    order = sorted(range(m), key=lambda i: (p_values[i], i))
-
-    k_star = 0
-    for pos, i in enumerate(order, start=1):
-        if p_values[i] <= pos * q / m:
-            k_star = pos
-
-    adjusted_sorted = [0.0] * m
-    running = 1.0
-    for pos in range(m, 0, -1):
-        running = min(running, m * p_values[order[pos - 1]] / pos)
-        adjusted_sorted[pos - 1] = running
-
-    rejected = [False] * m
-    adjusted = [1.0] * m
-    for pos, i in enumerate(order):
-        adjusted[i] = adjusted_sorted[pos]
-        rejected[i] = pos < k_star
-    return BhResult(rejected=tuple(rejected), adjusted_p=tuple(adjusted), k_star=k_star)
+    p = np.asarray(p_values, dtype=float)
+    order = np.argsort(p, kind="stable")
+    ranks = np.arange(1, m + 1)
+    passing = np.flatnonzero(p[order] <= ranks * q / m)
+    k_star = int(passing[-1]) + 1 if passing.size else 0
+    adjusted = np.empty(m)
+    # the running minimum from the largest p down
+    adjusted[order] = np.minimum.accumulate(np.minimum(1.0, m * p[order] / ranks)[::-1])[::-1]
+    rejected = np.empty(m, dtype=bool)
+    rejected[order] = ranks <= k_star
+    return BhResult(rejected=tuple(rejected.tolist()), adjusted_p=tuple(adjusted.tolist()),
+                    k_star=k_star)

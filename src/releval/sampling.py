@@ -157,31 +157,22 @@ def allocate(
         raise OutOfDomain(f"budget {budget} times the summed stratum shares is not finite")
 
     keys = [s.key for s in strata]
+    counts = [min_per_stratum] * len(strata)
     active = list(range(len(strata)))
-    pinned: dict[int, int] = {}
-    remaining = budget
     # Pin strata whose target is below the minimum, then re-scale the rest.
     while active:
+        remaining = budget - min_per_stratum * (len(strata) - len(active))
         # never 0: the first round pins every zero share when the minimum is
         # positive, and pins nothing when it is 0
         share_sum = sum(shares[i] for i in active)
-        targets = {i: remaining * shares[i] / share_sum for i in active}
-        below = [i for i in active if targets[i] < min_per_stratum]
-        if not below:
+        targets = [remaining * shares[i] / share_sum for i in active]
+        kept = [i for i, t in zip(active, targets) if t >= min_per_stratum]
+        if len(kept) == len(active):
+            for i, c in zip(active, _largest_remainder(targets, [keys[i] for i in active],
+                                                       remaining)):
+                counts[i] = c
             break
-        for i in below:
-            pinned[i] = min_per_stratum
-            remaining -= min_per_stratum
-            active.remove(i)
-
-    counts = [0] * len(strata)
-    for i, c in pinned.items():
-        counts[i] = c
-    if active:
-        rounded = _largest_remainder([targets[i] for i in active],
-                                     [keys[i] for i in active], remaining)
-        for i, c in zip(active, rounded):
-            counts[i] = c
+        active = kept
 
     per_stratum = {keys[i]: counts[i] for i in range(len(strata))}
     return Allocation(per_stratum=per_stratum, total=budget, fallback_proportional=fallback)

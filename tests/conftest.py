@@ -112,12 +112,14 @@ def brute_kendall_tau(x, y) -> float:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = len(x)
-    s = 0.0
+    s = 0
     block = 512
     for lo in range(0, n, block):
-        dx = np.sign(x[lo:lo + block, None] - x[None, :])
-        dy = np.sign(y[lo:lo + block, None] - y[None, :])
-        s += float((dx * dy).sum())
+        # int8 signs (a > b) - (a < b), their products summed as integers
+        xb, yb = x[lo:lo + block, None], y[lo:lo + block, None]
+        dx = (xb > x).view(np.int8) - (xb < x).view(np.int8)
+        dy = (yb > y).view(np.int8) - (yb < y).view(np.int8)
+        s += int((dx * dy).sum(dtype=np.int64))
     s /= 2.0  # each unordered pair counted twice; diagonal contributes 0
     n0 = n * (n - 1) / 2.0
     t_x = sum(c * (c - 1) / 2.0 for c in np.unique(x, return_counts=True)[1])

@@ -631,6 +631,29 @@ def test_depth_below_one_fails_before_the_dataset_is_read(runner, tmp_path, comm
         "error": "OutOfDomain", "message": f"k_depth must be >= 1, got {k}"}
 
 
+@pytest.mark.parametrize("args, message", [
+    (["evaluate", "d.jsonl", "--k", "abc"],
+     "Invalid value for '--k': 'abc' is not a valid integer."),
+    (["evaluate", "d.jsonl", "--by", "market"],
+     "Invalid value for '--by': 'market' is not one of 'popularity', 'interest', 'stratum'."),
+    (["metric", "d.jsonl", "--bogus"], "No such option '--bogus'. Did you mean '--out'?"),
+    (["align"], "Missing argument 'DATASET_PATH'."),
+    (["design", "--budget", "3"], "Missing option '--strata'."),
+], ids=["bad-type", "bad-choice", "unknown-option", "missing-argument", "missing-option"])
+def test_usage_error_is_exit_2_with_a_payload_under_error_json(runner, args, message):
+    for flagged in ([*args, "--error-json"], [args[0], "--error-json", *args[1:]]):
+        result = runner.invoke(main, flagged)
+        assert result.exit_code == 2
+        assert json.loads(result.stdout) == {"error": "UsageError", "message": message}
+        assert result.stderr == ""
+    # without the flag, click's usage text on stderr as before
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"Usage: main {args[0]} [OPTIONS]")
+    assert result.stderr.endswith(f"\n\nError: {message}\n")
+
+
 class TestEvaluate:
     def design_file(self, tmp_path, weight=1.0):
         path = tmp_path / "design.json"

@@ -12,10 +12,13 @@ from releval.errors import (
     WeightMismatch,
 )
 from releval.estimation import (
+    group_deltas,
     segment_effects,
     srs_estimate,
     stratified_estimate,
+    stratified_variance,
 )
+from releval.metrics import paired_deltas
 
 from conftest import page, record, sk
 
@@ -122,6 +125,19 @@ class TestStratifiedEstimate:
             assert strat.std_error < srs.std_error
 
 
+class TestStratifiedVariance:
+    def test_hand_computed_two_strata(self):
+        # 0.25^2 * 2 / 2 + 0.75^2 * 1 / 3 = 0.0625 + 0.1875, each term exact
+        var = stratified_variance({sk("a"): [0.0, 2.0], sk("b"): [1.0, 2.0, 3.0]},
+                                  {sk("a"): 0.25, sk("b"): 0.75})
+        assert var == 0.25
+
+    def test_a_one_query_stratum_is_rejected(self):
+        with pytest.raises(TooFewSamplesInStratum, match=r"stratum b/head has n=1"):
+            stratified_variance({sk("a"): [1.0, 2.0], sk("b"): [1.0]},
+                                {sk("a"): 0.5, sk("b"): 0.5})
+
+
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, float("nan")])
 def test_alpha_outside_unit_interval_is_out_of_domain(alpha):
     # both estimators, also on constant inputs, where no quantile is needed
@@ -140,6 +156,22 @@ def paired_dataset(groups, k_depth=1):
             records.append(record(f"{stratum}-{i}", page(c), page(t),
                                   stratum=stratum))
     return EvalDataset(records=tuple(records), k_depth=k_depth)
+
+
+@pytest.mark.parametrize("grouping, expected", [
+    ("interest", [("b", [0, 2]), ("a", [1, 3])]),
+    ("popularity", [(PopularitySegment.TAIL, [0, 3]), (PopularitySegment.HEAD, [1, 2])]),
+    ("stratum", [(sk("b", "tail"), [0]), (sk("a", "head"), [1]),
+                 (sk("b", "head"), [2]), (sk("a", "tail"), [3])]),
+])
+def test_group_deltas_keeps_first_seen_and_record_order(grouping, expected):
+    strata = [sk("b", "tail"), sk("a", "head"), sk("b", "head"), sk("a", "tail")]
+    ds = EvalDataset(records=tuple(
+        record(f"q{i}", page(c), page(t), stratum=s)
+        for i, (s, c, t) in enumerate(zip(strata, (3, 2, 5, 1), (4, 2, 3, 5)))), k_depth=1)
+    deltas = paired_deltas(ds)
+    assert list(group_deltas(ds, grouping).items()) == [
+        (segment, [deltas[i] for i in rows]) for segment, rows in expected]
 
 
 class TestSegmentEffects:

@@ -44,6 +44,19 @@ def test_dual_definition_equivalence(rng):
         assert list(result.rejected) == [adj <= q for adj in result.adjusted_p]
 
 
+def test_adjusted_p_is_the_step_up_dual_bit_for_bit(rng):
+    # min(1, min over j >= i of m * p_(j) / j), on ties, zeros and ones
+    for _ in range(300):
+        m = int(rng.integers(1, 30))
+        pool = rng.choice([0.0, 1.0, 0.001, 0.02, 0.04, float(rng.uniform())], size=m)
+        p = [float(x) for x in np.where(rng.uniform(size=m) < 0.5, pool, rng.uniform(size=m))]
+        result = benjamini_hochberg(p, q=0.05)
+        order = sorted(range(m), key=lambda i: (p[i], i))
+        for pos, i in enumerate(order, start=1):
+            dual = min(1.0, min(m * p[order[j - 1]] / j for j in range(pos, m + 1)))
+            assert result.adjusted_p[i] == dual
+
+
 def test_permutation_equivariance(rng):
     p = list(rng.uniform(size=12))
     q = 0.1

@@ -72,6 +72,10 @@ GOLDEN = {
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "evaluate.json": "89d77169ac7133d22999cb4c80915e21b5b0949670f1c3a7eb4e46346eabeaaa",
     }),
+    # an srs topline beside the design's stratified MDE block
+    "evaluate-srs-design": (["evaluate", "dual.jsonl", "--design", "design.json"], [], {
+        "stdout": "bc9e06b76cf0f338ad55edf83d9b53a492692cc69c4d9eba1b9e2695f323f29f",
+    }),
     "evaluate-by-stratum": (["evaluate", "ragged.jsonl", "--by", "stratum", "--k", "3"], [], {
         "stdout": "334efe645d7156a41fa87531731fa3da481c7513d371a43b73dc1db1895efb82",
     }),
@@ -85,6 +89,11 @@ GOLDEN = {
     }),
     "design": (["design", "--strata", "design.json", "--budget", "40"], [], {
         "stdout": "41b556afe94a7046bef72feb3b79de6b835ffdbcb2d3d5f34882d616f619d82a",
+    }),
+    # two rounds pin three strata at the minimum
+    "design-pinned": (["design", "--strata", "design.json", "--budget", "40",
+                       "--min-per-stratum", "6"], [], {
+        "stdout": "61aabb198feb815aa2756ba154099f388ce49e03330c61bac1a35d1888948846",
     }),
     "simulate": (["simulate", "--spec", "spec.json", "--confusion", "confusion.json",
                   "--effect", "effect.json", "--seed", "7", "--rho-shared", "0.5",

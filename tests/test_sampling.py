@@ -102,6 +102,12 @@ class TestAllocate:
         assert alloc.per_stratum[sk("tiny")] == 5
         assert alloc.per_stratum[sk("big")] == 95
 
+    def test_pinning_cascades(self):
+        # targets 3, 5.1, 21.9 pin the first; then 4.72, 20.28 of 25 pin the second
+        strata = [StratumSpec(sk(c), w) for c, w in zip("abc", (0.1, 0.17, 0.73))]
+        alloc = allocate(strata, 30, mode="proportional", min_per_stratum=5)
+        assert alloc.per_stratum == {sk("a"): 5, sk("b"): 5, sk("c"): 20}
+
     def test_all_sigmas_zero_falls_back_to_proportional(self):
         strata = [StratumSpec(sk("a"), 0.25, sigma=0.0), StratumSpec(sk("b"), 0.75, sigma=0.0)]
         alloc = allocate(strata, 8, mode="neyman")
