@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import sys
-from itertools import chain
 
 import click
 
@@ -29,53 +28,78 @@ EXIT_DOMAIN = 1
 EXIT_IO = 2
 
 
-class Command(click.Command):
-    """A command with an --error-json flag, mapping each error to an exit code.
+def _note_error_json(ctx, param, value):
+    # the group reads the flag, so a command's callback never sees it
+    if value:
+        ctx.meta["releval.error_json"] = True
 
-    Domain errors exit 1; I/O and usage errors exit 2. The error goes to
-    stderr as a message, or under --error-json to stdout as one JSON object.
+
+def _error_json_option(**kwargs):
+    return click.Option(
+        ["--error-json"], is_flag=True, expose_value=False, callback=_note_error_json,
+        help="Emit machine-readable error JSON on stdout instead of a message on stderr.",
+        **kwargs)
+
+
+class Group(click.Group):
+    """The command group: maps each failure of a command to an exit code, once.
+
+    Every command takes an --error-json flag, and the group takes it before
+    the command name too. Domain errors exit 1; I/O and usage errors exit 2.
+    The error goes to stderr as a message, or under --error-json to stdout as
+    one JSON object. A usage error looks for the flag in the raw args, as
+    parsing may fail before it reaches the flag; any other error reads the
+    parsed flag.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.params.append(click.Option(
-            ["--error-json"], is_flag=True, default=False,
-            help="Emit machine-readable error JSON on stdout instead of a message on stderr."))
+        self.params.append(_error_json_option(hidden=True))
+
+    def add_command(self, cmd, name=None):
+        cmd.params.append(_error_json_option())
+        super().add_command(cmd, name)
 
     def make_context(self, info_name, args, parent=None, **extra):
-        error_json = "--error-json" in args  # read first: parsing consumes args
+        raw_error_json = "--error-json" in args  # read first: parsing consumes args
         try:
-            return super().make_context(info_name, args, parent=parent, **extra)
+            ctx = super().make_context(info_name, args, parent=parent, **extra)
         except click.UsageError as err:
-            if not error_json:
+            if not raw_error_json:
                 raise
-            click.echo(json.dumps({"error": "UsageError", "message": err.format_message()},
-                                  sort_keys=True))
-            sys.exit(err.exit_code)
+            _exit_with_usage_payload(err)
+        ctx.meta["releval.error_json_in_args"] = raw_error_json
+        return ctx
 
     def invoke(self, ctx):
-        error_json = ctx.params.pop("error_json")
         try:
             return super().invoke(ctx)
+        except click.UsageError as err:  # an unknown command, or a command's usage
+            if not ctx.meta["releval.error_json_in_args"]:
+                raise
+            _exit_with_usage_payload(err)
         except RelevalError as err:
             code, payload, message = EXIT_DOMAIN, err.payload(), f"error: {err}"
         except (OSError, json.JSONDecodeError, UnicodeDecodeError) as err:
             code, payload, message = (EXIT_IO, {"error": "IOError", "message": str(err)},
                                       f"I/O error: {err}")
-        if error_json:
+        if ctx.meta.get("releval.error_json"):
             click.echo(json.dumps(payload, sort_keys=True))
         else:
             click.echo(message, err=True)
         sys.exit(code)
 
 
-@click.group()
+def _exit_with_usage_payload(err):
+    click.echo(json.dumps({"error": "UsageError", "message": err.format_message()},
+                          sort_keys=True))
+    sys.exit(err.exit_code)
+
+
+@click.group(cls=Group)
 @click.version_option(version=__version__, prog_name="releval")
 def main():
     """Whole-page relevance measurement for paired A/B experiments."""
-
-
-main.command_class = Command
 
 
 @main.command("metric")
@@ -270,15 +294,15 @@ def cli_align(dataset_path, by, k_depth, out_path, errors_csv):
 def _dataset_agreement(dataset):
     """Pooled label-level agreement over every position with both sources."""
     def labels(i):
-        return np.fromiter(chain.from_iterable(
+        return np.frombuffer(b"".join(
             pair[i] for rec in dataset.records
             for pair in ((rec.control, rec.control_reference),
                          (rec.treatment, rec.treatment_reference))
-            if pair[1] is not None), dtype=np.int8)
+            if pair[1] is not None), np.uint8)
     machine = labels(0)
     if not machine.size:
         return None
-    # int8 arrays: range-checked whole, not label by label
+    # uint8 arrays: range-checked whole, not label by label
     return alignment.label_agreement(machine, labels(1))
 
 

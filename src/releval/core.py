@@ -84,18 +84,17 @@ class StratumKey:
 
 
 def _checked_page(labels: Sequence[Any], query_id: str, arm: str, source: str,
-                  violations: list[RecordError]) -> tuple[int, ...] | None:
-    """One page's labels as a tuple of plain ints in 1..5, or None with a violation.
+                  violations: list[RecordError]) -> bytes | None:
+    """One page's labels as bytes, one int in 1..5 a byte, or None with a violation.
 
     Each label is an ordinal 5-point judgment, 1 (highly irrelevant) .. 5
     (highly relevant); position i holds rank i+1. A violation names the
     field ``arm + source``.
     """
-    page = tuple(labels)
     # whole-page test first; types go first, as an all-int page is hashable
-    if _INT.issuperset(map(type, page)) and _LEVELS.issuperset(page):
-        return page
-    bad = next(v for v in page if type(v) is not int or not 1 <= v <= 5)
+    if _INT.issuperset(map(type, labels)) and _LEVELS.issuperset(labels):
+        return bytes(labels)
+    bad = next(v for v in labels if type(v) is not int or not 1 <= v <= 5)
     violations.append(BadLabelValue(
         f"label level must be an integer in [1, 5], got {bad!r}", query_id=query_id,
         field=arm + source))
@@ -106,7 +105,7 @@ def _checked_page(labels: Sequence[Any], query_id: str, arm: str, source: str,
 class QueryRecord:
     """One evaluation query: stratum, market, and its ranked page(s).
 
-    A page is a tuple of plain int labels in 1..5, checked where the record
+    A page is ``bytes``, one label in 1..5 a byte, checked where the record
     is parsed. ``control``/``treatment`` hold the working labels (machine
     labels when a second source exists); ``*_reference`` hold reference
     (human) labels for the same ranked results, when present.
@@ -115,10 +114,10 @@ class QueryRecord:
     query_id: str
     market: str
     stratum: StratumKey
-    control: tuple[int, ...]
-    treatment: tuple[int, ...] | None = None
-    control_reference: tuple[int, ...] | None = None
-    treatment_reference: tuple[int, ...] | None = None
+    control: bytes
+    treatment: bytes | None = None
+    control_reference: bytes | None = None
+    treatment_reference: bytes | None = None
 
 
 @dataclass(frozen=True)
@@ -141,7 +140,7 @@ class EvalDataset:
 
 
 def _parse_arm(raw: Any, query_id: str, arm: str, violations: list[RecordError]
-               ) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
+               ) -> tuple[bytes | None, bytes | None]:
     """Parse one arm into (page, reference_page). Appends violations in place.
 
     Accepted forms, as JSON decodes them (a dict or a list, nothing else):

@@ -11,14 +11,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import warnings
-from itertools import accumulate, chain
+from itertools import accumulate
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
 # the spec loaders build these modules' types; reading and writing datasets
 # needs neither, so their code runs only when a loader first reads them
 from . import sampling, simulator
-from ._lazy import np
 from .core import (
     DEFAULT_K_DEPTH,
     EvalDataset,
@@ -104,25 +103,26 @@ _WRITE_CHUNK = 128
 # a record line, fields in sort_keys order; the treatment field, when the
 # record has one, carries its own key
 _LINE = '{"control": %s, "market": %s, "query_id": %s, "stratum": %s%s}\n'
+_DIGITS = bytes.maketrans(b"\1\2\3\4\5", b"12345")  # each label byte to its ASCII digit
 
 
-def _page_texts(pages: list[tuple[int, ...] | None]) -> list[str | None]:
+def _page_texts(pages: list[bytes | None]) -> list[str | None]:
     """Each page's labels as json writes a list's items ("4, 2, 5"); None stays None.
 
-    Each label is a cell "d, " of one uint8 buffer, decoded once, and a page's
-    text is its cells less the last ", ". A label not an int in 1..5 raises BadLabelValue.
+    Each label is a cell "d, " of one buffer, decoded once, and a page's text is
+    its cells less the last ", ". A label not an int in 1..5 raises BadLabelValue.
     """
     try:
-        labels = np.frombuffer(bytes(chain.from_iterable(filter(None, pages))), np.uint8)
-        valid = not labels.size or 1 <= labels.min() <= labels.max() <= 5
+        labels = b"".join(map(bytes, filter(None, pages)))
+        valid = not labels.translate(None, b"\1\2\3\4\5")  # no byte outside 1..5
     except (TypeError, ValueError):  # not an int in 0..255
         valid = False
     if not valid:
         raise BadLabelValue("label level must be an integer in [1, 5]")
-    cells = bytearray(b"0, ") * labels.size
-    np.frombuffer(cells, np.uint8)[::3] += labels
+    cells = bytearray(b"0, ") * len(labels)
+    cells[::3] = labels.translate(_DIGITS)
     text = cells.decode("ascii")
-    ends = list(accumulate(3 * len(page or ()) for page in pages))
+    ends = list(accumulate(3 * len(page or b"") for page in pages))
     return [None if page is None else text[start:end - 2] if page else ""
             for page, start, end in zip(pages, [0] + ends, ends)]
 
@@ -144,7 +144,7 @@ def _arm_json(arm: str, page: str | None, reference: str | None, query_id: str) 
 
 def write_dataset(dataset: EvalDataset, path: str | Path) -> None:
     """Write ``dataset`` as JSONL, one record a line: the bytes json.dumps(obj,
-    sort_keys=True) gives for its JSON object, labels formatted in numpy
+    sort_keys=True) gives for its JSON object, labels formatted as bytes
     _WRITE_CHUNK records at a time and strings by json, each distinct market
     and stratum once. Reference labels read_dataset could not pair with their
     page, of another length or beside no page, raise as it would.

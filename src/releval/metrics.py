@@ -36,8 +36,8 @@ def _denominator(k: int) -> float:
     return den
 
 
-def sdcg_at_k(page: tuple[int, ...], k_depth: int) -> float:
-    """Score one ranked page, a tuple of labels in rank order, at depth ``k_depth``.
+def sdcg_at_k(page: bytes, k_depth: int) -> float:
+    """Score one ranked page, its labels in rank order, at depth ``k_depth``.
 
     value = [sum_{k<=K'} L_k / log2(1+k)] / [sum_{k<=K'} 5 / log2(1+k)]
     with K' = min(k_depth, len(page)), so a short page is scored over its
@@ -85,7 +85,7 @@ def arm_scores(dataset: EvalDataset, arm: str) -> list[float | None]:
                 for page in (getattr(rec, arm) for rec in dataset.records)]
         except EmptyPage as err:
             # located only on failure, so scoring pays nothing for it
-            err.query_id = next(r.query_id for r in dataset.records if getattr(r, arm) == ())
+            err.query_id = next(r.query_id for r in dataset.records if getattr(r, arm) == b"")
             err.field = arm
             raise
     return scores

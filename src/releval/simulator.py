@@ -95,6 +95,10 @@ class StratumProfile:
     weight: float
     profile: LabelProfile
 
+    def __post_init__(self):
+        if not 0.0 < self.weight <= 1.0:
+            raise BadSpec(f"stratum {self.key} weight must be in (0, 1], got {self.weight}")
+
 
 @dataclass(frozen=True)
 class PopulationSpec:
@@ -214,9 +218,9 @@ def _apply_effect(pages: np.ndarray, delta: float, seed: int, key: StratumKey) -
 
 
 def _machine_labels(true_levels: np.ndarray, cdf_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Resample each label from its true label's confusion row at uniform u."""
+    """Resample each label from its true label's confusion row at uniform u, as uint8."""
     row_cdf = cdf_rows[true_levels - 1]
-    return (u[..., None] > row_cdf).sum(axis=-1) + 1
+    return (u[..., None] > row_cdf).sum(axis=-1, dtype=np.uint8) + 1
 
 
 def _machine_arms(control: np.ndarray, treatment: np.ndarray, u: np.ndarray,
@@ -241,6 +245,12 @@ def _labeler_cdf(confusion: ConfusionMatrix, rho_shared: float) -> np.ndarray:
     return cdf_rows
 
 
+def _rows(block: np.ndarray) -> list[bytes]:
+    """Each row of a label block as a page: bytes, one label a byte."""
+    data, width = block.astype(np.uint8).tobytes(), block.shape[1]
+    return [data[lo:lo + width] for lo in range(0, len(data), width)]
+
+
 def _query_id(key: StratumKey, q: int) -> str:
     return f"{key.interest}-{key.popularity.value}-{q:06d}"
 
@@ -263,17 +273,13 @@ def apply_labeler(records: Sequence[QueryRecord], confusion: ConfusionMatrix,
         if rec.stratum not in rngs:
             rngs[rec.stratum] = substream(seed, "labeler", rec.stratum)
         u = rngs[rec.stratum].random((3, len(rec.control)))
-        control = np.array(rec.control, dtype=np.int64)
-        treatment = (control if rec.treatment is None
-                     else np.array(rec.treatment, dtype=np.int64))
-        machine_control, machine_treatment = _machine_arms(
-            control, treatment, u, cdf_rows, rho_shared)
+        control = np.frombuffer(rec.control, np.uint8)
+        treatment = control if rec.treatment is None else np.frombuffer(rec.treatment, np.uint8)
+        machine_control, machine_treatment = map(bytes, _machine_arms(
+            control, treatment, u, cdf_rows, rho_shared))
         out.append(QueryRecord(
-            query_id=rec.query_id, market=rec.market, stratum=rec.stratum,
-            control=tuple(machine_control.tolist()),
-            treatment=None if rec.treatment is None else tuple(machine_treatment.tolist()),
-            control_reference=rec.control,
-            treatment_reference=rec.treatment))
+            rec.query_id, rec.market, rec.stratum, machine_control,
+            None if rec.treatment is None else machine_treatment, rec.control, rec.treatment))
     return out
 
 
@@ -305,11 +311,8 @@ def run_synthetic_experiment(
         treated = _apply_effect(pages, effect.shift_for(sp.key), seed, sp.key)
         u = substream(seed, "labeler", sp.key).random((count, 3, k_depth))
         machine_control, machine_treatment = _machine_arms(pages, treated, u, cdf_rows, rho_shared)
-        rows = zip(pages.tolist(), treated.tolist(),
-                   machine_control.tolist(), machine_treatment.tolist())
-        for q, (control, treatment, m_control, m_treatment) in enumerate(rows):
-            records.append(QueryRecord(
-                query_id=_query_id(sp.key, q), market=spec.market, stratum=sp.key,
-                control=tuple(m_control), treatment=tuple(m_treatment),
-                control_reference=tuple(control), treatment_reference=tuple(treatment)))
+        # record q's pages, in QueryRecord's field order, are row q of each block
+        rows = zip(*map(_rows, (machine_control, machine_treatment, pages, treated)))
+        for q, arms in enumerate(rows):
+            records.append(QueryRecord(_query_id(sp.key, q), spec.market, sp.key, *arms))
     return EvalDataset(records=tuple(records), k_depth=k_depth)

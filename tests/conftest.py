@@ -34,20 +34,24 @@ def sk(interest: str, popularity: str = "head") -> StratumKey:
     return StratumKey(interest=interest, popularity=PopularitySegment(popularity))
 
 
-def page(*levels: int) -> tuple[int, ...]:
-    return levels
+def page(*levels: int) -> bytes:
+    return bytes(levels)
 
 
 def record(query_id: str, control, treatment=None, stratum=None, market="US",
            control_reference=None, treatment_reference=None) -> QueryRecord:
+    """A record whose given pages, any sequences of labels, become bytes."""
+    def as_page(labels):
+        return None if labels is None else bytes(labels)
+
     return QueryRecord(
         query_id=query_id,
         market=market,
         stratum=stratum or sk("art"),
-        control=tuple(control),
-        treatment=None if treatment is None else tuple(treatment),
-        control_reference=control_reference,
-        treatment_reference=treatment_reference,
+        control=bytes(control),
+        treatment=as_page(treatment),
+        control_reference=as_page(control_reference),
+        treatment_reference=as_page(treatment_reference),
     )
 
 

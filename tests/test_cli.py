@@ -654,6 +654,37 @@ def test_usage_error_is_exit_2_with_a_payload_under_error_json(runner, args, mes
     assert result.stderr.endswith(f"\n\nError: {message}\n")
 
 
+@pytest.mark.parametrize("args, message", [
+    (["bogus"], "No such command 'bogus'."),
+    (["--bogus"], "No such option '--bogus'."),
+    (["metric", "d.jsonl", "--k", "abc"], "Invalid value for '--k': 'abc' is not a valid integer."),
+], ids=["unknown-command", "unknown-group-option", "command-usage"])
+def test_group_level_usage_error_is_a_payload_under_error_json(runner, args, message):
+    # the flag may stand before the command name, or after an unknown one
+    for flagged in ([*args, "--error-json"], ["--error-json", *args]):
+        result = runner.invoke(main, flagged)
+        assert result.exit_code == 2
+        assert json.loads(result.stdout) == {"error": "UsageError", "message": message}
+        assert result.stderr == ""
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.endswith(f"\n\nError: {message}\n")
+
+
+def test_error_json_before_the_command_name_applies_to_it(runner, tmp_path):
+    path = write_jsonl(tmp_path / "d.jsonl", [raw_record("q0", [3, 9])])
+    after = runner.invoke(main, ["metric", path, "--error-json"])
+    before = runner.invoke(main, ["--error-json", "metric", path])
+    assert before.exit_code == after.exit_code == 1
+    assert before.stdout == after.stdout
+    assert json.loads(before.stdout)["error"] == "DatasetValidationError"
+    assert before.stderr == ""
+    missing = runner.invoke(main, ["--error-json", "metric", str(tmp_path / "none.jsonl")])
+    assert missing.exit_code == 2
+    assert json.loads(missing.stdout)["error"] == "IOError"
+
+
 class TestEvaluate:
     def design_file(self, tmp_path, weight=1.0):
         path = tmp_path / "design.json"
@@ -1144,6 +1175,20 @@ class TestSimulate:
                  if obj["stratum"]["interest"] == "b" for arm in ("control", "treatment")]
         assert len(pages) == 40
         assert all(p == [5, 1, 1, 1] for p in pages)
+
+    @pytest.mark.parametrize("weights, stratum", [((1.5, -0.5), "a/head"), ((1.0, 0.0), "b/tail")])
+    def test_weight_outside_0_1_is_rejected_naming_its_stratum(self, runner, tmp_path, weights,
+                                                                stratum):
+        # the weights sum to 1, but a share lies in (0, 1], as the schema and --design say
+        spec = self.spec_file(tmp_path, weights=weights)
+        out = tmp_path / "x.jsonl"
+        result = runner.invoke(main, ["simulate", "--spec", spec, "--out", str(out),
+                                      "--error-json"])
+        assert result.exit_code == 1, result.output
+        bad = weights[0] if stratum == "a/head" else weights[1]
+        assert json.loads(result.stdout) == {
+            "error": "BadSpec", "message": f"stratum {stratum} weight must be in (0, 1], got {bad}"}
+        assert not out.exists()
 
     def test_bad_weights_rejected(self, runner, tmp_path):
         spec = self.spec_file(tmp_path, weights=(0.7, 0.7))

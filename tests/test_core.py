@@ -24,8 +24,8 @@ def test_relevance_label_range():
     # a page is checked once, where its record is parsed, in both arm forms
     good = [1, 2, 3, 4, 5]
     ds = validate_dataset([raw_record("q1", good), dual_raw("q2", good, good[::-1])])
-    assert ds.records[0].control == ds.records[1].control == (1, 2, 3, 4, 5)
-    assert ds.records[1].control_reference == (5, 4, 3, 2, 1)
+    assert ds.records[0].control == ds.records[1].control == bytes((1, 2, 3, 4, 5))
+    assert ds.records[1].control_reference == bytes((5, 4, 3, 2, 1))
     assert all(type(v) is int for rec in ds.records for v in rec.control)
     for bad in (0, 6, -1, 2.5, "3", True):
         raws = [raw_record("q1", [4, bad]), dual_raw("q2", [4, 4], [4, bad])]
@@ -46,13 +46,13 @@ def test_validate_two_good_paired_records():
     ds = validate_dataset(raws, k_depth=2, paired=True)
     assert len(ds) == 2
     assert ds.records[0].stratum == sk("art")
-    assert ds.records[1].treatment == (3, 3)
+    assert ds.records[1].treatment == bytes((3, 3))
 
 
 def test_ranked_page_from_entries_checks_sequence():
-    # a page given as ranked entries becomes a tuple of its labels in rank order
+    # a page given as ranked entries becomes bytes of its labels in rank order
     ds = validate_dataset([raw_record("q1", [5, 3])])
-    assert ds.records[0].control == (5, 3)
+    assert ds.records[0].control == bytes((5, 3))
     # a gap, then out of order, a repeat, rank 0 and ranks that are not JSON integers
     for ranks, field in (([1, 3], "control"), ([2, 1], "control"), ([1, 1], "control"),
                          ([0], "control"), ([True], "control[0]"), ([1.0], "control[0]")):

@@ -15,7 +15,7 @@ from releval.core import EvalDataset, QueryRecord, validate_dataset
 from releval.dataset_io import read_dataset, read_jsonl, write_dataset
 from releval.errors import BadLabelValue, BadRankSequence, DatasetValidationError, MissingArm
 
-from conftest import dataset_bytes, raw_record, record, sk
+from conftest import dataset_bytes, dual_raw, raw_record, record, sk
 
 
 def write_lines(path, lines):
@@ -32,6 +32,27 @@ def test_read_jsonl_yields_records_before_the_file_ends(tmp_path):
     with pytest.raises(DatasetValidationError) as exc:
         next(records)
     assert [v.field for v in exc.value.violations] == ["line 2"]
+
+
+def test_read_dataset_gives_bytes_pages_in_both_arm_forms(tmp_path):
+    path = write_lines(tmp_path / "d.jsonl", [
+        json.dumps(raw_record("q0", [5, 1, 3], [4, 4, 2])),
+        json.dumps(dual_raw("q1", [2, 5], [3, 5], [1], [4]))])
+    q0, q1 = read_dataset(path).records
+    assert (q0.control, q0.treatment, q0.control_reference) == (b"\5\1\3", b"\4\4\2", None)
+    assert (q1.control, q1.control_reference, q1.treatment, q1.treatment_reference) == (
+        b"\2\5", b"\3\5", b"\1", b"\4")
+    pages = (q0.control, q0.treatment, q1.control, q1.treatment_reference)
+    assert {type(p) for p in pages} == {bytes}
+    # a bool or a float is no label, though bytes() would take True as 1
+    for bad in (True, 2.5):
+        write_lines(path, [json.dumps(raw_record("q0", [4, bad])),
+                           json.dumps(dual_raw("q1", [4, 4], [bad, 4]))])
+        with pytest.raises(DatasetValidationError) as exc:
+            read_dataset(path)
+        assert [(v.field, str(v)) for v in exc.value.violations] == [
+            (field, f"label level must be an integer in [1, 5], got {bad!r}")
+            for field in ("control", "control.reference_labels")]
 
 
 def test_parse_violations_alone_are_reported(tmp_path):
@@ -113,7 +134,7 @@ def _mixed_records(n, long_at=None):
     for i in range(n):
         length = 20_000 if i == long_at else i % 13
         def draw():
-            return tuple(rng.integers(1, 6, size=length).tolist())
+            return bytes(rng.integers(1, 6, size=length, dtype=np.uint8))
         shape = i % 6
         treatment = None if shape < 2 else draw()
         out.append(record(f"q{i}", draw(), treatment, stratum=sk(f"i{i % 3}", "tail"),
@@ -150,12 +171,23 @@ def test_write_dataset_of_no_records_is_empty(tmp_path):
 @pytest.mark.parametrize("bad", [0, 6, -1, 300, 2.5, None])
 @pytest.mark.parametrize("arm", ["control", "treatment", "control_reference"])
 def test_write_dataset_rejects_a_label_outside_1_to_5(tmp_path, bad, arm):
-    # a digit is one byte: a label of 0 or 6 to 255 would write a wrong one
-    fields = {"control": (3, 4), "treatment": (4, 4), "control_reference": (5, 5)}
+    # a digit is one byte: a label of 0 or 6 to 255 would write a wrong one; a
+    # hand-built tuple page is converted, and one bytes() cannot take is rejected too
+    fields = {"control": b"\3\4", "treatment": b"\4\4", "control_reference": b"\5\5"}
     fields[arm] = (4, bad)
-    rec = record("q0", **fields)
+    rec = QueryRecord("q0", "US", sk("art"), **fields)
     with pytest.raises(BadLabelValue, match=r"\[1, 5\]"):
         write_dataset(EvalDataset((rec,)), tmp_path / "d.jsonl")
+
+
+def test_write_dataset_converts_a_hand_built_tuple_page(tmp_path):
+    # a page is bytes, but any sequence of ints in 1..5 writes the same line
+    as_bytes = record("q0", b"\3\4", b"\4\5", control_reference=b"\5\5")
+    as_tuples = QueryRecord("q0", "US", sk("art"), (3, 4), [4, 5], (5, 5))
+    for rec, name in ((as_bytes, "b.jsonl"), (as_tuples, "t.jsonl")):
+        write_dataset(EvalDataset((rec,)), tmp_path / name)
+    assert (tmp_path / "t.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+    assert read_dataset(tmp_path / "t.jsonl").records == (as_bytes,)
 
 
 @pytest.mark.parametrize("reference", [(), (3,), (3, 4, 5)])

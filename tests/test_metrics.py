@@ -157,6 +157,15 @@ def test_arm_scores_score_each_page_once(monkeypatch):
     assert ds == _dataset() and repr(ds) == repr(_dataset())
 
 
+def test_arm_scores_name_the_record_with_an_empty_page():
+    ds = EvalDataset(records=(record("q0", page(3), page(4)), record("q1", page(2), b""),
+                              record("q2", page(5), b"")), k_depth=3)
+    assert arm_scores(ds, "control") == [0.6, 0.4, 1.0]
+    with pytest.raises(EmptyPage) as exc:
+        arm_scores(ds, "treatment")
+    assert (exc.value.query_id, exc.value.field) == ("q1", "treatment")
+
+
 def test_paired_deltas_match_paired_delta_and_name_first_unpaired():
     ds = EvalDataset(records=_dataset().records[:2], k_depth=3)
     assert paired_deltas(ds) == [paired_delta(rec, 3) for rec in ds.records]

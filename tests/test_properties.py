@@ -175,13 +175,13 @@ QUERY_ID = (TEXT.filter(bool)
 def datasets(draw):
     """Records whose pages hold 0 to K labels, each arm list-form or dual-label."""
     k_depth = draw(st.integers(1, 30))
-    page = st.lists(LABEL, min_size=0, max_size=k_depth).map(tuple)
+    page = st.lists(LABEL, min_size=0, max_size=k_depth).map(bytes)
 
     def arm():
         machine = draw(page)
         dual = draw(st.booleans())
         return machine, draw(st.lists(LABEL, min_size=len(machine),
-                                      max_size=len(machine)).map(tuple)) if dual else None
+                                      max_size=len(machine)).map(bytes)) if dual else None
 
     records = []
     for query_id in draw(st.lists(QUERY_ID, max_size=8, unique=True)):
@@ -440,6 +440,9 @@ def test_dataset_record_schema_and_loader_agree(obj):
 @given(doc=spec_doc())
 @example(doc=_one_stratum_spec({"probs": _PROBS}))  # a profile must name its kind
 @example(doc=_one_stratum_spec({"kind": "categorical", "probs": []}))  # no rows at all
+@example(doc={"queries_per_stratum": 2, "strata": [  # weights that sum to 1, one outside (0, 1]
+    {"interest": i, "popularity": "head", "weight": w, "profile": {"kind": "curve", "mean_top": 3}}
+    for i, w in (("a", 1.5), ("b", -0.5))]})
 def test_population_spec_schema_and_loader_agree(doc):
     _assert_agree("population_spec", load_population_spec, doc, _spec_rules_hold)
 

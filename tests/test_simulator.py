@@ -103,7 +103,7 @@ class TestGeneratePopulation:
         records = true_population(spec, k_depth=4, seed=1)
         assert len(records) == 20
         for rec in records:
-            assert rec.control == (5, 5, 5, 5)
+            assert rec.control == bytes((5, 5, 5, 5))
             assert rec.treatment == rec.control
             assert sdcg_at_k(rec.control, 4) == pytest.approx(1.0)
 
@@ -198,8 +198,8 @@ class TestApplyLabeler:
         uniform = ConfusionMatrix(rows=tuple(tuple([0.2] * 5) for _ in range(5)))
         records = self.base_records(count=500, k=10)
         labeled = apply_labeler(records, uniform, seed=6)
-        machine = np.concatenate([rec.control for rec in labeled])
-        truth = np.concatenate([rec.control_reference for rec in labeled])
+        machine = np.frombuffer(b"".join(rec.control for rec in labeled), np.uint8)
+        truth = np.frombuffer(b"".join(rec.control_reference for rec in labeled), np.uint8)
         n = len(machine)
         rate = float((machine == truth).mean())
         assert abs(rate - 0.2) < 3 * math.sqrt(0.2 * 0.8 / n)
@@ -209,7 +209,7 @@ class TestApplyLabeler:
         prof = LabelProfile(kind="categorical", probs=(0.1, 0.15, 0.3, 0.25, 0.2))
         records = true_population(two_strata_spec(prof, prof, count=800), 10, seed=8)
         labeled = apply_labeler(records, cm, seed=9)
-        machine = np.concatenate([rec.control for rec in labeled])
+        machine = np.frombuffer(b"".join(rec.control for rec in labeled), np.uint8)
         empirical = np.bincount(machine, minlength=6)[1:] / len(machine)
         expected = np.array(prof.probs) @ cm.as_array()
         assert np.abs(empirical - expected).max() < 0.01
@@ -251,7 +251,20 @@ class TestRunSyntheticExperiment:
         for shift, level in ((1e300, 5), (-1e300, 1), (4.5, 5), (-4.5, 1)):
             ds = run_synthetic_experiment(spec, EffectSpec(default=shift),
                                           ConfusionMatrix.identity(), 3, seed=23)
-            assert {rec.treatment_reference for rec in ds.records} == {(level,) * 3}
+            assert {rec.treatment_reference for rec in ds.records} == {bytes((level,) * 3)}
+
+    def test_pages_are_bytes(self):
+        spec = two_strata_spec(point_mass(2), LabelProfile(kind="curve", mean_top=4.0, decay=0.3),
+                               count=4)
+        ds = run_synthetic_experiment(spec, EffectSpec(default=0.5), calibrate_confusion(0.6, 0.85),
+                                      5, seed=3)
+        labeled = apply_labeler(true_population(spec, 5, seed=3), ConfusionMatrix.identity(),
+                                seed=3)
+        for rec in (*ds.records, *labeled):
+            for labels in (rec.control, rec.treatment, rec.control_reference,
+                           rec.treatment_reference):
+                assert type(labels) is bytes and len(labels) == 5
+                assert set(labels) <= {1, 2, 3, 4, 5}
 
     def test_same_seed_identical(self):
         prof = LabelProfile(kind="curve", mean_top=3.8, decay=0.15)
@@ -298,8 +311,8 @@ class TestRunSyntheticExperiment:
         # an integer shift is deterministic: treatment is clamp(L + shift)
         shifts = {sk("a"): 1.0, sk("b"): -2.0}
         population = [
-            dataclasses.replace(rec, treatment=tuple(
-                np.clip(np.array(rec.control) + int(shifts[rec.stratum]), 1, 5).tolist()))
+            dataclasses.replace(rec, treatment=bytes(
+                min(5, max(1, label + int(shifts[rec.stratum]))) for label in rec.control))
             for rec in true_population(spec, 9, seed=33)]
         labeled = apply_labeler(population, cm, seed=33, rho_shared=0.4)
         ds = run_synthetic_experiment(spec, EffectSpec(shifts=shifts), cm, 9, seed=33,
