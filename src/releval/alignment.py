@@ -157,12 +157,12 @@ class AgreementStats:
 
 
 def _label_array(labels: Sequence[int], name: str) -> np.ndarray:
-    """Labels as a 1-D int8 array; a label that is not an integer in 1..5 raises BadLabelValue.
+    """Labels as a 1-D uint8 array; a label that is not an integer in 1..5 raises BadLabelValue.
 
-    A bool or a float is not an integer label, whatever its value. An array
-    of an integer dtype holds only integers, so it is range-checked whole in
-    its own dtype; an array that is not 1-D raises BadLabelValue naming its
-    shape. Any other sequence is checked label by label before numpy sees it.
+    A bool or a float is not an integer label, whatever its value. An integer
+    array is range-checked whole in its own dtype, and not copied if uint8; one
+    that is not 1-D raises BadLabelValue naming its shape. Any other sequence
+    is checked label by label before numpy sees it.
     """
     if isinstance(labels, np.ndarray) and labels.dtype.kind in "iu":
         if labels.ndim != 1:
@@ -170,13 +170,13 @@ def _label_array(labels: Sequence[int], name: str) -> np.ndarray:
         outside = labels[(labels < 1) | (labels > 5)]
         if outside.size:
             raise BadLabelValue(f"{name} label must be in [1, 5], got {outside[0]}")
-        return labels.astype(np.int8, copy=False)
+        return labels.astype(np.uint8, copy=False)
     for label in labels:
         if type(label) is not int and not isinstance(label, np.integer):
             raise BadLabelValue(f"{name} label must be an integer in [1, 5], got {label!r}")
         if not 1 <= label <= 5:
             raise BadLabelValue(f"{name} label must be in [1, 5], got {label}")
-    return np.asarray(labels, dtype=np.int8)
+    return np.asarray(labels, dtype=np.uint8)
 
 
 def label_agreement(machine: Sequence[int], reference: Sequence[int]) -> AgreementStats:
@@ -188,8 +188,10 @@ def label_agreement(machine: Sequence[int], reference: Sequence[int]) -> Agreeme
     m = _label_array(machine, "machine")
     r = _label_array(reference, "reference")
     n = len(m)
-    # exact matches lie on the diagonal, labels one level apart on either side of it
-    confusion = np.bincount(5 * r + m - 6, minlength=25).reshape(5, 5)
+    # uint8 cells 5r + m - 6, 2^16 per bincount (it widens them to intp); exact on the diagonal
+    cells = 5 * r + m - 6
+    confusion = sum(np.bincount(cells[lo:lo + (1 << 16)], minlength=25)
+                    for lo in range(0, n, 1 << 16)).reshape(5, 5)
     exact = int(np.trace(confusion))
     within_one = exact + int(np.trace(confusion, 1) + np.trace(confusion, -1))
     return AgreementStats(exact_rate=exact / n, within_one_rate=within_one / n,

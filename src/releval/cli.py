@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import sys
+import warnings
 
 import click
 
@@ -49,7 +50,7 @@ class Group(click.Group):
     The error goes to stderr as a message, or under --error-json to stdout as
     one JSON object. A usage error looks for the flag in the raw args, as
     parsing may fail before it reaches the flag; any other error reads the
-    parsed flag.
+    parsed flag. A warning goes to stderr as one line, "warning: <message>".
     """
 
     def __init__(self, *args, **kwargs):
@@ -73,7 +74,9 @@ class Group(click.Group):
 
     def invoke(self, ctx):
         try:
-            return super().invoke(ctx)
+            with warnings.catch_warnings():
+                warnings.showwarning = _echo_warning
+                return super().invoke(ctx)
         except click.UsageError as err:  # an unknown command, or a command's usage
             if not ctx.meta["releval.error_json_in_args"]:
                 raise
@@ -88,6 +91,11 @@ class Group(click.Group):
         else:
             click.echo(message, err=True)
         sys.exit(code)
+
+
+def _echo_warning(message, category, filename, lineno, file=None, line=None):
+    # a warning is news about the input, not about the code that noticed it
+    click.echo(f"warning: {message}", err=True)
 
 
 def _exit_with_usage_payload(err):

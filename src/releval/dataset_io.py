@@ -110,20 +110,20 @@ def _page_texts(pages: list[bytes | None]) -> list[str | None]:
     """Each page's labels as json writes a list's items ("4, 2, 5"); None stays None.
 
     Each label is a cell "d, " of one buffer, decoded once, and a page's text is
-    its cells less the last ", ". A label not an int in 1..5 raises BadLabelValue.
+    its cells less the last ", ". A page not one byte a label in 1..5 raises BadLabelValue.
     """
     try:
-        labels = b"".join(map(bytes, filter(None, pages)))
-        valid = not labels.translate(None, b"\1\2\3\4\5")  # no byte outside 1..5
-    except (TypeError, ValueError):  # not an int in 0..255
+        labels = b"".join([page for page in pages if page is not None])
+        ends = list(accumulate(0 if page is None else 3 * len(page) for page in pages))
+        valid = 3 * len(labels) == ends[-1] and not labels.translate(None, b"\1\2\3\4\5")
+    except TypeError:  # a page that is not bytes-like
         valid = False
     if not valid:
         raise BadLabelValue("label level must be an integer in [1, 5]")
     cells = bytearray(b"0, ") * len(labels)
     cells[::3] = labels.translate(_DIGITS)
     text = cells.decode("ascii")
-    ends = list(accumulate(3 * len(page or b"") for page in pages))
-    return [None if page is None else text[start:end - 2] if page else ""
+    return [None if page is None else text[start:end - 2] if end > start else ""
             for page, start, end in zip(pages, [0] + ends, ends)]
 
 

@@ -8,9 +8,18 @@ from __future__ import annotations
 
 
 class RelevalError(Exception):
-    """Base class for all domain errors raised by this package."""
+    """Base class for all domain errors raised by this package.
+
+    ``code`` names the error in --error-json payloads: a subclass's own name,
+    unless its body sets another.
+    """
 
     code = "Error"
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "code" not in vars(cls):
+            cls.code = cls.__name__
 
     def payload(self) -> dict:
         """Machine-readable representation for --error-json output."""
@@ -19,6 +28,8 @@ class RelevalError(Exception):
 
 class RecordError(RelevalError):
     """A violation tied to a single record, carrying query id and field path."""
+
+    code = "Error"  # a malformed line, which no subclass names
 
     def __init__(self, message: str, query_id: str | None = None, field: str | None = None):
         super().__init__(message)
@@ -35,29 +46,27 @@ class RecordError(RelevalError):
 
 
 class DuplicateQueryId(RecordError):
-    code = "DuplicateQueryId"
+    """Two records share a query id."""
 
 
 class BadRankSequence(RecordError):
-    code = "BadRankSequence"
+    """Rank items out of shape or order, or label arrays of different lengths."""
 
 
 class BadLabelValue(RecordError):
-    code = "BadLabelValue"
+    """A label that is not an integer in 1..5."""
 
 
 class MissingArm(RecordError):
-    code = "MissingArm"
+    """A required arm, or the page beside its reference labels, is absent."""
 
 
 class EmptyPage(RecordError):
-    code = "EmptyPage"
+    """A page with no results, which has no score."""
 
 
 class DatasetValidationError(RelevalError):
     """Aggregate of every violation found while validating a dataset."""
-
-    code = "DatasetValidationError"
 
     def __init__(self, violations: list[RecordError]):
         self.violations = list(violations)
@@ -76,74 +85,74 @@ class DatasetValidationError(RelevalError):
 # -- statistics ---------------------------------------------------------------
 
 class EmptyInput(RelevalError):
-    code = "EmptyInput"
+    """A statistic asked of no observations."""
 
 
 class LengthMismatch(RelevalError):
-    code = "LengthMismatch"
+    """Paired sequences of different lengths."""
 
 
 class TooFewSamples(RelevalError):
-    code = "TooFewSamples"
+    """Fewer observations than a statistic needs."""
 
 
 class TooFewSamplesInStratum(RelevalError):
-    code = "TooFewSamplesInStratum"
+    """A stratum with fewer than 2 observations, or no stratum at all."""
 
 
 class AllTied(RelevalError):
-    code = "AllTied"
+    """A constant variable, for which a rank correlation is undefined."""
 
 
 class BadPValue(RelevalError):
-    code = "BadPValue"
+    """A p-value outside [0, 1], or an FDR level outside (0, 1)."""
 
 
 class NoSegments(RelevalError):
-    code = "NoSegments"
+    """No segment has enough paired queries to test."""
 
 
 class WeightMismatch(RelevalError):
-    code = "WeightMismatch"
+    """Stratum weights out of range, not summing to 1, or not matching the strata."""
 
 
 # -- sampling design ----------------------------------------------------------
 
 class BudgetTooSmall(RelevalError):
-    code = "BudgetTooSmall"
+    """A budget below the minimum per stratum times the strata."""
 
 
 class MissingSigma(RelevalError):
-    code = "MissingSigma"
+    """A stratum without the finite sigma optimal allocation needs."""
 
 
 class StratumExhausted(RelevalError):
-    code = "StratumExhausted"
+    """A draw of more queries than a stratum holds."""
 
 
 # -- power --------------------------------------------------------------------
 
 class OutOfDomain(RelevalError):
-    code = "OutOfDomain"
+    """A number outside the domain of the computation asked of it."""
 
 
 class NonPositiveMean(RelevalError):
-    code = "NonPositiveMean"
+    """A metric mean that is not positive, so no relative effect is defined."""
 
 
 # -- simulator ----------------------------------------------------------------
 
 class BadSpec(RelevalError):
-    code = "BadSpec"
+    """A spec, design, effect or confusion file that does not hold its format."""
 
 
 class BadMatrix(RelevalError):
-    code = "BadMatrix"
+    """A confusion matrix that is not 5x5 stochastic, or a bad rho_shared."""
 
 
 class InfeasibleTargets(RelevalError):
-    code = "InfeasibleTargets"
+    """Agreement targets no confusion matrix can reach."""
 
 
 class MissingReferenceLabels(RelevalError):
-    code = "MissingReferenceLabels"
+    """A record without the reference labels alignment needs."""

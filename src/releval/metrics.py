@@ -50,7 +50,9 @@ def sdcg_at_k(page: bytes, k_depth: int) -> float:
         raise EmptyPage("cannot score an empty page")
     k_eff = min(k_depth, n)
     den = _denominator(k_eff)  # fills _discount_cache up to k_eff
-    # summed left to right, so the value matches a plain loop bit for bit
+    # summed left to right, so the value matches a plain += loop bit for bit on
+    # CPython up to 3.11; from 3.12, sum() of floats is compensated (Neumaier),
+    # which may round the last bit differently
     num = sum(map(mul, page[:k_eff], _discount_cache))
     return num / den
 

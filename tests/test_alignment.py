@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -264,6 +266,21 @@ class TestLabelAgreement:
         # neither flattened nor broadcast: one label per position
         with pytest.raises(BadLabelValue, match=f"1-D.*{shape}"):
             label_agreement(machine, reference)
+
+    def test_uint8_pairs_are_counted_with_no_wide_copy(self):
+        # the CLI's uint8 labels are neither copied nor widened: an int8 copy of
+        # each and an intp copy of the 2*10^6 pair cells would peak near 21 MiB
+        gen = np.random.default_rng(5)
+        machine = gen.integers(1, 6, size=2_000_000, dtype=np.uint8)
+        reference = gen.integers(1, 6, size=2_000_000, dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            stats = label_agreement(machine, reference)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
+        assert stats == label_agreement(machine.tolist(), reference.tolist())
 
     def test_rates_are_read_off_the_confusion(self, rng):
         machine = rng.integers(1, 6, size=500)

@@ -420,6 +420,17 @@ class TestMetric:
         payload = json.loads(result.output)
         assert "line 2" in json.dumps(payload)
 
+    def test_unknown_field_warning_is_one_stderr_line(self, tmp_path):
+        # the message alone: no source path, line number or echoed source line
+        path = write_jsonl(tmp_path / "d.jsonl",
+                           [dict(raw_record(f"q{i}", [3]), extra=i) for i in range(3)])
+        result = subprocess.run([sys.executable, "-m", "releval.cli", "metric", path],
+                                env=_python_env(), capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == (
+            f"warning: {path}: line 1: ignoring unknown fields ['extra'] (on 3 lines)\n")
+        assert result.stdout.count("\n") == 5
+
     def test_missing_file_is_io_error(self, runner, tmp_path):
         result = runner.invoke(main, ["metric", str(tmp_path / "nope.jsonl")])
         assert result.exit_code == 2

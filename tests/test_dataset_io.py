@@ -4,6 +4,7 @@ time, and are written a block of records at a time."""
 import gc
 import json
 import tracemalloc
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -168,26 +169,44 @@ def test_write_dataset_of_no_records_is_empty(tmp_path):
     assert path.read_bytes() == b""
 
 
-@pytest.mark.parametrize("bad", [0, 6, -1, 300, 2.5, None])
-@pytest.mark.parametrize("arm", ["control", "treatment", "control_reference"])
-def test_write_dataset_rejects_a_label_outside_1_to_5(tmp_path, bad, arm):
-    # a digit is one byte: a label of 0 or 6 to 255 would write a wrong one; a
-    # hand-built tuple page is converted, and one bytes() cannot take is rejected too
-    fields = {"control": b"\3\4", "treatment": b"\4\4", "control_reference": b"\5\5"}
-    fields[arm] = (4, bad)
+PAGE_FIELDS = ["control", "treatment", "control_reference", "treatment_reference"]
+
+
+def _rejected(tmp_path, arm, bad_page):
+    fields = {"control": b"\3\4", "treatment": b"\4\4", "control_reference": b"\5\5",
+              "treatment_reference": b"\2\2", arm: bad_page}
     rec = QueryRecord("q0", "US", sk("art"), **fields)
     with pytest.raises(BadLabelValue, match=r"\[1, 5\]"):
         write_dataset(EvalDataset((rec,)), tmp_path / "d.jsonl")
 
 
-def test_write_dataset_converts_a_hand_built_tuple_page(tmp_path):
-    # a page is bytes, but any sequence of ints in 1..5 writes the same line
+@pytest.mark.parametrize("bad", [0, 6, 255])
+@pytest.mark.parametrize("arm", PAGE_FIELDS)
+def test_write_dataset_rejects_a_label_outside_1_to_5(tmp_path, bad, arm):
+    # a digit is one byte: a label of 0 or 6 to 255 would write a wrong one
+    _rejected(tmp_path, arm, bytes([4, bad]))
+
+
+@pytest.mark.parametrize("bad", [
+    (4, 2), [4, 2], (True, 2), (), [],
+    array("H", [4, 2]), np.array([[4, 2]], dtype=np.uint8),
+], ids=["tuple", "list", "bool-tuple", "empty-tuple", "empty-list", "uint16", "2-d"])
+@pytest.mark.parametrize("arm", PAGE_FIELDS)
+def test_write_dataset_rejects_a_page_that_is_not_label_bytes(tmp_path, bad, arm):
+    # a page is bytes, one byte a label: a sequence of ints is never converted,
+    # so (True, 2) is not written as 1, 2, and a buffer of wider or 2-D items,
+    # which joins more bytes than it has labels, is not cut into wrong pages
+    _rejected(tmp_path, arm, bad)
+
+
+def test_write_dataset_does_not_convert_a_hand_built_tuple_page(tmp_path):
+    # the same labels as bytes write; as tuples, or a list, they are rejected
     as_bytes = record("q0", b"\3\4", b"\4\5", control_reference=b"\5\5")
+    write_dataset(EvalDataset((as_bytes,)), tmp_path / "b.jsonl")
+    assert read_dataset(tmp_path / "b.jsonl").records == (as_bytes,)
     as_tuples = QueryRecord("q0", "US", sk("art"), (3, 4), [4, 5], (5, 5))
-    for rec, name in ((as_bytes, "b.jsonl"), (as_tuples, "t.jsonl")):
-        write_dataset(EvalDataset((rec,)), tmp_path / name)
-    assert (tmp_path / "t.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
-    assert read_dataset(tmp_path / "t.jsonl").records == (as_bytes,)
+    with pytest.raises(BadLabelValue, match=r"\[1, 5\]"):
+        write_dataset(EvalDataset((as_tuples,)), tmp_path / "t.jsonl")
 
 
 @pytest.mark.parametrize("reference", [(), (3,), (3, 4, 5)])
@@ -204,7 +223,7 @@ def test_write_dataset_rejects_reference_labels_of_another_length(tmp_path, arm,
 @pytest.mark.parametrize("arm", ["control", "treatment"])
 def test_write_dataset_rejects_reference_labels_beside_no_page(tmp_path, arm):
     # a line has no place for reference labels without their page
-    fields = {"control": (1, 2), "treatment": (2, 2), f"{arm}_reference": (3, 3)}
+    fields = {"control": b"\1\2", "treatment": b"\2\2", f"{arm}_reference": b"\3\3"}
     fields[arm] = None
     rec = QueryRecord("q0", "US", sk("art"), **fields)
     with pytest.raises(MissingArm) as err:
