@@ -20,7 +20,8 @@ own code runs when a command first reads ``np.<name>``. ``metric``, ``mde``,
 The t test needs only scipy's compiled ``stdtr`` and ``stdtrit``, from
 ``scipy.special._ufuncs``. ``t_ufuncs`` loads that one extension module
 without running ``scipy.special``'s package init, which pulls in scipy's
-array-API layer, ``numpy.f2py`` and ``numpy.testing`` and costs about 0.1 s.
+array-API layer, ``numpy.f2py`` and ``numpy.testing`` and costs 0.24–0.40 s
+on a 2-vCPU box with numpy already loaded.
 """
 
 from __future__ import annotations

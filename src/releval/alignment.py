@@ -159,16 +159,17 @@ class AgreementStats:
 def _label_array(labels: Sequence[int], name: str) -> np.ndarray:
     """Labels as a 1-D uint8 array; a label that is not an integer in 1..5 raises BadLabelValue.
 
-    A bool or a float is not an integer label, whatever its value. An integer
-    array is range-checked whole in its own dtype, and not copied if uint8; one
-    that is not 1-D raises BadLabelValue naming its shape. Any other sequence
-    is checked label by label before numpy sees it.
+    A bool or a float is not an integer label, whatever its value. A non-empty
+    integer array is range-checked whole by its min and max, in its own dtype,
+    and not copied if uint8; one that is not 1-D raises BadLabelValue naming
+    its shape. Any other sequence is checked label by label before numpy sees it.
     """
     if isinstance(labels, np.ndarray) and labels.dtype.kind in "iu":
         if labels.ndim != 1:
             raise BadLabelValue(f"{name} labels must be a 1-D sequence, got shape {labels.shape}")
-        outside = labels[(labels < 1) | (labels > 5)]
-        if outside.size:
+        if labels.min() < 1 or labels.max() > 5:
+            # the mask, two bytes a label, is built only to name the first bad label
+            outside = labels[(labels < 1) | (labels > 5)]
             raise BadLabelValue(f"{name} label must be in [1, 5], got {outside[0]}")
         return labels.astype(np.uint8, copy=False)
     for label in labels:
@@ -188,8 +189,11 @@ def label_agreement(machine: Sequence[int], reference: Sequence[int]) -> Agreeme
     m = _label_array(machine, "machine")
     r = _label_array(reference, "reference")
     n = len(m)
-    # uint8 cells 5r + m - 6, 2^16 per bincount (it widens them to intp); exact on the diagonal
-    cells = 5 * r + m - 6
+    # uint8 cells 5r + m - 6, built in place in one n-byte array, 2^16 per
+    # bincount (it widens them to intp); exact on the diagonal
+    cells = r * np.uint8(5)
+    cells += m
+    cells -= 6
     confusion = sum(np.bincount(cells[lo:lo + (1 << 16)], minlength=25)
                     for lo in range(0, n, 1 << 16)).reshape(5, 5)
     exact = int(np.trace(confusion))

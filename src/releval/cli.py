@@ -19,8 +19,7 @@ import click
 # (see releval/__init__.py), so each command runs only the modules it uses
 from . import __version__, alignment, dataset_io, estimation, metrics, power, sampling, simulator
 from ._lazy import np
-from .core import (DEFAULT_K_DEPTH, GROUP_BY_POPULARITY, GROUP_BY_STRATUM, check_alpha,
-                   check_fdr_level, check_metric_depth)
+from .core import DEFAULT_K_DEPTH, GROUPINGS, check_alpha, check_fdr_level, check_metric_depth
 from .errors import OutOfDomain, RelevalError
 
 DEFAULT_SEED = 20240901
@@ -75,6 +74,8 @@ class Group(click.Group):
     def invoke(self, ctx):
         try:
             with warnings.catch_warnings():
+                # every warning is one line, whatever the interpreter's filters
+                warnings.simplefilter("always")
                 warnings.showwarning = _echo_warning
                 return super().invoke(ctx)
         except click.UsageError as err:  # an unknown command, or a command's usage
@@ -166,8 +167,8 @@ def _topline_mde(dataset, deltas, per_stratum, weights, cfg):
 @click.option("--alpha", type=float, default=0.05, show_default=True)
 @click.option("--q", type=float, default=0.05, show_default=True,
               help="FDR level for segment analysis.")
-@click.option("--by", "grouping", type=click.Choice(["popularity", "interest", "stratum"]),
-              default=GROUP_BY_POPULARITY, show_default=True)
+@click.option("--by", "grouping", type=click.Choice(list(GROUPINGS)), default="popularity",
+              show_default=True)
 @click.option("--k", "k_depth", type=int, default=DEFAULT_K_DEPTH, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default="-")
 def cli_evaluate(dataset_path, design_path, estimator, alpha, q, grouping, k_depth, out_path):
@@ -187,7 +188,7 @@ def cli_evaluate(dataset_path, design_path, estimator, alpha, q, grouping, k_dep
 
     per_stratum = None
     if weights is not None:
-        per_stratum = estimation.group_deltas(dataset, GROUP_BY_STRATUM)
+        per_stratum = estimation.group_deltas(dataset, "stratum")
         # the MDE block weights every observed stratum, whichever the estimator
         estimation.check_design(per_stratum, weights)
 
@@ -307,11 +308,8 @@ def _dataset_agreement(dataset):
             for pair in ((rec.control, rec.control_reference),
                          (rec.treatment, rec.treatment_reference))
             if pair[1] is not None), np.uint8)
-    machine = labels(0)
-    if not machine.size:
-        return None
     # uint8 arrays: range-checked whole, not label by label
-    return alignment.label_agreement(machine, labels(1))
+    return alignment.label_agreement(labels(0), labels(1))
 
 
 @main.command("simulate")
@@ -327,12 +325,11 @@ def _dataset_agreement(dataset):
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def cli_simulate(spec_path, confusion_path, effect_path, seed, rho_shared, out_path):
     """Generate a synthetic paired experiment dataset (JSONL)."""
-    spec, k_depth = dataset_io.load_population_spec(spec_path)
+    spec = dataset_io.load_population_spec(spec_path)
     confusion = (dataset_io.load_confusion(confusion_path) if confusion_path
                  else simulator.ConfusionMatrix.identity())
     effect = dataset_io.load_effect(effect_path) if effect_path else simulator.EffectSpec.null()
-    dataset = simulator.run_synthetic_experiment(spec, effect, confusion, k_depth, seed,
-                                                 rho_shared)
+    dataset = simulator.run_synthetic_experiment(spec, effect, confusion, seed, rho_shared)
     dataset_io.write_dataset(dataset, out_path)
 
 

@@ -17,6 +17,7 @@ from .errors import (
     BadLabelValue,
     BadPValue,
     BadRankSequence,
+    BadSpec,
     DatasetValidationError,
     DuplicateQueryId,
     EmptyPage,
@@ -27,12 +28,14 @@ from .errors import (
 
 DEFAULT_K_DEPTH = 25
 
-# the ways estimation splits a dataset into segments: by a stratum's
-# popularity, its interest, or the whole stratum (defined here, where the CLI
-# can name its default without running estimation)
-GROUP_BY_POPULARITY = "popularity"
-GROUP_BY_INTEREST = "interest"
-GROUP_BY_STRATUM = "stratum"
+# the ways estimation splits a dataset into segments, each name to a
+# stratum's segment key: its popularity, its interest, or the whole stratum
+# (defined here, where the CLI can list them without running estimation)
+GROUPINGS = {
+    "popularity": lambda stratum: stratum.popularity,
+    "interest": lambda stratum: stratum.interest,
+    "stratum": lambda stratum: stratum,
+}
 
 _LEVELS = frozenset(range(1, 6))
 _INT = frozenset((int,))
@@ -81,6 +84,14 @@ class StratumKey:
 
     def __str__(self) -> str:
         return f"{self.interest}/{self.popularity.value}"
+
+
+def check_unique_strata(keys: Sequence[StratumKey], where: str) -> None:
+    """Strata partition the population: a key that repeats in ``where`` is a
+    BadSpec naming each repeated key."""
+    if len(set(keys)) != len(keys):
+        repeated = sorted({str(k) for k in keys if keys.count(k) > 1})
+        raise BadSpec(f"duplicate stratum keys in {where}: {repeated}")
 
 
 def _checked_page(labels: Sequence[Any], query_id: str, arm: str, source: str,

@@ -24,6 +24,7 @@ from .core import (
     PopularitySegment,
     StratumKey,
     _is_text,
+    check_unique_strata,
     validate_dataset,
 )
 from .errors import (BadLabelValue, BadRankSequence, BadSpec, DatasetValidationError,
@@ -217,12 +218,6 @@ def _stratum_key(obj: Mapping[str, Any]) -> StratumKey:
         raise BadSpec(f"invalid stratum reference {obj!r}") from err
 
 
-def _check_unique(keys: list[StratumKey], where: str) -> None:
-    if len(set(keys)) != len(keys):
-        repeated = sorted({str(k) for k in keys if keys.count(k) > 1})
-        raise BadSpec(f"duplicate stratum keys in {where}: {repeated}")
-
-
 def _optional_number(obj: Mapping[str, Any], key: str) -> float | None:
     # an absent key is None; a present null is not a number
     return _json_number(obj[key], key) if key in obj else None
@@ -258,14 +253,13 @@ def load_design(path: str | Path) -> list[sampling.StratumSpec]:
         ) for obj in raw]
     except (KeyError, TypeError, ValueError) as err:
         raise BadSpec(f"invalid design entry: {err!r}") from err
-    _check_unique([s.key for s in specs], "design file")
+    check_unique_strata([s.key for s in specs], "design file")
     return specs
 
 
-def load_population_spec(path: str | Path) -> tuple[simulator.PopulationSpec, int]:
-    """Population spec JSON; returns (spec, k_depth). k_depth defaults to DEFAULT_K_DEPTH;
-    every profile names its kind; a size past MAX_K_DEPTH or
-    MAX_QUERIES_PER_STRATUM is a BadSpec."""
+def load_population_spec(path: str | Path) -> simulator.PopulationSpec:
+    """Population spec JSON. k_depth defaults to DEFAULT_K_DEPTH; every profile
+    names its kind; a size past MAX_K_DEPTH or MAX_QUERIES_PER_STRATUM is a BadSpec."""
     raw = _load_json(path)
     try:
         strata = []
@@ -281,15 +275,13 @@ def load_population_spec(path: str | Path) -> tuple[simulator.PopulationSpec, in
             strata.append(simulator.StratumProfile(key=_stratum_key(obj),
                                                    weight=_json_number(obj["weight"], "weight"),
                                                    profile=profile))
-        spec = simulator.PopulationSpec(
+        return simulator.PopulationSpec(
             strata=tuple(strata),
             queries_per_stratum=_json_int(raw["queries_per_stratum"], "queries_per_stratum"),
-            market=_json_str(raw.get("market", "US"), "market"))
-        k_depth = _json_int(raw.get("k_depth", DEFAULT_K_DEPTH), "k_depth")
+            market=_json_str(raw.get("market", "US"), "market"),
+            k_depth=_json_int(raw.get("k_depth", DEFAULT_K_DEPTH), "k_depth"))
     except (KeyError, TypeError, ValueError, AttributeError) as err:
         raise BadSpec(f"invalid population spec: {err}") from err
-    simulator.check_k_depth(k_depth)
-    return spec, k_depth
 
 
 def _as_prob_tuple(probs) -> tuple:
@@ -325,5 +317,5 @@ def load_effect(path: str | Path) -> simulator.EffectSpec:
         default = _json_number(raw.get("default", 0.0), "default")
     except (KeyError, TypeError, ValueError) as err:
         raise BadSpec(f"invalid effect file: {err!r}") from err
-    _check_unique([key for key, _ in shifts], "effect file")
+    check_unique_strata([key for key, _ in shifts], "effect file")
     return simulator.EffectSpec(shifts=dict(shifts), default=default)

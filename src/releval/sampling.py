@@ -25,7 +25,7 @@ from .errors import (
 )
 
 MIN_PER_STRATUM = 2
-WEIGHT_TOL = 1e-9  # how far stratum weights may sum from 1
+WEIGHT_TOL = 1e-9  # how far stratum weights, or a row of probabilities, may sum from 1
 
 
 @dataclass(frozen=True)

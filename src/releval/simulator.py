@@ -18,11 +18,10 @@ from typing import Mapping, Sequence
 
 from ._lazy import np
 from ._rng import substream
-from .core import EvalDataset, QueryRecord, StratumKey
-from .errors import BadMatrix, BadSpec, InfeasibleTargets
-from .sampling import check_weights
+from .core import DEFAULT_K_DEPTH, EvalDataset, QueryRecord, StratumKey, check_unique_strata
+from .errors import BadMatrix, BadSpec, InfeasibleTargets, WeightMismatch
+from .sampling import WEIGHT_TOL, check_weights
 
-_PROB_TOL = 1e-9
 # largest simulated page depth and stratum size; work and memory grow with
 # their product, and a size past either is a BadSpec before anything is drawn
 MAX_K_DEPTH = 1000
@@ -57,7 +56,7 @@ class LabelProfile:
             for row in rows:
                 if len(row) != 5 or not all(p >= 0 for p in row):
                     raise BadSpec(f"categorical profile rows must be 5 non-negative probs, got {row}")
-                if not abs(sum(row) - 1.0) <= _PROB_TOL:
+                if not abs(sum(row) - 1.0) <= WEIGHT_TOL:
                     raise BadSpec(f"categorical profile row must sum to 1, got {sum(row)!r}")
         elif self.kind == "curve":
             if not 1.0 <= self.mean_top <= 5.0:
@@ -102,11 +101,12 @@ class StratumProfile:
 
 @dataclass(frozen=True)
 class PopulationSpec:
-    """Stratified synthetic population: strata plus a uniform query count."""
+    """Stratified synthetic population: strata, a uniform query count and the page depth."""
 
     strata: tuple[StratumProfile, ...]
     queries_per_stratum: int
     market: str = "US"
+    k_depth: int = DEFAULT_K_DEPTH
 
     def __post_init__(self):
         if not self.strata:
@@ -114,13 +114,12 @@ class PopulationSpec:
         if not 1 <= self.queries_per_stratum <= MAX_QUERIES_PER_STRATUM:
             raise BadSpec(f"queries_per_stratum must be in [1, {MAX_QUERIES_PER_STRATUM}], "
                           f"got {self.queries_per_stratum}")
-        keys = [s.key for s in self.strata]
-        if len(set(keys)) != len(keys):
-            raise BadSpec("duplicate stratum keys in population spec")
+        check_unique_strata([s.key for s in self.strata], "population spec")
         try:
             check_weights(s.weight for s in self.strata)
-        except Exception as err:
+        except WeightMismatch as err:
             raise BadSpec(str(err)) from err
+        check_k_depth(self.k_depth)
 
 
 @dataclass(frozen=True)
@@ -135,7 +134,7 @@ class ConfusionMatrix:
         for r, row in enumerate(self.rows):
             if not all(p >= 0 for p in row):
                 raise BadMatrix(f"row {r + 1} has a negative or NaN entry")
-            if not abs(sum(row) - 1.0) <= _PROB_TOL:
+            if not abs(sum(row) - 1.0) <= WEIGHT_TOL:
                 raise BadMatrix(f"row {r + 1} must sum to 1, got {sum(row)!r}")
 
     def as_array(self) -> np.ndarray:
@@ -287,7 +286,6 @@ def run_synthetic_experiment(
     spec: PopulationSpec,
     effect: EffectSpec,
     confusion: ConfusionMatrix,
-    k_depth: int,
     seed: int,
     rho_shared: float = 0.0,
 ) -> EvalDataset:
@@ -297,14 +295,14 @@ def run_synthetic_experiment(
     (marginally, the shifted label distribution); both arms are labeled by
     the same confusion-matrix labeler. Each stratum is drawn whole: one
     block per purpose from its ("pop" | "effect" | "labeler", stratum)
-    substream, row q for query q. A shift for a stratum the spec lacks is a
-    BadSpec.
+    substream, row q for query q, ``spec.k_depth`` labels a page. A shift
+    for a stratum the spec lacks is a BadSpec.
     """
     unknown = set(effect.shifts).difference(sp.key for sp in spec.strata)
     if unknown:
         raise BadSpec(f"effect shifts name strata the spec lacks: {sorted(map(str, unknown))}")
     cdf_rows = _labeler_cdf(confusion, rho_shared)
-    count = spec.queries_per_stratum
+    count, k_depth = spec.queries_per_stratum, spec.k_depth
     records: list[QueryRecord] = []
     for sp in spec.strata:
         pages = _draw_levels(sp.profile, count, k_depth, substream(seed, "pop", sp.key))

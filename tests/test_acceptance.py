@@ -274,12 +274,11 @@ def test_criterion_8_paired_error_tightening():
     prof = LabelProfile(kind="curve", mean_top=4.2, decay=0.1)
     spec = PopulationSpec(
         strata=(StratumProfile(sk("a"), 0.5, prof), StratumProfile(sk("b"), 0.5, prof)),
-        queries_per_stratum=150)
+        queries_per_stratum=150, k_depth=8)
     cm = calibrate_confusion(0.737, 0.917)
     tightened = 0
     for seed in range(100):
-        ds = run_synthetic_experiment(spec, EffectSpec.null(), cm, k_depth=8,
-                                      seed=seed, rho_shared=0.7)
+        ds = run_synthetic_experiment(spec, EffectSpec.null(), cm, seed=seed, rho_shared=0.7)
         single, paired = [], []
         for rec in ds.records:
             m_c = sdcg_at_k(rec.control, 8)

@@ -282,6 +282,27 @@ class TestLabelAgreement:
         assert peak < 8 * 2**20, peak
         assert stats == label_agreement(machine.tolist(), reference.tolist())
 
+    def test_range_check_and_cells_make_no_temporary_masks(self):
+        # the range test reads min and max, and the cells are built in place: a
+        # mask per array or a temporary per step would take 5 MB each here
+        n = 5_000_000
+        gen = np.random.default_rng(6)
+        machine = gen.integers(1, 6, size=n, dtype=np.uint8)
+        reference = gen.integers(1, 6, size=n, dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            stats = label_agreement(machine, reference)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20, peak
+        expected = sum(np.bincount(5 * reference[lo:lo + 10**6].astype(np.int64)
+                                   + machine[lo:lo + 10**6] - 6, minlength=25)
+                       for lo in range(0, n, 10**6)).reshape(5, 5)
+        assert stats.confusion == tuple(map(tuple, expected.tolist()))
+        assert stats.n == n
+        assert stats.exact_rate == int(np.trace(expected)) / n
+
     def test_rates_are_read_off_the_confusion(self, rng):
         machine = rng.integers(1, 6, size=500)
         reference = np.clip(machine + rng.integers(-2, 3, size=500), 1, 5)

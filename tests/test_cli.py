@@ -358,7 +358,7 @@ _DUPLICATE = [{"interest": "a", "popularity": "head", "weight": 0.5, "sigma": 1.
               {"interest": "a", "popularity": "head", "weight": 0.5, "sigma": 1.0}]
 
 
-@pytest.mark.parametrize("command", ["design", "evaluate", "effect"])
+@pytest.mark.parametrize("command", ["design", "evaluate", "effect", "spec"])
 def test_duplicate_strata_are_rejected(runner, tmp_path, command):
     # a repeated stratum would collapse into one key and lose its share
     path = tmp_path / "input.json"
@@ -366,23 +366,27 @@ def test_duplicate_strata_are_rejected(runner, tmp_path, command):
         path.write_text(json.dumps({"shifts": [
             {"interest": "a", "popularity": "head", "shift": 0.5},
             {"interest": "a", "popularity": "head", "shift": -0.5}]}))
+    elif command == "spec":
+        doc = sim_spec()
+        doc["strata"][1].update(interest="a", popularity="head")
+        path.write_text(json.dumps(doc))
     else:
         path.write_text(json.dumps(_DUPLICATE))
     data = write_jsonl(tmp_path / "d.jsonl",
                        [raw_record(f"q{i}", [3, 4], [4, 4], interest="a") for i in range(4)])
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(sim_spec()))
-    args = {
-        "design": ["design", "--strata", str(path), "--budget", "10"],
-        "evaluate": ["evaluate", data, "--design", str(path)],
-        "effect": ["simulate", "--spec", str(spec), "--effect", str(path),
-                   "--out", str(tmp_path / "x.jsonl")],
+    out = ["--out", str(tmp_path / "x.jsonl")]
+    args, where = {
+        "design": (["design", "--strata", str(path), "--budget", "10"], "design file"),
+        "evaluate": (["evaluate", data, "--design", str(path)], "design file"),
+        "effect": (["simulate", "--spec", str(spec), "--effect", str(path), *out], "effect file"),
+        "spec": (["simulate", "--spec", str(path), *out], "population spec"),
     }[command]
     result = runner.invoke(main, [*args, "--error-json"])
     assert result.exit_code == 1, result.output
-    payload = json.loads(result.stdout)
-    assert payload["error"] == "BadSpec"
-    assert "a/head" in payload["message"]
+    assert json.loads(result.stdout) == {
+        "error": "BadSpec", "message": f"duplicate stratum keys in {where}: ['a/head']"}
 
 
 class TestMetric:
@@ -430,6 +434,22 @@ class TestMetric:
         assert result.stderr == (
             f"warning: {path}: line 1: ignoring unknown fields ['extra'] (on 3 lines)\n")
         assert result.stdout.count("\n") == 5
+
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    def test_warning_line_ignores_the_interpreters_warning_filters(self, tmp_path, action):
+        # -W error would end the command in a traceback, -W ignore would drop the line
+        records = [dict(raw_record("q0", [3], [4]), extra=0), raw_record("q1", [3])]
+        path = write_jsonl(tmp_path / "d.jsonl", records)
+        line = f"warning: {path}: line 1: ignoring unknown fields ['extra'] (on 1 line)\n"
+        run = [sys.executable, "-W", action, "-m", "releval.cli"]
+        result = subprocess.run([*run, "metric", path], env=_python_env(),
+                                capture_output=True, text=True)
+        assert (result.returncode, result.stderr) == (0, line)
+        # a rejected evaluate still prints its payload, after the warning line
+        result = subprocess.run([*run, "evaluate", path, "--error-json"], env=_python_env(),
+                                capture_output=True, text=True)
+        assert (result.returncode, result.stderr) == (1, line)
+        assert json.loads(result.stdout)["violations"][0]["field"] == "treatment"
 
     def test_missing_file_is_io_error(self, runner, tmp_path):
         result = runner.invoke(main, ["metric", str(tmp_path / "nope.jsonl")])
@@ -702,6 +722,11 @@ class TestEvaluate:
         path.write_text(json.dumps(
             [{"interest": "art", "popularity": "head", "weight": weight}]))
         return str(path)
+
+    def test_help_lists_the_groupings(self, runner):
+        result = runner.invoke(main, ["evaluate", "--help"])
+        assert result.exit_code == 0
+        assert "--by [popularity|interest|stratum]" in result.output
 
     def test_report_structure(self, runner, tmp_path):
         path = write_jsonl(tmp_path / "d.jsonl", paired_records())

@@ -29,22 +29,21 @@ def point_mass(level):
     return LabelProfile(kind="categorical", probs=tuple(probs))
 
 
-def true_population(spec, k_depth, seed):
+def true_population(spec, seed):
     """The true pages run_synthetic_experiment draws: its reference arms under a
     null effect, as paired records with identical arms and no references."""
-    ds = run_synthetic_experiment(spec, EffectSpec.null(), ConfusionMatrix.identity(),
-                                  k_depth, seed)
+    ds = run_synthetic_experiment(spec, EffectSpec.null(), ConfusionMatrix.identity(), seed)
     return [dataclasses.replace(rec, control=rec.control_reference,
                                 treatment=rec.treatment_reference,
                                 control_reference=None, treatment_reference=None)
             for rec in ds.records]
 
 
-def two_strata_spec(profile_a, profile_b, count=50, wa=0.5):
+def two_strata_spec(profile_a, profile_b, count=50, wa=0.5, k_depth=25):
     return PopulationSpec(
         strata=(StratumProfile(sk("a"), wa, profile_a),
                 StratumProfile(sk("b"), 1.0 - wa, profile_b)),
-        queries_per_stratum=count)
+        queries_per_stratum=count, k_depth=k_depth)
 
 
 class TestLabelProfile:
@@ -99,8 +98,8 @@ class TestShiftPmf:
 
 class TestGeneratePopulation:
     def test_point_mass_top_profile(self):
-        spec = two_strata_spec(point_mass(5), point_mass(5), count=10)
-        records = true_population(spec, k_depth=4, seed=1)
+        spec = two_strata_spec(point_mass(5), point_mass(5), count=10, k_depth=4)
+        records = true_population(spec, seed=1)
         assert len(records) == 20
         for rec in records:
             assert rec.control == bytes((5, 5, 5, 5))
@@ -108,8 +107,8 @@ class TestGeneratePopulation:
             assert sdcg_at_k(rec.control, 4) == pytest.approx(1.0)
 
     def test_two_point_masses_variance_decomposition(self):
-        spec = two_strata_spec(point_mass(1), point_mass(5), count=30)
-        records = true_population(spec, k_depth=3, seed=2)
+        spec = two_strata_spec(point_mass(1), point_mass(5), count=30, k_depth=3)
+        records = true_population(spec, seed=2)
         values = [(rec.stratum, sdcg_at_k(rec.control, 3)) for rec in records]
         vd = decompose_variance(values)
         assert vd.within == pytest.approx(0.0, abs=1e-15)
@@ -117,9 +116,9 @@ class TestGeneratePopulation:
 
     def test_same_seed_identical(self):
         prof = LabelProfile(kind="curve", mean_top=4.0, decay=0.2)
-        spec = two_strata_spec(prof, prof, count=15)
-        assert true_population(spec, 5, seed=9) == true_population(spec, 5, seed=9)
-        assert true_population(spec, 5, seed=9) != true_population(spec, 5, seed=10)
+        spec = two_strata_spec(prof, prof, count=15, k_depth=5)
+        assert true_population(spec, seed=9) == true_population(spec, seed=9)
+        assert true_population(spec, seed=9) != true_population(spec, seed=10)
 
     def test_bad_spec(self):
         with pytest.raises(BadSpec):
@@ -127,10 +126,18 @@ class TestGeneratePopulation:
                                    StratumProfile(sk("b"), 0.7, point_mass(3))),
                            queries_per_stratum=5)
 
+    def test_spec_holds_its_depth(self):
+        strata = (StratumProfile(sk("a"), 1.0, point_mass(3)),)
+        assert PopulationSpec(strata=strata, queries_per_stratum=5).k_depth == 25
+        for k_depth in (0, 1001):
+            with pytest.raises(BadSpec) as err:
+                PopulationSpec(strata=strata, queries_per_stratum=5, k_depth=k_depth)
+            assert str(err.value) == f"k_depth must be in [1, 1000], got {k_depth}"
+
     def test_empirical_moments_match_analytic(self):
         probs = (0.1, 0.2, 0.3, 0.25, 0.15)
         prof = LabelProfile(kind="categorical", probs=probs)
-        records = true_population(two_strata_spec(prof, prof, count=10_000), 8, seed=77)
+        records = true_population(two_strata_spec(prof, prof, count=10_000, k_depth=8), seed=77)
         scores = np.array([sdcg_at_k(rec.control, 8) for rec in records])
         mean, var = stratum_score_moments(probs, k_depth=8)
         mc_se_mean = math.sqrt(var / len(scores))
@@ -184,7 +191,7 @@ class TestConfusionMatrix:
 class TestApplyLabeler:
     def base_records(self, count=40, k=6, seed=3):
         prof = LabelProfile(kind="categorical", probs=(0.2, 0.2, 0.2, 0.2, 0.2))
-        return true_population(two_strata_spec(prof, prof, count=count), k, seed)
+        return true_population(two_strata_spec(prof, prof, count=count, k_depth=k), seed)
 
     def test_identity_matrix_keeps_labels(self):
         records = self.base_records()
@@ -207,7 +214,7 @@ class TestApplyLabeler:
     def test_marginal_distribution_converges(self):
         cm = calibrate_confusion(0.6, 0.9)
         prof = LabelProfile(kind="categorical", probs=(0.1, 0.15, 0.3, 0.25, 0.2))
-        records = true_population(two_strata_spec(prof, prof, count=800), 10, seed=8)
+        records = true_population(two_strata_spec(prof, prof, count=800, k_depth=10), seed=8)
         labeled = apply_labeler(records, cm, seed=9)
         machine = np.frombuffer(b"".join(rec.control for rec in labeled), np.uint8)
         empirical = np.bincount(machine, minlength=6)[1:] / len(machine)
@@ -224,9 +231,9 @@ class TestApplyLabeler:
 class TestRunSyntheticExperiment:
     def test_null_experiment_near_zero(self):
         prof = LabelProfile(kind="curve", mean_top=4.0, decay=0.1)
-        spec = two_strata_spec(prof, prof, count=400)
+        spec = two_strata_spec(prof, prof, count=400, k_depth=10)
         ds = run_synthetic_experiment(spec, EffectSpec.null(),
-                                      ConfusionMatrix.identity(), k_depth=10, seed=21)
+                                      ConfusionMatrix.identity(), seed=21)
         deltas = [sdcg_at_k(r.treatment, 10) - sdcg_at_k(r.control, 10)
                   for r in ds.records]
         # zero effect with coupled arms: deltas are exactly zero
@@ -234,10 +241,9 @@ class TestRunSyntheticExperiment:
 
     def test_uniform_effect_matches_analytic_shift(self):
         prof = LabelProfile(kind="categorical", probs=(0.15, 0.25, 0.3, 0.2, 0.1))
-        spec = two_strata_spec(prof, prof, count=1000)
+        spec = two_strata_spec(prof, prof, count=1000, k_depth=6)
         effect = EffectSpec(shifts={}, default=1.0)
-        ds = run_synthetic_experiment(spec, effect, ConfusionMatrix.identity(),
-                                      k_depth=6, seed=22)
+        ds = run_synthetic_experiment(spec, effect, ConfusionMatrix.identity(), seed=22)
         deltas = np.array([
             sdcg_at_k(r.treatment, 6) - sdcg_at_k(r.control, 6)
             for r in ds.records])
@@ -247,18 +253,18 @@ class TestRunSyntheticExperiment:
         assert abs(deltas.mean() - expected) < 3 * deltas.std(ddof=1) / math.sqrt(len(deltas))
 
     def test_huge_shift_clamps_every_label(self):
-        spec = two_strata_spec(point_mass(2), point_mass(4), count=5)
+        spec = two_strata_spec(point_mass(2), point_mass(4), count=5, k_depth=3)
         for shift, level in ((1e300, 5), (-1e300, 1), (4.5, 5), (-4.5, 1)):
             ds = run_synthetic_experiment(spec, EffectSpec(default=shift),
-                                          ConfusionMatrix.identity(), 3, seed=23)
+                                          ConfusionMatrix.identity(), seed=23)
             assert {rec.treatment_reference for rec in ds.records} == {bytes((level,) * 3)}
 
     def test_pages_are_bytes(self):
         spec = two_strata_spec(point_mass(2), LabelProfile(kind="curve", mean_top=4.0, decay=0.3),
-                               count=4)
+                               count=4, k_depth=5)
         ds = run_synthetic_experiment(spec, EffectSpec(default=0.5), calibrate_confusion(0.6, 0.85),
-                                      5, seed=3)
-        labeled = apply_labeler(true_population(spec, 5, seed=3), ConfusionMatrix.identity(),
+                                      seed=3)
+        labeled = apply_labeler(true_population(spec, seed=3), ConfusionMatrix.identity(),
                                 seed=3)
         for rec in (*ds.records, *labeled):
             for labels in (rec.control, rec.treatment, rec.control_reference,
@@ -268,11 +274,11 @@ class TestRunSyntheticExperiment:
 
     def test_same_seed_identical(self):
         prof = LabelProfile(kind="curve", mean_top=3.8, decay=0.15)
-        spec = two_strata_spec(prof, point_mass(3), count=60)
+        spec = two_strata_spec(prof, point_mass(3), count=60, k_depth=8)
         cm = calibrate_confusion(0.737, 0.917)
         effect = EffectSpec(shifts={sk("a"): 0.4}, default=0.0)
-        one = run_synthetic_experiment(spec, effect, cm, 8, seed=31, rho_shared=0.5)
-        two = run_synthetic_experiment(spec, effect, cm, 8, seed=31, rho_shared=0.5)
+        one = run_synthetic_experiment(spec, effect, cm, seed=31, rho_shared=0.5)
+        two = run_synthetic_experiment(spec, effect, cm, seed=31, rho_shared=0.5)
         assert one == two
 
     def test_one_substream_per_stratum_and_purpose(self, monkeypatch):
@@ -284,8 +290,9 @@ class TestRunSyntheticExperiment:
 
         monkeypatch.setattr(simulator, "substream", counting)
         prof = LabelProfile(kind="curve", mean_top=3.8, decay=0.15)
-        run_synthetic_experiment(two_strata_spec(prof, prof, count=40), EffectSpec(default=0.3),
-                                 calibrate_confusion(0.737, 0.917), 8, seed=34)
+        run_synthetic_experiment(two_strata_spec(prof, prof, count=40, k_depth=8),
+                                 EffectSpec(default=0.3), calibrate_confusion(0.737, 0.917),
+                                 seed=34)
         assert sorted(scopes) == sorted((purpose, key) for purpose in ("pop", "effect", "labeler")
                                         for key in (sk("a"), sk("b")))
 
@@ -294,8 +301,8 @@ class TestRunSyntheticExperiment:
         cm = calibrate_confusion(0.737, 0.917)
         effect = EffectSpec(shifts={sk("a"): 0.4}, default=-0.3)
         small, large = (
-            run_synthetic_experiment(two_strata_spec(prof, point_mass(3), count=count),
-                                     effect, cm, 8, seed=32, rho_shared=0.5)
+            run_synthetic_experiment(two_strata_spec(prof, point_mass(3), count=count, k_depth=8),
+                                     effect, cm, seed=32, rho_shared=0.5)
             for count in (7, 30))
         by_stratum = {}
         for rec in large.records:
@@ -306,25 +313,24 @@ class TestRunSyntheticExperiment:
     def test_apply_labeler_matches_whole_stratum_draws(self):
         prof = LabelProfile(kind="categorical", probs=(0.1, 0.2, 0.3, 0.25, 0.15))
         spec = two_strata_spec(prof, LabelProfile(kind="curve", mean_top=4.1, decay=0.2),
-                               count=25)
+                               count=25, k_depth=9)
         cm = calibrate_confusion(0.6, 0.85)
         # an integer shift is deterministic: treatment is clamp(L + shift)
         shifts = {sk("a"): 1.0, sk("b"): -2.0}
         population = [
             dataclasses.replace(rec, treatment=bytes(
                 min(5, max(1, label + int(shifts[rec.stratum]))) for label in rec.control))
-            for rec in true_population(spec, 9, seed=33)]
+            for rec in true_population(spec, seed=33)]
         labeled = apply_labeler(population, cm, seed=33, rho_shared=0.4)
-        ds = run_synthetic_experiment(spec, EffectSpec(shifts=shifts), cm, 9, seed=33,
+        ds = run_synthetic_experiment(spec, EffectSpec(shifts=shifts), cm, seed=33,
                                       rho_shared=0.4)
         assert tuple(labeled) == ds.records
 
     def test_rho_shared_tightens_paired_errors(self):
         prof = LabelProfile(kind="curve", mean_top=4.2, decay=0.1)
-        spec = two_strata_spec(prof, prof, count=150)
+        spec = two_strata_spec(prof, prof, count=150, k_depth=8)
         cm = calibrate_confusion(0.737, 0.917)
-        ds = run_synthetic_experiment(spec, EffectSpec.null(), cm, 8, seed=41,
-                                      rho_shared=0.8)
+        ds = run_synthetic_experiment(spec, EffectSpec.null(), cm, seed=41, rho_shared=0.8)
         single, paired = [], []
         for rec in ds.records:
             m_c = sdcg_at_k(rec.control, 8)
