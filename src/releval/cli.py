@@ -28,15 +28,10 @@ EXIT_DOMAIN = 1
 EXIT_IO = 2
 
 
-def _note_error_json(ctx, param, value):
-    # the group reads the flag, so a command's callback never sees it
-    if value:
-        ctx.meta["releval.error_json"] = True
-
-
 def _error_json_option(**kwargs):
+    # parsed and listed in --help, never read: the group reads the raw args
     return click.Option(
-        ["--error-json"], is_flag=True, expose_value=False, callback=_note_error_json,
+        ["--error-json"], is_flag=True, expose_value=False,
         help="Emit machine-readable error JSON on stdout instead of a message on stderr.",
         **kwargs)
 
@@ -47,9 +42,9 @@ class Group(click.Group):
     Every command takes an --error-json flag, and the group takes it before
     the command name too. Domain errors exit 1; I/O and usage errors exit 2.
     The error goes to stderr as a message, or under --error-json to stdout as
-    one JSON object. A usage error looks for the flag in the raw args, as
-    parsing may fail before it reaches the flag; any other error reads the
-    parsed flag. A warning goes to stderr as one line, "warning: <message>".
+    one JSON object. The flag is read once, from the raw args, as parsing may
+    fail before it reaches the flag: the token anywhere turns the payload on.
+    A warning goes to stderr as one line, "warning: <message>".
     """
 
     def __init__(self, *args, **kwargs):
@@ -61,14 +56,14 @@ class Group(click.Group):
         super().add_command(cmd, name)
 
     def make_context(self, info_name, args, parent=None, **extra):
-        raw_error_json = "--error-json" in args  # read first: parsing consumes args
+        error_json = "--error-json" in args  # read first: parsing consumes args
         try:
             ctx = super().make_context(info_name, args, parent=parent, **extra)
         except click.UsageError as err:
-            if not raw_error_json:
+            if not error_json:
                 raise
             _exit_with_usage_payload(err)
-        ctx.meta["releval.error_json_in_args"] = raw_error_json
+        ctx.meta["releval.error_json"] = error_json
         return ctx
 
     def invoke(self, ctx):
@@ -79,7 +74,7 @@ class Group(click.Group):
                 warnings.showwarning = _echo_warning
                 return super().invoke(ctx)
         except click.UsageError as err:  # an unknown command, or a command's usage
-            if not ctx.meta["releval.error_json_in_args"]:
+            if not ctx.meta["releval.error_json"]:
                 raise
             _exit_with_usage_payload(err)
         except RelevalError as err:
@@ -87,7 +82,7 @@ class Group(click.Group):
         except (OSError, json.JSONDecodeError, UnicodeDecodeError) as err:
             code, payload, message = (EXIT_IO, {"error": "IOError", "message": str(err)},
                                       f"I/O error: {err}")
-        if ctx.meta.get("releval.error_json"):
+        if ctx.meta["releval.error_json"]:
             click.echo(json.dumps(payload, sort_keys=True))
         else:
             click.echo(message, err=True)
@@ -132,12 +127,7 @@ def cli_metric(dataset_path, k_depth, out_path):
             if page is not None:
                 short = "true" if len(page) < k_depth else "false"
                 rows.append(f"{query_id},{arm},{value:.10f},{short}")
-    text = "\n".join(rows) + "\n"
-    if out_path == "-":
-        click.echo(text, nl=False)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _emit("\n".join(rows) + "\n", out_path)
 
 
 def _topline_mde(dataset, deltas, per_stratum, weights, cfg):
@@ -210,11 +200,8 @@ def cli_evaluate(dataset_path, design_path, estimator, alpha, q, grouping, k_dep
         "excluded": [{"segment": s, "n": n} for s, n in analysis.excluded],
         "mde": _topline_mde(dataset, deltas, per_stratum, weights, cfg),
     }
-    has_refs = dataset.records and all(
-        rec.control_reference is not None
-        and (rec.treatment is None or rec.treatment_reference is not None)
-        for rec in dataset.records)
-    if has_refs:
+    if all(rec.control_reference is not None and rec.treatment_reference is not None
+           for rec in dataset.records):
         report["alignment"] = alignment.alignment_report(dataset, by_market=True)
     _emit_json(report, out_path)
 
@@ -333,13 +320,19 @@ def cli_simulate(spec_path, confusion_path, effect_path, seed, rho_shared, out_p
     dataset_io.write_dataset(dataset, out_path)
 
 
-def _emit_json(report, out_path):
-    text = dataset_io.canonical_json(report)
+def _emit(text, out_path):
+    """Write a report as built: click.echo would strip ANSI escapes from a piped stdout."""
     if out_path == "-":
-        click.echo(text, nl=False)
+        stdout = click.get_text_stream("stdout")
+        stdout.write(text)
+        stdout.flush()
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _emit_json(report, out_path):
+    _emit(dataset_io.canonical_json(report), out_path)
 
 
 if __name__ == "__main__":

@@ -101,10 +101,13 @@ def _largest_remainder(targets: Sequence[float], keys: Sequence[StratumKey], bud
     """Round real targets to integers summing to ``budget``.
 
     Leftover units go to the largest fractional remainders; ties break by
-    stratum key in lexicographic order so the result is deterministic.
+    stratum key in lexicographic order so the result is deterministic. A
+    budget whose float targets lost units (past about 2^52) is refused.
     """
     floors = [math.floor(t) for t in targets]
     leftover = budget - sum(floors)
+    if not 0 <= leftover <= len(targets):
+        raise OutOfDomain(f"budget {budget} is too large to split into exact stratum counts")
     order = sorted(range(len(targets)),
                    key=lambda i: (-(targets[i] - floors[i]), keys[i]))
     counts = list(floors)

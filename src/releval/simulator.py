@@ -33,6 +33,14 @@ def check_k_depth(k_depth: int) -> None:
         raise BadSpec(f"k_depth must be in [1, {MAX_K_DEPTH}], got {k_depth}")
 
 
+def _check_distribution(row: Sequence[float], error: type, what: str) -> None:
+    """Raise ``error`` unless ``row`` holds 5 non-negative probabilities summing to 1."""
+    if len(row) != 5 or not all(p >= 0 for p in row):
+        raise error(f"{what} must be 5 non-negative probabilities, got {list(row)}")
+    if not abs(sum(row) - 1.0) <= WEIGHT_TOL:
+        raise error(f"{what} must sum to 1, got {sum(row)!r}")
+
+
 @dataclass(frozen=True)
 class LabelProfile:
     """Per-position label distribution for one stratum.
@@ -52,12 +60,8 @@ class LabelProfile:
 
     def __post_init__(self):
         if self.kind == "categorical":
-            rows = self._rows()
-            for row in rows:
-                if len(row) != 5 or not all(p >= 0 for p in row):
-                    raise BadSpec(f"categorical profile rows must be 5 non-negative probs, got {row}")
-                if not abs(sum(row) - 1.0) <= WEIGHT_TOL:
-                    raise BadSpec(f"categorical profile row must sum to 1, got {sum(row)!r}")
+            for row in self._rows():
+                _check_distribution(row, BadSpec, "categorical profile row")
         elif self.kind == "curve":
             if not 1.0 <= self.mean_top <= 5.0:
                 raise BadSpec(f"curve mean_top must be in [1, 5], got {self.mean_top}")
@@ -129,13 +133,10 @@ class ConfusionMatrix:
     rows: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        if len(self.rows) != 5 or any(len(r) != 5 for r in self.rows):
-            raise BadMatrix("confusion matrix must be 5x5")
+        if len(self.rows) != 5:
+            raise BadMatrix(f"confusion matrix must have 5 rows, got {len(self.rows)}")
         for r, row in enumerate(self.rows):
-            if not all(p >= 0 for p in row):
-                raise BadMatrix(f"row {r + 1} has a negative or NaN entry")
-            if not abs(sum(row) - 1.0) <= WEIGHT_TOL:
-                raise BadMatrix(f"row {r + 1} must sum to 1, got {sum(row)!r}")
+            _check_distribution(row, BadMatrix, f"confusion row {r + 1}")
 
     def as_array(self) -> np.ndarray:
         return np.array(self.rows)
@@ -194,13 +195,16 @@ def calibrate_confusion(exact_target: float, within_one_target: float) -> Confus
     return ConfusionMatrix(rows=tuple(rows))
 
 
-def _draw_levels(profile: LabelProfile, count: int, k_depth: int,
-                 rng: np.random.Generator) -> np.ndarray:
-    """(count, k_depth) labels drawn by inverse CDF from one uniform block."""
-    cdf = np.cumsum(profile.pmf_matrix(k_depth), axis=1)
-    cdf[:, -1] = 1.0
-    u = rng.random((count, k_depth))
-    return (u[:, :, None] > cdf).sum(axis=2) + 1
+def _cdf(pmf_rows: np.ndarray) -> np.ndarray:
+    """Row-wise CDFs over labels 1..5, the last column pinned to 1."""
+    cdf = np.cumsum(pmf_rows, axis=-1)
+    cdf[..., -1] = 1.0
+    return cdf
+
+
+def _inverse_cdf(u: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """The label each uniform ``u`` draws from its CDF row, as uint8."""
+    return (u[..., None] > cdf).sum(axis=-1, dtype=np.uint8) + 1
 
 
 def _apply_effect(pages: np.ndarray, delta: float, seed: int, key: StratumKey) -> np.ndarray:
@@ -216,32 +220,25 @@ def _apply_effect(pages: np.ndarray, delta: float, seed: int, key: StratumKey) -
     return np.clip(pages + f + (u < frac), 1, 5)
 
 
-def _machine_labels(true_levels: np.ndarray, cdf_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Resample each label from its true label's confusion row at uniform u, as uint8."""
-    row_cdf = cdf_rows[true_levels - 1]
-    return (u[..., None] > row_cdf).sum(axis=-1, dtype=np.uint8) + 1
-
-
 def _machine_arms(control: np.ndarray, treatment: np.ndarray, u: np.ndarray,
                   cdf_rows: np.ndarray, rho_shared: float) -> tuple[np.ndarray, np.ndarray]:
     """Machine labels for both arms from uniforms ``u[..., i, :]``.
 
     i = 0 labels control, i = 1 is the share flag, i = 2 labels treatment
-    unless the flag reuses the control uniform.
+    unless the flag reuses the control uniform. Each label is resampled from
+    its true label's confusion row.
     """
     u_control = u[..., 0, :]
     u_treatment = np.where(u[..., 1, :] < rho_shared, u_control, u[..., 2, :])
-    return (_machine_labels(control, cdf_rows, u_control),
-            _machine_labels(treatment, cdf_rows, u_treatment))
+    return (_inverse_cdf(u_control, cdf_rows[control - 1]),
+            _inverse_cdf(u_treatment, cdf_rows[treatment - 1]))
 
 
 def _labeler_cdf(confusion: ConfusionMatrix, rho_shared: float) -> np.ndarray:
     """Row-wise CDFs of the confusion matrix, once ``rho_shared`` is checked."""
     if not 0.0 <= rho_shared <= 1.0:
         raise BadMatrix(f"rho_shared must be in [0, 1], got {rho_shared}")
-    cdf_rows = np.cumsum(confusion.as_array(), axis=1)
-    cdf_rows[:, -1] = 1.0
-    return cdf_rows
+    return _cdf(confusion.as_array())
 
 
 def _rows(block: np.ndarray) -> list[bytes]:
@@ -305,7 +302,9 @@ def run_synthetic_experiment(
     count, k_depth = spec.queries_per_stratum, spec.k_depth
     records: list[QueryRecord] = []
     for sp in spec.strata:
-        pages = _draw_levels(sp.profile, count, k_depth, substream(seed, "pop", sp.key))
+        u = substream(seed, "pop", sp.key).random((count, k_depth))
+        # wider than uint8, as _apply_effect may add a negative shift
+        pages = _inverse_cdf(u, _cdf(sp.profile.pmf_matrix(k_depth))).astype(int)
         treated = _apply_effect(pages, effect.shift_for(sp.key), seed, sp.key)
         u = substream(seed, "labeler", sp.key).random((count, 3, k_depth))
         machine_control, machine_treatment = _machine_arms(pages, treated, u, cdf_rows, rho_shared)

@@ -414,6 +414,18 @@ class TestMetric:
         assert "q0,control,1.0000000000,false" in lines
         assert "q0,treatment,0.2000000000,false" in lines
 
+    def test_escape_bytes_in_a_query_id_reach_stdout(self, runner, tmp_path):
+        # click.echo strips ANSI escapes from a stdout that is not a terminal
+        path = write_jsonl(tmp_path / "d.jsonl", [raw_record("q\x1b[31mred", [3, 4])])
+        out = tmp_path / "out.csv"
+        assert runner.invoke(main, ["metric", path, "--out", str(out)]).exit_code == 0
+        assert b"q\x1b[31mred,control," in out.read_bytes()
+        assert runner.invoke(main, ["metric", path]).stdout_bytes == out.read_bytes()
+        piped = subprocess.run([sys.executable, "-m", "releval.cli", "metric", path],
+                               env=_python_env(), capture_output=True)
+        assert piped.returncode == 0, piped.stderr
+        assert piped.stdout == out.read_bytes()
+
     def test_malformed_line_reported_with_number(self, runner, tmp_path):
         path = tmp_path / "bad.jsonl"
         with open(path, "w", encoding="utf-8") as fh:
@@ -714,6 +726,19 @@ def test_error_json_before_the_command_name_applies_to_it(runner, tmp_path):
     missing = runner.invoke(main, ["--error-json", "metric", str(tmp_path / "none.jsonl")])
     assert missing.exit_code == 2
     assert json.loads(missing.stdout)["error"] == "IOError"
+
+
+def test_error_json_token_anywhere_in_the_args_turns_the_payload_on(runner, tmp_path,
+                                                                    monkeypatch):
+    # read from the raw args, so the token turns the payload on as another
+    # option's value, or as the dataset path after "--", too
+    monkeypatch.chdir(tmp_path)
+    for args in (["metric", "none.jsonl", "--out", "--error-json"],
+                 ["metric", "--", "--error-json"]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert json.loads(result.stdout)["error"] == "IOError"
+        assert result.stderr == ""
 
 
 class TestEvaluate:

@@ -21,7 +21,9 @@ dataset.
 """
 
 import copy
+import csv
 import functools
+import io
 import json
 import math
 import re
@@ -202,6 +204,21 @@ def test_write_dataset_gives_json_bytes_and_reads_back(dataset, chunk):
         write_dataset(dataset, path)
         assert path.read_bytes() == dataset_bytes(dataset.records)
         assert read_dataset(path, k_depth=dataset.k_depth) == dataset
+
+
+@given(query_id=QUERY_ID)
+@example(query_id="q\x1b[31mred")
+def test_metric_writes_each_query_id_as_read(query_id):
+    obj = {"query_id": query_id, "stratum": {"interest": "art", "popularity": "head"},
+           "control": [{"rank": 1, "label": 3}]}
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "d.jsonl", Path(tmp) / "out.csv"
+        path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+        stdout = CliRunner().invoke(main, ["metric", str(path)]).stdout_bytes
+        assert CliRunner().invoke(main, ["metric", str(path), "--out", str(out)]).exit_code == 0
+        assert stdout == out.read_bytes()
+    [row] = list(csv.reader(io.StringIO(stdout.decode("utf-8"), newline="")))[2:]
+    assert row[0] == query_id
 
 
 # -- spec files -----------------------------------------------------------------

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from releval.errors import (
     BudgetTooSmall,
@@ -94,6 +96,22 @@ class TestAllocate:
             alloc = allocate(strata, budget, mode="neyman")
             assert sum(alloc.per_stratum.values()) == budget
             assert all(c >= 2 for c in alloc.per_stratum.values())
+
+    # float targets lose units past about 2^52, so a large budget may be refused
+    @given(parts=st.lists(st.tuples(st.integers(1, 100), st.floats(0, 10)),
+                          min_size=1, max_size=6),
+           budget=st.integers(4, 80).flatmap(lambda bits: st.integers(2 ** bits, 2 ** (bits + 1))),
+           mode=st.sampled_from(["neyman", "proportional"]))
+    def test_allocation_sums_to_the_budget_or_is_refused(self, parts, budget, mode):
+        total = sum(w for w, _ in parts)
+        strata = [StratumSpec(sk(f"s{i}"), w / total, sigma=sigma)
+                  for i, (w, sigma) in enumerate(parts)]
+        try:
+            alloc = allocate(strata, budget, mode=mode)
+        except OutOfDomain:
+            assert budget > 2 ** 40
+        else:
+            assert sum(alloc.per_stratum.values()) == budget
 
     def test_min_per_stratum_raise_and_reallocate(self):
         strata = [StratumSpec(sk("tiny"), 0.01, sigma=0.01),
