@@ -23,7 +23,7 @@ _EXPORTS = {
              "validate_dataset"),
     "metrics": ("paired_delta", "sdcg_at_k"),
     "sampling": ("Allocation", "StratumSpec", "VarianceDecomposition", "allocate",
-                 "decompose_variance", "draw_sample"),
+                 "decompose_variance"),
     "estimation": ("EstimateResult", "SegmentAnalysis", "SegmentEffect", "segment_effects",
                    "srs_estimate", "stratified_estimate"),
     "power": ("PowerConfig", "mde", "normal_quantile", "required_n"),

@@ -126,10 +126,6 @@ class MissingSigma(RelevalError):
     """A stratum without the finite sigma optimal allocation needs."""
 
 
-class StratumExhausted(RelevalError):
-    """A draw of more queries than a stratum holds."""
-
-
 # -- power --------------------------------------------------------------------
 
 class OutOfDomain(RelevalError):

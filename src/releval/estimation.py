@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Hashable, Mapping, Sequence
 
 from ._lazy import np, t_ufuncs
@@ -139,7 +141,8 @@ def stratified_estimate(
     check_design(per_stratum, weights)
 
     se = math.sqrt(stratified_variance(per_stratum, weights))
-    mean = sum(weights[key] * float(np.mean(values)) for key, values in per_stratum.items())
+    mean = reduce(add, (weights[key] * float(np.mean(values))
+                        for key, values in per_stratum.items()), 0)
     n_total = sum(map(len, per_stratum.values()))
     if se == 0.0:
         return _degenerate(mean, n_total, STRATIFIED, alpha)

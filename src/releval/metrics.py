@@ -16,24 +16,10 @@ from .errors import EmptyPage, MissingArm
 
 MAX_LEVEL = 5
 
-_discount_cache: list[float] = []
-# MAX_LEVEL * sum of the first k discounts, by k
-_denominator_cache: dict[int, float] = {}
-
-
-def _discounts(k: int) -> list[float]:
-    """1/log2(1+rank) for ranks 1..k, cached across calls."""
-    while len(_discount_cache) < k:
-        rank = len(_discount_cache) + 1
-        _discount_cache.append(1.0 / math.log2(1.0 + rank))
-    return _discount_cache[:k]
-
-
-def _denominator(k: int) -> float:
-    den = _denominator_cache.get(k)
-    if den is None:
-        den = _denominator_cache[k] = MAX_LEVEL * sum(_discounts(k))
-    return den
+# 1/log2(1+rank) for ranks 1, 2, ..., and the running sums of those
+# discounts: _prefix[k] is the sum of the first k, added left to right
+_discounts: list[float] = []
+_prefix: list[float] = [0.0]
 
 
 def sdcg_at_k(page: bytes, k_depth: int) -> float:
@@ -49,12 +35,16 @@ def sdcg_at_k(page: bytes, k_depth: int) -> float:
     if n == 0:
         raise EmptyPage("cannot score an empty page")
     k_eff = min(k_depth, n)
-    den = _denominator(k_eff)  # fills _discount_cache up to k_eff
-    # summed left to right, so the value matches a plain += loop bit for bit on
-    # CPython up to 3.11; from 3.12, sum() of floats is compensated (Neumaier),
-    # which may round the last bit differently
-    num = sum(map(mul, page[:k_eff], _discount_cache))
-    return num / den
+    while len(_discounts) < k_eff:
+        rank = len(_discounts) + 1
+        _discounts.append(1.0 / math.log2(1.0 + rank))
+        _prefix.append(_prefix[-1] + _discounts[-1])
+    # both sums add one term at a time, left to right, on every CPython; from
+    # 3.12 sum() of floats is compensated (Neumaier) and may round differently
+    num = 0.0
+    for term in map(mul, page[:k_eff], _discounts):
+        num += term
+    return num / (MAX_LEVEL * _prefix[k_eff])
 
 
 def _require_treatment(record: QueryRecord) -> None:

@@ -1,5 +1,4 @@
-"""Stratified sampling design: variance decomposition, budget allocation,
-and seeded sample drawing.
+"""Stratified sampling design: variance decomposition and budget allocation.
 
 The decomposition uses population (divide-by-n) variance throughout so the
 identity total = within + between is exact; estimation uses the n-1
@@ -10,19 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from ._lazy import np
-from ._rng import substream
 from .core import StratumKey
-from .errors import (
-    BudgetTooSmall,
-    EmptyInput,
-    MissingSigma,
-    OutOfDomain,
-    StratumExhausted,
-    WeightMismatch,
-)
+from .errors import BudgetTooSmall, EmptyInput, MissingSigma, OutOfDomain, WeightMismatch
 
 MIN_PER_STRATUM = 2
 WEIGHT_TOL = 1e-9  # how far stratum weights, or a row of probabilities, may sum from 1
@@ -55,19 +48,18 @@ class VarianceDecomposition:
 
 @dataclass(frozen=True)
 class Allocation:
-    """Integer sample counts per stratum summing exactly to ``total``.
+    """Integer sample counts per stratum summing exactly to the budget.
 
     ``fallback_proportional`` is set when optimal allocation degenerated
     (all weight*sigma products zero) and proportional shares were used.
     """
 
     per_stratum: Mapping[StratumKey, int]
-    total: int
     fallback_proportional: bool = False
 
 
 def check_weights(weights: Iterable[float]) -> None:
-    total = float(sum(weights))
+    total = float(reduce(add, weights, 0))
     if not abs(total - 1.0) <= WEIGHT_TOL:  # a NaN total fails too
         raise WeightMismatch(f"stratum weights must sum to 1 +/- {WEIGHT_TOL}, got {total!r}")
 
@@ -146,14 +138,14 @@ def allocate(
             if s.sigma is None:
                 raise MissingSigma(f"optimal allocation requires sigma for stratum {s.key}")
         shares = [s.weight * s.sigma for s in strata]
-        if sum(shares) == 0.0:
+        if not any(shares):  # every share is >= 0
             shares = [s.weight for s in strata]
             fallback = True
     else:
         shares = [s.weight for s in strata]
     # bounds every target below, which is at most budget * share
     try:
-        finite = math.isfinite(budget * sum(shares))
+        finite = math.isfinite(budget * reduce(add, shares, 0))
     except OverflowError:  # a budget beyond the float range
         finite = False
     if not finite:
@@ -167,7 +159,7 @@ def allocate(
         remaining = budget - min_per_stratum * (len(strata) - len(active))
         # never 0: the first round pins every zero share when the minimum is
         # positive, and pins nothing when it is 0
-        share_sum = sum(shares[i] for i in active)
+        share_sum = reduce(add, (shares[i] for i in active), 0)
         targets = [remaining * shares[i] / share_sum for i in active]
         kept = [i for i, t in zip(active, targets) if t >= min_per_stratum]
         if len(kept) == len(active):
@@ -178,35 +170,5 @@ def allocate(
         active = kept
 
     per_stratum = {keys[i]: counts[i] for i in range(len(strata))}
-    return Allocation(per_stratum=per_stratum, total=budget, fallback_proportional=fallback)
+    return Allocation(per_stratum=per_stratum, fallback_proportional=fallback)
 
-
-def draw_sample(
-    population: Iterable[tuple[str, StratumKey]],
-    allocation: Allocation,
-    seed: int,
-) -> list[str]:
-    """Simple random sample without replacement inside each stratum.
-
-    Fully deterministic given ``seed``; each stratum uses an independent
-    substream keyed by (seed, stratum), so drawing strata in parallel gives
-    the same result as drawing them sequentially. Output is ordered by
-    (stratum key, draw order).
-    """
-    by_stratum: dict[StratumKey, list[str]] = {}
-    for qid, key in population:
-        by_stratum.setdefault(key, []).append(qid)
-
-    out: list[str] = []
-    for key in sorted(allocation.per_stratum):
-        want = allocation.per_stratum[key]
-        if want == 0:
-            continue
-        pool = by_stratum.get(key, [])
-        if len(pool) < want:
-            raise StratumExhausted(
-                f"stratum {key} has {len(pool)} queries but the allocation asks for {want}")
-        rng = substream(seed, "draw", key)
-        idx = rng.choice(len(pool), size=want, replace=False)
-        out.extend(pool[i] for i in idx)
-    return out

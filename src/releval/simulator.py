@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Mapping, Sequence
 
 from ._lazy import np
@@ -37,8 +39,9 @@ def _check_distribution(row: Sequence[float], error: type, what: str) -> None:
     """Raise ``error`` unless ``row`` holds 5 non-negative probabilities summing to 1."""
     if len(row) != 5 or not all(p >= 0 for p in row):
         raise error(f"{what} must be 5 non-negative probabilities, got {list(row)}")
-    if not abs(sum(row) - 1.0) <= WEIGHT_TOL:
-        raise error(f"{what} must sum to 1, got {sum(row)!r}")
+    total = reduce(add, row, 0)
+    if not abs(total - 1.0) <= WEIGHT_TOL:
+        raise error(f"{what} must sum to 1, got {total!r}")
 
 
 @dataclass(frozen=True)

@@ -174,11 +174,17 @@ def _command_args(tmp_path, command):
     design.write_text(json.dumps([
         {"interest": "a", "popularity": "head", "weight": 0.3, "sigma": 0.2},
         {"interest": "b", "popularity": "head", "weight": 0.7, "sigma": 0.1}]))
+    # the one stratum of paired_records
+    listed_design = tmp_path / "listed_design.json"
+    listed_design.write_text(json.dumps([
+        {"interest": "art", "popularity": "head", "weight": 1.0}]))
     return {
         "version": ["--version"],
         "metric-list-form": ["metric", listed],
         "metric-dual-label": ["metric", dual],
         "evaluate": ["evaluate", listed],
+        "evaluate-stratified": ["evaluate", listed, "--estimator", "stratified",
+                                "--design", str(listed_design)],
         "evaluate-rejected": ["evaluate", invalid, "--error-json"],
         "align": ["align", dual, "--by", "market"],
         "design": ["design", "--strata", str(design), "--budget", "11"],
@@ -207,10 +213,14 @@ _ANALYSIS = {"estimation", "fdr", "power", "sampling", "_rng", "alignment", "sim
     ("version", 0, set(), _ANALYSIS | {"dataset_io", "metrics"}),
     ("metric-list-form", 0, {"dataset_io", "metrics"}, _ANALYSIS),
     ("evaluate-rejected", 1, {"dataset_io"}, _ANALYSIS | {"metrics"}),
-    ("evaluate", 0, {"estimation", "fdr", "power", "sampling"}, {"alignment", "simulator"}),
+    ("evaluate", 0, {"estimation", "fdr", "power", "sampling"}, {"_rng", "alignment", "simulator"}),
+    ("evaluate-stratified", 0, {"estimation", "fdr", "power", "sampling"},
+     {"_rng", "alignment", "simulator"}),
     ("align", 0, {"alignment", "metrics"}, {"estimation", "sampling", "simulator"}),
+    ("design", 0, {"sampling"}, {"_rng", "metrics", "estimation", "alignment", "simulator"}),
     ("simulate", 0, {"simulator", "sampling", "_rng"}, {"estimation", "alignment"}),
-], ids=["version", "metric", "evaluate-rejected", "evaluate", "align", "simulate"])
+], ids=["version", "metric", "evaluate-rejected", "evaluate", "evaluate-stratified", "align",
+        "design", "simulate"])
 def test_each_command_runs_only_the_modules_it_uses(tmp_path, command, code, run, not_run):
     result = subprocess.run([sys.executable, "-c", _RUN_AND_REPORT_MODULES,
                              *_command_args(tmp_path, command)],

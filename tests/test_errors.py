@@ -20,5 +20,5 @@ def test_payload_code_is_the_class_name(cls):
 
 
 def test_every_error_class_is_checked():
-    # the base class, RecordError and the 23 errors named for themselves
-    assert len(CLASSES) == 25
+    # the base class, RecordError and the 22 errors named for themselves
+    assert len(CLASSES) == 24

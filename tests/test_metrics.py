@@ -124,8 +124,8 @@ def test_delta_range():
 
 def test_score_equals_plain_loop_bit_for_bit(rng):
     # the score's sums run left to right from the first rank, one rounding an
-    # addition, as the explicit loops here add (not sum(), which CPython 3.12
-    # compensates)
+    # addition, as the loops here do, on every CPython: the score does not use
+    # sum(), whose float sum is compensated from 3.12 (see test_float_sums.py)
     for _ in range(300):
         levels = rng.integers(1, 6, size=int(rng.integers(1, 40))).tolist()
         k = int(rng.integers(1, 40))

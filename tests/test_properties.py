@@ -27,6 +27,7 @@ import io
 import json
 import math
 import re
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -524,3 +525,28 @@ def mde_args(draw):
 @given(args=mde_args())
 def test_mde_boundary_is_typed(args):
     _invoke(["mde", *args], {})
+
+
+_FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None)
+@given(st.integers(0, 20))
+def test_fails(x):
+    assert x < 10
+"""
+
+
+def test_a_failing_property_shows_its_example(tmp_path):
+    # the Hypothesis plugin warns while it reports a failure; under the repo's
+    # warnings-as-errors settings that must not end the run in INTERNALERROR
+    (tmp_path / "test_fails.py").write_text(_FAILING_PROPERTY, encoding="utf-8")
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 1, result.stdout
+    assert "Falsifying example" in result.stdout
+    assert "INTERNALERROR" not in result.stdout + result.stderr

@@ -3,20 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from releval.errors import (
-    BudgetTooSmall,
-    EmptyInput,
-    MissingSigma,
-    OutOfDomain,
-    StratumExhausted,
-)
-from releval.sampling import (
-    Allocation,
-    StratumSpec,
-    allocate,
-    decompose_variance,
-    draw_sample,
-)
+from releval.errors import BudgetTooSmall, EmptyInput, MissingSigma, OutOfDomain
+from releval.sampling import StratumSpec, allocate, decompose_variance
 
 from conftest import pooled_population_variance, sk
 
@@ -162,51 +150,3 @@ class TestAllocate:
             checked += 1
         assert checked >= 20
 
-
-class TestDrawSample:
-    def make_population(self, sizes):
-        return [(f"{key.interest}-{i}", key)
-                for key, size in sizes.items() for i in range(size)]
-
-    def test_exhaustive_draw_returns_whole_population(self):
-        pop = self.make_population({sk("a"): 3, sk("b"): 2})
-        alloc = Allocation(per_stratum={sk("a"): 3, sk("b"): 2}, total=5)
-        sample = draw_sample(pop, alloc, seed=0)
-        assert sorted(sample) == sorted(q for q, _ in pop)
-
-    def test_same_seed_is_deterministic(self):
-        pop = self.make_population({sk("a"): 50, sk("b"): 80})
-        alloc = Allocation(per_stratum={sk("a"): 10, sk("b"): 20}, total=30)
-        assert draw_sample(pop, alloc, seed=7) == draw_sample(pop, alloc, seed=7)
-
-    def test_different_seeds_differ(self):
-        pop = self.make_population({sk("a"): 1000})
-        alloc = Allocation(per_stratum={sk("a"): 100}, total=100)
-        assert draw_sample(pop, alloc, seed=1) != draw_sample(pop, alloc, seed=2)
-
-    def test_sample_is_duplicate_free_subset(self, rng):
-        pop = self.make_population({sk("a"): 40, sk("b"): 60, sk("c"): 10})
-        alloc = Allocation(per_stratum={sk("a"): 15, sk("b"): 30, sk("c"): 5}, total=50)
-        sample = draw_sample(pop, alloc, seed=3)
-        assert len(sample) == len(set(sample)) == 50
-        universe = {q for q, _ in pop}
-        assert set(sample) <= universe
-
-    def test_per_stratum_draws_are_independent_substreams(self):
-        # drawing both strata together equals drawing each alone: parallel == sequential
-        pop = self.make_population({sk("a"): 30, sk("b"): 30})
-        both = draw_sample(pop, Allocation({sk("a"): 5, sk("b"): 5}, 10), seed=11)
-        only_a = draw_sample(pop, Allocation({sk("a"): 5}, 5), seed=11)
-        only_b = draw_sample(pop, Allocation({sk("b"): 5}, 5), seed=11)
-        assert both == only_a + only_b
-
-    def test_stratum_exhausted(self):
-        pop = self.make_population({sk("a"): 3})
-        with pytest.raises(StratumExhausted):
-            draw_sample(pop, Allocation({sk("a"): 4}, 4), seed=0)
-
-    @pytest.mark.parametrize("seed", [-1, 2 ** 32, -2 ** 32])
-    def test_seed_outside_32_bits_is_out_of_domain(self, seed):
-        pop = self.make_population({sk("a"): 3})
-        with pytest.raises(OutOfDomain):
-            draw_sample(pop, Allocation({sk("a"): 2}, 2), seed=seed)
