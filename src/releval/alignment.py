@@ -156,32 +156,22 @@ class AgreementStats:
     n: int
 
 
-def _label_array(labels: Sequence[int], name: str) -> np.ndarray:
-    """Labels as a 1-D uint8 array; a label that is not an integer in 1..5 raises BadLabelValue.
-
-    A bool or a float is not an integer label, whatever its value. A non-empty
-    integer array is range-checked whole by its min and max, in its own dtype,
-    and not copied if uint8; one that is not 1-D raises BadLabelValue naming
-    its shape. Any other sequence is checked label by label before numpy sees it.
-    """
-    if isinstance(labels, np.ndarray) and labels.dtype.kind in "iu":
-        if labels.ndim != 1:
-            raise BadLabelValue(f"{name} labels must be a 1-D sequence, got shape {labels.shape}")
-        if labels.min() < 1 or labels.max() > 5:
-            # the mask, two bytes a label, is built only to name the first bad label
-            outside = labels[(labels < 1) | (labels > 5)]
-            raise BadLabelValue(f"{name} label must be in [1, 5], got {outside[0]}")
-        return labels.astype(np.uint8, copy=False)
-    for label in labels:
-        if type(label) is not int and not isinstance(label, np.integer):
-            raise BadLabelValue(f"{name} label must be an integer in [1, 5], got {label!r}")
-        if not 1 <= label <= 5:
-            raise BadLabelValue(f"{name} label must be in [1, 5], got {label}")
-    return np.asarray(labels, dtype=np.uint8)
+def _label_array(labels: bytes, name: str) -> np.ndarray:
+    """A page's labels as a uint8 view, not a copy; a label outside 1..5 raises BadLabelValue."""
+    array = np.frombuffer(labels, np.uint8)
+    if array.min() < 1 or array.max() > 5:
+        # the mask is built only to name the first bad label
+        outside = array[(array < 1) | (array > 5)]
+        raise BadLabelValue(f"{name} label must be in [1, 5], got {outside[0]}")
+    return array
 
 
-def label_agreement(machine: Sequence[int], reference: Sequence[int]) -> AgreementStats:
-    """Agreement of two label sequences of integers in 1..5; any other label raises BadLabelValue."""
+def label_agreement(machine: bytes, reference: bytes) -> AgreementStats:
+    """Agreement of two pages, one label in 1..5 a byte; a page that is not
+    bytes, or a label outside 1..5, raises BadLabelValue."""
+    for name, labels in (("machine", machine), ("reference", reference)):
+        if type(labels) is not bytes:
+            raise BadLabelValue(f"{name} labels must be bytes, got {type(labels).__name__}")
     if len(machine) != len(reference):
         raise LengthMismatch(f"length mismatch: {len(machine)} vs {len(reference)}")
     if len(machine) == 0:

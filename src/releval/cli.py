@@ -235,19 +235,16 @@ def cli_design(strata_path, budget, mode, min_per_stratum, out_path):
 @click.option("--target", type=float, default=None,
               help="Target MDE as a fraction; prints the required n instead.")
 @click.option("--alpha", type=float, default=0.05, show_default=True)
-@click.option("--power", type=float, default=0.8, show_default=True)
-def cli_mde(mu, sigma, n_queries, target, alpha, power):
+@click.option("--power", "power_level", type=float, default=0.8, show_default=True)
+def cli_mde(mu, sigma, n_queries, target, alpha, power_level):
     """Minimum detectable effect, or required n for a target MDE."""
-    # the option `power` hides the module of that name in this function
-    from .power import PowerConfig, mde, required_n
-
-    cfg = PowerConfig(alpha=alpha, power=power)
+    cfg = power.PowerConfig(alpha=alpha, power=power_level)
     if (n_queries is None) == (target is None):
         raise OutOfDomain("provide exactly one of --n or --target")
     if target is not None:
-        click.echo(str(required_n(mu, sigma, target, cfg)))
+        click.echo(str(power.required_n(mu, sigma, target, cfg)))
     else:
-        value = mde(mu, sigma, n_queries, cfg)
+        value = power.mde(mu, sigma, n_queries, cfg)
         click.echo(f"{value * 100:.4f}%")
 
 
@@ -288,14 +285,13 @@ def cli_align(dataset_path, by, k_depth, out_path, errors_csv):
 
 
 def _dataset_agreement(dataset):
-    """Pooled label-level agreement over every position with both sources."""
+    """Pooled label-level agreement over every position with both sources, each
+    source's pages joined into one bytes page."""
     def labels(i):
-        return np.frombuffer(b"".join(
-            pair[i] for rec in dataset.records
-            for pair in ((rec.control, rec.control_reference),
-                         (rec.treatment, rec.treatment_reference))
-            if pair[1] is not None), np.uint8)
-    # uint8 arrays: range-checked whole, not label by label
+        return b"".join(pair[i] for rec in dataset.records
+                        for pair in ((rec.control, rec.control_reference),
+                                     (rec.treatment, rec.treatment_reference))
+                        if pair[1] is not None)
     return alignment.label_agreement(labels(0), labels(1))
 
 

@@ -36,8 +36,10 @@ def check_k_depth(k_depth: int) -> None:
 
 
 def _check_distribution(row: Sequence[float], error: type, what: str) -> None:
-    """Raise ``error`` unless ``row`` holds 5 non-negative probabilities summing to 1."""
-    if len(row) != 5 or not all(p >= 0 for p in row):
+    """Raise ``error`` unless ``row`` holds 5 non-negative probabilities summing to 1,
+    each an int or a float and none a bool."""
+    if len(row) != 5 or not all(isinstance(p, (int, float)) and type(p) is not bool and p >= 0
+                                for p in row):
         raise error(f"{what} must be 5 non-negative probabilities, got {list(row)}")
     total = reduce(add, row, 0)
     if not abs(total - 1.0) <= WEIGHT_TOL:
@@ -73,17 +75,18 @@ class LabelProfile:
         else:
             raise BadSpec(f"unknown profile kind {self.kind!r}")
 
-    def _rows(self) -> tuple[tuple[float, ...], ...]:
+    def _rows(self) -> tuple:
+        """``probs`` as rows: one a rank, or one row for every rank."""
         if self.probs and isinstance(self.probs[0], (tuple, list)):
-            return tuple(tuple(float(p) for p in row) for row in self.probs)
-        return (tuple(float(p) for p in self.probs),)
+            return tuple(self.probs)
+        return (self.probs,)
 
     def pmf_matrix(self, k_depth: int) -> np.ndarray:
         """(k_depth, 5) matrix: row r is the distribution over labels 1..5 at rank r+1."""
         check_k_depth(k_depth)
         ranks = np.arange(k_depth)
         if self.kind == "categorical":
-            rows = np.array(self._rows())
+            rows = np.array(self._rows(), dtype=float)
             return rows[np.minimum(ranks, len(rows) - 1)]
         m = np.clip(self.mean_top - self.decay * ranks, 1.0, 5.0)
         lo = np.floor(m).astype(np.int64)

@@ -11,7 +11,9 @@ import pytest
 from click.testing import CliRunner
 
 import releval
+from releval.alignment import label_agreement
 from releval.cli import main
+from releval.dataset_io import canonical_json, read_dataset
 
 from conftest import dual_raw, raw_record
 
@@ -188,6 +190,7 @@ def _command_args(tmp_path, command):
         "evaluate-rejected": ["evaluate", invalid, "--error-json"],
         "align": ["align", dual, "--by", "market"],
         "design": ["design", "--strata", str(design), "--budget", "11"],
+        "mde": ["mde", "--mu", "0.5", "--sigma", "0.2", "--n", "1000"],
         "simulate": ["simulate", "--spec", str(spec), "--out", str(tmp_path / "sim.jsonl")],
     }[command]
 
@@ -218,9 +221,10 @@ _ANALYSIS = {"estimation", "fdr", "power", "sampling", "_rng", "alignment", "sim
      {"_rng", "alignment", "simulator"}),
     ("align", 0, {"alignment", "metrics"}, {"estimation", "sampling", "simulator"}),
     ("design", 0, {"sampling"}, {"_rng", "metrics", "estimation", "alignment", "simulator"}),
+    ("mde", 0, {"power"}, (_ANALYSIS - {"power"}) | {"dataset_io", "metrics"}),
     ("simulate", 0, {"simulator", "sampling", "_rng"}, {"estimation", "alignment"}),
 ], ids=["version", "metric", "evaluate-rejected", "evaluate", "evaluate-stratified", "align",
-        "design", "simulate"])
+        "design", "mde", "simulate"])
 def test_each_command_runs_only_the_modules_it_uses(tmp_path, command, code, run, not_run):
     result = subprocess.run([sys.executable, "-c", _RUN_AND_REPORT_MODULES,
                              *_command_args(tmp_path, command)],
@@ -572,7 +576,7 @@ def test_each_command_has_its_option_set():
         "design": ["budget", "error_json", "min_per_stratum", "mode", "out_path", "strata_path"],
         "evaluate": ["alpha", "dataset_path", "design_path", "error_json", "estimator",
                      "grouping", "k_depth", "out_path", "q"],
-        "mde": ["alpha", "error_json", "mu", "n_queries", "power", "sigma", "target"],
+        "mde": ["alpha", "error_json", "mu", "n_queries", "power_level", "sigma", "target"],
         "metric": ["dataset_path", "error_json", "k_depth", "out_path"],
         "simulate": ["confusion_path", "effect_path", "error_json", "out_path", "rho_shared",
                      "seed", "spec_path"],
@@ -1082,6 +1086,15 @@ class TestAlign:
         lines = out_csv.read_text().splitlines()
         assert lines[0] == "query_id,market,segment,machine_sdcg,reference_sdcg,error"
         assert len(lines) == 7
+
+    def test_agreement_is_label_agreement_of_the_parsed_pages(self, runner, tmp_path):
+        # a parsed page is bytes, the one page type label_agreement takes
+        path = self.dual_dataset(tmp_path, identical=False)
+        records = read_dataset(path, k_depth=4).records
+        stats = label_agreement(b"".join(rec.control for rec in records),
+                                b"".join(rec.control_reference for rec in records))
+        report = json.loads(runner.invoke(main, ["align", path, "--k", "4"]).output)
+        assert report["agreement"] == json.loads(canonical_json(stats))
 
     def test_missing_references_rejected(self, runner, tmp_path):
         path = write_jsonl(tmp_path / "d.jsonl", [raw_record("q0", [3, 3]),

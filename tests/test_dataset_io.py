@@ -12,6 +12,7 @@ import pytest
 
 import releval
 from releval import dataset_io
+from releval.alignment import label_agreement
 from releval.core import EvalDataset, QueryRecord, validate_dataset
 from releval.dataset_io import read_dataset, read_jsonl, write_dataset
 from releval.errors import BadLabelValue, BadRankSequence, DatasetValidationError, MissingArm
@@ -172,11 +173,11 @@ def test_write_dataset_of_no_records_is_empty(tmp_path):
 PAGE_FIELDS = ["control", "treatment", "control_reference", "treatment_reference"]
 
 
-def _rejected(tmp_path, arm, bad_page):
+def _rejected(tmp_path, arm, bad_page, match=r"\[1, 5\]"):
     fields = {"control": b"\3\4", "treatment": b"\4\4", "control_reference": b"\5\5",
               "treatment_reference": b"\2\2", arm: bad_page}
     rec = QueryRecord("q0", "US", sk("art"), **fields)
-    with pytest.raises(BadLabelValue, match=r"\[1, 5\]"):
+    with pytest.raises(BadLabelValue, match=match):
         write_dataset(EvalDataset((rec,)), tmp_path / "d.jsonl")
 
 
@@ -187,26 +188,25 @@ def test_write_dataset_rejects_a_label_outside_1_to_5(tmp_path, bad, arm):
     _rejected(tmp_path, arm, bytes([4, bad]))
 
 
-@pytest.mark.parametrize("bad", [
-    (4, 2), [4, 2], (True, 2), (), [],
-    array("H", [4, 2]), np.array([[4, 2]], dtype=np.uint8),
-], ids=["tuple", "list", "bool-tuple", "empty-tuple", "empty-list", "uint16", "2-d"])
-@pytest.mark.parametrize("arm", PAGE_FIELDS)
-def test_write_dataset_rejects_a_page_that_is_not_label_bytes(tmp_path, bad, arm):
-    # a page is bytes, one byte a label: a sequence of ints is never converted,
-    # so (True, 2) is not written as 1, 2, and a buffer of wider or 2-D items,
-    # which joins more bytes than it has labels, is not cut into wrong pages
-    _rejected(tmp_path, arm, bad)
-
-
-def test_write_dataset_does_not_convert_a_hand_built_tuple_page(tmp_path):
-    # the same labels as bytes write; as tuples, or a list, they are rejected
-    as_bytes = record("q0", b"\3\4", b"\4\5", control_reference=b"\5\5")
-    write_dataset(EvalDataset((as_bytes,)), tmp_path / "b.jsonl")
-    assert read_dataset(tmp_path / "b.jsonl").records == (as_bytes,)
-    as_tuples = QueryRecord("q0", "US", sk("art"), (3, 4), [4, 5], (5, 5))
-    with pytest.raises(BadLabelValue, match=r"\[1, 5\]"):
-        write_dataset(EvalDataset((as_tuples,)), tmp_path / "t.jsonl")
+@pytest.mark.parametrize("page", [
+    [4, 2], (4, 2), (True, 2), [], bytearray(b"\4\2"), memoryview(b"\4\2"),
+    np.array([4, 2], dtype=np.uint8), array("H", [4, 2]), np.array([[4, 2]], dtype=np.uint8),
+    "\4\2",
+], ids=["list", "tuple", "bool-tuple", "empty-list", "bytearray", "memoryview", "uint8-array",
+        "uint16", "2-d", "str"])
+@pytest.mark.parametrize("boundary, field", [
+    *(("label_agreement", name) for name in ("machine", "reference")),
+    *(("write_dataset", arm) for arm in PAGE_FIELDS)])
+def test_a_page_that_is_not_bytes_is_bad_label_value(tmp_path, boundary, field, page):
+    # bytes is the one page type: a page of any other type is never converted,
+    # so (True, 2) is not labels 1, 2, and it raises neither ValueError nor TypeError
+    if boundary == "write_dataset":
+        _rejected(tmp_path, field, page, match=f"must be bytes.*, got {type(page).__name__}$")
+    else:
+        pages = {"machine": b"\4\2", "reference": b"\4\4", field: page}
+        with pytest.raises(BadLabelValue, match=f"^{field} labels must be bytes, got "
+                                                f"{type(page).__name__}$"):
+            label_agreement(pages["machine"], pages["reference"])
 
 
 @pytest.mark.parametrize("reference", [(), (3,), (3, 4, 5)])

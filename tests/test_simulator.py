@@ -71,6 +71,26 @@ class TestLabelProfile:
         assert pmfs[6][4] == 1.0  # repeats the last row
 
 
+# a row of numbers that sum to 1 once float() coerces them: never accepted
+NOT_NUMBERS = {
+    "str": ("0.1", "0.2", "0.4", "0.2", "0.1"),
+    "bool": (True, False, False, False, False),
+    "mixed": (0.1, 0.2, "0.4", 0.2, 0.1),
+    "bool-entry": (0.0, 0.0, 0.0, 0.0, True),
+}
+
+
+@pytest.mark.parametrize("row", NOT_NUMBERS.values(), ids=NOT_NUMBERS)
+def test_a_probability_row_that_is_not_numbers_is_its_error(row):
+    with pytest.raises(BadSpec, match="categorical profile row must be 5 non-negative"):
+        LabelProfile(kind="categorical", probs=row)
+    with pytest.raises(BadSpec, match="categorical profile row must be 5 non-negative"):
+        LabelProfile(kind="categorical", probs=((0.2,) * 5, row))
+    identity = ConfusionMatrix.identity().rows
+    with pytest.raises(BadMatrix, match="^confusion row 3 must be 5 non-negative"):
+        ConfusionMatrix(rows=(*identity[:2], row, *identity[3:]))
+
+
 class TestShiftPmf:
     def test_zero_shift_is_identity(self):
         pmf = np.array([0.1, 0.2, 0.3, 0.2, 0.2])
