@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ._lazy import np
-from .core import EvalDataset, PopularitySegment
+from .core import EvalDataset, PopularitySegment, check_pages
 from .errors import (
     AllTied,
-    BadLabelValue,
     EmptyInput,
     LengthMismatch,
     MissingReferenceLabels,
@@ -156,28 +155,16 @@ class AgreementStats:
     n: int
 
 
-def _label_array(labels: bytes, name: str) -> np.ndarray:
-    """A page's labels as a uint8 view, not a copy; a label outside 1..5 raises BadLabelValue."""
-    array = np.frombuffer(labels, np.uint8)
-    if array.min() < 1 or array.max() > 5:
-        # the mask is built only to name the first bad label
-        outside = array[(array < 1) | (array > 5)]
-        raise BadLabelValue(f"{name} label must be in [1, 5], got {outside[0]}")
-    return array
-
-
 def label_agreement(machine: bytes, reference: bytes) -> AgreementStats:
-    """Agreement of two pages, one label in 1..5 a byte; a page that is not
-    bytes, or a label outside 1..5, raises BadLabelValue."""
-    for name, labels in (("machine", machine), ("reference", reference)):
-        if type(labels) is not bytes:
-            raise BadLabelValue(f"{name} labels must be bytes, got {type(labels).__name__}")
-    if len(machine) != len(reference):
-        raise LengthMismatch(f"length mismatch: {len(machine)} vs {len(reference)}")
-    if len(machine) == 0:
+    """Agreement of two pages, read in place once ``check_pages`` passes each: a
+    page that is not bytes, or a label outside 1..5, raises BadLabelValue."""
+    # a one-page join of a bytes page is that page: no copy is made
+    m = np.frombuffer(check_pages((machine,), "machine"), np.uint8)
+    r = np.frombuffer(check_pages((reference,), "reference"), np.uint8)
+    if len(m) != len(r):
+        raise LengthMismatch(f"length mismatch: {len(m)} vs {len(r)}")
+    if len(m) == 0:
         raise EmptyInput("label_agreement requires at least one label pair")
-    m = _label_array(machine, "machine")
-    r = _label_array(reference, "reference")
     n = len(m)
     # uint8 cells 5r + m - 6, built in place in one n-byte array, 2^16 per
     # bincount (it widens them to intp); exact on the diagonal
@@ -254,7 +241,7 @@ def alignment_report(dataset: EvalDataset, by_market: bool = False) -> Alignment
         for name, rows in groups:
             n = int(np.count_nonzero(rows))
             if n < 2:
-                if n or name == OVERALL:
+                if n:
                     excluded.append((name if market is None else f"{market}/{name}", n))
                 continue
             m, r = machine[rows], reference[rows]

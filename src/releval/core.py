@@ -39,6 +39,7 @@ GROUPINGS = {
 
 _LEVELS = frozenset(range(1, 6))
 _INT = frozenset((int,))
+_BYTES = frozenset((bytes,))
 
 
 def check_metric_depth(k_depth: int) -> None:
@@ -110,6 +111,18 @@ def _checked_page(labels: Sequence[Any], query_id: str, arm: str, source: str,
         f"label level must be an integer in [1, 5], got {bad!r}", query_id=query_id,
         field=arm + source))
     return None
+
+
+def check_pages(pages: Sequence[bytes], name: str) -> bytes:
+    """The labels of ``pages``, bytes of one label in 1..5 a byte, joined; the first
+    page of another type, never converted, or label outside 1..5 is BadLabelValue."""
+    if not _BYTES.issuperset(map(type, pages)):
+        got = next(type(page).__name__ for page in pages if type(page) is not bytes)
+        raise BadLabelValue(f"{name} labels must be bytes, got {got}")
+    labels = b"".join(pages)
+    if bad := labels.translate(None, b"\1\2\3\4\5"):
+        raise BadLabelValue(f"{name} label must be in [1, 5], got {bad[0]}")
+    return labels
 
 
 @dataclass(frozen=True, slots=True)

@@ -24,11 +24,11 @@ from .core import (
     PopularitySegment,
     StratumKey,
     _is_text,
+    check_pages,
     check_unique_strata,
     validate_dataset,
 )
-from .errors import (BadLabelValue, BadRankSequence, BadSpec, DatasetValidationError,
-                     MissingArm, RecordError)
+from .errors import BadRankSequence, BadSpec, DatasetValidationError, MissingArm, RecordError
 
 KNOWN_RECORD_FIELDS = {"query_id", "market", "stratum", "control", "treatment"}
 # decodes one JSON value at the start of a string, returning it and its end
@@ -105,22 +105,16 @@ _WRITE_CHUNK = 128
 # record has one, carries its own key
 _LINE = '{"control": %s, "market": %s, "query_id": %s, "stratum": %s%s}\n'
 _DIGITS = bytes.maketrans(b"\1\2\3\4\5", b"12345")  # each label byte to its ASCII digit
-_PAGE_TYPES = frozenset((bytes, type(None)))
 
 
 def _page_texts(pages: list[bytes | None]) -> list[str | None]:
     """Each page's labels as json writes a list's items ("4, 2, 5"); None stays None.
 
     Each label is a cell "d, " of one buffer, decoded once, and a page's text is
-    its cells less the last ", ". A page that is not bytes, one label in 1..5 a
-    byte, raises BadLabelValue: a bytearray, memoryview or array too.
+    its cells less the last ", ". The pages pass ``core.check_pages`` as one
+    join: a page that is not bytes, or a label outside 1..5, is BadLabelValue.
     """
-    if not _PAGE_TYPES.issuperset(map(type, pages)):
-        got = next(type(page).__name__ for page in pages if type(page) not in _PAGE_TYPES)
-        raise BadLabelValue(f"a page must be bytes, one label in [1, 5] a byte, got {got}")
-    labels = b"".join([page for page in pages if page is not None])
-    if labels.translate(None, b"\1\2\3\4\5"):
-        raise BadLabelValue("label level must be an integer in [1, 5]")
+    labels = check_pages([page for page in pages if page is not None], "page")
     ends = list(accumulate(0 if page is None else 3 * len(page) for page in pages))
     cells = bytearray(b"0, ") * len(labels)
     cells[::3] = labels.translate(_DIGITS)

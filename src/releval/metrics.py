@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from operator import mul
 
-from .core import EvalDataset, QueryRecord, check_metric_depth
+from .core import EvalDataset, QueryRecord, check_metric_depth, check_pages
 from .errors import EmptyPage, MissingArm
 
 MAX_LEVEL = 5
@@ -28,7 +28,8 @@ def sdcg_at_k(page: bytes, k_depth: int) -> float:
     value = [sum_{k<=K'} L_k / log2(1+k)] / [sum_{k<=K'} 5 / log2(1+k)]
     with K' = min(k_depth, len(page)), so a short page is scored over its
     length. Deterministic; raises EmptyPage for a page with no results and
-    OutOfDomain for a depth below 1.
+    OutOfDomain for a depth below 1. The page's labels are not checked: this
+    is the per-page hot path, and ``arm_scores`` checks an arm's pages once.
     """
     check_metric_depth(k_depth)
     n = len(page)
@@ -65,16 +66,17 @@ def arm_scores(dataset: EvalDataset, arm: str) -> list[float | None]:
     ``arm`` is a page field of QueryRecord: "control", "treatment",
     "control_reference" or "treatment_reference". The entry is None where a
     record has no such page. Each arm is scored once per dataset and kept on
-    it, so every consumer reads the same floats. An empty page raises
-    EmptyPage naming the first record that has one.
+    it, so every consumer reads the same floats, after one ``check_pages`` of
+    its pages. An empty page raises EmptyPage naming the first record with one.
     """
     scores = dataset._scores.get(arm)
     if scores is None:
         k_depth = dataset.k_depth
+        pages = [getattr(rec, arm) for rec in dataset.records]
+        check_pages([page for page in pages if page is not None], arm)
         try:
             scores = dataset._scores[arm] = [
-                None if page is None else sdcg_at_k(page, k_depth)
-                for page in (getattr(rec, arm) for rec in dataset.records)]
+                None if page is None else sdcg_at_k(page, k_depth) for page in pages]
         except EmptyPage as err:
             # located only on failure, so scoring pays nothing for it
             err.query_id = next(r.query_id for r in dataset.records if getattr(r, arm) == b"")

@@ -20,8 +20,9 @@ from typing import Mapping, Sequence
 
 from ._lazy import np
 from ._rng import substream
-from .core import DEFAULT_K_DEPTH, EvalDataset, QueryRecord, StratumKey, check_unique_strata
-from .errors import BadMatrix, BadSpec, InfeasibleTargets, WeightMismatch
+from .core import (DEFAULT_K_DEPTH, EvalDataset, QueryRecord, StratumKey, check_pages,
+                   check_unique_strata)
+from .errors import BadMatrix, BadSpec, InfeasibleTargets, LengthMismatch, WeightMismatch
 from .sampling import WEIGHT_TOL, check_weights
 
 # largest simulated page depth and stratum size; work and memory grow with
@@ -38,11 +39,14 @@ def check_k_depth(k_depth: int) -> None:
 def _check_distribution(row: Sequence[float], error: type, what: str) -> None:
     """Raise ``error`` unless ``row`` holds 5 non-negative probabilities summing to 1,
     each an int or a float and none a bool."""
+    if not hasattr(row, "__len__"):
+        raise error(f"{what} must be 5 non-negative probabilities, got {row!r}")
     if len(row) != 5 or not all(isinstance(p, (int, float)) and type(p) is not bool and p >= 0
                                 for p in row):
         raise error(f"{what} must be 5 non-negative probabilities, got {list(row)}")
     total = reduce(add, row, 0)
-    if not abs(total - 1.0) <= WEIGHT_TOL:
+    # less the int 1, an int total of any size compares exactly; less 1.0 it could overflow
+    if not abs(total - 1) <= WEIGHT_TOL:
         raise error(f"{what} must sum to 1, got {total!r}")
 
 
@@ -77,9 +81,8 @@ class LabelProfile:
 
     def _rows(self) -> tuple:
         """``probs`` as rows: one a rank, or one row for every rank."""
-        if self.probs and isinstance(self.probs[0], (tuple, list)):
-            return tuple(self.probs)
-        return (self.probs,)
+        probs = self.probs if isinstance(self.probs, (tuple, list)) else ()
+        return tuple(probs) if probs and isinstance(probs[0], (tuple, list)) else (self.probs,)
 
     def pmf_matrix(self, k_depth: int) -> np.ndarray:
         """(k_depth, 5) matrix: row r is the distribution over labels 1..5 at rank r+1."""
@@ -267,16 +270,21 @@ def apply_labeler(records: Sequence[QueryRecord], confusion: ConfusionMatrix,
     Each record takes a ``(3, k)`` uniform block, in record order, from its
     stratum's labeler substream: the rows ``run_synthetic_experiment`` draws
     for the same stratum, so both give the same labels for the same pages.
+    Each page passes ``check_pages`` first.
     """
     cdf_rows = _labeler_cdf(confusion, rho_shared)
     rngs: dict[StratumKey, np.random.Generator] = {}
     out = []
     for rec in records:
+        control = np.frombuffer(check_pages((rec.control,), "control"), np.uint8)
+        treatment = control if rec.treatment is None else np.frombuffer(
+            check_pages((rec.treatment,), "treatment"), np.uint8)
+        if len(treatment) != len(control):  # both arms read one (3, k) uniform block
+            raise LengthMismatch(f"record {rec.query_id!r}: treatment page of {len(treatment)} "
+                                 f"labels, control page of {len(control)}")
         if rec.stratum not in rngs:
             rngs[rec.stratum] = substream(seed, "labeler", rec.stratum)
-        u = rngs[rec.stratum].random((3, len(rec.control)))
-        control = np.frombuffer(rec.control, np.uint8)
-        treatment = control if rec.treatment is None else np.frombuffer(rec.treatment, np.uint8)
+        u = rngs[rec.stratum].random((3, len(control)))
         machine_control, machine_treatment = map(bytes, _machine_arms(
             control, treatment, u, cdf_rows, rho_shared))
         out.append(QueryRecord(

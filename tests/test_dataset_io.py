@@ -16,6 +16,8 @@ from releval.alignment import label_agreement
 from releval.core import EvalDataset, QueryRecord, validate_dataset
 from releval.dataset_io import read_dataset, read_jsonl, write_dataset
 from releval.errors import BadLabelValue, BadRankSequence, DatasetValidationError, MissingArm
+from releval.metrics import arm_scores
+from releval.simulator import ConfusionMatrix, apply_labeler
 
 from conftest import dataset_bytes, dual_raw, raw_record, record, sk
 
@@ -171,21 +173,42 @@ def test_write_dataset_of_no_records_is_empty(tmp_path):
 
 
 PAGE_FIELDS = ["control", "treatment", "control_reference", "treatment_reference"]
+# every entry that takes pages from outside the parser, with each page it takes
+BOUNDARIES = [
+    *(("label_agreement", name) for name in ("machine", "reference")),
+    *(("write_dataset", arm) for arm in PAGE_FIELDS),
+    *(("arm_scores", arm) for arm in PAGE_FIELDS),
+    *(("apply_labeler", arm) for arm in ("control", "treatment"))]
 
 
-def _rejected(tmp_path, arm, bad_page, match=r"\[1, 5\]"):
-    fields = {"control": b"\3\4", "treatment": b"\4\4", "control_reference": b"\5\5",
-              "treatment_reference": b"\2\2", arm: bad_page}
-    rec = QueryRecord("q0", "US", sk("art"), **fields)
-    with pytest.raises(BadLabelValue, match=match):
-        write_dataset(EvalDataset((rec,)), tmp_path / "d.jsonl")
+def _rejected(tmp_path, boundary, field, bad_page, match):
+    """``boundary`` given ``bad_page`` as its ``field`` page, and valid others,
+    raises BadLabelValue matching ``match`` with the page's name."""
+    name = "page" if boundary == "write_dataset" else field
+    with pytest.raises(BadLabelValue, match=match.format(name=name)):
+        if boundary == "label_agreement":
+            pages = {"machine": b"\4\2", "reference": b"\4\4", field: bad_page}
+            label_agreement(pages["machine"], pages["reference"])
+            return
+        fields = {"control": b"\3\4", "treatment": b"\4\4", "control_reference": b"\5\5",
+                  "treatment_reference": b"\2\2", field: bad_page}
+        dataset = EvalDataset((QueryRecord("q0", "US", sk("art"), **fields),))
+        if boundary == "write_dataset":
+            write_dataset(dataset, tmp_path / "d.jsonl")
+        elif boundary == "arm_scores":
+            arm_scores(dataset, field)
+        else:
+            apply_labeler(dataset.records, ConfusionMatrix.identity(), seed=1)
 
 
 @pytest.mark.parametrize("bad", [0, 6, 255])
-@pytest.mark.parametrize("arm", PAGE_FIELDS)
-def test_write_dataset_rejects_a_label_outside_1_to_5(tmp_path, bad, arm):
-    # a digit is one byte: a label of 0 or 6 to 255 would write a wrong one
-    _rejected(tmp_path, arm, bytes([4, bad]))
+@pytest.mark.parametrize("boundary, field", BOUNDARIES)
+def test_a_label_outside_1_to_5_is_bad_label_value(tmp_path, boundary, field, bad):
+    # the first bad label is named, not the later 9; a page is checked before
+    # its length is compared with another's. A digit is one byte: the writer
+    # would write a wrong one for a label of 0 or 6 to 255
+    _rejected(tmp_path, boundary, field, bytes([3, bad, 9]),
+              match=f"^{{name}} label must be in \\[1, 5\\], got {bad}$")
 
 
 @pytest.mark.parametrize("page", [
@@ -194,19 +217,12 @@ def test_write_dataset_rejects_a_label_outside_1_to_5(tmp_path, bad, arm):
     "\4\2",
 ], ids=["list", "tuple", "bool-tuple", "empty-list", "bytearray", "memoryview", "uint8-array",
         "uint16", "2-d", "str"])
-@pytest.mark.parametrize("boundary, field", [
-    *(("label_agreement", name) for name in ("machine", "reference")),
-    *(("write_dataset", arm) for arm in PAGE_FIELDS)])
+@pytest.mark.parametrize("boundary, field", BOUNDARIES)
 def test_a_page_that_is_not_bytes_is_bad_label_value(tmp_path, boundary, field, page):
     # bytes is the one page type: a page of any other type is never converted,
     # so (True, 2) is not labels 1, 2, and it raises neither ValueError nor TypeError
-    if boundary == "write_dataset":
-        _rejected(tmp_path, field, page, match=f"must be bytes.*, got {type(page).__name__}$")
-    else:
-        pages = {"machine": b"\4\2", "reference": b"\4\4", field: page}
-        with pytest.raises(BadLabelValue, match=f"^{field} labels must be bytes, got "
-                                                f"{type(page).__name__}$"):
-            label_agreement(pages["machine"], pages["reference"])
+    _rejected(tmp_path, boundary, field, page,
+              match=f"^{{name}} labels must be bytes, got {type(page).__name__}$")
 
 
 @pytest.mark.parametrize("reference", [(), (3,), (3, 4, 5)])

@@ -1,12 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from releval import metrics
+from releval.alignment import alignment_report
 from releval.core import EvalDataset
-from releval.errors import EmptyPage, MissingArm, OutOfDomain
+from releval.errors import BadLabelValue, EmptyPage, MissingArm, OutOfDomain
 from releval.metrics import arm_scores, paired_delta, paired_deltas, sdcg_at_k
+from releval.simulator import ConfusionMatrix, apply_labeler
 
 from conftest import page, record
 
@@ -169,6 +172,24 @@ def test_arm_scores_name_the_record_with_an_empty_page():
     with pytest.raises(EmptyPage) as exc:
         arm_scores(ds, "treatment")
     assert (exc.value.query_id, exc.value.field) == ("q1", "treatment")
+
+
+@pytest.mark.parametrize("bad", [b"\x09\x09", [5, 5], b"\x00\x05", b"\x09"],
+                         ids=["nines", "list", "zero", "nine"])
+@pytest.mark.parametrize("arm", ["control", "treatment"])
+@pytest.mark.parametrize("entry", [
+    lambda ds: arm_scores(ds, "control") + arm_scores(ds, "treatment"),
+    paired_deltas, alignment_report,
+    lambda ds: apply_labeler(ds.records, ConfusionMatrix.identity(), seed=1),
+], ids=["arm_scores", "paired_deltas", "alignment_report", "apply_labeler"])
+def test_a_hand_built_page_is_checked_before_it_is_used(entry, arm, bad):
+    # a hand-built page skips the parser: b"\x09\x09" once scored 1.8 and
+    # [5, 5] 1.0, outside [0.2, 1.0], and the labeler indexed past its matrix
+    records = [record(f"q{i}", page(3, 4), page(4, 4), control_reference=page(3, 3),
+                      treatment_reference=page(4, 5)) for i in range(3)]
+    records[1] = dataclasses.replace(records[1], **{arm: bad})
+    with pytest.raises(BadLabelValue, match=f"^{arm} label"):
+        entry(EvalDataset(records=tuple(records), k_depth=3))
 
 
 def test_paired_deltas_match_paired_delta_and_name_first_unpaired():

@@ -6,7 +6,7 @@ import pytest
 
 from releval import simulator
 from releval._rng import substream
-from releval.errors import BadMatrix, BadSpec, InfeasibleTargets
+from releval.errors import BadMatrix, BadSpec, InfeasibleTargets, LengthMismatch
 from releval.metrics import sdcg_at_k
 from releval.sampling import decompose_variance
 from releval.simulator import (
@@ -71,23 +71,28 @@ class TestLabelProfile:
         assert pmfs[6][4] == 1.0  # repeats the last row
 
 
-# a row of numbers that sum to 1 once float() coerces them: never accepted
+# a row of numbers that sum to 1 once float() coerces them, a row that is
+# not a sequence, and one whose int is too large for a float: never accepted
 NOT_NUMBERS = {
     "str": ("0.1", "0.2", "0.4", "0.2", "0.1"),
     "bool": (True, False, False, False, False),
     "mixed": (0.1, 0.2, "0.4", 0.2, 0.1),
     "bool-entry": (0.0, 0.0, 0.0, 0.0, True),
+    "int": 1,
+    "float": 0.3,
+    "huge-int": (10 ** 400, 0, 0, 0, 0),
 }
 
 
 @pytest.mark.parametrize("row", NOT_NUMBERS.values(), ids=NOT_NUMBERS)
 def test_a_probability_row_that_is_not_numbers_is_its_error(row):
-    with pytest.raises(BadSpec, match="categorical profile row must be 5 non-negative"):
+    what = "must sum to 1" if row == NOT_NUMBERS["huge-int"] else "must be 5 non-negative"
+    with pytest.raises(BadSpec, match=f"categorical profile row {what}"):
         LabelProfile(kind="categorical", probs=row)
-    with pytest.raises(BadSpec, match="categorical profile row must be 5 non-negative"):
+    with pytest.raises(BadSpec, match=f"categorical profile row {what}"):
         LabelProfile(kind="categorical", probs=((0.2,) * 5, row))
     identity = ConfusionMatrix.identity().rows
-    with pytest.raises(BadMatrix, match="^confusion row 3 must be 5 non-negative"):
+    with pytest.raises(BadMatrix, match=f"^confusion row 3 {what}"):
         ConfusionMatrix(rows=(*identity[:2], row, *identity[3:]))
 
 
@@ -240,6 +245,13 @@ class TestApplyLabeler:
         empirical = np.bincount(machine, minlength=6)[1:] / len(machine)
         expected = np.array(prof.probs) @ cm.as_array()
         assert np.abs(empirical - expected).max() < 0.01
+
+    def test_arms_of_another_length_are_length_mismatch(self):
+        # not a numpy broadcast error: both arms read one record's uniform block
+        records = self.base_records(count=2)
+        records[1] = dataclasses.replace(records[1], treatment=records[1].treatment[:-1])
+        with pytest.raises(LengthMismatch, match="treatment page of 5 labels, control page of 6"):
+            apply_labeler(records, ConfusionMatrix.identity(), seed=4)
 
     def test_determinism(self):
         records = self.base_records()
