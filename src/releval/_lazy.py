@@ -15,7 +15,9 @@ simulator, and ``simulate`` no estimation or alignment.
 
 numpy is registered the same way: ``np`` is bound at import time and numpy's
 own code runs when a command first reads ``np.<name>``. ``metric``, ``mde``,
-``design``, a rejected ``evaluate`` and ``--version`` never call it.
+``design``, a rejected ``evaluate`` and ``--version`` never call it. ``cli``
+relies on this to set ``OPENBLAS_NUM_THREADS`` after its imports and still
+before numpy's OpenBLAS (or scipy's) reads it.
 
 The t test needs only scipy's compiled ``stdtr`` and ``stdtrit``, from
 ``scipy.special._ufuncs``. ``t_ufuncs`` loads that one extension module

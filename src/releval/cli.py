@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import sys
 import warnings
 
@@ -21,6 +22,15 @@ from . import __version__, alignment, dataset_io, estimation, metrics, power, sa
 from ._lazy import np
 from .core import DEFAULT_K_DEPTH, GROUPINGS, check_alpha, check_fdr_level, check_metric_depth
 from .errors import OutOfDomain, RelevalError
+
+# numpy's and scipy's bundled OpenBLAS each start a worker pool when loaded,
+# unless told to use one thread. The CLI's only BLAS calls are spearman_rho's
+# dot products, exact sums in any order, so one thread reports the same bytes
+# and the pools only cost start-up: on a 2-vCPU box `import numpy` took a
+# median 134 ms with its pool and 74 ms without. numpy loads lazily, so this
+# lands before either library reads it; a caller's own value is kept. Set
+# here, not in the package, so `import releval` leaves a library's user alone.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 DEFAULT_SEED = 20240901
 

@@ -36,18 +36,35 @@ def check_k_depth(k_depth: int) -> None:
         raise BadSpec(f"k_depth must be in [1, {MAX_K_DEPTH}], got {k_depth}")
 
 
+def _length(value) -> int | None:
+    """``len(value)``, or None for a value that has none (a 0-d array has ``__len__``)."""
+    try:
+        return len(value)
+    except TypeError:
+        return None
+
+
+def _shown(value) -> str:
+    """``repr(value)``, or a stand-in where ``value`` is or holds an int too long to print."""
+    try:
+        return repr(value)
+    except ValueError:  # an int past sys.get_int_max_str_digits()
+        return f"<{type(value).__name__} too long to print>"
+
+
 def _check_distribution(row: Sequence[float], error: type, what: str) -> None:
     """Raise ``error`` unless ``row`` holds 5 non-negative probabilities summing to 1,
     each an int or a float and none a bool."""
-    if not hasattr(row, "__len__"):
-        raise error(f"{what} must be 5 non-negative probabilities, got {row!r}")
-    if len(row) != 5 or not all(isinstance(p, (int, float)) and type(p) is not bool and p >= 0
-                                for p in row):
-        raise error(f"{what} must be 5 non-negative probabilities, got {list(row)}")
+    size = _length(row)
+    if size is None:
+        raise error(f"{what} must be 5 non-negative probabilities, got {_shown(row)}")
+    if size != 5 or not all(isinstance(p, (int, float)) and type(p) is not bool and p >= 0
+                            for p in row):
+        raise error(f"{what} must be 5 non-negative probabilities, got {_shown(list(row))}")
     total = reduce(add, row, 0)
     # less the int 1, an int total of any size compares exactly; less 1.0 it could overflow
     if not abs(total - 1) <= WEIGHT_TOL:
-        raise error(f"{what} must sum to 1, got {total!r}")
+        raise error(f"{what} must sum to 1, got {_shown(total)}")
 
 
 @dataclass(frozen=True)
@@ -142,8 +159,12 @@ class ConfusionMatrix:
     rows: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        if len(self.rows) != 5:
-            raise BadMatrix(f"confusion matrix must have 5 rows, got {len(self.rows)}")
+        count = _length(self.rows)
+        if count is None:
+            raise BadMatrix(
+                f"confusion matrix must be a sequence of 5 rows, got {_shown(self.rows)}")
+        if count != 5:
+            raise BadMatrix(f"confusion matrix must have 5 rows, got {count}")
         for r, row in enumerate(self.rows):
             _check_distribution(row, BadMatrix, f"confusion row {r + 1}")
 

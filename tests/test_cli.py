@@ -163,11 +163,87 @@ def test_numpy_loads_only_for_commands_that_use_it(tmp_path, command, code, load
         assert json.loads(output[0])["violations"][0]["error"] == "BadLabelValue"
 
 
+# runs one command in a fresh interpreter, then prints its exit code, whether
+# it loaded numpy and the t ufuncs, and the process's thread count
+_RUN_AND_REPORT_THREADS = """
+import os, sys
+from releval.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit as exc:
+    with open("/proc/self/status") as status:
+        threads = next(line.split()[1] for line in status if line.startswith("Threads:"))
+    print("exit", exc.code, "numpy._core" in sys.modules, "scipy.special._ufuncs" in sys.modules,
+          "threads", threads, "OPENBLAS_NUM_THREADS", os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+def _env_without_blas_setting():
+    env = _python_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    return env
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+@pytest.mark.parametrize("command, ufuncs", [("evaluate-stratified", True), ("simulate", False)])
+def test_commands_run_on_one_thread(tmp_path, command, ufuncs):
+    # numpy's and scipy's OpenBLAS would each start a worker pool, so that
+    # evaluate ended on 3 threads and simulate on 2; on a 1-CPU machine
+    # OpenBLAS starts none, so there this test passes whatever the CLI sets
+    result = subprocess.run([sys.executable, "-c", _RUN_AND_REPORT_THREADS,
+                             *_command_args(tmp_path, command)],
+                            env=_env_without_blas_setting(), capture_output=True, text=True,
+                            check=True)
+    assert result.stderr == ""
+    assert result.stdout.splitlines()[-1] == (
+        f"exit 0 True {ufuncs} threads 1 OPENBLAS_NUM_THREADS 1")
+
+
+def test_a_callers_blas_thread_count_is_kept(tmp_path):
+    env = dict(_python_env(), OPENBLAS_NUM_THREADS="2")
+    result = subprocess.run([sys.executable, "-c", _RUN_AND_REPORT_THREADS,
+                             *_command_args(tmp_path, "simulate")],
+                            env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.split()[-2:] == ["OPENBLAS_NUM_THREADS", "2"]
+
+
+def test_import_releval_leaves_the_blas_setting_alone():
+    # the one-thread rule is the CLI's; a library user keeps their own
+    code = ("import os, sys, releval; releval.kendall_tau([1, 2, 3], [1, 3, 2]); "
+            "print('numpy._core' in sys.modules, 'OPENBLAS_NUM_THREADS' in os.environ)")
+    result = subprocess.run([sys.executable, "-c", code], env=_env_without_blas_setting(),
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.split() == ["True", "False"]
+
+
+_SPEARMAN_WITH_TIES = """
+from releval._lazy import np
+from releval.alignment import spearman_rho
+rng = np.random.default_rng(29)
+x = rng.integers(1, 6, 20_000)
+print(repr(spearman_rho(x, x + rng.integers(0, 3, 20_000))))
+"""
+
+
+def test_spearman_rho_is_the_same_on_one_blas_thread_or_two():
+    # the premise of running on one thread: the midranks, centred on
+    # (n + 1) / 2, are quarter-integers, so their dot products are exact sums
+    # whatever order OpenBLAS splits them in (ddot splits above 10^4 terms)
+    rhos = [float(subprocess.run([sys.executable, "-c", _SPEARMAN_WITH_TIES],
+                                 env=dict(_python_env(), OPENBLAS_NUM_THREADS=threads),
+                                 capture_output=True, text=True, check=True).stdout)
+            for threads in ("1", "2")]
+    assert rhos[0] == rhos[1]
+
+
 def _command_args(tmp_path, command):
     """The arguments of ``command`` on small input files written to ``tmp_path``."""
     listed = write_jsonl(tmp_path / "list.jsonl", paired_records())
     dual = write_jsonl(tmp_path / "dual.jsonl",
                        [dual_raw(f"q{i}", [3, 4], [3, 3], [4, 4], [4, 3]) for i in range(4)])
+    # one non-constant delta, so the t test runs
+    varied = write_jsonl(tmp_path / "varied.jsonl",
+                         [*paired_records(), raw_record("q9", [3, 4], [4, 5])])
     invalid = write_jsonl(tmp_path / "invalid.jsonl",
                           [*paired_records(), raw_record("q9", [3, 7], [4, 4])])
     spec = tmp_path / "spec.json"
@@ -185,7 +261,7 @@ def _command_args(tmp_path, command):
         "metric-list-form": ["metric", listed],
         "metric-dual-label": ["metric", dual],
         "evaluate": ["evaluate", listed],
-        "evaluate-stratified": ["evaluate", listed, "--estimator", "stratified",
+        "evaluate-stratified": ["evaluate", varied, "--estimator", "stratified",
                                 "--design", str(listed_design)],
         "evaluate-rejected": ["evaluate", invalid, "--error-json"],
         "align": ["align", dual, "--by", "market"],

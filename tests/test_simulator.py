@@ -96,6 +96,35 @@ def test_a_probability_row_that_is_not_numbers_is_its_error(row):
         ConfusionMatrix(rows=(*identity[:2], row, *identity[3:]))
 
 
+# an int past Python's 4,300-digit limit for printing one
+TOO_LONG = 10 ** 5000
+
+
+@pytest.mark.parametrize("row, message", [
+    ((TOO_LONG, 0, 0, 0, 0), "must sum to 1, got <int too long to print>"),
+    ((TOO_LONG, -1, 0, 0, 0), "must be 5 non-negative probabilities, got <list too long to print>"),
+    (TOO_LONG, "must be 5 non-negative probabilities, got <int too long to print>"),
+    (np.array(0.3), "must be 5 non-negative probabilities, got array(0.3)"),
+], ids=["total", "entry", "bare", "0-d-array"])
+def test_a_row_that_cannot_be_printed_or_sized_is_its_error(row, message):
+    with pytest.raises(BadSpec) as err:
+        LabelProfile(kind="categorical", probs=row)
+    assert str(err.value) == f"categorical profile row {message}"
+    identity = ConfusionMatrix.identity().rows
+    with pytest.raises(BadMatrix) as err:
+        ConfusionMatrix(rows=(*identity[:2], row, *identity[3:]))
+    assert str(err.value) == f"confusion row 3 {message}"
+
+
+@pytest.mark.parametrize("rows, shown", [
+    (5, "5"), (None, "None"), (np.array(5), "array(5)"), (TOO_LONG, "<int too long to print>"),
+], ids=["int", "None", "0-d-array", "too-long"])
+def test_confusion_rows_that_are_not_a_sequence_are_bad_matrix(rows, shown):
+    with pytest.raises(BadMatrix) as err:
+        ConfusionMatrix(rows=rows)
+    assert str(err.value) == f"confusion matrix must be a sequence of 5 rows, got {shown}"
+
+
 class TestShiftPmf:
     def test_zero_shift_is_identity(self):
         pmf = np.array([0.1, 0.2, 0.3, 0.2, 0.2])
