@@ -42,10 +42,64 @@ _INT = frozenset((int,))
 _BYTES = frozenset((bytes,))
 
 
+def shown(value: Any) -> str:
+    """``repr(value)``, or a stand-in where ``value`` is or holds an int too long to print."""
+    try:
+        return repr(value)
+    except ValueError:  # an int past sys.get_int_max_str_digits()
+        return f"<{type(value).__name__} too long to print>"
+
+
+# The value rules of the spec types, each written once; every type checks
+# its own fields with them, so a spec file and the Python API take the same
+# values. A value of another type is never converted.
+
+def is_number(value: Any) -> bool:
+    """Whether ``value`` is a number: an int or a float, never a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def check_number(value: Any, name: str) -> float:
+    """``value`` as a float: a number within the float range."""
+    if not is_number(value):
+        raise BadSpec(f"{name} must be a number, got {shown(value)}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise BadSpec(f"{name} is out of range, got {shown(value)}") from None
+
+
+def check_integer(value: Any, name: str, error: type = BadSpec) -> int:
+    """``value`` if it is an int and not a bool, else ``error``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise error(f"{name} must be an integer, got {shown(value)}")
+    return value
+
+
+def check_name(value: Any, name: str, error: type = BadSpec, *where: Any) -> str:
+    """``value`` if it is a str of UTF-8 text, as every file releval writes needs, else
+    ``error(message, *where)``: a RecordError's query id and field follow its message.
+    A lone surrogate, which a JSON escape such as ``\\ud800`` decodes to, is not text."""
+    if not isinstance(value, str):
+        raise error(f"{name} must be a string, got {shown(value)}", *where)
+    if not value.isascii():
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise error(f"{name} must be UTF-8 text, got {value!r}", *where) from None
+    return value
+
+
+def store_numbers(obj: Any, *names: str) -> None:
+    """Store each field ``name`` of the frozen dataclass ``obj`` as check_number gives it."""
+    for name in names:
+        object.__setattr__(obj, name, check_number(getattr(obj, name), name))
+
+
 def check_metric_depth(k_depth: int) -> None:
-    """The metric depth K counts ranks, so it is at least 1."""
-    if k_depth < 1:
-        raise OutOfDomain(f"k_depth must be >= 1, got {k_depth}")
+    """The metric depth K counts ranks, so it is an integer of at least 1."""
+    if check_integer(k_depth, "k_depth", OutOfDomain) < 1:
+        raise OutOfDomain(f"k_depth must be >= 1, got {shown(k_depth)}")
 
 
 # the level checks of power and fdr live here, in the module every command
@@ -218,31 +272,17 @@ def _parse_arm(raw: Any, query_id: str, arm: str, violations: list[RecordError]
     return _checked_page(labels, query_id, arm, "", violations), None
 
 
-def _is_text(value: str) -> bool:
-    """Whether a str encodes as UTF-8, as every file releval writes needs.
-
-    A lone surrogate, which a JSON escape such as ``\\ud800`` decodes to, does not.
-    """
-    try:
-        value.encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
-
-
 def _stratum(raw: Any, interest: str, interned: dict) -> StratumKey:
     """The StratumKey of a raw stratum object, one object per distinct value.
 
     Raises as building a StratumKey does: AttributeError for a raw value
     that is not a mapping, ValueError for an unknown popularity and
-    RecordError for an empty interest; and UnicodeEncodeError for an
-    interest that is not UTF-8 text, checked once per distinct stratum.
+    RecordError for an empty interest.
     """
     popularity = str(raw.get("popularity", ""))
     key = (interest, popularity)
     stratum = interned.get(key)
     if stratum is None:
-        interest.encode("utf-8")  # UnicodeEncodeError for a lone surrogate
         stratum = interned[key] = StratumKey(interest=interest,
                                              popularity=PopularitySegment(popularity))
     return stratum
@@ -252,52 +292,40 @@ def record_from_raw(raw: Mapping[str, Any], violations: list[RecordError],
                     interned: dict) -> QueryRecord | None:
     """Build a QueryRecord from a parsed JSON object, collecting violations.
 
-    ``query_id``, ``market`` and the stratum ``interest`` must be JSON
-    strings of UTF-8 text; any other value, a string holding a lone
-    surrogate included, is a violation at that field, never coerced.
-    ``interned`` is the caller's table of the strata and markets built so
-    far: records with equal strata, or equal markets, share one object, and
-    each distinct one is checked for text once, when it enters the table.
+    ``query_id``, ``market`` and the stratum ``interest`` are names, as
+    ``check_name`` reads them: any other value is a BadLabelValue at that
+    field, never coerced. ``interned`` is the caller's table of the strata
+    and markets built so far: records with equal strata, or equal markets,
+    share one object.
     """
     query_id = raw.get("query_id", "")
-    if type(query_id) is not str:
-        violations.append(BadLabelValue(
-            f"query_id must be a string, got {query_id!r}", field="query_id"))
+    try:
+        check_name(query_id, "query_id", BadLabelValue, None, "query_id")
+    except BadLabelValue as err:
+        violations.append(err)
         return None
     if not query_id:
         violations.append(MissingArm("record is missing query_id", field="query_id"))
         return None
-    if not (query_id.isascii() or _is_text(query_id)):
-        violations.append(BadLabelValue(
-            f"query_id must be UTF-8 text, got {query_id!r}", field="query_id"))
-        return None
     ok = True
 
     market = raw.get("market", "")
-    if type(market) is not str:
-        violations.append(BadLabelValue(
-            f"market must be a string, got {market!r}", query_id=query_id, field="market"))
-        ok = False
-    elif market in interned or _is_text(market):
-        market = interned.setdefault(market, market)
-    else:
-        violations.append(BadLabelValue(
-            f"market must be UTF-8 text, got {market!r}", query_id=query_id, field="market"))
+    try:
+        market = interned.setdefault(
+            check_name(market, "market", BadLabelValue, query_id, "market"), market)
+    except BadLabelValue as err:
+        violations.append(err)
         ok = False
     stratum_raw = raw.get("stratum", {})
     interest = stratum_raw.get("interest", "") if type(stratum_raw) is dict else ""
     stratum = None
-    if type(interest) is not str:
-        violations.append(BadLabelValue(
-            f"stratum interest must be a string, got {interest!r}",
-            query_id=query_id, field="stratum.interest"))
+    try:
+        check_name(interest, "stratum interest", BadLabelValue, query_id, "stratum.interest")
+    except BadLabelValue as err:
+        violations.append(err)
     else:
         try:
             stratum = _stratum(stratum_raw, interest, interned)
-        except UnicodeEncodeError:
-            violations.append(BadLabelValue(
-                f"stratum interest must be UTF-8 text, got {interest!r}",
-                query_id=query_id, field="stratum.interest"))
         except (AttributeError, ValueError, RecordError):
             violations.append(BadLabelValue(
                 f"invalid stratum {stratum_raw!r}", query_id=query_id, field="stratum"))

@@ -23,7 +23,7 @@ from .core import (
     EvalDataset,
     PopularitySegment,
     StratumKey,
-    _is_text,
+    check_name,
     check_pages,
     check_unique_strata,
     validate_dataset,
@@ -178,44 +178,23 @@ def canonical_json(obj: Any) -> str:
 
 
 # -- design / spec files ------------------------------------------------------
-# Fields take exactly the JSON types their schemas declare: a number is an
-# int or float (never a bool), and nothing is coerced with int(), float() or
-# str().
-
-def _json_number(value: Any, name: str) -> float:
-    if type(value) not in (int, float):
-        raise BadSpec(f"{name} must be a JSON number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError as err:
-        raise BadSpec(f"{name} is out of range, got {value!r}") from err
-
-
-def _json_int(value: Any, name: str) -> int:
-    if type(value) is not int:
-        raise BadSpec(f"{name} must be a JSON integer, got {value!r}")
-    return value
-
-
-def _json_str(value: Any, name: str) -> str:
-    if type(value) is not str:
-        raise BadSpec(f"{name} must be a JSON string, got {value!r}")
-    if not _is_text(value):
-        raise BadSpec(f"{name} must be UTF-8 text, got {value!r}")
-    return value
-
+# The loaders read a file's shape (its keys, lists and objects) and pass each
+# JSON value as read to the type that holds it, which checks it with core's
+# value rules: a value of another JSON type is an error, never coerced.
 
 def _stratum_key(obj: Mapping[str, Any]) -> StratumKey:
     try:
-        return StratumKey(interest=_json_str(obj["interest"], "interest"),
-                          popularity=PopularitySegment(_json_str(obj["popularity"], "popularity")))
+        return StratumKey(interest=check_name(obj["interest"], "interest"),
+                          popularity=PopularitySegment(check_name(obj["popularity"], "popularity")))
     except (KeyError, ValueError, RecordError) as err:  # RecordError: an empty interest
         raise BadSpec(f"invalid stratum reference {obj!r}") from err
 
 
-def _optional_number(obj: Mapping[str, Any], key: str) -> float | None:
+def _optional(obj: Mapping[str, Any], key: str) -> Any:
     # an absent key is None; a present null is not a number
-    return _json_number(obj[key], key) if key in obj else None
+    if obj.get(key, 0) is None:
+        raise BadSpec(f"{key} must be a number, got None")
+    return obj.get(key)
 
 
 def _load_json(path: str | Path) -> Any:
@@ -240,12 +219,9 @@ def load_design(path: str | Path) -> list[sampling.StratumSpec]:
     if not isinstance(raw, list) or not raw:
         raise BadSpec("design file must be a non-empty JSON list of stratum objects")
     try:
-        specs = [sampling.StratumSpec(
-            key=_stratum_key(obj),
-            weight=_json_number(obj["weight"], "weight"),
-            sigma=_optional_number(obj, "sigma"),
-            mu=_optional_number(obj, "mu"),
-        ) for obj in raw]
+        specs = [sampling.StratumSpec(key=_stratum_key(obj), weight=obj["weight"],
+                                      sigma=_optional(obj, "sigma"), mu=_optional(obj, "mu"))
+                 for obj in raw]
     except (KeyError, TypeError, ValueError) as err:
         raise BadSpec(f"invalid design entry: {err!r}") from err
     check_unique_strata([s.key for s in specs], "design file")
@@ -262,27 +238,17 @@ def load_population_spec(path: str | Path) -> simulator.PopulationSpec:
             prof = obj["profile"]
             kind = prof["kind"]
             if kind == "categorical":
-                profile = simulator.LabelProfile(kind=kind, probs=_as_prob_tuple(prof["probs"]))
+                profile = simulator.LabelProfile(kind=kind, probs=prof["probs"])
             else:
-                profile = simulator.LabelProfile(
-                    kind=kind, mean_top=_json_number(prof["mean_top"], "mean_top"),
-                    decay=_json_number(prof.get("decay", 0.0), "decay"))
-            strata.append(simulator.StratumProfile(key=_stratum_key(obj),
-                                                   weight=_json_number(obj["weight"], "weight"),
+                profile = simulator.LabelProfile(kind=kind, mean_top=prof["mean_top"],
+                                                 decay=prof.get("decay", 0.0))
+            strata.append(simulator.StratumProfile(key=_stratum_key(obj), weight=obj["weight"],
                                                    profile=profile))
         return simulator.PopulationSpec(
-            strata=tuple(strata),
-            queries_per_stratum=_json_int(raw["queries_per_stratum"], "queries_per_stratum"),
-            market=_json_str(raw.get("market", "US"), "market"),
-            k_depth=_json_int(raw.get("k_depth", DEFAULT_K_DEPTH), "k_depth"))
+            strata=tuple(strata), queries_per_stratum=raw["queries_per_stratum"],
+            market=raw.get("market", "US"), k_depth=raw.get("k_depth", DEFAULT_K_DEPTH))
     except (KeyError, TypeError, ValueError, AttributeError) as err:
         raise BadSpec(f"invalid population spec: {err}") from err
-
-
-def _as_prob_tuple(probs) -> tuple:
-    if probs and isinstance(probs[0], list):
-        return tuple(tuple(_json_number(p, "probs") for p in row) for row in probs)
-    return tuple(_json_number(p, "probs") for p in probs)
 
 
 def load_confusion(path: str | Path) -> simulator.ConfusionMatrix:
@@ -293,10 +259,8 @@ def load_confusion(path: str | Path) -> simulator.ConfusionMatrix:
     try:
         if "calibrate" in raw:
             cal = raw["calibrate"]
-            return simulator.calibrate_confusion(_json_number(cal["exact"], "exact"),
-                                                 _json_number(cal["within_one"], "within_one"))
-        return simulator.ConfusionMatrix(rows=tuple(tuple(_json_number(p, "rows") for p in row)
-                                                    for row in raw["rows"]))
+            return simulator.calibrate_confusion(cal["exact"], cal["within_one"])
+        return simulator.ConfusionMatrix(rows=raw["rows"])
     except (KeyError, TypeError, ValueError) as err:
         raise BadSpec(f"invalid confusion file: {err!r}") from err
 
@@ -307,10 +271,8 @@ def load_effect(path: str | Path) -> simulator.EffectSpec:
     if not isinstance(raw, dict) or not isinstance(raw.get("shifts", []), list):
         raise BadSpec("effect file must be a JSON object whose 'shifts' is a list")
     try:
-        shifts = [(_stratum_key(obj), _json_number(obj["shift"], "shift"))
-                  for obj in raw.get("shifts", [])]
-        default = _json_number(raw.get("default", 0.0), "default")
+        shifts = [(_stratum_key(obj), obj["shift"]) for obj in raw.get("shifts", [])]
     except (KeyError, TypeError, ValueError) as err:
         raise BadSpec(f"invalid effect file: {err!r}") from err
     check_unique_strata([key for key, _ in shifts], "effect file")
-    return simulator.EffectSpec(shifts=dict(shifts), default=default)
+    return simulator.EffectSpec(shifts=dict(shifts), default=raw.get("default", 0.0))

@@ -14,7 +14,7 @@ from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from ._lazy import np
-from .core import StratumKey
+from .core import StratumKey, store_numbers
 from .errors import BudgetTooSmall, EmptyInput, MissingSigma, OutOfDomain, WeightMismatch
 
 MIN_PER_STRATUM = 2
@@ -31,6 +31,8 @@ class StratumSpec:
     mu: float | None = None
 
     def __post_init__(self):
+        store_numbers(self, "weight", *(name for name in ("sigma", "mu")
+                                         if getattr(self, name) is not None))
         if not 0.0 < self.weight <= 1.0:
             raise WeightMismatch(f"stratum {self.key} weight must be in (0, 1], got {self.weight}")
         if self.sigma is not None and not 0.0 <= self.sigma < math.inf:

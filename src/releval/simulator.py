@@ -13,15 +13,16 @@ any ``queries_per_stratum`` >= n.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
-from typing import Mapping, Sequence
 
 from ._lazy import np
 from ._rng import substream
-from .core import (DEFAULT_K_DEPTH, EvalDataset, QueryRecord, StratumKey, check_pages,
-                   check_unique_strata)
+from .core import (DEFAULT_K_DEPTH, EvalDataset, QueryRecord, StratumKey, check_integer,
+                   check_name, check_number, check_pages, check_unique_strata, is_number, shown,
+                   store_numbers)
 from .errors import BadMatrix, BadSpec, InfeasibleTargets, LengthMismatch, WeightMismatch
 from .sampling import WEIGHT_TOL, check_weights
 
@@ -32,8 +33,8 @@ MAX_QUERIES_PER_STRATUM = 10 ** 6
 
 
 def check_k_depth(k_depth: int) -> None:
-    if not 1 <= k_depth <= MAX_K_DEPTH:
-        raise BadSpec(f"k_depth must be in [1, {MAX_K_DEPTH}], got {k_depth}")
+    if not 1 <= check_integer(k_depth, "k_depth") <= MAX_K_DEPTH:
+        raise BadSpec(f"k_depth must be in [1, {MAX_K_DEPTH}], got {shown(k_depth)}")
 
 
 def _length(value) -> int | None:
@@ -44,27 +45,21 @@ def _length(value) -> int | None:
         return None
 
 
-def _shown(value) -> str:
-    """``repr(value)``, or a stand-in where ``value`` is or holds an int too long to print."""
-    try:
-        return repr(value)
-    except ValueError:  # an int past sys.get_int_max_str_digits()
-        return f"<{type(value).__name__} too long to print>"
-
-
-def _check_distribution(row: Sequence[float], error: type, what: str) -> None:
-    """Raise ``error`` unless ``row`` holds 5 non-negative probabilities summing to 1,
-    each an int or a float and none a bool."""
+def _check_distribution(row: Sequence[float], error: type, what: str) -> tuple[float, ...]:
+    """``row`` as floats; ``error`` unless it holds 5 non-negative numbers summing to 1."""
     size = _length(row)
     if size is None:
-        raise error(f"{what} must be 5 non-negative probabilities, got {_shown(row)}")
-    if size != 5 or not all(isinstance(p, (int, float)) and type(p) is not bool and p >= 0
-                            for p in row):
-        raise error(f"{what} must be 5 non-negative probabilities, got {_shown(list(row))}")
-    total = reduce(add, row, 0)
+        raise error(f"{what} must be 5 non-negative probabilities, got {shown(row)}")
+    if size != 5 or not all(is_number(p) and p >= 0 for p in row):
+        raise error(f"{what} must be 5 non-negative probabilities, got {shown(list(row))}")
+    try:
+        total = reduce(add, row, 0)
+    except OverflowError:  # a float beside an int past the float range: far from 1
+        total = math.inf
     # less the int 1, an int total of any size compares exactly; less 1.0 it could overflow
     if not abs(total - 1) <= WEIGHT_TOL:
-        raise error(f"{what} must sum to 1, got {_shown(total)}")
+        raise error(f"{what} must sum to 1, got {shown(total)}")
+    return tuple(map(float, row))
 
 
 @dataclass(frozen=True)
@@ -85,9 +80,13 @@ class LabelProfile:
     decay: float = 0.0
 
     def __post_init__(self):
+        store_numbers(self, "mean_top", "decay")
         if self.kind == "categorical":
-            for row in self._rows():
-                _check_distribution(row, BadSpec, "categorical profile row")
+            probs = self.probs if isinstance(self.probs, (tuple, list)) else ()
+            nested = bool(probs) and isinstance(probs[0], (tuple, list))
+            rows = tuple(_check_distribution(row, BadSpec, "categorical profile row")
+                         for row in (probs if nested else (self.probs,)))
+            object.__setattr__(self, "probs", rows if nested else rows[0])
         elif self.kind == "curve":
             if not 1.0 <= self.mean_top <= 5.0:
                 raise BadSpec(f"curve mean_top must be in [1, 5], got {self.mean_top}")
@@ -96,17 +95,12 @@ class LabelProfile:
         else:
             raise BadSpec(f"unknown profile kind {self.kind!r}")
 
-    def _rows(self) -> tuple:
-        """``probs`` as rows: one a rank, or one row for every rank."""
-        probs = self.probs if isinstance(self.probs, (tuple, list)) else ()
-        return tuple(probs) if probs and isinstance(probs[0], (tuple, list)) else (self.probs,)
-
     def pmf_matrix(self, k_depth: int) -> np.ndarray:
         """(k_depth, 5) matrix: row r is the distribution over labels 1..5 at rank r+1."""
         check_k_depth(k_depth)
         ranks = np.arange(k_depth)
         if self.kind == "categorical":
-            rows = np.array(self._rows(), dtype=float)
+            rows = np.array(self.probs).reshape(-1, 5)  # one row a rank, or one for every rank
             return rows[np.minimum(ranks, len(rows) - 1)]
         m = np.clip(self.mean_top - self.decay * ranks, 1.0, 5.0)
         lo = np.floor(m).astype(np.int64)
@@ -125,6 +119,7 @@ class StratumProfile:
     profile: LabelProfile
 
     def __post_init__(self):
+        store_numbers(self, "weight")
         if not 0.0 < self.weight <= 1.0:
             raise BadSpec(f"stratum {self.key} weight must be in (0, 1], got {self.weight}")
 
@@ -141,9 +136,11 @@ class PopulationSpec:
     def __post_init__(self):
         if not self.strata:
             raise BadSpec("population spec needs at least one stratum")
-        if not 1 <= self.queries_per_stratum <= MAX_QUERIES_PER_STRATUM:
+        queries = check_integer(self.queries_per_stratum, "queries_per_stratum")
+        if not 1 <= queries <= MAX_QUERIES_PER_STRATUM:
             raise BadSpec(f"queries_per_stratum must be in [1, {MAX_QUERIES_PER_STRATUM}], "
-                          f"got {self.queries_per_stratum}")
+                          f"got {shown(queries)}")
+        check_name(self.market, "market")
         check_unique_strata([s.key for s in self.strata], "population spec")
         try:
             check_weights(s.weight for s in self.strata)
@@ -162,11 +159,11 @@ class ConfusionMatrix:
         count = _length(self.rows)
         if count is None:
             raise BadMatrix(
-                f"confusion matrix must be a sequence of 5 rows, got {_shown(self.rows)}")
+                f"confusion matrix must be a sequence of 5 rows, got {shown(self.rows)}")
         if count != 5:
             raise BadMatrix(f"confusion matrix must have 5 rows, got {count}")
-        for r, row in enumerate(self.rows):
-            _check_distribution(row, BadMatrix, f"confusion row {r + 1}")
+        object.__setattr__(self, "rows", tuple(_check_distribution(
+            row, BadMatrix, f"confusion row {r + 1}") for r, row in enumerate(self.rows)))
 
     def as_array(self) -> np.ndarray:
         return np.array(self.rows)
@@ -184,6 +181,11 @@ class EffectSpec:
     default: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.shifts, Mapping):
+            raise BadSpec(f"effect shifts must map strata to numbers, got {shown(self.shifts)}")
+        object.__setattr__(self, "shifts", {key: check_number(shift, "shift")
+                                            for key, shift in self.shifts.items()})
+        store_numbers(self, "default")
         for value in (self.default, *self.shifts.values()):
             if not math.isfinite(value):
                 raise BadSpec(f"effect shifts must be finite, got {value}")
@@ -205,6 +207,8 @@ def calibrate_confusion(exact_target: float, within_one_target: float) -> Confus
     spreads uniformly over non-adjacent labels. Expected exact and
     within-one rates equal the targets exactly for any true-label prior.
     """
+    exact_target = check_number(exact_target, "exact")
+    within_one_target = check_number(within_one_target, "within_one")
     if not 0.0 < exact_target <= within_one_target <= 1.0:
         raise InfeasibleTargets(
             f"need 0 < exact <= within_one <= 1, got ({exact_target}, {within_one_target})")

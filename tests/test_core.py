@@ -16,6 +16,7 @@ from releval.errors import (
     DatasetValidationError,
     OutOfDomain,
 )
+from releval.metrics import sdcg_at_k
 
 from conftest import dual_raw, page, raw_record, record, sk
 
@@ -224,6 +225,17 @@ def test_depth_below_one_is_checked_before_any_record_is_drawn():
             validate_dataset(records(), k_depth=k)
         with pytest.raises(OutOfDomain):
             EvalDataset(records=(), k_depth=k)
+
+
+@pytest.mark.parametrize("k_depth", [2.5, 3.0, True, "3", None])
+def test_a_depth_that_is_not_an_int_is_out_of_domain(k_depth):
+    # never coerced: 3.0 is not the depth 3, nor True the depth 1
+    for check in (lambda: validate_dataset([raw_record("q1", [4, 5, 3])], k_depth=k_depth),
+                  lambda: EvalDataset(records=(), k_depth=k_depth),
+                  lambda: sdcg_at_k(bytes((4, 5, 3)), k_depth)):
+        with pytest.raises(OutOfDomain) as err:
+            check()
+        assert str(err.value) == f"k_depth must be an integer, got {k_depth!r}"
 
 
 @pytest.mark.parametrize("raw, field", [

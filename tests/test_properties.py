@@ -12,7 +12,9 @@ numbers from a pool of edge values.
 
 Every input must end in exit 0, 1 or 2 with no traceback and, on failure, a
 parseable ``--error-json`` payload. The same spec files, read by their
-loaders, must agree with their JSON Schemas under ``releval/schemas/``.
+loaders, must agree with their JSON Schemas under ``releval/schemas/``. Each
+spec type, built from any JSON values, must give what its loader gives for a
+file holding them: the same object, or the same RelevalError.
 
 Datasets are drawn whole, ragged, list-form and dual-label pages, records
 without a treatment arm and query ids that JSON must escape included; the
@@ -52,6 +54,15 @@ from releval.dataset_io import (
     write_dataset,
 )
 from releval.errors import RelevalError
+from releval.sampling import StratumSpec
+from releval.simulator import (
+    ConfusionMatrix,
+    EffectSpec,
+    LabelProfile,
+    PopulationSpec,
+    StratumProfile,
+    calibrate_confusion,
+)
 
 from conftest import dataset_bytes
 
@@ -485,6 +496,99 @@ def test_design_schema_and_loader_agree(doc):
 @example(doc={"shifts": {}})
 def test_effect_schema_and_loader_agree(doc):
     _assert_agree("effect_spec", load_effect, doc, lambda d: _unique_keys(d.get("shifts", [])))
+
+
+# -- the spec types take what their loaders take -----------------------------------
+# A loader passes each JSON value of a spec file, as read, to the type that
+# holds it, which checks it; so the same values give the same object, or the
+# same RelevalError, from a file as from the constructor, and nothing else
+# escapes either.
+
+JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+    | st.sampled_from([10 ** 400, -10 ** 400, "a\ud800"]),
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.dictionaries(st.text(max_size=2), inner, max_size=2)),
+    max_leaves=6)
+NUMBER = st.sampled_from([0, 1, 3, 0.2, 0.5, 1.0, 4.2, -0.5]) | JSON_VALUE
+KEY = StratumKey("a", PopularitySegment.HEAD)
+STRATUM = {"interest": "a", "popularity": "head"}
+
+
+@st.composite
+def rows(draw):
+    """5 probabilities, one of them perhaps replaced by any JSON value."""
+    row = list(draw(st.sampled_from([_PROBS, [0, 0, 0, 0, 1], [1, 0, 0, 0, 0]])))
+    if draw(st.booleans()):
+        row[draw(st.integers(0, 4))] = draw(NUMBER)
+    return row
+
+
+@st.composite
+def one_replaced(draw, fields):
+    """``fields`` as given, or with one value replaced by a number or any JSON value."""
+    name = draw(st.sampled_from([None, *fields]))
+    return fields if name is None else dict(fields, **{name: draw(NUMBER)})
+
+
+@st.composite
+def design_case(draw):
+    fields = draw(one_replaced({"weight": 1.0, "sigma": draw(st.sampled_from([None, 0.2])),
+                                "mu": draw(st.sampled_from([None, 0.5]))}))
+    # a None sigma or mu is a key the file leaves out
+    entry = dict(STRATUM, **{key: value for key, value in fields.items() if value is not None})
+    return load_design, [entry], lambda: [StratumSpec(KEY, **fields)]
+
+
+@st.composite
+def population_case(draw):
+    kind = draw(st.sampled_from(["curve", "categorical"]))
+    fields = draw(one_replaced(dict(weight=1.0, queries_per_stratum=2, market="US", k_depth=3,
+                                    **({"mean_top": 4.2, "decay": 0.3} if kind == "curve" else {}))))
+    profile = ({"probs": draw(rows() | st.lists(rows(), min_size=1, max_size=3) | JSON_VALUE)}
+               if kind == "categorical" else {"mean_top": fields.pop("mean_top"),
+                                              "decay": fields.pop("decay")})
+    weight = fields.pop("weight")
+    doc = dict(fields, strata=[dict(STRATUM, weight=weight, profile=dict(kind=kind, **profile))])
+    return load_population_spec, doc, lambda: PopulationSpec(
+        (StratumProfile(KEY, weight, LabelProfile(kind=kind, **profile)),), **fields)
+
+
+@st.composite
+def confusion_case(draw):
+    if draw(st.booleans()):
+        targets = draw(one_replaced({"exact": 0.737, "within_one": 0.917}))
+        return (load_confusion, {"calibrate": targets},
+                lambda: calibrate_confusion(targets["exact"], targets["within_one"]))
+    matrix = copy.deepcopy(_IDENTITY)
+    matrix[draw(st.integers(0, 4))] = draw(rows() | JSON_VALUE)
+    matrix = draw(st.just(matrix) | JSON_VALUE)
+    return load_confusion, {"rows": matrix}, lambda: ConfusionMatrix(rows=matrix)
+
+
+@st.composite
+def effect_case(draw):
+    fields = draw(one_replaced({"shift": 0.25, "default": 0.05}))
+    doc = {"default": fields["default"], "shifts": [dict(STRATUM, shift=fields["shift"])]}
+    return load_effect, doc, lambda: EffectSpec({KEY: fields["shift"]}, fields["default"])
+
+
+def _outcome(build):
+    """What ``build()`` gives: its value, or the RelevalError it raises as (code, message)."""
+    try:
+        return build()
+    except RelevalError as err:
+        return err.code, str(err)
+
+
+@settings(max_examples=400)
+@given(case=st.one_of(design_case(), population_case(), confusion_case(), effect_case()))
+def test_spec_types_take_what_their_loaders_take(case):
+    loader, doc, build = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert _outcome(lambda: loader(path)) == _outcome(build)
 
 
 # the simulator's work grows with these; each is legal up to its maximum

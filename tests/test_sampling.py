@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from releval.errors import BudgetTooSmall, EmptyInput, MissingSigma, OutOfDomain
+from releval.errors import BadSpec, BudgetTooSmall, EmptyInput, MissingSigma, OutOfDomain
 from releval.sampling import StratumSpec, allocate, decompose_variance
 
 from conftest import pooled_population_variance, sk
@@ -49,6 +49,23 @@ class TestDecomposeVariance:
             pooled = pooled_population_variance([v for _, v in values])
             assert vd.total == pytest.approx(vd.within + vd.between, rel=1e-10)
             assert vd.total == pytest.approx(pooled, rel=1e-9)
+
+
+@pytest.mark.parametrize("fields, message", [
+    (("a",), "weight must be a number, got 'a'"),
+    ((True,), "weight must be a number, got True"),
+    ((1.0, "0.2"), "sigma must be a number, got '0.2'"),
+    ((1.0, None, 10 ** 5000), "mu is out of range, got <int too long to print>"),
+], ids=["weight-str", "weight-bool", "sigma-str", "mu-too-large"])
+def test_a_stratum_value_of_the_wrong_type_is_bad_spec(fields, message):
+    with pytest.raises(BadSpec) as err:
+        StratumSpec(sk("a"), *fields)
+    assert str(err.value) == message
+
+
+def test_stratum_numbers_are_stored_as_floats():
+    spec = StratumSpec(sk("a"), 1, sigma=0, mu=1)
+    assert [type(v) for v in (spec.weight, spec.sigma, spec.mu)] == [float] * 3
 
 
 class TestAllocate:

@@ -81,12 +81,14 @@ NOT_NUMBERS = {
     "int": 1,
     "float": 0.3,
     "huge-int": (10 ** 400, 0, 0, 0, 0),
+    "huge-int-beside-float": (10 ** 400, 0.5, 0, 0, 0),
 }
 
 
 @pytest.mark.parametrize("row", NOT_NUMBERS.values(), ids=NOT_NUMBERS)
 def test_a_probability_row_that_is_not_numbers_is_its_error(row):
-    what = "must sum to 1" if row == NOT_NUMBERS["huge-int"] else "must be 5 non-negative"
+    huge = (NOT_NUMBERS["huge-int"], NOT_NUMBERS["huge-int-beside-float"])
+    what = "must sum to 1" if row in huge else "must be 5 non-negative"
     with pytest.raises(BadSpec, match=f"categorical profile row {what}"):
         LabelProfile(kind="categorical", probs=row)
     with pytest.raises(BadSpec, match=f"categorical profile row {what}"):
@@ -123,6 +125,53 @@ def test_confusion_rows_that_are_not_a_sequence_are_bad_matrix(rows, shown):
     with pytest.raises(BadMatrix) as err:
         ConfusionMatrix(rows=rows)
     assert str(err.value) == f"confusion matrix must be a sequence of 5 rows, got {shown}"
+
+
+CURVE = LabelProfile(kind="curve", mean_top=3.0)
+
+
+# each spec type checks its own fields: from the Python API as from a file,
+# a value of the wrong type is a BadSpec, never coerced or a bare Python error
+@pytest.mark.parametrize("build, message", [
+    (lambda: EffectSpec(shifts=5), "effect shifts must map strata to numbers, got 5"),
+    (lambda: EffectSpec(default="a"), "default must be a number, got 'a'"),
+    (lambda: EffectSpec(default=10 ** 5000), "default is out of range, got <int too long to print>"),
+    (lambda: EffectSpec(shifts={sk("a"): True}), "shift must be a number, got True"),
+    (lambda: calibrate_confusion("a", 1), "exact must be a number, got 'a'"),
+    (lambda: calibrate_confusion(0.7, None), "within_one must be a number, got None"),
+    (lambda: PopulationSpec((StratumProfile(sk("a"), 1.0, CURVE),), 2.0),
+     "queries_per_stratum must be an integer, got 2.0"),
+    (lambda: PopulationSpec((StratumProfile(sk("a"), 1.0, CURVE),), 2, k_depth=2.5),
+     "k_depth must be an integer, got 2.5"),
+    (lambda: PopulationSpec((StratumProfile(sk("a"), 1.0, CURVE),), 2, market=5),
+     "market must be a string, got 5"),
+    (lambda: PopulationSpec((StratumProfile(sk("a"), 1.0, CURVE),), 2, market="U\ud800"),
+     "market must be UTF-8 text, got 'U\\ud800'"),
+    (lambda: StratumProfile(sk("a"), True, CURVE), "weight must be a number, got True"),
+    (lambda: StratumProfile(sk("a"), None, CURVE), "weight must be a number, got None"),
+    (lambda: LabelProfile(kind="curve", mean_top=True), "mean_top must be a number, got True"),
+    (lambda: LabelProfile(kind="curve", mean_top="a"), "mean_top must be a number, got 'a'"),
+    (lambda: LabelProfile(kind="curve", mean_top=3, decay=10 ** 5000),
+     "decay is out of range, got <int too long to print>"),
+], ids=["shifts-int", "default-str", "default-too-large", "shift-bool", "exact-str",
+        "within-one-none", "queries-float", "k-depth-float", "market-int", "market-not-text",
+        "weight-bool", "weight-none", "mean-top-bool", "mean-top-str", "decay-too-large"])
+def test_a_spec_value_of_the_wrong_type_is_bad_spec(build, message):
+    with pytest.raises(BadSpec) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_spec_numbers_are_stored_as_floats():
+    # as a spec file's loader stored them: a number is kept as a float
+    effect = EffectSpec(shifts={sk("a"): 1}, default=0)
+    profile = LabelProfile(kind="categorical", probs=[[0, 1, 0, 0, 0], [1, 0, 0, 0, 0]])
+    matrix = ConfusionMatrix(rows=[[int(i == j) for j in range(5)] for i in range(5)])
+    assert (effect.shifts, effect.default) == ({sk("a"): 1.0}, 0.0)
+    assert profile.probs == ((0.0, 1.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0, 0.0))
+    assert matrix.rows == ConfusionMatrix.identity().rows
+    values = [effect.default, *effect.shifts.values(), *profile.probs[0], *matrix.rows[0]]
+    assert {type(v) for v in values} == {float}
 
 
 class TestShiftPmf:
