@@ -1,7 +1,10 @@
 """Modules loaded no earlier and no wider than a command needs.
 
-A command's fixed cost is mostly start-up: every module it imports is read
-and, where no bytecode cache is written, compiled on every run. So
+A command's fixed cost is mostly start-up and shut-down: every module it
+imports is read and, where no bytecode cache is written, compiled on every
+run, and every object those modules made is walked again by the garbage
+collector's passes at exit, unless the process entry point ``cli.run`` has
+frozen the heap. So
 ``releval/__init__.py`` registers each submodule with ``load`` instead of
 importing it. Each is in ``sys.modules`` and bound on the package from the
 start, so ``from . import estimation`` and code that walks ``sys.modules``

@@ -6,7 +6,8 @@ The simulator keys its streams by (seed, purpose, stratum) and draws each
 stratum as one row-major block, so runs are prefix-stable per stratum.
 Scope parts are hashed with SHA-256, so stream identity is stable across
 platforms and Python versions (no reliance on hash()). A seed is a 32-bit
-unsigned integer; any other value is OutOfDomain, never reduced into range.
+unsigned integer: one of another type (a bool included) is BadSpec, and one
+outside the range OutOfDomain, never reduced into range.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ from __future__ import annotations
 import hashlib
 
 from ._lazy import np
+from .core import check_integer
 from .errors import OutOfDomain
 
 
 def substream(seed: int, *scope: object) -> np.random.Generator:
     """Return a generator unique to (seed, scope) and independent of call order."""
-    if not 0 <= seed < 1 << 32:
+    if not 0 <= check_integer(seed, "seed") < 1 << 32:
         raise OutOfDomain(f"seed must be in [0, 2**32), got {seed}")
     digest = hashlib.sha256("\x1f".join(str(part) for part in scope).encode("utf-8")).digest()
     words = [int.from_bytes(digest[i:i + 4], "big") for i in range(0, 16, 4)]

@@ -16,6 +16,9 @@ from .errors import EmptyPage, MissingArm
 
 MAX_LEVEL = 5
 
+# records an arm is checked and scored per slice: it bounds check_pages' join
+_SCORE_SLICE = 4096
+
 # 1/log2(1+rank) for ranks 1, 2, ..., and the running sums of those
 # discounts: _prefix[k] is the sum of the first k, added left to right
 _discounts: list[float] = []
@@ -66,22 +69,27 @@ def arm_scores(dataset: EvalDataset, arm: str) -> list[float | None]:
     ``arm`` is a page field of QueryRecord: "control", "treatment",
     "control_reference" or "treatment_reference". The entry is None where a
     record has no such page. Each arm is scored once per dataset and kept on
-    it, so every consumer reads the same floats, after one ``check_pages`` of
-    its pages. An empty page raises EmptyPage naming the first record with one.
+    it, so every consumer reads the same floats. Its pages pass ``check_pages``
+    and are scored _SCORE_SLICE records at a time, so the check's join never
+    holds more than one slice. An empty page raises EmptyPage naming the first
+    record with one.
     """
     scores = dataset._scores.get(arm)
     if scores is None:
-        k_depth = dataset.k_depth
-        pages = [getattr(rec, arm) for rec in dataset.records]
-        check_pages([page for page in pages if page is not None], arm)
+        records, k_depth = dataset.records, dataset.k_depth
+        scores = [None] * len(records)
         try:
-            scores = dataset._scores[arm] = [
-                None if page is None else sdcg_at_k(page, k_depth) for page in pages]
+            for lo in range(0, len(records), _SCORE_SLICE):
+                pages = [getattr(rec, arm) for rec in records[lo:lo + _SCORE_SLICE]]
+                check_pages([page for page in pages if page is not None], arm)
+                scores[lo:lo + len(pages)] = [
+                    None if page is None else sdcg_at_k(page, k_depth) for page in pages]
         except EmptyPage as err:
             # located only on failure, so scoring pays nothing for it
-            err.query_id = next(r.query_id for r in dataset.records if getattr(r, arm) == b"")
+            err.query_id = next(r.query_id for r in records if getattr(r, arm) == b"")
             err.field = arm
             raise
+        dataset._scores[arm] = scores
     return scores
 
 

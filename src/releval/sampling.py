@@ -14,7 +14,7 @@ from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from ._lazy import np
-from .core import StratumKey, store_numbers
+from .core import StratumKey, check_integer, store_numbers
 from .errors import BudgetTooSmall, EmptyInput, MissingSigma, OutOfDomain, WeightMismatch
 
 MIN_PER_STRATUM = 2
@@ -127,10 +127,10 @@ def allocate(
         raise OutOfDomain(f"unknown allocation mode {mode!r}")
     if not strata:
         raise EmptyInput("allocate requires at least one stratum")
-    if min_per_stratum < 0:
+    if check_integer(min_per_stratum, "min_per_stratum") < 0:
         raise OutOfDomain(f"min_per_stratum must be >= 0, got {min_per_stratum}")
     check_weights(s.weight for s in strata)
-    if budget < min_per_stratum * len(strata):
+    if check_integer(budget, "budget") < min_per_stratum * len(strata):
         raise BudgetTooSmall(
             f"budget {budget} cannot give {len(strata)} strata at least {min_per_stratum} each")
 

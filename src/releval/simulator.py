@@ -270,7 +270,7 @@ def _machine_arms(control: np.ndarray, treatment: np.ndarray, u: np.ndarray,
 
 def _labeler_cdf(confusion: ConfusionMatrix, rho_shared: float) -> np.ndarray:
     """Row-wise CDFs of the confusion matrix, once ``rho_shared`` is checked."""
-    if not 0.0 <= rho_shared <= 1.0:
+    if not 0.0 <= check_number(rho_shared, "rho_shared") <= 1.0:
         raise BadMatrix(f"rho_shared must be in [0, 1], got {rho_shared}")
     return _cdf(confusion.as_array())
 
@@ -279,10 +279,6 @@ def _rows(block: np.ndarray) -> list[bytes]:
     """Each row of a label block as a page: bytes, one label a byte."""
     data, width = block.astype(np.uint8).tobytes(), block.shape[1]
     return [data[lo:lo + width] for lo in range(0, len(data), width)]
-
-
-def _query_id(key: StratumKey, q: int) -> str:
-    return f"{key.interest}-{key.popularity.value}-{q:06d}"
 
 
 def apply_labeler(records: Sequence[QueryRecord], confusion: ConfusionMatrix,
@@ -349,6 +345,7 @@ def run_synthetic_experiment(
         machine_control, machine_treatment = _machine_arms(pages, treated, u, cdf_rows, rho_shared)
         # record q's pages, in QueryRecord's field order, are row q of each block
         rows = zip(*map(_rows, (machine_control, machine_treatment, pages, treated)))
+        prefix = f"{sp.key.interest}-{sp.key.popularity.value}-"
         for q, arms in enumerate(rows):
-            records.append(QueryRecord(_query_id(sp.key, q), spec.market, sp.key, *arms))
+            records.append(QueryRecord(f"{prefix}{q:06d}", spec.market, sp.key, *arms))
     return EvalDataset(records=tuple(records), k_depth=k_depth)

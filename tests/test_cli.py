@@ -1,4 +1,6 @@
 import csv
+import gc
+import hashlib
 import io
 import json
 import os
@@ -15,6 +17,7 @@ from releval.alignment import label_agreement
 from releval.cli import main
 from releval.dataset_io import canonical_json, read_dataset
 
+import test_golden
 from conftest import dual_raw, raw_record
 
 
@@ -829,6 +832,54 @@ def test_error_json_token_anywhere_in_the_args_turns_the_payload_on(runner, tmp_
         assert result.exit_code == 2
         assert json.loads(result.stdout)["error"] == "IOError"
         assert result.stderr == ""
+
+
+def _run_module(args, **kwargs):
+    return subprocess.run([sys.executable, "-m", "releval.cli", *args], env=_python_env(),
+                          capture_output=True, **kwargs)
+
+
+@pytest.mark.parametrize("name", ["metric", "simulate"])
+def test_the_entry_point_writes_the_golden_bytes(tmp_path, name):
+    test_golden._write_inputs(tmp_path)
+    args, files, expected = test_golden.GOLDEN[name]
+    result = _run_module(args, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    digests = {"stdout": hashlib.sha256(result.stdout).hexdigest()}
+    for file in files:
+        digests[file] = hashlib.sha256((tmp_path / file).read_bytes()).hexdigest()
+    assert digests == expected
+
+
+@pytest.mark.parametrize("args, code", [
+    (["evaluate", "{path}", "--error-json"], 1),
+    (["evaluate", "{path}", "--by", "market", "--error-json"], 2),
+], ids=["rejected", "usage"])
+def test_the_entry_point_exits_as_main_does(runner, tmp_path, args, code):
+    path = write_jsonl(tmp_path / "d.jsonl", [raw_record("q0", [3, 9], [4])])
+    args = [arg.format(path=path) for arg in args]
+    expected = runner.invoke(main, args)
+    result = _run_module(args)
+    assert result.returncode == expected.exit_code == code
+    assert result.stdout == expected.stdout_bytes
+    assert result.stderr == b""
+
+
+def test_only_the_entry_point_turns_the_collector_off(runner, tmp_path):
+    # run() leaves the collector off and the heap frozen; main, under
+    # CliRunner or a library caller, leaves the collector as it found it
+    path = write_jsonl(tmp_path / "d.jsonl", paired_records())
+    frozen = gc.get_freeze_count()
+    assert runner.invoke(main, ["evaluate", path]).exit_code == 0
+    assert gc.isenabled()
+    assert gc.get_freeze_count() == frozen
+    code = ("import gc, sys\nfrom releval.cli import run\ntry:\n    run()\nfinally:\n"
+            "    print(gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr)")
+    result = subprocess.run([sys.executable, "-c", code, "metric", path], env=_python_env(),
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == runner.invoke(main, ["metric", path]).stdout
+    assert result.stderr == "False True\n"
 
 
 class TestEvaluate:

@@ -63,6 +63,18 @@ def test_a_stratum_value_of_the_wrong_type_is_bad_spec(fields, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("budget, minimum, message", [
+    ("8", 2, "budget must be an integer, got '8'"),
+    (2.5, 2, "budget must be an integer, got 2.5"),
+    (True, 0, "budget must be an integer, got True"),
+    (8, "2", "min_per_stratum must be an integer, got '2'"),
+], ids=["budget-str", "budget-float", "budget-bool", "minimum-str"])
+def test_an_allocation_count_of_the_wrong_type_is_bad_spec(budget, minimum, message):
+    with pytest.raises(BadSpec) as err:
+        allocate([StratumSpec(sk("a"), 1.0)], budget, "proportional", minimum)
+    assert str(err.value) == message
+
+
 def test_stratum_numbers_are_stored_as_floats():
     spec = StratumSpec(sk("a"), 1, sigma=0, mu=1)
     assert [type(v) for v in (spec.weight, spec.sigma, spec.mu)] == [float] * 3

@@ -130,6 +130,12 @@ def test_confusion_rows_that_are_not_a_sequence_are_bad_matrix(rows, shown):
 CURVE = LabelProfile(kind="curve", mean_top=3.0)
 
 
+def _simulate(seed=1, rho_shared=0.0):
+    spec = PopulationSpec((StratumProfile(sk("a"), 1.0, CURVE),), 2)
+    return run_synthetic_experiment(spec, EffectSpec.null(), ConfusionMatrix.identity(),
+                                    seed, rho_shared)
+
+
 # each spec type checks its own fields: from the Python API as from a file,
 # a value of the wrong type is a BadSpec, never coerced or a bare Python error
 @pytest.mark.parametrize("build, message", [
@@ -153,9 +159,14 @@ CURVE = LabelProfile(kind="curve", mean_top=3.0)
     (lambda: LabelProfile(kind="curve", mean_top="a"), "mean_top must be a number, got 'a'"),
     (lambda: LabelProfile(kind="curve", mean_top=3, decay=10 ** 5000),
      "decay is out of range, got <int too long to print>"),
+    (lambda: _simulate(seed="x"), "seed must be an integer, got 'x'"),
+    (lambda: _simulate(seed=True), "seed must be an integer, got True"),
+    (lambda: _simulate(rho_shared="a"), "rho_shared must be a number, got 'a'"),
+    (lambda: _simulate(rho_shared=None), "rho_shared must be a number, got None"),
 ], ids=["shifts-int", "default-str", "default-too-large", "shift-bool", "exact-str",
         "within-one-none", "queries-float", "k-depth-float", "market-int", "market-not-text",
-        "weight-bool", "weight-none", "mean-top-bool", "mean-top-str", "decay-too-large"])
+        "weight-bool", "weight-none", "mean-top-bool", "mean-top-str", "decay-too-large",
+        "seed-str", "seed-bool", "rho-shared-str", "rho-shared-none"])
 def test_a_spec_value_of_the_wrong_type_is_bad_spec(build, message):
     with pytest.raises(BadSpec) as err:
         build()
