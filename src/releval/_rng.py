@@ -19,10 +19,15 @@ from .core import check_integer
 from .errors import OutOfDomain
 
 
-def substream(seed: int, *scope: object) -> np.random.Generator:
-    """Return a generator unique to (seed, scope) and independent of call order."""
+def check_seed(seed: int) -> None:
+    """A seed is an int, not a bool (else BadSpec), in [0, 2**32) (else OutOfDomain)."""
     if not 0 <= check_integer(seed, "seed") < 1 << 32:
         raise OutOfDomain(f"seed must be in [0, 2**32), got {seed}")
+
+
+def substream(seed: int, *scope: object) -> np.random.Generator:
+    """Return a generator unique to (seed, scope) and independent of call order."""
+    check_seed(seed)
     digest = hashlib.sha256("\x1f".join(str(part) for part in scope).encode("utf-8")).digest()
     words = [int.from_bytes(digest[i:i + 4], "big") for i in range(0, 16, 4)]
     return np.random.default_rng(np.random.SeedSequence([seed, *words]))

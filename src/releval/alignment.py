@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import islice
+from typing import Iterable, Sequence
 
+from . import metrics
 from ._lazy import np
 from .core import EvalDataset, PopularitySegment, check_pages
 from .errors import (
@@ -22,7 +24,6 @@ from .errors import (
     OutOfDomain,
     TooFewSamples,
 )
-from .metrics import arm_scores
 
 OVERALL = "overall"
 
@@ -140,9 +141,32 @@ def error_distribution(machine_scores: Sequence[float],
         if np.isinf(scores).any():
             raise OutOfDomain(f"{name} must be finite, got {scores[np.isinf(scores)][0]}")
     errors = machine - reference
-    p10, median, p90 = np.percentile(errors, [10, 50, 90])
-    return ErrorDistribution(mean=float(errors.mean()), p10=float(p10),
-                             median=float(median), p90=float(p90), n=len(errors))
+    p10, median, p90 = _p10_median_p90(errors)
+    return ErrorDistribution(mean=float(errors.mean()), p10=p10, median=median, p90=p90,
+                             n=len(errors))
+
+
+def _p10_median_p90(values: np.ndarray) -> list[float]:
+    """``np.percentile(values, [10, 50, 90])``, bit for bit, as floats.
+
+    numpy's linear method, step by step: ``np.partition`` at the kth set
+    numpy uses, so tied values such as -0.0 and 0.0 land where numpy's do,
+    then its interpolation with both branches. np.percentile itself calls a
+    plain np.unique, which imports numpy.ma.
+    """
+    n = len(values)
+    # numpy divides 10, 50 and 90 by 100, which gives these same floats
+    positions = [(n - 1) * q for q in (0.1, 0.5, 0.9)]
+    # a position at or past the last index reads the last value on both sides
+    below = [-1 if at >= n - 1 else math.floor(at) for at in positions]
+    above = [-1 if at >= n - 1 else lo + 1 for at, lo in zip(positions, below)]
+    ordered = np.partition(values, sorted({0, -1, *below, *above}))
+    out = []
+    for at, lo, hi in zip(positions, below, above):
+        a, b, weight = float(ordered[lo]), float(ordered[hi]), at - lo
+        step = b - a
+        out.append(b - step * (1 - weight) if weight >= 0.5 else a + step * weight)
+    return out
 
 
 @dataclass(frozen=True)
@@ -158,21 +182,39 @@ class AgreementStats:
 def label_agreement(machine: bytes, reference: bytes) -> AgreementStats:
     """Agreement of two pages, read in place once ``check_pages`` passes each: a
     page that is not bytes, or a label outside 1..5, raises BadLabelValue."""
-    # a one-page join of a bytes page is that page: no copy is made
-    m = np.frombuffer(check_pages((machine,), "machine"), np.uint8)
-    r = np.frombuffer(check_pages((reference,), "reference"), np.uint8)
-    if len(m) != len(r):
-        raise LengthMismatch(f"length mismatch: {len(m)} vs {len(r)}")
-    if len(m) == 0:
+    return pooled_agreement(((machine, reference),))
+
+
+def pooled_agreement(pairs: Iterable[tuple[bytes, bytes]]) -> AgreementStats:
+    """Agreement over every position of each (machine, reference) page pair.
+
+    The pairs are read SCORE_SLICE at a time: each slice's machine pages and
+    reference pages pass ``check_pages``, and their joins are counted in
+    place, so nothing grows with the number of pages but the counts. Integer
+    counts add exactly, so any slicing gives the same rates. A pair whose
+    pages differ in length raises LengthMismatch, and no label pair at all
+    EmptyInput.
+    """
+    confusion = np.zeros(25, dtype=np.intp)
+    pairs = iter(pairs)
+    while chunk := list(islice(pairs, metrics.SCORE_SLICE)):
+        machine, reference = zip(*chunk)
+        m = np.frombuffer(check_pages(machine, "machine"), np.uint8)
+        r = np.frombuffer(check_pages(reference, "reference"), np.uint8)
+        if list(map(len, machine)) != list(map(len, reference)):
+            m_len, r_len = next((len(x), len(y)) for x, y in chunk if len(x) != len(y))
+            raise LengthMismatch(f"length mismatch: {m_len} vs {r_len}")
+        # uint8 cells 5r + m - 6, built in place in one array, 2^16 per
+        # bincount (it widens them to intp); exact on the diagonal
+        cells = r * np.uint8(5)
+        cells += m
+        cells -= 6
+        for lo in range(0, len(cells), 1 << 16):
+            confusion += np.bincount(cells[lo:lo + (1 << 16)], minlength=25)
+    n = int(confusion.sum())
+    if n == 0:
         raise EmptyInput("label_agreement requires at least one label pair")
-    n = len(m)
-    # uint8 cells 5r + m - 6, built in place in one n-byte array, 2^16 per
-    # bincount (it widens them to intp); exact on the diagonal
-    cells = r * np.uint8(5)
-    cells += m
-    cells -= 6
-    confusion = sum(np.bincount(cells[lo:lo + (1 << 16)], minlength=25)
-                    for lo in range(0, n, 1 << 16)).reshape(5, 5)
+    confusion = confusion.reshape(5, 5)
     exact = int(np.trace(confusion))
     within_one = exact + int(np.trace(confusion, 1) + np.trace(confusion, -1))
     return AgreementStats(exact_rate=exact / n, within_one_rate=within_one / n,
@@ -219,7 +261,7 @@ def alignment_report(dataset: EvalDataset, by_market: bool = False) -> Alignment
 
     # a record without a treatment page has NaN deltas: its segment is not paired
     machine, reference, m_delta, r_delta = (
-        np.array(arm_scores(dataset, arm), dtype=float)
+        np.array(metrics.arm_scores(dataset, arm), dtype=float)
         for arm in ("control", "control_reference", "treatment", "treatment_reference"))
     m_delta -= machine
     r_delta -= reference

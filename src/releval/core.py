@@ -38,6 +38,7 @@ GROUPINGS = {
 }
 
 _LEVELS = frozenset(range(1, 6))
+_LABEL_BYTES = b"\1\2\3\4\5"  # the levels, one byte each
 _INT = frozenset((int,))
 _BYTES = frozenset((bytes,))
 
@@ -150,13 +151,25 @@ def check_unique_strata(keys: Sequence[StratumKey], where: str) -> None:
 
 
 def _checked_page(labels: Sequence[Any], query_id: str, arm: str, source: str,
-                  violations: list[RecordError]) -> bytes | None:
+                  violations: list[RecordError], no_true: bool) -> bytes | None:
     """One page's labels as bytes, one int in 1..5 a byte, or None with a violation.
 
     Each label is an ordinal 5-point judgment, 1 (highly irrelevant) .. 5
     (highly relevant); position i holds rank i+1. A violation names the
-    field ``arm + source``.
+    field ``arm + source``. ``no_true`` says the labels hold no ``True``:
+    then ``bytes()`` and ``translate`` alone check them, as ``bytes()``
+    takes no other value that is not an int, ``True`` is the only one it
+    takes as a label (1), and ``False`` becomes 0, which ``translate``
+    rejects. A page that fails that goes through the full check below.
     """
+    if no_true:
+        try:
+            page = bytes(labels)
+        except (TypeError, ValueError):
+            pass
+        else:
+            if not page.translate(None, _LABEL_BYTES):
+                return page
     # whole-page test first; types go first, as an all-int page is hashable
     if _INT.issuperset(map(type, labels)) and _LEVELS.issuperset(labels):
         return bytes(labels)
@@ -174,7 +187,7 @@ def check_pages(pages: Sequence[bytes], name: str) -> bytes:
         got = next(type(page).__name__ for page in pages if type(page) is not bytes)
         raise BadLabelValue(f"{name} labels must be bytes, got {got}")
     labels = b"".join(pages)
-    if bad := labels.translate(None, b"\1\2\3\4\5"):
+    if bad := labels.translate(None, _LABEL_BYTES):
         raise BadLabelValue(f"{name} label must be in [1, 5], got {bad[0]}")
     return labels
 
@@ -217,8 +230,8 @@ class EvalDataset:
         return len(self.records)
 
 
-def _parse_arm(raw: Any, query_id: str, arm: str, violations: list[RecordError]
-               ) -> tuple[bytes | None, bytes | None]:
+def _parse_arm(raw: Any, query_id: str, arm: str, violations: list[RecordError],
+               no_true: bool) -> tuple[bytes | None, bytes | None]:
     """Parse one arm into (page, reference_page). Appends violations in place.
 
     Accepted forms, as JSON decodes them (a dict or a list, nothing else):
@@ -239,8 +252,9 @@ def _parse_arm(raw: Any, query_id: str, arm: str, violations: list[RecordError]
                 f"{arm}: machine and reference label arrays differ in length",
                 query_id=query_id, field=arm))
             return None, None
-        return (_checked_page(machine, query_id, arm, ".machine_labels", violations),
-                _checked_page(reference, query_id, arm, ".reference_labels", violations))
+        return (_checked_page(machine, query_id, arm, ".machine_labels", violations, no_true),
+                _checked_page(reference, query_id, arm, ".reference_labels", violations,
+                              no_true))
 
     if kind is not list:
         violations.append(MissingArm(
@@ -269,7 +283,7 @@ def _parse_arm(raw: Any, query_id: str, arm: str, violations: list[RecordError]
         violations.append(BadRankSequence(
             f"ranks must be exactly 1..{len(ranks)}, got {ranks}", query_id=query_id, field=arm))
         return None, None
-    return _checked_page(labels, query_id, arm, "", violations), None
+    return _checked_page(labels, query_id, arm, "", violations, no_true), None
 
 
 def _stratum(raw: Any, interest: str, interned: dict) -> StratumKey:
@@ -289,14 +303,15 @@ def _stratum(raw: Any, interest: str, interned: dict) -> StratumKey:
 
 
 def record_from_raw(raw: Mapping[str, Any], violations: list[RecordError],
-                    interned: dict) -> QueryRecord | None:
+                    interned: dict, no_true: bool) -> QueryRecord | None:
     """Build a QueryRecord from a parsed JSON object, collecting violations.
 
     ``query_id``, ``market`` and the stratum ``interest`` are names, as
     ``check_name`` reads them: any other value is a BadLabelValue at that
     field, never coerced. ``interned`` is the caller's table of the strata
     and markets built so far: records with equal strata, or equal markets,
-    share one object.
+    share one object. ``no_true`` says no value in ``raw`` is ``True``, so
+    its labels take the short check (see ``_checked_page``).
     """
     query_id = raw.get("query_id", "")
     try:
@@ -333,12 +348,13 @@ def record_from_raw(raw: Mapping[str, Any], violations: list[RecordError],
     if "control" not in raw:
         violations.append(MissingArm("record has no control arm", query_id=query_id, field="control"))
         return None
-    control, control_ref = _parse_arm(raw["control"], query_id, "control", violations)
+    control, control_ref = _parse_arm(raw["control"], query_id, "control", violations, no_true)
     ok = ok and control is not None
 
     treatment = treatment_ref = None
     if "treatment" in raw:
-        treatment, treatment_ref = _parse_arm(raw["treatment"], query_id, "treatment", violations)
+        treatment, treatment_ref = _parse_arm(raw["treatment"], query_id, "treatment",
+                                              violations, no_true)
         ok = ok and treatment is not None
 
     if not ok or stratum is None or control is None:
@@ -351,6 +367,8 @@ def validate_dataset(
     raw_records: Iterable[Mapping[str, Any]],
     k_depth: int = DEFAULT_K_DEPTH,
     paired: bool = False,
+    *,
+    from_lines: bool = False,
 ) -> EvalDataset:
     """Validate parsed records into an EvalDataset.
 
@@ -361,14 +379,19 @@ def validate_dataset(
     record order. A ``k_depth`` below 1 raises OutOfDomain before the first
     record is drawn, so a file behind ``raw_records`` is never opened. Each
     call interns its strata and markets in a table of its own, dropped when
-    it returns.
+    it returns. With ``from_lines``, ``raw_records`` yields the ``(object,
+    no_true)`` pairs of ``dataset_io.read_jsonl``, and a record whose
+    ``no_true`` is set has its labels checked by the short check; the records
+    and violations are those the full check gives.
     """
     check_metric_depth(k_depth)
     violations: list[RecordError] = []
     records: list[QueryRecord] = []
     interned: dict = {}  # markets by value, strata by (interest, popularity)
-    for raw in raw_records:
-        rec = record_from_raw(raw, violations, interned)
+    if not from_lines:
+        raw_records = ((raw, False) for raw in raw_records)
+    for raw, no_true in raw_records:
+        rec = record_from_raw(raw, violations, interned, no_true)
         if rec is not None:
             records.append(rec)
 

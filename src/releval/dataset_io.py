@@ -40,11 +40,13 @@ _raw_decode = json.JSONDecoder().raw_decode
 _UNDECODABLE = (ValueError, RecursionError)
 
 
-def read_jsonl(path: str | Path) -> Iterator[dict]:
-    """Yield the object on each line of a JSONL file, one at a time.
+def read_jsonl(path: str | Path) -> Iterator[tuple[dict, bool]]:
+    """Yield ``(object, no_true)`` for each line of a JSONL file, one at a time.
 
-    Malformed lines, and lines json cannot decode for their size, are
-    collected with their line numbers and raised together, as one
+    ``no_true`` is set when the line's text does not contain ``true``: JSON
+    spells the bool true no other way, so then no value in the object is
+    ``True``. Malformed lines, and lines json cannot decode for their size,
+    are collected with their line numbers and raised together, as one
     DatasetValidationError, once the file is exhausted.
     Unknown record fields are counted as the file is read; at its end each
     field name gets one warning, with the number of lines that carry it and
@@ -81,7 +83,7 @@ def read_jsonl(path: str | Path) -> Iterator[dict]:
                 for name in obj.keys() - KNOWN_RECORD_FIELDS:
                     seen = unknown.setdefault(name, [0, lineno])
                     seen[0] += 1
-            yield obj
+            yield obj, "true" not in line
     for name, (count, first) in sorted(unknown.items()):
         warnings.warn(f"{path}: line {first}: ignoring unknown fields {[name]} "
                       f"(on {count} line{'s' if count > 1 else ''})")
@@ -94,9 +96,10 @@ def read_dataset(path: str | Path, k_depth: int = DEFAULT_K_DEPTH,
     """Stream a JSONL file into validation: each raw object is dropped once checked.
 
     A file with malformed lines reports only those, as it is read in full
-    before any record violation is raised.
+    before any record violation is raised. Each line's labels take
+    validation's short check when its text does not contain ``true``.
     """
-    return validate_dataset(read_jsonl(path), k_depth=k_depth, paired=paired)
+    return validate_dataset(read_jsonl(path), k_depth=k_depth, paired=paired, from_lines=True)
 
 
 # records formatted per chunk: it bounds the chunk's arrays and text

@@ -19,7 +19,7 @@ from functools import reduce
 from operator import add
 
 from ._lazy import np
-from ._rng import substream
+from ._rng import check_seed, substream
 from .core import (DEFAULT_K_DEPTH, EvalDataset, QueryRecord, StratumKey, check_integer,
                    check_name, check_number, check_pages, check_unique_strata, is_number, shown,
                    store_numbers)
@@ -291,9 +291,11 @@ def apply_labeler(records: Sequence[QueryRecord], confusion: ConfusionMatrix,
     Each record takes a ``(3, k)`` uniform block, in record order, from its
     stratum's labeler substream: the rows ``run_synthetic_experiment`` draws
     for the same stratum, so both give the same labels for the same pages.
-    Each page passes ``check_pages`` first.
+    Each page passes ``check_pages`` first. The seed is checked as
+    ``_rng.substream`` checks it, also when there are no records to draw for.
     """
     cdf_rows = _labeler_cdf(confusion, rho_shared)
+    check_seed(seed)
     rngs: dict[StratumKey, np.random.Generator] = {}
     out = []
     for rec in records:

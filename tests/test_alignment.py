@@ -1,7 +1,10 @@
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from releval.alignment import (
     _discordant,
@@ -9,6 +12,7 @@ from releval.alignment import (
     error_distribution,
     kendall_tau,
     label_agreement,
+    pooled_agreement,
     spearman_rho,
 )
 from releval.core import EvalDataset, PopularitySegment
@@ -152,6 +156,33 @@ class TestErrorDistribution:
             error_distribution([], [])
 
 
+def _bits(values):
+    return [struct.pack("<d", value) for value in values]
+
+
+# lists of a few tied values, both zeros among them, where sorting instead of
+# numpy's partition moves a -0.0; and magnitudes whose differences overflow
+PERCENTILE_INPUT = st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0]), min_size=1,
+                            max_size=40) | st.lists(
+    st.sampled_from([0.0, -0.0, 1e308, -1e308, 5e-324])
+    | st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40)
+
+
+@given(values=PERCENTILE_INPUT)
+@example(values=[0.7])
+@example(values=[-0.0, 0.0])
+@example(values=[0.0] * 10 + [-0.0])
+@example(values=[0.5, -0.0, 0.5, 1.0, 1.0, -0.0, -0.0, 0.5, 0.0])  # sorted: P10 0.0, not -0.0
+@example(values=[1e308, -1e308])
+def test_percentiles_are_the_bits_of_np_percentile(values):
+    # the errors are values - 0.0, which keeps each value's bits, -0.0 included
+    errors = np.array(values) - 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # the mean of two 1e308 overflows
+        expected = np.percentile(errors, [10, 50, 90]).tolist()
+        got = error_distribution(values, [0.0] * len(values))
+    assert _bits([got.p10, got.median, got.p90]) == _bits(expected)
+
+
 @pytest.mark.parametrize("at", [0, 2, 4], ids=["first", "middle", "last"])
 @pytest.mark.parametrize("fn, first, second", [
     (kendall_tau, "x", "y"), (spearman_rho, "x", "y"),
@@ -227,6 +258,13 @@ class TestLabelAgreement:
             label_agreement(b"\x09", b"\5\5")
         with pytest.raises(BadLabelValue, match="^reference labels must be bytes, got NoneType$"):
             label_agreement(b"\1", None)
+
+    def test_pooled_pairs_are_paired_page_by_page(self):
+        # equal totals do not pair pages of unequal length label by label
+        with pytest.raises(LengthMismatch, match="^length mismatch: 2 vs 1$"):
+            pooled_agreement([(b"\3", b"\3"), (b"\1\2", b"\1"), (b"\1", b"\1\2")])
+        assert pooled_agreement([(b"\3", b"\4"), (b"\1\2", b"\1\1")]) == label_agreement(
+            b"\3\1\2", b"\4\1\1")
 
     def test_pairs_are_counted_with_no_wide_copy(self):
         # bytes are read in place, not widened: an int8 copy of each page and an

@@ -7,18 +7,22 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import releval
+from releval import metrics
 from releval.alignment import label_agreement
-from releval.cli import main
+from releval.cli import _dataset_agreement, main
+from releval.core import EvalDataset
 from releval.dataset_io import canonical_json, read_dataset
 
 import test_golden
-from conftest import dual_raw, raw_record
+from conftest import dual_raw, page, raw_record, record
 
 
 @pytest.fixture
@@ -166,6 +170,34 @@ def test_numpy_loads_only_for_commands_that_use_it(tmp_path, command, code, load
         assert json.loads(output[0])["violations"][0]["error"] == "BadLabelValue"
 
 
+# runs one command in a fresh interpreter, then prints its exit code and
+# whether it loaded numpy's code and numpy.ma
+_RUN_AND_REPORT_NUMPY_MA = """
+import sys
+from releval.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit as exc:
+    print("exit", exc.code, "numpy._core" in sys.modules, "numpy.ma" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("command, loaded", [
+    ("metric-dual-label", False),
+    ("evaluate-dual-label", True),
+    ("evaluate-stratified", True),
+    ("align", True),
+])
+def test_no_command_loads_numpy_ma(tmp_path, command, loaded):
+    # np.percentile's plain np.unique imports numpy.ma; the error percentiles
+    # are taken without it, and metric scores page by page without numpy
+    result = subprocess.run([sys.executable, "-c", _RUN_AND_REPORT_NUMPY_MA,
+                             *_command_args(tmp_path, command)],
+                            env=_python_env(), capture_output=True, text=True, check=True)
+    assert result.stderr == ""
+    assert result.stdout.splitlines()[-1] == f"exit 0 {loaded} False"
+
+
 # runs one command in a fresh interpreter, then prints its exit code, whether
 # it loaded numpy and the t ufuncs, and the process's thread count
 _RUN_AND_REPORT_THREADS = """
@@ -264,6 +296,7 @@ def _command_args(tmp_path, command):
         "metric-list-form": ["metric", listed],
         "metric-dual-label": ["metric", dual],
         "evaluate": ["evaluate", listed],
+        "evaluate-dual-label": ["evaluate", dual],
         "evaluate-stratified": ["evaluate", varied, "--estimator", "stratified",
                                 "--design", str(listed_design)],
         "evaluate-rejected": ["evaluate", invalid, "--error-json"],
@@ -607,27 +640,49 @@ class TestMetric:
         assert [(v["error"], v["field"]) for v in payload["violations"]] == [(code, field)]
 
 
+def _agreement_peak_above_result(n_pages: int) -> int:
+    machine, reference = page(*[3] * 25), page(*[4] * 25)
+    ds = EvalDataset(records=tuple(record(f"q{i}", machine, machine, control_reference=reference,
+                                          treatment_reference=reference)
+                                   for i in range(n_pages // 2)))
+    tracemalloc.start()
+    try:
+        stats = _dataset_agreement(ds)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stats.n == 25 * n_pages
+    return peak - current
+
+
 class TestScoreOnce:
-    """Each command scores every page it needs exactly once."""
+    """Each command scores every page it needs exactly once: ``metric`` page by
+    page with sdcg_at_k, the others each arm's pages in arm_scores' batch kernel."""
 
     @pytest.fixture
     def scored(self, monkeypatch):
-        # count calls through every module that holds the scorer
+        # count sdcg_at_k's calls through every module that holds it, and the
+        # pages of each slice that reaches the batch kernel
         from releval import metrics
 
-        original = metrics.sdcg_at_k
-        pages = []
+        original, kernel = metrics.sdcg_at_k, metrics._slice_scores
+        counts = {"per_page": 0, "batched": 0}
 
         def counting(page, k_depth):
-            pages.append(page)
+            counts["per_page"] += 1
             return original(page, k_depth)
+
+        def counting_kernel(labels, lengths, k_depth):
+            counts["batched"] += len(lengths)
+            return kernel(labels, lengths, k_depth)
 
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "releval":
                 for attr, value in list(vars(module).items()):
                     if value is original:
                         monkeypatch.setattr(module, attr, counting)
-        return pages
+        monkeypatch.setattr(metrics, "_slice_scores", counting_kernel)
+        return counts
 
     def dual_file(self, tmp_path, n=6):
         records = [dual_raw(f"q{i}", [3, 4, 5], [3, 3, 5], [4, 4, 5], [4, 3, i % 5 + 1],
@@ -635,17 +690,18 @@ class TestScoreOnce:
                    for i in range(n)]
         return write_jsonl(tmp_path / "dual.jsonl", records)
 
-    @pytest.mark.parametrize("args, per_query", [
-        (["metric"], 2),
-        (["evaluate"], 4),
-        (["align", "--by", "market", "--errors-csv", "errors.csv"], 4),
+    @pytest.mark.parametrize("args, per_page, batched", [
+        (["metric"], 2, 0),
+        (["evaluate"], 0, 4),
+        (["align", "--by", "market", "--errors-csv", "errors.csv"], 0, 4),
     ], ids=["metric", "evaluate", "align-errors-csv"])
-    def test_pages_scored_per_query(self, runner, tmp_path, monkeypatch, scored, args, per_query):
+    def test_pages_scored_per_query(self, runner, tmp_path, monkeypatch, scored, args,
+                                    per_page, batched):
         monkeypatch.chdir(tmp_path)
         path = self.dual_file(tmp_path)
         result = runner.invoke(main, [args[0], path, *args[1:]])
         assert result.exit_code == 0, result.output
-        assert len(scored) == 6 * per_query
+        assert scored == {"per_page": 6 * per_page, "batched": 6 * batched}
 
 
 def test_each_command_has_its_option_set():
@@ -743,6 +799,8 @@ def test_lone_surrogate_is_bad_label_value(runner, tmp_path, command, field, rec
 
 @pytest.mark.parametrize("command, records, field", [
     ("metric", [raw_record("q0", [3], [4]), raw_record("q1", [5], [])], "treatment"),
+    ("metric", [raw_record("q0", [3], [4]), raw_record("q1", [], [4]), raw_record("q2", [4], [])],
+     "control"),
     ("align", [dual_raw("q0", [3, 4], [3, 4]), dual_raw("q1", [], [])], "control"),
 ])
 def test_empty_page_error_names_its_record(runner, tmp_path, command, records, field):
@@ -1222,6 +1280,28 @@ class TestAlign:
                                 b"".join(rec.control_reference for rec in records))
         report = json.loads(runner.invoke(main, ["align", path, "--k", "4"]).output)
         assert report["agreement"] == json.loads(canonical_json(stats))
+
+    @pytest.mark.parametrize("size", [1, 7, metrics.SCORE_SLICE])
+    def test_agreement_is_the_same_for_any_slice_size(self, monkeypatch, size):
+        # integer counts add exactly, so the pooled rates keep their bits
+        gen = np.random.default_rng(41)
+        records = tuple(
+            record(f"q{i}", *(gen.integers(1, 6, 1 + i % 9).tolist() for _ in range(2)),
+                   control_reference=gen.integers(1, 6, 1 + i % 9).tolist(),
+                   treatment_reference=None if i % 3 else gen.integers(1, 6, 1 + i % 9).tolist())
+            for i in range(60))
+        pairs = [(m, r) for rec in records for m, r in ((rec.control, rec.control_reference),
+                                                        (rec.treatment, rec.treatment_reference))
+                 if r is not None]
+        expected = label_agreement(b"".join(m for m, _ in pairs), b"".join(r for _, r in pairs))
+        monkeypatch.setattr(metrics, "SCORE_SLICE", size)
+        assert _dataset_agreement(EvalDataset(records=records)) == expected
+
+    def test_agreement_memory_above_the_result_does_not_grow_with_the_pages(self):
+        # the pairs are checked and counted one slice at a time: joining every
+        # page of each source held 26 MiB above the start at 4x10^5 pages
+        small, large = map(_agreement_peak_above_result, (20_000, 80_000))
+        assert large < small + 64 * 1024
 
     def test_missing_references_rejected(self, runner, tmp_path):
         path = write_jsonl(tmp_path / "d.jsonl", [raw_record("q0", [3, 3]),

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import releval
-from releval import dataset_io
+from releval import core, dataset_io
 from releval.alignment import label_agreement
 from releval.core import EvalDataset, QueryRecord, validate_dataset
 from releval.dataset_io import read_dataset, read_jsonl, write_dataset
@@ -31,11 +31,30 @@ def test_read_jsonl_yields_records_before_the_file_ends(tmp_path):
     path = write_lines(tmp_path / "d.jsonl", [
         json.dumps(raw_record("q0", [3])), "{not json", json.dumps(raw_record("q1", [4]))])
     records = read_jsonl(path)
-    assert next(records)["query_id"] == "q0"
-    assert next(records)["query_id"] == "q1"
+    assert next(records)[0]["query_id"] == "q0"
+    assert next(records)[0]["query_id"] == "q1"
     with pytest.raises(DatasetValidationError) as exc:
         next(records)
     assert [v.field for v in exc.value.violations] == ["line 2"]
+
+
+def test_only_a_line_whose_text_holds_true_takes_the_full_label_check(tmp_path, monkeypatch):
+    # the full check's type test runs only for the page of the line whose
+    # text holds "true", here in its query id; bytes() and translate alone
+    # checked the other four pages
+    typed = []
+
+    class Spy(frozenset):
+        def issuperset(self, other):
+            typed.append(1)
+            return super().issuperset(other)
+
+    monkeypatch.setattr(core, "_INT", Spy(core._INT))
+    path = write_lines(tmp_path / "d.jsonl", [
+        json.dumps(raw_record("q0", [3, 4], [5])), json.dumps(dual_raw("q1", [2], [1])),
+        json.dumps(raw_record("true-crime", [3, 4]))])
+    assert [rec.control for rec in read_dataset(path).records] == [b"\3\4", b"\2", b"\3\4"]
+    assert typed == [1]
 
 
 def test_read_dataset_gives_bytes_pages_in_both_arm_forms(tmp_path):

@@ -151,9 +151,15 @@ def _dataset(k_depth=3):
 
 
 def test_arm_scores_score_each_page_once(monkeypatch):
+    # counts the pages each arm sends through the batch kernel
     calls = []
-    monkeypatch.setattr(metrics, "sdcg_at_k",
-                        lambda page, k: calls.append(page) or sdcg_at_k(page, k))
+    kernel = metrics._slice_scores
+
+    def counting(labels, lengths, k_depth):
+        calls.extend(lengths)
+        return kernel(labels, lengths, k_depth)
+
+    monkeypatch.setattr(metrics, "_slice_scores", counting)
     ds = _dataset()
     control = arm_scores(ds, "control")
     assert control == [sdcg_at_k(rec.control, 3) for rec in ds.records]
@@ -186,13 +192,13 @@ def _ragged_dataset(n: int) -> EvalDataset:
         for i in range(n)), k_depth=5)
 
 
-@pytest.mark.parametrize("size", [1, 7, metrics._SCORE_SLICE])
+@pytest.mark.parametrize("size", [1, 7, metrics.SCORE_SLICE])
 def test_arm_scores_are_the_same_for_any_slice_size(monkeypatch, size):
     arms = ("control", "treatment", "control_reference", "treatment_reference")
     ds = _ragged_dataset(50)
     expected = {arm: [None if (p := getattr(rec, arm)) is None else sdcg_at_k(p, 5)
                       for rec in ds.records] for arm in arms}
-    monkeypatch.setattr(metrics, "_SCORE_SLICE", size)
+    monkeypatch.setattr(metrics, "SCORE_SLICE", size)
     assert {arm: arm_scores(ds, arm) for arm in arms} == expected
     records = list(ds.records)
     for i in (20, 33):
@@ -200,6 +206,30 @@ def test_arm_scores_are_the_same_for_any_slice_size(monkeypatch, size):
     with pytest.raises(EmptyPage) as exc:
         arm_scores(EvalDataset(records=tuple(records), k_depth=5), "treatment")
     assert (exc.value.query_id, exc.value.field) == ("q20", "treatment")
+
+
+def _long_ragged_records(n: int) -> tuple:
+    # pages of 1 to 39 labels; every fourth record has no treatment and none
+    # has reference labels, so those arms are missing pages or all missing
+    gen = np.random.default_rng(23)
+    levels = gen.integers(1, 6, size=(n, 2, 39)).astype(np.uint8)
+    sizes = gen.integers(1, 40, size=(n, 2))
+    return tuple(record(f"q{i}", levels[i, 0, :sizes[i, 0]].tobytes(),
+                        None if i % 4 == 0 else levels[i, 1, :sizes[i, 1]].tobytes())
+                 for i in range(n))
+
+
+@pytest.mark.parametrize("size", [1, 7, metrics.SCORE_SLICE])
+@pytest.mark.parametrize("k_depth", [1, 3, 25, 40])
+def test_batch_scores_have_the_bits_of_sdcg_at_k(monkeypatch, k_depth, size):
+    # the block is summed by np.cumsum, in order, as sdcg_at_k adds: == on
+    # each float; at K = 40 every page is shorter than K, at K = 1 one label counts
+    records = _long_ragged_records(300)
+    monkeypatch.setattr(metrics, "SCORE_SLICE", size)
+    ds = EvalDataset(records=records, k_depth=k_depth)
+    for arm in ("control", "treatment", "treatment_reference"):
+        assert arm_scores(ds, arm) == [None if (p := getattr(rec, arm)) is None
+                                       else sdcg_at_k(p, k_depth) for rec in records]
 
 
 def _arm_scores_peak_above_result(n: int) -> int:

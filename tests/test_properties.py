@@ -44,7 +44,7 @@ from hypothesis import strategies as st
 import releval
 from releval import dataset_io
 from releval.cli import main
-from releval.core import EvalDataset, PopularitySegment, QueryRecord, StratumKey
+from releval.core import EvalDataset, PopularitySegment, QueryRecord, StratumKey, validate_dataset
 from releval.dataset_io import (
     load_confusion,
     load_design,
@@ -53,7 +53,7 @@ from releval.dataset_io import (
     read_dataset,
     write_dataset,
 )
-from releval.errors import RelevalError
+from releval.errors import DatasetValidationError, RelevalError
 from releval.sampling import StratumSpec
 from releval.simulator import (
     ConfusionMatrix,
@@ -589,6 +589,58 @@ def test_spec_types_take_what_their_loaders_take(case):
         path = Path(tmp) / "doc.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert _outcome(lambda: loader(path)) == _outcome(build)
+
+
+# labels the short check must tell apart: bools, ints bytes() takes and
+# translate rejects, ints bytes() rejects, and a float equal to a label
+TEXT_LABEL = LABEL | st.sampled_from([True, False, 0, 6, 256, -1, 1.0])
+
+
+@st.composite
+def record_lines(draw):
+    """Record lines for the label check read from the line text: query ids that
+    hold ``true``, bools and out-of-range numbers among the labels, keys that
+    repeat (json keeps the last) and both arm forms."""
+    def arm():
+        labels = draw(st.lists(TEXT_LABEL, max_size=4))
+        if draw(st.booleans()):
+            return _list_arm(labels)
+        return {"machine_labels": labels, "reference_labels": draw(
+            st.lists(TEXT_LABEL, min_size=len(labels), max_size=len(labels)))}
+
+    lines = []
+    for i in range(draw(st.integers(1, 6))):
+        query_id = draw(st.sampled_from([f"q{i}", f"true-{i}", f"q{i}-false"]))
+        fields = [("query_id", query_id), ("market", "US"),
+                  ("stratum", {"interest": "art", "popularity": "head"}), ("control", arm())]
+        if draw(st.booleans()):
+            fields.append(("treatment", arm()))
+        if draw(st.booleans()):
+            key = draw(st.sampled_from(["control", "treatment", "query_id"]))
+            value = f"q{i}" if key == "query_id" else arm()
+            fields.insert(draw(st.integers(0, len(fields))), (key, value))
+        lines.append("{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in fields) + "}")
+    return lines
+
+
+def _records_or_violations(build):
+    try:
+        return build()
+    except DatasetValidationError as err:
+        return [(v.code, v.query_id, v.field, str(v)) for v in err.violations]
+
+
+@settings(max_examples=300)
+@given(lines=record_lines())
+def test_read_dataset_checks_labels_as_validate_dataset_does(lines):
+    # read_dataset checks a line without "true" by bytes() and translate
+    # alone; validate_dataset on the decoded objects runs the full check
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        read = _records_or_violations(lambda: read_dataset(path))
+    assert read == _records_or_violations(
+        lambda: validate_dataset([json.loads(line) for line in lines]))
 
 
 # the simulator's work grows with these; each is legal up to its maximum

@@ -6,7 +6,7 @@ import pytest
 
 from releval import simulator
 from releval._rng import substream
-from releval.errors import BadMatrix, BadSpec, InfeasibleTargets, LengthMismatch
+from releval.errors import BadMatrix, BadSpec, InfeasibleTargets, LengthMismatch, OutOfDomain
 from releval.metrics import sdcg_at_k
 from releval.sampling import decompose_variance
 from releval.simulator import (
@@ -170,6 +170,18 @@ def _simulate(seed=1, rho_shared=0.0):
 def test_a_spec_value_of_the_wrong_type_is_bad_spec(build, message):
     with pytest.raises(BadSpec) as err:
         build()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("seed, error, message", [
+    ("x", BadSpec, "seed must be an integer, got 'x'"),
+    (True, BadSpec, "seed must be an integer, got True"),
+    (-1, OutOfDomain, "seed must be in [0, 2**32), got -1"),
+], ids=["str", "bool", "negative"])
+def test_apply_labeler_checks_its_seed_with_no_records(seed, error, message):
+    # no record draws a substream, which checked the seed on its own
+    with pytest.raises(error) as err:
+        apply_labeler([], ConfusionMatrix.identity(), seed=seed)
     assert str(err.value) == message
 
 
