@@ -129,7 +129,9 @@ class ErrorDistribution:
 def error_distribution(machine_scores: Sequence[float],
                        reference_scores: Sequence[float]) -> ErrorDistribution:
     """Machine-minus-reference errors; NaN or ±inf in either argument raises
-    OutOfDomain naming it, as a percentile or a difference of them is NaN."""
+    OutOfDomain naming it, as a percentile or a difference of them is NaN.
+    Finite scores whose difference, or the errors' mean, overflows the float
+    range raise OutOfDomain naming the overflow."""
     if len(machine_scores) != len(reference_scores):
         raise LengthMismatch(
             f"length mismatch: {len(machine_scores)} vs {len(reference_scores)}")
@@ -140,10 +142,18 @@ def error_distribution(machine_scores: Sequence[float],
     for name, scores in (("machine_scores", machine), ("reference_scores", reference)):
         if np.isinf(scores).any():
             raise OutOfDomain(f"{name} must be finite, got {scores[np.isinf(scores)][0]}")
-    errors = machine - reference
+    with np.errstate(over="raise"):
+        try:
+            errors = machine - reference
+        except FloatingPointError:
+            raise OutOfDomain(
+                "machine_scores - reference_scores overflows the float range") from None
+        try:
+            mean = float(errors.mean())
+        except FloatingPointError:
+            raise OutOfDomain("the mean of the errors overflows the float range") from None
     p10, median, p90 = _p10_median_p90(errors)
-    return ErrorDistribution(mean=float(errors.mean()), p10=p10, median=median, p90=p90,
-                             n=len(errors))
+    return ErrorDistribution(mean=mean, p10=p10, median=median, p90=p90, n=len(errors))
 
 
 def _p10_median_p90(values: np.ndarray) -> list[float]:

@@ -91,6 +91,14 @@ def check_name(value: Any, name: str, error: type = BadSpec, *where: Any) -> str
     return value
 
 
+def check_instance(value: Any, kind: type, name: str) -> Any:
+    """``value`` if it is a ``kind``, else BadSpec: the one rule for a spec field
+    that holds another spec type, or a tuple of them."""
+    if not isinstance(value, kind):
+        raise BadSpec(f"{name} must be a {kind.__name__}, got {shown(value)}")
+    return value
+
+
 def store_numbers(obj: Any, *names: str) -> None:
     """Store each field ``name`` of the frozen dataclass ``obj`` as check_number gives it."""
     for name in names:
@@ -231,12 +239,15 @@ class EvalDataset:
 
 
 def _parse_arm(raw: Any, query_id: str, arm: str, violations: list[RecordError],
-               no_true: bool) -> tuple[bytes | None, bytes | None]:
+               no_true: bool, from_lines: bool) -> tuple[bytes | None, bytes | None]:
     """Parse one arm into (page, reference_page). Appends violations in place.
 
-    Accepted forms, as JSON decodes them (a dict or a list, nothing else):
+    Accepted forms, as JSON decodes them (a dict or a list), and one more:
       * list of {"rank": int, "label": int} objects (single label source)
       * {"machine_labels": [...], "reference_labels": [...]} parallel arrays
+      * with ``from_lines`` only, bytes: a list-form arm that
+        ``dataset_io.read_jsonl`` read from its line's text, ranks 1..n, one
+        label a byte; its labels are checked as any page's
     """
     kind = type(raw)
     if kind is dict:
@@ -255,6 +266,8 @@ def _parse_arm(raw: Any, query_id: str, arm: str, violations: list[RecordError],
         return (_checked_page(machine, query_id, arm, ".machine_labels", violations, no_true),
                 _checked_page(reference, query_id, arm, ".reference_labels", violations,
                               no_true))
+    if kind is bytes and from_lines:
+        return _checked_page(raw, query_id, arm, "", violations, True), None
 
     if kind is not list:
         violations.append(MissingArm(
@@ -303,7 +316,7 @@ def _stratum(raw: Any, interest: str, interned: dict) -> StratumKey:
 
 
 def record_from_raw(raw: Mapping[str, Any], violations: list[RecordError],
-                    interned: dict, no_true: bool) -> QueryRecord | None:
+                    interned: dict, no_true: bool, from_lines: bool) -> QueryRecord | None:
     """Build a QueryRecord from a parsed JSON object, collecting violations.
 
     ``query_id``, ``market`` and the stratum ``interest`` are names, as
@@ -311,7 +324,9 @@ def record_from_raw(raw: Mapping[str, Any], violations: list[RecordError],
     field, never coerced. ``interned`` is the caller's table of the strata
     and markets built so far: records with equal strata, or equal markets,
     share one object. ``no_true`` says no value in ``raw`` is ``True``, so
-    its labels take the short check (see ``_checked_page``).
+    its labels take the short check (see ``_checked_page``). ``from_lines``
+    says ``raw`` is an object of ``dataset_io.read_jsonl``, whose arms may be
+    bytes pages read from the line's text (see ``_parse_arm``).
     """
     query_id = raw.get("query_id", "")
     try:
@@ -348,13 +363,14 @@ def record_from_raw(raw: Mapping[str, Any], violations: list[RecordError],
     if "control" not in raw:
         violations.append(MissingArm("record has no control arm", query_id=query_id, field="control"))
         return None
-    control, control_ref = _parse_arm(raw["control"], query_id, "control", violations, no_true)
+    control, control_ref = _parse_arm(raw["control"], query_id, "control", violations, no_true,
+                                     from_lines)
     ok = ok and control is not None
 
     treatment = treatment_ref = None
     if "treatment" in raw:
         treatment, treatment_ref = _parse_arm(raw["treatment"], query_id, "treatment",
-                                              violations, no_true)
+                                              violations, no_true, from_lines)
         ok = ok and treatment is not None
 
     if not ok or stratum is None or control is None:
@@ -380,9 +396,10 @@ def validate_dataset(
     record is drawn, so a file behind ``raw_records`` is never opened. Each
     call interns its strata and markets in a table of its own, dropped when
     it returns. With ``from_lines``, ``raw_records`` yields the ``(object,
-    no_true)`` pairs of ``dataset_io.read_jsonl``, and a record whose
-    ``no_true`` is set has its labels checked by the short check; the records
-    and violations are those the full check gives.
+    no_true)`` pairs of ``dataset_io.read_jsonl``, whose arms may be bytes
+    pages read from the line's text, and a record whose ``no_true`` is set has
+    its labels checked by the short check; the records and violations are
+    those the full check gives.
     """
     check_metric_depth(k_depth)
     violations: list[RecordError] = []
@@ -391,7 +408,7 @@ def validate_dataset(
     if not from_lines:
         raw_records = ((raw, False) for raw in raw_records)
     for raw, no_true in raw_records:
-        rec = record_from_raw(raw, violations, interned, no_true)
+        rec = record_from_raw(raw, violations, interned, no_true, from_lines)
         if rec is not None:
             records.append(rec)
 

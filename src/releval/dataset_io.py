@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import warnings
 from itertools import accumulate
 from pathlib import Path
@@ -38,6 +39,65 @@ _raw_decode = json.JSONDecoder().raw_decode
 # digits than int() converts (sys.get_int_max_str_digits()) and a
 # RecursionError for a value nested deeper than the interpreter's stack
 _UNDECODABLE = (ValueError, RecursionError)
+# a list-form arm as json.dumps writes it, with the default separators and
+# labels of one digit; read_jsonl reads such an arm from the line's text
+_ARM = re.compile(r'(\[\{"rank": \d++, "label": \d\}(?:, \{"rank": \d++, "label": \d\})*+\])')
+# an arm's text less all but its digits and commas, each digit as its value:
+# '[{"rank": 1, "label": 3}, {"rank": 2, "label": 5}]' gives b"\1,\3,\2,\5"
+_ARM_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+_ARM_MARKS = b'[]{}"rankbel: '
+# the ints decoded in place of a line's arms; the text of each holds
+# _HOLDER_MARK once, so a text that holds the mark once per placeholder in it
+# holds each placeholder's text once
+_HOLDERS = (-7001, -7002)
+_HOLDER_TEXTS = tuple(map(str, _HOLDERS))
+_HOLDER_MARK = "-700"
+
+
+def _with_text_arms(parts: list[str], ranks: list[bytes]) -> dict | None:
+    """The object of a line split by ``_ARM``, its arms read from their text.
+
+    An arm whose ranks are 1..n in order becomes a bytes page, one label a
+    byte, and a placeholder int stands in its place while the rest of the
+    line is decoded; an arm of other ranks keeps its text, for json and
+    ``core._parse_arm``. The pages are taken only when each placeholder's
+    text occurs once in the decoded text, and its int is the value of
+    ``control`` or ``treatment``: then the arm stood at that value, and not in
+    a string, another field or a line json cannot decode. Otherwise, and for
+    a line of more than two arms, it returns None and json reads the line.
+    ``ranks`` is the caller's table of rank texts as ``_ARM_VALUES`` gives
+    them, rank r at index r; it grows here to the longest arm read.
+    """
+    if len(parts) > 2 * len(_HOLDERS) + 1:
+        return None
+    held = {}
+    for i in range(1, len(parts), 2):
+        fields = parts[i].encode().translate(_ARM_VALUES, _ARM_MARKS).split(b",")
+        labels = fields[1::2]
+        n = len(labels)
+        if n >= len(ranks):
+            ranks.extend(str(rank).encode().translate(_ARM_VALUES)
+                         for rank in range(len(ranks), n + 1))
+        if fields[::2] == ranks[1:n + 1]:
+            k = len(held)
+            held[_HOLDERS[k]] = b"".join(labels)
+            parts[i] = _HOLDER_TEXTS[k]
+    if not held:
+        return None
+    text = "".join(parts)
+    if text.count(_HOLDER_MARK) != len(held):
+        return None
+    try:
+        obj, end = _raw_decode(text)
+    except _UNDECODABLE:
+        return None
+    if type(obj) is not dict or (end != len(text) and text[end:] != "\n"):
+        return None
+    for key in ("control", "treatment"):
+        value = obj.get(key)
+        if type(value) is int and value in held:
+            obj[key] = held.pop(value)
+    return None if held else obj
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[dict, bool]]:
@@ -45,7 +105,10 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[dict, bool]]:
 
     ``no_true`` is set when the line's text does not contain ``true``: JSON
     spells the bool true no other way, so then no value in the object is
-    ``True``. Malformed lines, and lines json cannot decode for their size,
+    ``True``. A list-form arm written as json.dumps writes it, ranks 1..n and
+    labels of one digit, is read from the line's text as a bytes page (see
+    ``_with_text_arms``); every other arm and line is decoded by json.
+    Malformed lines, and lines json cannot decode for their size,
     are collected with their line numbers and raised together, as one
     DatasetValidationError, once the file is exhausted.
     Unknown record fields are counted as the file is read; at its end each
@@ -54,14 +117,19 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[dict, bool]]:
     """
     violations: list[RecordError] = []
     unknown: dict[str, list[int]] = {}  # field name -> [line count, first line]
+    ranks = [b""]  # rank texts for _with_text_arms, rank r at index r
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
+            # a scan for the arm's first text is cheaper than the regex's
+            obj = _with_text_arms(_ARM.split(line), ranks) if '[{"rank"' in line else None
             # a line that is one value followed by its newline decodes directly;
             # any other line goes through json.loads, which skips blank
             # padding and words every error as it always has
             try:
-                obj, end = _raw_decode(line)
-                direct = end == len(line) or line[end:] == "\n"
+                direct = obj is not None
+                if not direct:
+                    obj, end = _raw_decode(line)
+                    direct = end == len(line) or line[end:] == "\n"
             except _UNDECODABLE:
                 direct = False
             if not direct:

@@ -14,7 +14,7 @@ from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from ._lazy import np
-from .core import StratumKey, check_integer, store_numbers
+from .core import StratumKey, check_instance, check_integer, store_numbers
 from .errors import BudgetTooSmall, EmptyInput, MissingSigma, OutOfDomain, WeightMismatch
 
 MIN_PER_STRATUM = 2
@@ -31,6 +31,7 @@ class StratumSpec:
     mu: float | None = None
 
     def __post_init__(self):
+        check_instance(self.key, StratumKey, "stratum key")
         store_numbers(self, "weight", *(name for name in ("sigma", "mu")
                                          if getattr(self, name) is not None))
         if not 0.0 < self.weight <= 1.0:

@@ -20,9 +20,9 @@ from operator import add
 
 from ._lazy import np
 from ._rng import check_seed, substream
-from .core import (DEFAULT_K_DEPTH, EvalDataset, QueryRecord, StratumKey, check_integer,
-                   check_name, check_number, check_pages, check_unique_strata, is_number, shown,
-                   store_numbers)
+from .core import (DEFAULT_K_DEPTH, EvalDataset, QueryRecord, StratumKey, check_instance,
+                   check_integer, check_name, check_number, check_pages, check_unique_strata,
+                   is_number, shown, store_numbers)
 from .errors import BadMatrix, BadSpec, InfeasibleTargets, LengthMismatch, WeightMismatch
 from .sampling import WEIGHT_TOL, check_weights
 
@@ -119,9 +119,11 @@ class StratumProfile:
     profile: LabelProfile
 
     def __post_init__(self):
+        check_instance(self.key, StratumKey, "stratum key")
         store_numbers(self, "weight")
         if not 0.0 < self.weight <= 1.0:
             raise BadSpec(f"stratum {self.key} weight must be in (0, 1], got {self.weight}")
+        check_instance(self.profile, LabelProfile, "profile")
 
 
 @dataclass(frozen=True)
@@ -134,8 +136,10 @@ class PopulationSpec:
     k_depth: int = DEFAULT_K_DEPTH
 
     def __post_init__(self):
-        if not self.strata:
+        if not check_instance(self.strata, tuple, "strata"):
             raise BadSpec("population spec needs at least one stratum")
+        for stratum in self.strata:
+            check_instance(stratum, StratumProfile, "stratum")
         queries = check_integer(self.queries_per_stratum, "queries_per_stratum")
         if not 1 <= queries <= MAX_QUERIES_PER_STRATUM:
             raise BadSpec(f"queries_per_stratum must be in [1, {MAX_QUERIES_PER_STRATUM}], "

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from releval.alignment import (
     _discordant,
+    _p10_median_p90,
     alignment_report,
     error_distribution,
     kendall_tau,
@@ -175,12 +176,31 @@ PERCENTILE_INPUT = st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0]), min_si
 @example(values=[0.5, -0.0, 0.5, 1.0, 1.0, -0.0, -0.0, 0.5, 0.0])  # sorted: P10 0.0, not -0.0
 @example(values=[1e308, -1e308])
 def test_percentiles_are_the_bits_of_np_percentile(values):
-    # the errors are values - 0.0, which keeps each value's bits, -0.0 included
+    # the errors are values - 0.0, which keeps each value's bits, -0.0 included;
+    # the percentiles of every input are checked, and error_distribution gives
+    # them unless the errors' mean overflows
     errors = np.array(values) - 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # the mean of two 1e308 overflows
+    with np.errstate(over="ignore", invalid="ignore"):  # numpy's step from -1e308 to 1e308
         expected = np.percentile(errors, [10, 50, 90]).tolist()
+        mean_overflows = not np.isfinite(errors.sum())
+    assert _bits(_p10_median_p90(errors)) == _bits(expected)
+    if mean_overflows:
+        with pytest.raises(OutOfDomain, match="^the mean of the errors overflows"):
+            error_distribution(values, [0.0] * len(values))
+    else:
         got = error_distribution(values, [0.0] * len(values))
-    assert _bits([got.p10, got.median, got.p90]) == _bits(expected)
+        assert _bits([got.p10, got.median, got.p90]) == _bits(expected)
+
+
+@pytest.mark.parametrize("machine, reference, message", [
+    ([1e308, 1e308], [0.0, 0.0], "the mean of the errors overflows the float range"),
+    ([1e308], [-1e308], "machine_scores - reference_scores overflows the float range"),
+], ids=["mean", "difference"])
+def test_error_distribution_of_an_overflow_is_out_of_domain(machine, reference, message):
+    # finite scores, but no finite mean error: numpy would give inf with a warning
+    with pytest.raises(OutOfDomain) as err:
+        error_distribution(machine, reference)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("at", [0, 2, 4], ids=["first", "middle", "last"])

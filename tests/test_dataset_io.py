@@ -39,9 +39,10 @@ def test_read_jsonl_yields_records_before_the_file_ends(tmp_path):
 
 
 def test_only_a_line_whose_text_holds_true_takes_the_full_label_check(tmp_path, monkeypatch):
-    # the full check's type test runs only for the page of the line whose
+    # the full check's type test runs only for the two pages of the line whose
     # text holds "true", here in its query id; bytes() and translate alone
-    # checked the other four pages
+    # checked the other three. The arms are ones json decodes: dual-label
+    # arrays, and list items in the label-first order of sort_keys
     typed = []
 
     class Spy(frozenset):
@@ -51,10 +52,58 @@ def test_only_a_line_whose_text_holds_true_takes_the_full_label_check(tmp_path, 
 
     monkeypatch.setattr(core, "_INT", Spy(core._INT))
     path = write_lines(tmp_path / "d.jsonl", [
-        json.dumps(raw_record("q0", [3, 4], [5])), json.dumps(dual_raw("q1", [2], [1])),
-        json.dumps(raw_record("true-crime", [3, 4]))])
+        json.dumps(raw_record("q0", [3, 4]), sort_keys=True),
+        json.dumps(dual_raw("q1", [2], [1])), json.dumps(dual_raw("true-crime", [3, 4], [4, 4]))])
     assert [rec.control for rec in read_dataset(path).records] == [b"\3\4", b"\2", b"\3\4"]
-    assert typed == [1]
+    assert typed == [1, 1]
+
+
+def test_only_canonical_list_arms_are_read_from_the_line_text(tmp_path):
+    # an arm json.dumps wrote, ranks 1..n and labels of one digit, is a bytes
+    # page as read_jsonl yields it; every other arm, and each arm of a line
+    # the text reader leaves to json, is as json decodes it
+    canonical = json.dumps(raw_record("q0", [3, 4], [5]))
+    lines = [
+        canonical,
+        json.dumps(raw_record("true-crime", list(range(1, 6)) * 3, [6])),  # ranks 10+, label 6
+        json.dumps(raw_record("q1", [3, 4]), sort_keys=True),  # label-first items
+        json.dumps(dual_raw("q2", [2], [1])),
+        canonical.replace("q0", "q3").replace('"rank": 2', '"rank": 3'),  # a gap
+        canonical.replace("q0", "q4").replace('"rank": 1,', '"rank": 01,'),  # malformed
+        canonical.replace("q0", "q5")[:-1] + ', "extra": [{"rank": 1, "label": 2}]}',
+        canonical.replace("q0", "q6").replace('"label": 4', '"label": 4.0'),
+        canonical.replace('"q0"', '"q7\\\\"'),  # a string ending in a backslash
+    ]
+    path = write_lines(tmp_path / "d.jsonl", lines)
+    read = []
+    with pytest.warns(UserWarning, match="extra"), pytest.raises(DatasetValidationError) as exc:
+        for obj, _ in read_jsonl(path):
+            read.append(obj)
+    assert [v.field for v in exc.value.violations] == ["line 6"]
+    assert [(obj["query_id"], type(obj["control"]).__name__, type(obj["treatment"]).__name__
+             if "treatment" in obj else None) for obj in read] == [
+        ("q0", "bytes", "bytes"), ("true-crime", "bytes", "bytes"), ("q1", "list", None),
+        ("q2", "dict", None), ("q3", "list", "bytes"), ("q5", "list", "list"),
+        ("q6", "list", "bytes"), ("q7\\", "bytes", "bytes")]
+    assert read[0]["control"] == b"\3\4" and read[1]["control"] == bytes(range(1, 6)) * 3
+    assert read[1]["treatment"] == b"\6"
+
+
+def test_a_bytes_arm_of_an_in_memory_record_is_missing_arm():
+    # only read_jsonl's lines may hold bytes arms; a hand-built one is no arm
+    with pytest.raises(DatasetValidationError) as exc:
+        validate_dataset([dict(raw_record("q0", [3]), control=b"\3")])
+    assert [(v.code, v.field, str(v)) for v in exc.value.violations] == [
+        ("MissingArm", "control",
+         "control: expected a list of rank/label objects or a dual-label object")]
+
+
+def test_a_bytes_arm_from_lines_is_checked_by_the_label_rule():
+    with pytest.raises(DatasetValidationError) as exc:
+        validate_dataset([(dict(raw_record("q0", [3]), control=b"\x09"), True)],
+                         from_lines=True)
+    assert [(v.code, v.field, str(v)) for v in exc.value.violations] == [
+        ("BadLabelValue", "control", "label level must be an integer in [1, 5], got 9")]
 
 
 def test_read_dataset_gives_bytes_pages_in_both_arm_forms(tmp_path):

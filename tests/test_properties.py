@@ -594,32 +594,78 @@ def test_spec_types_take_what_their_loaders_take(case):
 # labels the short check must tell apart: bools, ints bytes() takes and
 # translate rejects, ints bytes() rejects, and a float equal to a label
 TEXT_LABEL = LABEL | st.sampled_from([True, False, 0, 6, 256, -1, 1.0])
+# a page of a canonical list arm, read from the line's text: ranks of two
+# digits past 9, and labels 0 and 6 the label rule rejects
+CANONICAL_PAGE = st.lists(LABEL | st.sampled_from([0, 6]), min_size=1, max_size=12)
+
+
+def _items_text(ranks, labels):
+    items = (f'{{"rank": {r}, "label": {lab}}}' for r, lab in zip(ranks, labels))
+    return "[" + ", ".join(items) + "]"
+
+
+@st.composite
+def arm_texts(draw):
+    """An arm's JSON text: a canonical list arm, as json.dumps writes it; an arm
+    drawn as JSON values; or arm-like text the line-text reader must leave to
+    json: ranks out of order, with a gap, past 9 or written as 01, items in
+    sort_keys order, or a bare negative int, the placeholders included."""
+    kind = draw(st.sampled_from(["canonical", "values", "ranks", "label-first", "negative"]))
+    if kind == "values":
+        labels = draw(st.lists(TEXT_LABEL, max_size=4))
+        if draw(st.booleans()):
+            return json.dumps(_list_arm(labels))
+        return json.dumps({"machine_labels": labels, "reference_labels": draw(
+            st.lists(TEXT_LABEL, min_size=len(labels), max_size=len(labels)))})
+    if kind == "negative":
+        return str(draw(st.sampled_from(dataset_io._HOLDERS) | st.integers(-10 ** 4, -1)))
+    labels = draw(CANONICAL_PAGE)
+    if kind == "label-first":
+        return json.dumps(_list_arm(labels), sort_keys=True)
+    ranks = list(range(1, len(labels) + 1))
+    if kind == "ranks":
+        i = draw(st.integers(0, len(ranks) - 1))
+        ranks[i] = draw(st.sampled_from([0, ranks[i] + 1, ranks[i] + 10, f"0{ranks[i]}"]))
+        if len(ranks) > 1 and draw(st.booleans()):
+            ranks[0], ranks[-1] = ranks[-1], ranks[0]
+    return _items_text(ranks, labels)
 
 
 @st.composite
 def record_lines(draw):
-    """Record lines for the label check read from the line text: query ids that
-    hold ``true``, bools and out-of-range numbers among the labels, keys that
-    repeat (json keeps the last) and both arm forms."""
-    def arm():
-        labels = draw(st.lists(TEXT_LABEL, max_size=4))
-        if draw(st.booleans()):
-            return _list_arm(labels)
-        return {"machine_labels": labels, "reference_labels": draw(
-            st.lists(TEXT_LABEL, min_size=len(labels), max_size=len(labels)))}
-
+    """Record lines for the labels read or checked from the line text: query
+    ids that hold ``true`` or end in a backslash, bools and out-of-range
+    numbers among the labels, keys that repeat (json keeps the last), both arm
+    forms and the text of canonical list arms, in any field order, beside
+    each hazard to reading arms from the text: arm text inside a query id or
+    an unknown field (raw or escaped), an arm in ``stratum`` and text after
+    the closing brace."""
     lines = []
     for i in range(draw(st.integers(1, 6))):
-        query_id = draw(st.sampled_from([f"q{i}", f"true-{i}", f"q{i}-false"]))
-        fields = [("query_id", query_id), ("market", "US"),
-                  ("stratum", {"interest": "art", "popularity": "head"}), ("control", arm())]
+        canonical = _items_text(range(1, 4), draw(st.lists(LABEL, min_size=3, max_size=3)))
+        query_id = json.dumps(draw(st.sampled_from([f"q{i}", f"true-{i}", f"q{i}-false",
+                                                   f"q{i}\\"])))
+        fields = [("query_id", query_id), ("market", '"US"'),
+                  ("stratum", '{"interest": "art", "popularity": "head"}'),
+                  ("control", draw(arm_texts()))]
         if draw(st.booleans()):
-            fields.append(("treatment", arm()))
-        if draw(st.booleans()):
+            fields.append(("treatment", draw(arm_texts())))
+        hazard = draw(st.sampled_from([None, "repeat", "query_id", "extra", "stratum"]))
+        if hazard == "repeat":
             key = draw(st.sampled_from(["control", "treatment", "query_id"]))
-            value = f"q{i}" if key == "query_id" else arm()
-            fields.insert(draw(st.integers(0, len(fields))), (key, value))
-        lines.append("{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in fields) + "}")
+            fields.append((key, json.dumps(f"q{i}") if key == "query_id" else draw(arm_texts())))
+        elif hazard == "query_id":  # escaped, raw, and raw after an escaped backslash
+            fields[0] = (hazard, draw(st.sampled_from(
+                [json.dumps(canonical), f'"{canonical}"', f'"q\\\\{canonical}"'])))
+        elif hazard == "extra":
+            fields.append((hazard, draw(st.sampled_from(
+                [canonical, json.dumps(canonical), f'"{canonical}"']))))
+        elif hazard == "stratum":
+            fields[2] = (hazard, draw(st.sampled_from(
+                [canonical, '{"interest": "art", "popularity": "head", "x": %s}' % canonical])))
+        tail = draw(st.sampled_from(["", "", " ", " x", " " + canonical]))
+        lines.append("{" + ", ".join(f'"{k}": {v}' for k, v in draw(st.permutations(fields)))
+                     + "}" + tail)
     return lines
 
 
@@ -630,17 +676,34 @@ def _records_or_violations(build):
         return [(v.code, v.query_id, v.field, str(v)) for v in err.violations]
 
 
+# a line of canonical arm text inside a string, which json cannot decode,
+# whose control is the placeholder int: the placeholder's text is in the
+# line twice once the arm gives way to it
+_HELD_IN_A_STRING = ('{"query_id": "[{"rank": 1, "label": 3}]", "market": "US", '
+                     '"stratum": {"interest": "art", "popularity": "head"}, '
+                     f'"control": {dataset_io._HOLDERS[0]}}}')
+
+
 @settings(max_examples=300)
 @given(lines=record_lines())
+@example(lines=[_HELD_IN_A_STRING])
 def test_read_dataset_checks_labels_as_validate_dataset_does(lines):
-    # read_dataset checks a line without "true" by bytes() and translate
-    # alone; validate_dataset on the decoded objects runs the full check
-    with tempfile.TemporaryDirectory() as tmp:
+    # read_dataset reads canonical list arms from the line text and checks a
+    # line without "true" by bytes() and translate alone; json alone reads the
+    # same file to the same records or violations, and validate_dataset on
+    # the decoded objects, when every line decodes, runs the full check
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # unknown fields
         path = Path(tmp) / "d.jsonl"
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         read = _records_or_violations(lambda: read_dataset(path))
-    assert read == _records_or_violations(
-        lambda: validate_dataset([json.loads(line) for line in lines]))
+        with mock.patch.object(dataset_io, "_ARM", re.compile("(?!)")):  # matches no text
+            assert read == _records_or_violations(lambda: read_dataset(path))
+        try:
+            objs = [json.loads(line) for line in lines]
+        except json.JSONDecodeError:
+            return
+        assert read == _records_or_violations(lambda: validate_dataset(objs))
 
 
 # the simulator's work grows with these; each is legal up to its maximum

@@ -8,7 +8,7 @@ from releval import simulator
 from releval._rng import substream
 from releval.errors import BadMatrix, BadSpec, InfeasibleTargets, LengthMismatch, OutOfDomain
 from releval.metrics import sdcg_at_k
-from releval.sampling import decompose_variance
+from releval.sampling import StratumSpec, decompose_variance
 from releval.simulator import (
     ConfusionMatrix,
     EffectSpec,
@@ -168,6 +168,22 @@ def _simulate(seed=1, rho_shared=0.0):
         "weight-bool", "weight-none", "mean-top-bool", "mean-top-str", "decay-too-large",
         "seed-str", "seed-bool", "rho-shared-str", "rho-shared-none"])
 def test_a_spec_value_of_the_wrong_type_is_bad_spec(build, message):
+    with pytest.raises(BadSpec) as err:
+        build()
+    assert str(err.value) == message
+
+
+# a field that holds another spec type, or a tuple of them, takes nothing else
+@pytest.mark.parametrize("build, message", [
+    (lambda: PopulationSpec(strata=5, queries_per_stratum=2), "strata must be a tuple, got 5"),
+    (lambda: PopulationSpec(strata=(1,), queries_per_stratum=2),
+     "stratum must be a StratumProfile, got 1"),
+    (lambda: StratumProfile("a/head", 1.0, CURVE),
+     "stratum key must be a StratumKey, got 'a/head'"),
+    (lambda: StratumSpec(None, 1.0), "stratum key must be a StratumKey, got None"),
+    (lambda: StratumProfile(sk("a"), 1.0, 5), "profile must be a LabelProfile, got 5"),
+], ids=["strata-int", "stratum-int", "profile-key-str", "design-key-none", "profile-int"])
+def test_a_spec_field_of_another_structure_is_bad_spec(build, message):
     with pytest.raises(BadSpec) as err:
         build()
     assert str(err.value) == message
