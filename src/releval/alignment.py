@@ -130,8 +130,8 @@ def error_distribution(machine_scores: Sequence[float],
                        reference_scores: Sequence[float]) -> ErrorDistribution:
     """Machine-minus-reference errors; NaN or ±inf in either argument raises
     OutOfDomain naming it, as a percentile or a difference of them is NaN.
-    Finite scores whose difference, or the errors' mean, overflows the float
-    range raise OutOfDomain naming the overflow."""
+    Finite scores whose difference, or the sum of whose errors, overflows the
+    float range raise OutOfDomain naming the overflow."""
     if len(machine_scores) != len(reference_scores):
         raise LengthMismatch(
             f"length mismatch: {len(machine_scores)} vs {len(reference_scores)}")
@@ -151,7 +151,8 @@ def error_distribution(machine_scores: Sequence[float],
         try:
             mean = float(errors.mean())
         except FloatingPointError:
-            raise OutOfDomain("the mean of the errors overflows the float range") from None
+            raise OutOfDomain("the sum of the errors overflows the float range, "
+                              "so their mean cannot be taken") from None
     p10, median, p90 = _p10_median_p90(errors)
     return ErrorDistribution(mean=mean, p10=p10, median=median, p90=p90, n=len(errors))
 

@@ -40,8 +40,9 @@ _raw_decode = json.JSONDecoder().raw_decode
 # RecursionError for a value nested deeper than the interpreter's stack
 _UNDECODABLE = (ValueError, RecursionError)
 # a list-form arm as json.dumps writes it, with the default separators and
-# labels of one digit; read_jsonl reads such an arm from the line's text
-_ARM = re.compile(r'(\[\{"rank": \d++, "label": \d\}(?:, \{"rank": \d++, "label": \d\})*+\])')
+# labels of one digit; read_jsonl reads such an arm from the line's text.
+# [0-9], not \d, which takes any Unicode digit json rejects
+_ARM = re.compile(r'(\[\{"rank": [0-9]+, "label": [0-9]\}(?:, \{"rank": [0-9]+, "label": [0-9]\})*\])')
 # an arm's text less all but its digits and commas, each digit as its value:
 # '[{"rank": 1, "label": 3}, {"rank": 2, "label": 5}]' gives b"\1,\3,\2,\5"
 _ARM_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
@@ -107,8 +108,8 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[dict, bool]]:
     spells the bool true no other way, so then no value in the object is
     ``True``. A list-form arm written as json.dumps writes it, ranks 1..n and
     labels of one digit, is read from the line's text as a bytes page (see
-    ``_with_text_arms``); every other arm and line is decoded by json.
-    Malformed lines, and lines json cannot decode for their size,
+    ``_with_text_arms``), if the file's first line holds such text; every
+    other arm and line is decoded by json. Malformed lines, and lines json cannot decode for their size,
     are collected with their line numbers and raised together, as one
     DatasetValidationError, once the file is exhausted.
     Unknown record fields are counted as the file is read; at its end each
@@ -118,10 +119,16 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[dict, bool]]:
     violations: list[RecordError] = []
     unknown: dict[str, list[int]] = {}  # field name -> [line count, first line]
     ranks = [b""]  # rank texts for _with_text_arms, rank r at index r
+    search = None  # whether lines are searched for arm text: the first line decides
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if search is None:
+                # a file of dual-label arms then pays for no scan a line; json
+                # reads a line to the same records and violations either way
+                search = '[{"rank"' in line
             # a scan for the arm's first text is cheaper than the regex's
-            obj = _with_text_arms(_ARM.split(line), ranks) if '[{"rank"' in line else None
+            obj = (_with_text_arms(_ARM.split(line), ranks)
+                   if search and '[{"rank"' in line else None)
             # a line that is one value followed by its newline decodes directly;
             # any other line goes through json.loads, which skips blank
             # padding and words every error as it always has

@@ -178,14 +178,14 @@ PERCENTILE_INPUT = st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0]), min_si
 def test_percentiles_are_the_bits_of_np_percentile(values):
     # the errors are values - 0.0, which keeps each value's bits, -0.0 included;
     # the percentiles of every input are checked, and error_distribution gives
-    # them unless the errors' mean overflows
+    # them unless the errors' sum overflows
     errors = np.array(values) - 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # numpy's step from -1e308 to 1e308
         expected = np.percentile(errors, [10, 50, 90]).tolist()
-        mean_overflows = not np.isfinite(errors.sum())
+        sum_overflows = not np.isfinite(errors.sum())
     assert _bits(_p10_median_p90(errors)) == _bits(expected)
-    if mean_overflows:
-        with pytest.raises(OutOfDomain, match="^the mean of the errors overflows"):
+    if sum_overflows:
+        with pytest.raises(OutOfDomain, match="^the sum of the errors overflows"):
             error_distribution(values, [0.0] * len(values))
     else:
         got = error_distribution(values, [0.0] * len(values))
@@ -193,11 +193,13 @@ def test_percentiles_are_the_bits_of_np_percentile(values):
 
 
 @pytest.mark.parametrize("machine, reference, message", [
-    ([1e308, 1e308], [0.0, 0.0], "the mean of the errors overflows the float range"),
+    ([1e308, 1e308], [0.0, 0.0],
+     "the sum of the errors overflows the float range, so their mean cannot be taken"),
     ([1e308], [-1e308], "machine_scores - reference_scores overflows the float range"),
-], ids=["mean", "difference"])
+], ids=["sum", "difference"])
 def test_error_distribution_of_an_overflow_is_out_of_domain(machine, reference, message):
-    # finite scores, but no finite mean error: numpy would give inf with a warning
+    # finite scores whose difference or sum overflows: numpy would give an
+    # infinite mean with a warning
     with pytest.raises(OutOfDomain) as err:
         error_distribution(machine, reference)
     assert str(err.value) == message

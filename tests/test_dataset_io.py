@@ -73,13 +73,16 @@ def test_only_canonical_list_arms_are_read_from_the_line_text(tmp_path):
         canonical.replace("q0", "q5")[:-1] + ', "extra": [{"rank": 1, "label": 2}]}',
         canonical.replace("q0", "q6").replace('"label": 4', '"label": 4.0'),
         canonical.replace('"q0"', '"q7\\\\"'),  # a string ending in a backslash
+        canonical.replace('"label": 4', '"label": \u0663'),  # digits json rejects
+        canonical.replace('"rank": 2', '"rank": \u0662'),
     ]
     path = write_lines(tmp_path / "d.jsonl", lines)
     read = []
     with pytest.warns(UserWarning, match="extra"), pytest.raises(DatasetValidationError) as exc:
         for obj, _ in read_jsonl(path):
             read.append(obj)
-    assert [v.field for v in exc.value.violations] == ["line 6"]
+    assert [(v.field, str(v).split(" (")[0]) for v in exc.value.violations] == [
+        (f"line {n}", f"line {n}: malformed JSON") for n in (6, 10, 11)]
     assert [(obj["query_id"], type(obj["control"]).__name__, type(obj["treatment"]).__name__
              if "treatment" in obj else None) for obj in read] == [
         ("q0", "bytes", "bytes"), ("true-crime", "bytes", "bytes"), ("q1", "list", None),
@@ -87,6 +90,16 @@ def test_only_canonical_list_arms_are_read_from_the_line_text(tmp_path):
         ("q6", "list", "bytes"), ("q7\\", "bytes", "bytes")]
     assert read[0]["control"] == b"\3\4" and read[1]["control"] == bytes(range(1, 6)) * 3
     assert read[1]["treatment"] == b"\6"
+
+
+def test_a_file_whose_first_line_holds_no_arm_text_is_read_by_json(tmp_path):
+    # the first line decides: after a dual-label line, a canonical arm is a
+    # list json decoded, and the records are the same either way
+    path = write_lines(tmp_path / "d.jsonl", [
+        json.dumps(dual_raw("q0", [2], [1])), json.dumps(raw_record("q1", [3, 4], [5]))])
+    assert [type(obj["control"]) for obj, _ in read_jsonl(path)] == [dict, list]
+    q0, q1 = read_dataset(path).records
+    assert (q1.control, q1.treatment) == (b"\3\4", b"\5")
 
 
 def test_a_bytes_arm_of_an_in_memory_record_is_missing_arm():

@@ -608,9 +608,11 @@ def _items_text(ranks, labels):
 def arm_texts(draw):
     """An arm's JSON text: a canonical list arm, as json.dumps writes it; an arm
     drawn as JSON values; or arm-like text the line-text reader must leave to
-    json: ranks out of order, with a gap, past 9 or written as 01, items in
+    json: ranks out of order, with a gap, past 9 or written as 01, a rank or
+    a label written as a digit outside ASCII (json rejects it), items in
     sort_keys order, or a bare negative int, the placeholders included."""
-    kind = draw(st.sampled_from(["canonical", "values", "ranks", "label-first", "negative"]))
+    kind = draw(st.sampled_from(["canonical", "values", "ranks", "unicode", "label-first",
+                                 "negative"]))
     if kind == "values":
         labels = draw(st.lists(TEXT_LABEL, max_size=4))
         if draw(st.booleans()):
@@ -628,6 +630,13 @@ def arm_texts(draw):
         ranks[i] = draw(st.sampled_from([0, ranks[i] + 1, ranks[i] + 10, f"0{ranks[i]}"]))
         if len(ranks) > 1 and draw(st.booleans()):
             ranks[0], ranks[-1] = ranks[-1], ranks[0]
+    if kind == "unicode":
+        digit = draw(st.sampled_from(["\u0663", "\uff13", "\u09e9"]))  # 3 in three scripts
+        i = draw(st.integers(0, len(ranks) - 1))
+        if draw(st.booleans()):
+            ranks[i] = digit
+        else:
+            labels[i] = digit
     return _items_text(ranks, labels)
 
 
