@@ -60,14 +60,14 @@ def is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def check_number(value: Any, name: str) -> float:
-    """``value`` as a float: a number within the float range."""
+def check_number(value: Any, name: str, error: type = BadSpec) -> float:
+    """``value`` as a float if it is a number within the float range, else ``error``."""
     if not is_number(value):
-        raise BadSpec(f"{name} must be a number, got {shown(value)}")
+        raise error(f"{name} must be a number, got {shown(value)}")
     try:
         return float(value)
     except OverflowError:
-        raise BadSpec(f"{name} is out of range, got {shown(value)}") from None
+        raise error(f"{name} is out of range, got {shown(value)}") from None
 
 
 def check_integer(value: Any, name: str, error: type = BadSpec) -> int:
@@ -115,14 +115,14 @@ def check_metric_depth(k_depth: int) -> None:
 # runs, so that a command can check its options before it reads any data
 
 def check_alpha(alpha: float) -> None:
-    """A significance level lies in (0, 1); NaN does not."""
-    if not 0.0 < alpha < 1.0:
+    """A significance level is a number in (0, 1); NaN is not."""
+    if not is_number(alpha) or not 0.0 < alpha < 1.0:
         raise OutOfDomain(f"alpha must be in (0, 1), got {alpha}")
 
 
 def check_fdr_level(q: float) -> None:
-    """An FDR level lies in (0, 1); NaN does not."""
-    if not 0.0 < q < 1.0:
+    """An FDR level is a number in (0, 1); NaN is not."""
+    if not is_number(q) or not 0.0 < q < 1.0:
         raise BadPValue(f"q must be in (0, 1), got {q}")
 
 
@@ -159,27 +159,21 @@ def check_unique_strata(keys: Sequence[StratumKey], where: str) -> None:
 
 
 def _checked_page(labels: Sequence[Any], query_id: str, arm: str, source: str,
-                  violations: list[RecordError], no_true: bool) -> bytes | None:
+                  violations: list[RecordError]) -> bytes | None:
     """One page's labels as bytes, one int in 1..5 a byte, or None with a violation.
 
     Each label is an ordinal 5-point judgment, 1 (highly irrelevant) .. 5
-    (highly relevant); position i holds rank i+1. A violation names the
-    field ``arm + source``. ``no_true`` says the labels hold no ``True``:
-    then ``bytes()`` and ``translate`` alone check them, as ``bytes()``
-    takes no other value that is not an int, ``True`` is the only one it
-    takes as a label (1), and ``False`` becomes 0, which ``translate``
-    rejects. A page that fails that goes through the full check below.
+    (highly relevant); position i holds rank i+1. ``labels`` is bytes, one
+    label a byte, checked by ``translate``, or a JSON array, whose labels
+    must each be an int, never a bool. A violation names the field
+    ``arm + source``.
     """
-    if no_true:
-        try:
-            page = bytes(labels)
-        except (TypeError, ValueError):
-            pass
-        else:
-            if not page.translate(None, _LABEL_BYTES):
-                return page
-    # whole-page test first; types go first, as an all-int page is hashable
-    if _INT.issuperset(map(type, labels)) and _LEVELS.issuperset(labels):
+    # whole-page tests first; for a JSON array types go first, as an all-int
+    # page is hashable
+    if type(labels) is bytes:
+        if not labels.translate(None, _LABEL_BYTES):
+            return labels
+    elif _INT.issuperset(map(type, labels)) and _LEVELS.issuperset(labels):
         return bytes(labels)
     bad = next(v for v in labels if type(v) is not int or not 1 <= v <= 5)
     violations.append(BadLabelValue(
@@ -238,22 +232,24 @@ class EvalDataset:
         return len(self.records)
 
 
-def _parse_arm(raw: Any, query_id: str, arm: str, violations: list[RecordError],
-               no_true: bool, from_lines: bool) -> tuple[bytes | None, bytes | None]:
+def _parse_arm(raw: Any, query_id: str, arm: str,
+               violations: list[RecordError]) -> tuple[bytes | None, bytes | None]:
     """Parse one arm into (page, reference_page). Appends violations in place.
 
-    Accepted forms, as JSON decodes them (a dict or a list), and one more:
-      * list of {"rank": int, "label": int} objects (single label source)
+    Accepted forms, as JSON decodes them (a dict or a list), and each label
+    array as bytes, one label a byte, as ``dataset_io.read_jsonl`` reads an
+    arm from its line's text; every array's labels are checked as a page's:
+      * list of {"rank": int, "label": int} objects (single label source), or
+        bytes, the labels of ranks 1..n
       * {"machine_labels": [...], "reference_labels": [...]} parallel arrays
-      * with ``from_lines`` only, bytes: a list-form arm that
-        ``dataset_io.read_jsonl`` read from its line's text, ranks 1..n, one
-        label a byte; its labels are checked as any page's
     """
     kind = type(raw)
+    if kind is bytes:
+        return _checked_page(raw, query_id, arm, "", violations), None
     if kind is dict:
         machine = raw.get("machine_labels")
         reference = raw.get("reference_labels")
-        if type(machine) is not list or type(reference) is not list:
+        if type(machine) not in (list, bytes) or type(reference) not in (list, bytes):
             violations.append(MissingArm(
                 f"{arm}: dual-label form requires machine_labels and reference_labels",
                 query_id=query_id, field=arm))
@@ -263,12 +259,8 @@ def _parse_arm(raw: Any, query_id: str, arm: str, violations: list[RecordError],
                 f"{arm}: machine and reference label arrays differ in length",
                 query_id=query_id, field=arm))
             return None, None
-        return (_checked_page(machine, query_id, arm, ".machine_labels", violations, no_true),
-                _checked_page(reference, query_id, arm, ".reference_labels", violations,
-                              no_true))
-    if kind is bytes and from_lines:
-        return _checked_page(raw, query_id, arm, "", violations, True), None
-
+        return (_checked_page(machine, query_id, arm, ".machine_labels", violations),
+                _checked_page(reference, query_id, arm, ".reference_labels", violations))
     if kind is not list:
         violations.append(MissingArm(
             f"{arm}: expected a list of rank/label objects or a dual-label object",
@@ -296,7 +288,7 @@ def _parse_arm(raw: Any, query_id: str, arm: str, violations: list[RecordError],
         violations.append(BadRankSequence(
             f"ranks must be exactly 1..{len(ranks)}, got {ranks}", query_id=query_id, field=arm))
         return None, None
-    return _checked_page(labels, query_id, arm, "", violations, no_true), None
+    return _checked_page(labels, query_id, arm, "", violations), None
 
 
 def _stratum(raw: Any, interest: str, interned: dict) -> StratumKey:
@@ -316,18 +308,18 @@ def _stratum(raw: Any, interest: str, interned: dict) -> StratumKey:
 
 
 def record_from_raw(raw: Mapping[str, Any], violations: list[RecordError],
-                    interned: dict, no_true: bool, from_lines: bool) -> QueryRecord | None:
+                    interned: dict) -> QueryRecord | None:
     """Build a QueryRecord from a parsed JSON object, collecting violations.
 
     ``query_id``, ``market`` and the stratum ``interest`` are names, as
     ``check_name`` reads them: any other value is a BadLabelValue at that
     field, never coerced. ``interned`` is the caller's table of the strata
     and markets built so far: records with equal strata, or equal markets,
-    share one object. ``no_true`` says no value in ``raw`` is ``True``, so
-    its labels take the short check (see ``_checked_page``). ``from_lines``
-    says ``raw`` is an object of ``dataset_io.read_jsonl``, whose arms may be
-    bytes pages read from the line's text (see ``_parse_arm``).
+    share one object. A ``raw`` that is not a mapping is a RecordError.
     """
+    if type(raw) is not dict and not isinstance(raw, Mapping):
+        violations.append(RecordError(f"expected a JSON object, got {type(raw).__name__}"))
+        return None
     query_id = raw.get("query_id", "")
     try:
         check_name(query_id, "query_id", BadLabelValue, None, "query_id")
@@ -363,14 +355,13 @@ def record_from_raw(raw: Mapping[str, Any], violations: list[RecordError],
     if "control" not in raw:
         violations.append(MissingArm("record has no control arm", query_id=query_id, field="control"))
         return None
-    control, control_ref = _parse_arm(raw["control"], query_id, "control", violations, no_true,
-                                     from_lines)
+    control, control_ref = _parse_arm(raw["control"], query_id, "control", violations)
     ok = ok and control is not None
 
     treatment = treatment_ref = None
     if "treatment" in raw:
         treatment, treatment_ref = _parse_arm(raw["treatment"], query_id, "treatment",
-                                              violations, no_true, from_lines)
+                                              violations)
         ok = ok and treatment is not None
 
     if not ok or stratum is None or control is None:
@@ -379,13 +370,8 @@ def record_from_raw(raw: Mapping[str, Any], violations: list[RecordError],
     return QueryRecord(query_id, market, stratum, control, treatment, control_ref, treatment_ref)
 
 
-def validate_dataset(
-    raw_records: Iterable[Mapping[str, Any]],
-    k_depth: int = DEFAULT_K_DEPTH,
-    paired: bool = False,
-    *,
-    from_lines: bool = False,
-) -> EvalDataset:
+def validate_dataset(raw_records: Iterable[Mapping[str, Any]], k_depth: int = DEFAULT_K_DEPTH,
+                     paired: bool = False) -> EvalDataset:
     """Validate parsed records into an EvalDataset.
 
     Raises DatasetValidationError carrying *all* violations if any record is
@@ -395,20 +381,14 @@ def validate_dataset(
     record order. A ``k_depth`` below 1 raises OutOfDomain before the first
     record is drawn, so a file behind ``raw_records`` is never opened. Each
     call interns its strata and markets in a table of its own, dropped when
-    it returns. With ``from_lines``, ``raw_records`` yields the ``(object,
-    no_true)`` pairs of ``dataset_io.read_jsonl``, whose arms may be bytes
-    pages read from the line's text, and a record whose ``no_true`` is set has
-    its labels checked by the short check; the records and violations are
-    those the full check gives.
+    it returns.
     """
     check_metric_depth(k_depth)
     violations: list[RecordError] = []
     records: list[QueryRecord] = []
     interned: dict = {}  # markets by value, strata by (interest, popularity)
-    if not from_lines:
-        raw_records = ((raw, False) for raw in raw_records)
-    for raw, no_true in raw_records:
-        rec = record_from_raw(raw, violations, interned, no_true, from_lines)
+    for raw in raw_records:
+        rec = record_from_raw(raw, violations, interned)
         if rec is not None:
             records.append(rec)
 

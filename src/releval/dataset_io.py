@@ -39,14 +39,24 @@ _raw_decode = json.JSONDecoder().raw_decode
 # digits than int() converts (sys.get_int_max_str_digits()) and a
 # RecursionError for a value nested deeper than the interpreter's stack
 _UNDECODABLE = (ValueError, RecursionError)
-# a list-form arm as json.dumps writes it, with the default separators and
-# labels of one digit; read_jsonl reads such an arm from the line's text.
-# [0-9], not \d, which takes any Unicode digit json rejects
-_ARM = re.compile(r'(\[\{"rank": [0-9]+, "label": [0-9]\}(?:, \{"rank": [0-9]+, "label": [0-9]\})*\])')
-# an arm's text less all but its digits and commas, each digit as its value:
-# '[{"rank": 1, "label": 3}, {"rank": 2, "label": 5}]' gives b"\1,\3,\2,\5"
+# the arms as json.dumps writes them, which read_jsonl reads from the line's
+# text: a list-form arm with the default separators, its items' keys in either
+# order (rank first, or label first as sort_keys writes them), and a dual-label
+# arm with the default or compact ones, each of labels of one digit. [0-9],
+# not \d, which takes any Unicode digit json rejects
+_LIST_ARM = re.compile(r'(\[\{"rank": [0-9]+, "label": [0-9]\}(?:, \{"rank": [0-9]+, "label": [0-9]\})*\]'
+                       r'|\[\{"label": [0-9], "rank": [0-9]+\}(?:, \{"label": [0-9], "rank": [0-9]+\})*\])')
+_DUAL_ARM = re.compile(r'(\{"machine_labels": ?\[[0-9](?:, ?[0-9])*\], ?'
+                       r'"reference_labels": ?\[[0-9](?:, ?[0-9])*\]\})')
+# an arm's text less all but its digits and separators, each digit as its value:
+# '[{"rank": 1, "label": 3}, {"rank": 2, "label": 5}]' gives b"\1,\3,\2,\5", and
+# '{"machine_labels": [3, 5], "reference_labels": [4, 4]}' gives b"\3\5]\4\4]"
 _ARM_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
-_ARM_MARKS = b'[]{}"rankbel: '
+_LIST_MARKS = b'[]{}"rankbel: '
+_DUAL_MARKS = b'[{}", :machine_labelsrf'
+# the ranks 1..1000, the simulator's deepest page, as _ARM_VALUES gives their
+# text, each followed by a comma: a longer arm is left to json
+_RANKS = b"".join(b"%d," % rank for rank in range(1, 1001)).translate(_ARM_VALUES)
 # the ints decoded in place of a line's arms; the text of each holds
 # _HOLDER_MARK once, so a text that holds the mark once per placeholder in it
 # holds each placeholder's text once
@@ -55,36 +65,47 @@ _HOLDER_TEXTS = tuple(map(str, _HOLDERS))
 _HOLDER_MARK = "-700"
 
 
-def _with_text_arms(parts: list[str], ranks: list[bytes]) -> dict | None:
-    """The object of a line split by ``_ARM``, its arms read from their text.
+def _list_page(text: str) -> bytes | None:
+    """A list-form arm's labels, one a byte, if its ranks are 1..n in order, else None."""
+    fields = text.encode().translate(_ARM_VALUES, _LIST_MARKS).split(b",")
+    ranks, labels = (fields[::2], fields[1::2]) if text[3] == "r" else (fields[1::2], fields[::2])
+    return b"".join(labels) if _RANKS.startswith(b",".join(ranks) + b",") else None
 
-    An arm whose ranks are 1..n in order becomes a bytes page, one label a
-    byte, and a placeholder int stands in its place while the rest of the
-    line is decoded; an arm of other ranks keeps its text, for json and
-    ``core._parse_arm``. The pages are taken only when each placeholder's
-    text occurs once in the decoded text, and its int is the value of
-    ``control`` or ``treatment``: then the arm stood at that value, and not in
-    a string, another field or a line json cannot decode. Otherwise, and for
-    a line of more than two arms, it returns None and json reads the line.
-    ``ranks`` is the caller's table of rank texts as ``_ARM_VALUES`` gives
-    them, rank r at index r; it grows here to the longest arm read.
+
+def _dual_arrays(text: str) -> dict:
+    """A dual-label arm with each label array as bytes, one label a byte."""
+    machine, reference, _ = text.encode().translate(_ARM_VALUES, _DUAL_MARKS).split(b"]")
+    return {"machine_labels": machine, "reference_labels": reference}
+
+
+# each arm form read from the text: the text a line holds when it holds such
+# an arm, the regex that splits the arms out, and the arm read from its text
+_TEXT_FORMS = (('[{"', _LIST_ARM, _list_page),
+               ('{"machine_labels"', _DUAL_ARM, _dual_arrays))
+
+
+def _with_text_arms(parts: list[str], read_arm) -> dict | None:
+    """The object of a line split by an arm regex, its arms read from their text.
+
+    Each arm ``read_arm`` reads (a bytes page, or a dual-label object of bytes
+    arrays) is taken, and a placeholder int stands in its place while the
+    rest of the line is decoded; an arm it leaves (None: a list of other
+    ranks) keeps its text, for json and ``core._parse_arm``. The arms are
+    taken only when each placeholder's text occurs once in the decoded text,
+    and its int is the value of ``control`` or ``treatment``: then the arm
+    stood at that value, and not in a string, another field or a line json
+    cannot decode. Otherwise, and for a line of more than two arms, it
+    returns None and json reads the line.
     """
     if len(parts) > 2 * len(_HOLDERS) + 1:
         return None
     held = {}
     for i in range(1, len(parts), 2):
-        fields = parts[i].encode().translate(_ARM_VALUES, _ARM_MARKS).split(b",")
-        labels = fields[1::2]
-        n = len(labels)
-        if n >= len(ranks):
-            ranks.extend(str(rank).encode().translate(_ARM_VALUES)
-                         for rank in range(len(ranks), n + 1))
-        if fields[::2] == ranks[1:n + 1]:
+        arm = read_arm(parts[i])
+        if arm is not None:
             k = len(held)
-            held[_HOLDERS[k]] = b"".join(labels)
+            held[_HOLDERS[k]] = arm
             parts[i] = _HOLDER_TEXTS[k]
-    if not held:
-        return None
     text = "".join(parts)
     if text.count(_HOLDER_MARK) != len(held):
         return None
@@ -101,15 +122,14 @@ def _with_text_arms(parts: list[str], ranks: list[bytes]) -> dict | None:
     return None if held else obj
 
 
-def read_jsonl(path: str | Path) -> Iterator[tuple[dict, bool]]:
-    """Yield ``(object, no_true)`` for each line of a JSONL file, one at a time.
+def read_jsonl(path: str | Path) -> Iterator[dict]:
+    """Yield the object of each line of a JSONL file, one at a time.
 
-    ``no_true`` is set when the line's text does not contain ``true``: JSON
-    spells the bool true no other way, so then no value in the object is
-    ``True``. A list-form arm written as json.dumps writes it, ranks 1..n and
-    labels of one digit, is read from the line's text as a bytes page (see
-    ``_with_text_arms``), if the file's first line holds such text; every
-    other arm and line is decoded by json. Malformed lines, and lines json cannot decode for their size,
+    An arm written as json.dumps writes it, with labels of one digit, is read
+    from the line's text, if the file's first line holds an arm of that form
+    (see ``_TEXT_FORMS``): a list-form arm of ranks 1..n as a bytes page, a
+    dual-label arm with bytes arrays. Every other arm and line is decoded by
+    json. Malformed lines, and lines json cannot decode for their size,
     are collected with their line numbers and raised together, as one
     DatasetValidationError, once the file is exhausted.
     Unknown record fields are counted as the file is read; at its end each
@@ -118,17 +138,15 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[dict, bool]]:
     """
     violations: list[RecordError] = []
     unknown: dict[str, list[int]] = {}  # field name -> [line count, first line]
-    ranks = [b""]  # rank texts for _with_text_arms, rank r at index r
-    search = None  # whether lines are searched for arm text: the first line decides
+    form = None  # the arm form lines are searched for: the first line decides
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if search is None:
-                # a file of dual-label arms then pays for no scan a line; json
-                # reads a line to the same records and violations either way
-                search = '[{"rank"' in line
+            if form is None:
+                # json reads a line to the same records and violations either way
+                form = next((f for f in _TEXT_FORMS if f[0] in line), ())
             # a scan for the arm's first text is cheaper than the regex's
-            obj = (_with_text_arms(_ARM.split(line), ranks)
-                   if search and '[{"rank"' in line else None)
+            obj = (_with_text_arms(form[1].split(line), form[2])
+                   if form and form[0] in line else None)
             # a line that is one value followed by its newline decodes directly;
             # any other line goes through json.loads, which skips blank
             # padding and words every error as it always has
@@ -158,7 +176,7 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[dict, bool]]:
                 for name in obj.keys() - KNOWN_RECORD_FIELDS:
                     seen = unknown.setdefault(name, [0, lineno])
                     seen[0] += 1
-            yield obj, "true" not in line
+            yield obj
     for name, (count, first) in sorted(unknown.items()):
         warnings.warn(f"{path}: line {first}: ignoring unknown fields {[name]} "
                       f"(on {count} line{'s' if count > 1 else ''})")
@@ -171,10 +189,10 @@ def read_dataset(path: str | Path, k_depth: int = DEFAULT_K_DEPTH,
     """Stream a JSONL file into validation: each raw object is dropped once checked.
 
     A file with malformed lines reports only those, as it is read in full
-    before any record violation is raised. Each line's labels take
-    validation's short check when its text does not contain ``true``.
+    before any record violation is raised. An arm read from its line's text
+    holds bytes label arrays, which validation checks as any page's labels.
     """
-    return validate_dataset(read_jsonl(path), k_depth=k_depth, paired=paired, from_lines=True)
+    return validate_dataset(read_jsonl(path), k_depth=k_depth, paired=paired)
 
 
 # records formatted per chunk: it bounds the chunk's arrays and text

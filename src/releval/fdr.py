@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ._lazy import np
-from .core import check_fdr_level
+from .core import check_fdr_level, is_number, shown
 from .errors import BadPValue, EmptyInput
 
 
@@ -36,8 +36,8 @@ def benjamini_hochberg(p_values: Sequence[float], q: float = 0.05) -> BhResult:
         raise EmptyInput("benjamini_hochberg requires at least one p-value")
     check_fdr_level(q)
     for p in p_values:
-        if not 0.0 <= p <= 1.0:
-            raise BadPValue(f"p-value out of [0, 1]: {p}")
+        if not is_number(p) or not 0.0 <= p <= 1.0:
+            raise BadPValue(f"p-value must be a number in [0, 1], got {shown(p)}")
 
     p = np.asarray(p_values, dtype=float)
     order = np.argsort(p, kind="stable")

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import check_alpha
+from .core import check_alpha, check_integer, check_number
 from .errors import NonPositiveMean, OutOfDomain
 
 # largest n up to which every integer is a distinct float
@@ -44,8 +44,9 @@ def normal_quantile(p: float) -> float:
 
 
 def _check_finite(**values: float) -> None:
+    # each value a number, never a bool, within the float range and finite
     for name, value in values.items():
-        if not math.isfinite(value):
+        if not math.isfinite(check_number(value, name, OutOfDomain)):
             raise OutOfDomain(f"{name} must be finite, got {value}")
 
 
@@ -56,7 +57,7 @@ def mde(mu_hat: float, sigma_hat: float, n: int, cfg: PowerConfig = PowerConfig(
         raise NonPositiveMean(f"mu_hat must be > 0, got {mu_hat}")
     if sigma_hat < 0:
         raise OutOfDomain(f"sigma_hat must be >= 0, got {sigma_hat}")
-    if n < 1:
+    if check_integer(n, "n", OutOfDomain) < 1:
         raise OutOfDomain(f"n must be >= 1, got {n}")
     z = normal_quantile(1.0 - cfg.alpha / 2.0) + normal_quantile(cfg.power)
     try:

@@ -50,6 +50,18 @@ def test_validate_two_good_paired_records():
     assert ds.records[1].treatment == bytes((3, 3))
 
 
+def test_a_record_that_is_not_an_object_is_a_violation_among_the_others():
+    # worded as read_jsonl words a line that is not a JSON object; a mapping
+    # of another type is a record
+    raws = [5, raw_record("q1", [0]), None, ["q2"], MappingProxyType(raw_record("q3", [4]))]
+    with pytest.raises(DatasetValidationError) as exc:
+        validate_dataset(raws)
+    assert [(v.code, v.query_id, v.field, str(v)) for v in exc.value.violations] == [
+        ("Error", None, None, f"expected a JSON object, got {kind}")
+        for kind in ("int", "NoneType", "list")] + [
+        ("BadLabelValue", "q1", "control", "label level must be an integer in [1, 5], got 0")]
+
+
 def test_ranked_page_from_entries_checks_sequence():
     # a page given as ranked entries becomes bytes of its labels in rank order
     ds = validate_dataset([raw_record("q1", [5, 3])])

@@ -31,42 +31,23 @@ def test_read_jsonl_yields_records_before_the_file_ends(tmp_path):
     path = write_lines(tmp_path / "d.jsonl", [
         json.dumps(raw_record("q0", [3])), "{not json", json.dumps(raw_record("q1", [4]))])
     records = read_jsonl(path)
-    assert next(records)[0]["query_id"] == "q0"
-    assert next(records)[0]["query_id"] == "q1"
+    assert next(records)["query_id"] == "q0"
+    assert next(records)["query_id"] == "q1"
     with pytest.raises(DatasetValidationError) as exc:
         next(records)
     assert [v.field for v in exc.value.violations] == ["line 2"]
 
 
-def test_only_a_line_whose_text_holds_true_takes_the_full_label_check(tmp_path, monkeypatch):
-    # the full check's type test runs only for the two pages of the line whose
-    # text holds "true", here in its query id; bytes() and translate alone
-    # checked the other three. The arms are ones json decodes: dual-label
-    # arrays, and list items in the label-first order of sort_keys
-    typed = []
-
-    class Spy(frozenset):
-        def issuperset(self, other):
-            typed.append(1)
-            return super().issuperset(other)
-
-    monkeypatch.setattr(core, "_INT", Spy(core._INT))
-    path = write_lines(tmp_path / "d.jsonl", [
-        json.dumps(raw_record("q0", [3, 4]), sort_keys=True),
-        json.dumps(dual_raw("q1", [2], [1])), json.dumps(dual_raw("true-crime", [3, 4], [4, 4]))])
-    assert [rec.control for rec in read_dataset(path).records] == [b"\3\4", b"\2", b"\3\4"]
-    assert typed == [1, 1]
-
-
 def test_only_canonical_list_arms_are_read_from_the_line_text(tmp_path):
     # an arm json.dumps wrote, ranks 1..n and labels of one digit, is a bytes
-    # page as read_jsonl yields it; every other arm, and each arm of a line
-    # the text reader leaves to json, is as json decodes it
+    # page as read_jsonl yields it, its items' keys in either order; every
+    # other arm, and each arm of a line the text reader leaves to json, is as
+    # json decodes it
     canonical = json.dumps(raw_record("q0", [3, 4], [5]))
     lines = [
         canonical,
         json.dumps(raw_record("true-crime", list(range(1, 6)) * 3, [6])),  # ranks 10+, label 6
-        json.dumps(raw_record("q1", [3, 4]), sort_keys=True),  # label-first items
+        json.dumps(raw_record("q1", [3, 4], [2]), sort_keys=True),  # label-first items
         json.dumps(dual_raw("q2", [2], [1])),
         canonical.replace("q0", "q3").replace('"rank": 2', '"rank": 3'),  # a gap
         canonical.replace("q0", "q4").replace('"rank": 1,', '"rank": 01,'),  # malformed
@@ -75,48 +56,83 @@ def test_only_canonical_list_arms_are_read_from_the_line_text(tmp_path):
         canonical.replace('"q0"', '"q7\\\\"'),  # a string ending in a backslash
         canonical.replace('"label": 4', '"label": \u0663'),  # digits json rejects
         canonical.replace('"rank": 2', '"rank": \u0662'),
+        json.dumps(raw_record("q8", [3, 4], [2]), sort_keys=True).replace(
+            '"rank": 2', '"rank": 3'),  # label-first with a gap
+        json.dumps(raw_record("q9", [3] * 1001, [3] * 1000)),  # past the ranks read as text
     ]
     path = write_lines(tmp_path / "d.jsonl", lines)
     read = []
     with pytest.warns(UserWarning, match="extra"), pytest.raises(DatasetValidationError) as exc:
-        for obj, _ in read_jsonl(path):
+        for obj in read_jsonl(path):
             read.append(obj)
     assert [(v.field, str(v).split(" (")[0]) for v in exc.value.violations] == [
         (f"line {n}", f"line {n}: malformed JSON") for n in (6, 10, 11)]
     assert [(obj["query_id"], type(obj["control"]).__name__, type(obj["treatment"]).__name__
              if "treatment" in obj else None) for obj in read] == [
-        ("q0", "bytes", "bytes"), ("true-crime", "bytes", "bytes"), ("q1", "list", None),
+        ("q0", "bytes", "bytes"), ("true-crime", "bytes", "bytes"), ("q1", "bytes", "bytes"),
         ("q2", "dict", None), ("q3", "list", "bytes"), ("q5", "list", "list"),
-        ("q6", "list", "bytes"), ("q7\\", "bytes", "bytes")]
+        ("q6", "list", "bytes"), ("q7\\", "bytes", "bytes"), ("q8", "list", "bytes"),
+        ("q9", "list", "bytes")]
     assert read[0]["control"] == b"\3\4" and read[1]["control"] == bytes(range(1, 6)) * 3
-    assert read[1]["treatment"] == b"\6"
+    assert read[1]["treatment"] == b"\6" and read[2]["control"] == b"\3\4"
 
 
-def test_a_file_whose_first_line_holds_no_arm_text_is_read_by_json(tmp_path):
-    # the first line decides: after a dual-label line, a canonical arm is a
-    # list json decoded, and the records are the same either way
+def test_only_canonical_dual_arms_are_read_from_the_line_text(tmp_path):
+    # a dual-label arm json.dumps wrote, with the default or compact
+    # separators and labels of one digit, holds bytes arrays as read_jsonl
+    # yields it; every other arm is as json decodes it
+    canonical = json.dumps(dual_raw("q0", [3, 4], [5, 5], [6], [0]))
+    lines = [
+        canonical,
+        json.dumps(dual_raw("q1", [2], [1], [4], [4]), separators=(",", ":")),
+        canonical.replace("q0", "q2").replace('"machine_labels": [3, 4]', '"machine_labels": [3]'),
+        canonical.replace("q0", "q3").replace("[6]", "[10]"),  # a label of two digits
+        canonical.replace("q0", "q4").replace("[6]", "[]"),
+        json.dumps({"query_id": "q5", "control": {"reference_labels": [3], "machine_labels": [4]}}),
+        canonical.replace("q0", "q6").replace("[6]", "[\u0663]"),  # a digit json rejects
+    ]
+    path = write_lines(tmp_path / "d.jsonl", lines)
+    read = []
+    with pytest.raises(DatasetValidationError) as exc:
+        for obj in read_jsonl(path):
+            read.append(obj)
+    assert [v.field for v in exc.value.violations] == ["line 7"]
+    assert [type(obj["control"]["machine_labels"]).__name__ for obj in read] == [
+        "bytes", "bytes", "bytes", "bytes", "bytes", "list"]
+    assert [type(obj["treatment"]["machine_labels"]).__name__ for obj in read[:5]] == [
+        "bytes", "bytes", "bytes", "list", "list"]
+    assert read[0]["control"] == {"machine_labels": b"\3\4", "reference_labels": b"\5\5"}
+    assert read[0]["treatment"] == {"machine_labels": b"\6", "reference_labels": b"\0"}
+    assert read[1]["control"] == {"machine_labels": b"\2", "reference_labels": b"\1"}
+    assert read[2]["control"] == {"machine_labels": b"\3", "reference_labels": b"\5\5"}
+
+
+def test_the_first_line_decides_which_arm_form_is_read_from_the_text(tmp_path):
+    # after a dual-label first line, a canonical list arm is a list json
+    # decoded, and the records are the same either way
     path = write_lines(tmp_path / "d.jsonl", [
         json.dumps(dual_raw("q0", [2], [1])), json.dumps(raw_record("q1", [3, 4], [5]))])
-    assert [type(obj["control"]) for obj, _ in read_jsonl(path)] == [dict, list]
+    assert [type(obj["control"]) for obj in read_jsonl(path)] == [dict, list]
     q0, q1 = read_dataset(path).records
+    assert (q0.control, q0.control_reference) == (b"\2", b"\1")
     assert (q1.control, q1.treatment) == (b"\3\4", b"\5")
 
 
-def test_a_bytes_arm_of_an_in_memory_record_is_missing_arm():
-    # only read_jsonl's lines may hold bytes arms; a hand-built one is no arm
+def test_a_bytes_array_is_checked_by_the_label_rule_wherever_it_comes_from():
+    # a bytes arm or label array of an in-memory record is taken as one read
+    # from the line text, and a byte outside 1..5 is the label's violation
+    [rec] = validate_dataset([dict(dual_raw("q0", [3], [4]), control=b"\3\4",
+                                   treatment={"machine_labels": b"\2", "reference_labels": [5]})]
+                             ).records
+    assert (rec.control, rec.treatment, rec.treatment_reference) == (b"\3\4", b"\2", b"\5")
     with pytest.raises(DatasetValidationError) as exc:
-        validate_dataset([dict(raw_record("q0", [3]), control=b"\3")])
+        validate_dataset([dict(raw_record("q0", [3]), control=b"\x09"),
+                          dual_raw("q1", [3], [4]) | {"control": {
+                              "machine_labels": b"\3", "reference_labels": b"\0"}}])
     assert [(v.code, v.field, str(v)) for v in exc.value.violations] == [
-        ("MissingArm", "control",
-         "control: expected a list of rank/label objects or a dual-label object")]
-
-
-def test_a_bytes_arm_from_lines_is_checked_by_the_label_rule():
-    with pytest.raises(DatasetValidationError) as exc:
-        validate_dataset([(dict(raw_record("q0", [3]), control=b"\x09"), True)],
-                         from_lines=True)
-    assert [(v.code, v.field, str(v)) for v in exc.value.violations] == [
-        ("BadLabelValue", "control", "label level must be an integer in [1, 5], got 9")]
+        ("BadLabelValue", "control", "label level must be an integer in [1, 5], got 9"),
+        ("BadLabelValue", "control.reference_labels",
+         "label level must be an integer in [1, 5], got 0")]
 
 
 def test_read_dataset_gives_bytes_pages_in_both_arm_forms(tmp_path):

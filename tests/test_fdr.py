@@ -32,6 +32,8 @@ def test_errors():
         benjamini_hochberg([0.5, 1.2], q=0.05)
     with pytest.raises(BadPValue):
         benjamini_hochberg([0.5], q=0.0)
+    with pytest.raises(BadPValue, match="^q must be in"):
+        benjamini_hochberg([0.5], q="a")
 
 
 def test_dual_definition_equivalence(rng):
@@ -96,3 +98,11 @@ def test_adjusted_monotone_in_sorted_order(rng):
     adj_sorted = [result.adjusted_p[i] for i in order]
     assert all(a <= b for a, b in zip(adj_sorted, adj_sorted[1:]))
     assert all(result.adjusted_p[i] >= p[i] for i in range(25))
+
+
+@pytest.mark.parametrize("p", [True, "a", None, [0.5], 1.2, float("nan")])
+def test_a_p_value_is_a_number_in_the_unit_interval(p):
+    # a bool is not a p-value, and a str is not compared
+    with pytest.raises(BadPValue) as exc:
+        benjamini_hochberg([0.5, p])
+    assert str(exc.value) == f"p-value must be a number in [0, 1], got {p!r}"

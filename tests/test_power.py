@@ -108,3 +108,21 @@ def test_power_config_defaults():
         PowerConfig(alpha=1.0)
     with pytest.raises(OutOfDomain):
         PowerConfig(power=0.0)
+    with pytest.raises(OutOfDomain, match="^alpha must be in"):
+        PowerConfig(alpha="a")
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0.5, 0.1, True), "n must be an integer, got True"),
+    ((0.5, 0.1, 2.5), "n must be an integer, got 2.5"),
+    ((0.5, 0.1, "x"), "n must be an integer, got 'x'"),
+    (("a", 0.1, 10), "mu_hat must be a number, got 'a'"),
+    ((True, 0.1, 10), "mu_hat must be a number, got True"),
+    ((0.5, None, 10), "sigma_hat must be a number, got None"),
+    ((10 ** 400, 0.1, 10), f"mu_hat is out of range, got {10 ** 400}"),
+])
+def test_mde_takes_numbers_and_an_integer_n(args, message):
+    # never a bool, a str or a float as n, and never converted
+    with pytest.raises(OutOfDomain) as exc:
+        mde(*args)
+    assert str(exc.value) == message

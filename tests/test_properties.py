@@ -597,22 +597,45 @@ TEXT_LABEL = LABEL | st.sampled_from([True, False, 0, 6, 256, -1, 1.0])
 # a page of a canonical list arm, read from the line's text: ranks of two
 # digits past 9, and labels 0 and 6 the label rule rejects
 CANONICAL_PAGE = st.lists(LABEL | st.sampled_from([0, 6]), min_size=1, max_size=12)
+# 3 in three scripts other than ASCII, which json rejects
+OTHER_DIGITS = st.sampled_from(["\u0663", "\uff13", "\u09e9"])
 
 
-def _items_text(ranks, labels):
-    items = (f'{{"rank": {r}, "label": {lab}}}' for r, lab in zip(ranks, labels))
-    return "[" + ", ".join(items) + "]"
+def _items_text(ranks, labels, label_first=False):
+    item = '{{"label": {1}, "rank": {0}}}' if label_first else '{{"rank": {0}, "label": {1}}}'
+    return "[" + ", ".join(item.format(r, lab) for r, lab in zip(ranks, labels)) + "]"
+
+
+@st.composite
+def dual_texts(draw):
+    """A dual-label arm's text as json.dumps writes it, with the default or the
+    compact separators, or in the other key order: labels 0, 6 and 10 among
+    them, a digit outside ASCII, and arrays empty or of unequal length."""
+    arrays = [draw(st.lists(st.sampled_from(["0", "6", "10"]) | LABEL.map(str), max_size=4))]
+    arrays.append(draw(st.lists(LABEL.map(str), min_size=len(arrays[0]),
+                                max_size=len(arrays[0])) | st.lists(LABEL.map(str), max_size=4)))
+    if arrays[0] and draw(st.booleans()):
+        arrays[0][0] = draw(OTHER_DIGITS)
+    comma, colon = draw(st.sampled_from([(", ", ": "), (",", ":")]))
+    fields = [f'"{key}"{colon}[{comma.join(labels)}]'
+              for key, labels in zip(["machine_labels", "reference_labels"], arrays)]
+    if draw(st.booleans()):
+        fields.reverse()
+    return "{" + comma.join(fields) + "}"
 
 
 @st.composite
 def arm_texts(draw):
-    """An arm's JSON text: a canonical list arm, as json.dumps writes it; an arm
-    drawn as JSON values; or arm-like text the line-text reader must leave to
-    json: ranks out of order, with a gap, past 9 or written as 01, a rank or
-    a label written as a digit outside ASCII (json rejects it), items in
-    sort_keys order, or a bare negative int, the placeholders included."""
-    kind = draw(st.sampled_from(["canonical", "values", "ranks", "unicode", "label-first",
-                                 "negative"]))
+    """An arm's JSON text: a canonical list or dual-label arm, as json.dumps
+    writes it; an arm drawn as JSON values; or arm-like text the line-text
+    reader must leave to json: ranks out of order, with a gap, past 9 or
+    written as 01, a rank or a label written as a digit outside ASCII (json
+    rejects it), or a bare negative int, the placeholders included. A list
+    arm's items hold their keys in either order: rank first, or label first
+    as sort_keys writes them."""
+    kind = draw(st.sampled_from(["canonical", "values", "ranks", "unicode", "negative", "dual"]))
+    if kind == "dual":
+        return draw(dual_texts())
     if kind == "values":
         labels = draw(st.lists(TEXT_LABEL, max_size=4))
         if draw(st.booleans()):
@@ -621,9 +644,8 @@ def arm_texts(draw):
             st.lists(TEXT_LABEL, min_size=len(labels), max_size=len(labels)))})
     if kind == "negative":
         return str(draw(st.sampled_from(dataset_io._HOLDERS) | st.integers(-10 ** 4, -1)))
-    labels = draw(CANONICAL_PAGE)
-    if kind == "label-first":
-        return json.dumps(_list_arm(labels), sort_keys=True)
+    # labels 1..n too, which pass for ranks if the key order is misread
+    labels = draw(CANONICAL_PAGE | st.integers(1, 5).map(lambda n: list(range(1, n + 1))))
     ranks = list(range(1, len(labels) + 1))
     if kind == "ranks":
         i = draw(st.integers(0, len(ranks) - 1))
@@ -631,13 +653,13 @@ def arm_texts(draw):
         if len(ranks) > 1 and draw(st.booleans()):
             ranks[0], ranks[-1] = ranks[-1], ranks[0]
     if kind == "unicode":
-        digit = draw(st.sampled_from(["\u0663", "\uff13", "\u09e9"]))  # 3 in three scripts
+        digit = draw(OTHER_DIGITS)
         i = draw(st.integers(0, len(ranks) - 1))
         if draw(st.booleans()):
             ranks[i] = digit
         else:
             labels[i] = digit
-    return _items_text(ranks, labels)
+    return _items_text(ranks, labels, draw(st.booleans()))
 
 
 @st.composite
@@ -645,13 +667,17 @@ def record_lines(draw):
     """Record lines for the labels read or checked from the line text: query
     ids that hold ``true`` or end in a backslash, bools and out-of-range
     numbers among the labels, keys that repeat (json keeps the last), both arm
-    forms and the text of canonical list arms, in any field order, beside
-    each hazard to reading arms from the text: arm text inside a query id or
-    an unknown field (raw or escaped), an arm in ``stratum`` and text after
-    the closing brace."""
+    forms and the text of canonical list and dual-label arms, in any field
+    order, beside each hazard to reading arms from the text: arm text inside a
+    query id or an unknown field (raw or escaped), an arm in ``stratum`` and
+    text after the closing brace."""
     lines = []
     for i in range(draw(st.integers(1, 6))):
-        canonical = _items_text(range(1, 4), draw(st.lists(LABEL, min_size=3, max_size=3)))
+        labels = [str(label) for label in draw(st.lists(LABEL, min_size=3, max_size=3))]
+        canonical = draw(st.sampled_from([
+            _items_text(range(1, 4), labels),
+            '{"machine_labels": [%s], "reference_labels": [%s]}' % (", ".join(labels),
+                                                                    ", ".join(labels[::-1]))]))
         query_id = json.dumps(draw(st.sampled_from([f"q{i}", f"true-{i}", f"q{i}-false",
                                                    f"q{i}\\"])))
         fields = [("query_id", query_id), ("market", '"US"'),
@@ -666,6 +692,8 @@ def record_lines(draw):
         elif hazard == "query_id":  # escaped, raw, and raw after an escaped backslash
             fields[0] = (hazard, draw(st.sampled_from(
                 [json.dumps(canonical), f'"{canonical}"', f'"q\\\\{canonical}"'])))
+            if draw(st.booleans()):  # the placeholder the arm in the string gives way to
+                fields[3] = ("control", dataset_io._HOLDER_TEXTS[0])
         elif hazard == "extra":
             fields.append((hazard, draw(st.sampled_from(
                 [canonical, json.dumps(canonical), f'"{canonical}"']))))
@@ -688,25 +716,28 @@ def _records_or_violations(build):
 # a line of canonical arm text inside a string, which json cannot decode,
 # whose control is the placeholder int: the placeholder's text is in the
 # line twice once the arm gives way to it
-_HELD_IN_A_STRING = ('{"query_id": "[{"rank": 1, "label": 3}]", "market": "US", '
+_HELD_IN_A_STRING = ('{"query_id": "%s", "market": "US", '
                      '"stratum": {"interest": "art", "popularity": "head"}, '
                      f'"control": {dataset_io._HOLDERS[0]}}}')
+# each arm form's text searcher, as one that matches no text
+_JSON_ALONE = tuple((mark, re.compile("(?!)"), read) for mark, _, read in dataset_io._TEXT_FORMS)
 
 
 @settings(max_examples=300)
 @given(lines=record_lines())
-@example(lines=[_HELD_IN_A_STRING])
+@example(lines=[_HELD_IN_A_STRING % '[{"rank": 1, "label": 3}]'])
+@example(lines=[_HELD_IN_A_STRING % '{"machine_labels": [3], "reference_labels": [4]}'])
 def test_read_dataset_checks_labels_as_validate_dataset_does(lines):
-    # read_dataset reads canonical list arms from the line text and checks a
-    # line without "true" by bytes() and translate alone; json alone reads the
-    # same file to the same records or violations, and validate_dataset on
-    # the decoded objects, when every line decodes, runs the full check
+    # read_dataset reads canonical arms of both forms from the line text, as
+    # bytes the label rule checks by translate; json alone reads the same
+    # file to the same records or violations, and validate_dataset on the
+    # decoded objects, when every line decodes, checks each label's type
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("ignore")  # unknown fields
         path = Path(tmp) / "d.jsonl"
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         read = _records_or_violations(lambda: read_dataset(path))
-        with mock.patch.object(dataset_io, "_ARM", re.compile("(?!)")):  # matches no text
+        with mock.patch.object(dataset_io, "_TEXT_FORMS", _JSON_ALONE):
             assert read == _records_or_violations(lambda: read_dataset(path))
         try:
             objs = [json.loads(line) for line in lines]
