@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     BadLabelValue,
@@ -163,17 +163,12 @@ def _checked_page(labels: Sequence[Any], query_id: str, arm: str, source: str,
     """One page's labels as bytes, one int in 1..5 a byte, or None with a violation.
 
     Each label is an ordinal 5-point judgment, 1 (highly irrelevant) .. 5
-    (highly relevant); position i holds rank i+1. ``labels`` is bytes, one
-    label a byte, checked by ``translate``, or a JSON array, whose labels
-    must each be an int, never a bool. A violation names the field
-    ``arm + source``.
+    (highly relevant); position i holds rank i+1. Each label of the JSON
+    array ``labels`` must be an int, never a bool. A violation names the
+    field ``arm + source``.
     """
-    # whole-page tests first; for a JSON array types go first, as an all-int
-    # page is hashable
-    if type(labels) is bytes:
-        if not labels.translate(None, _LABEL_BYTES):
-            return labels
-    elif _INT.issuperset(map(type, labels)) and _LEVELS.issuperset(labels):
+    # whole-page tests first, types first, as an all-int page is hashable
+    if _INT.issuperset(map(type, labels)) and _LEVELS.issuperset(labels):
         return bytes(labels)
     bad = next(v for v in labels if type(v) is not int or not 1 <= v <= 5)
     violations.append(BadLabelValue(
@@ -198,10 +193,10 @@ def check_pages(pages: Sequence[bytes], name: str) -> bytes:
 class QueryRecord:
     """One evaluation query: stratum, market, and its ranked page(s).
 
-    A page is ``bytes``, one label in 1..5 a byte, checked where the record
-    is parsed. ``control``/``treatment`` hold the working labels (machine
-    labels when a second source exists); ``*_reference`` hold reference
-    (human) labels for the same ranked results, when present.
+    A page is ``bytes``, one label in 1..5 a byte, checked by the parser or by
+    the template that read its line. ``control``/``treatment`` hold the working
+    labels (machine labels when a second source exists); ``*_reference`` hold
+    reference (human) labels for the same ranked results, when present.
     """
 
     query_id: str
@@ -236,20 +231,16 @@ def _parse_arm(raw: Any, query_id: str, arm: str,
                violations: list[RecordError]) -> tuple[bytes | None, bytes | None]:
     """Parse one arm into (page, reference_page). Appends violations in place.
 
-    Accepted forms, as JSON decodes them (a dict or a list), and each label
-    array as bytes, one label a byte, as ``dataset_io.read_jsonl`` reads an
-    arm from its line's text; every array's labels are checked as a page's:
-      * list of {"rank": int, "label": int} objects (single label source), or
-        bytes, the labels of ranks 1..n
+    Accepted forms, as JSON decodes them; every array's labels are checked
+    as a page's:
+      * list of {"rank": int, "label": int} objects (single label source)
       * {"machine_labels": [...], "reference_labels": [...]} parallel arrays
     """
     kind = type(raw)
-    if kind is bytes:
-        return _checked_page(raw, query_id, arm, "", violations), None
     if kind is dict:
         machine = raw.get("machine_labels")
         reference = raw.get("reference_labels")
-        if type(machine) not in (list, bytes) or type(reference) not in (list, bytes):
+        if type(machine) is not list or type(reference) is not list:
             violations.append(MissingArm(
                 f"{arm}: dual-label form requires machine_labels and reference_labels",
                 query_id=query_id, field=arm))
@@ -291,14 +282,10 @@ def _parse_arm(raw: Any, query_id: str, arm: str,
     return _checked_page(labels, query_id, arm, "", violations), None
 
 
-def _stratum(raw: Any, interest: str, interned: dict) -> StratumKey:
-    """The StratumKey of a raw stratum object, one object per distinct value.
-
-    Raises as building a StratumKey does: AttributeError for a raw value
-    that is not a mapping, ValueError for an unknown popularity and
-    RecordError for an empty interest.
-    """
-    popularity = str(raw.get("popularity", ""))
+def stratum_key(interest: str, popularity: str, interned: dict) -> StratumKey:
+    """The StratumKey of ``interest`` and ``popularity``, one per pair in ``interned``.
+    Raises as building one does: ValueError for an unknown popularity and
+    RecordError for an empty interest."""
     key = (interest, popularity)
     stratum = interned.get(key)
     if stratum is None:
@@ -347,8 +334,8 @@ def record_from_raw(raw: Mapping[str, Any], violations: list[RecordError],
         violations.append(err)
     else:
         try:
-            stratum = _stratum(stratum_raw, interest, interned)
-        except (AttributeError, ValueError, RecordError):
+            stratum = stratum_key(interest, str(stratum_raw.get("popularity", "")), interned)
+        except (AttributeError, ValueError, RecordError):  # AttributeError: not a mapping
             violations.append(BadLabelValue(
                 f"invalid stratum {stratum_raw!r}", query_id=query_id, field="stratum"))
 
@@ -370,6 +357,18 @@ def record_from_raw(raw: Mapping[str, Any], violations: list[RecordError],
     return QueryRecord(query_id, market, stratum, control, treatment, control_ref, treatment_ref)
 
 
+class ParsedLines:
+    """``dataset_io.read_jsonl``'s one-pass iterable of a file's lines, each the QueryRecord
+    a template read or the line's JSON object, with ``interned``, those records' strata
+    and markets. Only from it does ``validate_dataset`` take a record as it is."""
+
+    def __init__(self, lines: Iterator, interned: dict):
+        self.lines, self.interned = lines, interned
+
+    def __iter__(self) -> Iterator:
+        return self.lines
+
+
 def validate_dataset(raw_records: Iterable[Mapping[str, Any]], k_depth: int = DEFAULT_K_DEPTH,
                      paired: bool = False) -> EvalDataset:
     """Validate parsed records into an EvalDataset.
@@ -379,16 +378,18 @@ def validate_dataset(raw_records: Iterable[Mapping[str, Any]], k_depth: int = DE
     rejects empty pages (a page with zero results has no defined score).
     The accept/reject decision and the violation set are independent of
     record order. A ``k_depth`` below 1 raises OutOfDomain before the first
-    record is drawn, so a file behind ``raw_records`` is never opened. Each
-    call interns its strata and markets in a table of its own, dropped when
-    it returns.
+    record is drawn, so a file behind ``raw_records`` is never opened. Each call
+    interns its strata and markets in a table of its own, dropped when it returns,
+    or in that of the ParsedLines it is given, whose records it takes as read.
     """
     check_metric_depth(k_depth)
     violations: list[RecordError] = []
     records: list[QueryRecord] = []
-    interned: dict = {}  # markets by value, strata by (interest, popularity)
+    read = type(raw_records) is ParsedLines
+    interned = raw_records.interned if read else {}  # markets, strata by (interest, popularity)
     for raw in raw_records:
-        rec = record_from_raw(raw, violations, interned)
+        rec = raw if read and type(raw) is QueryRecord else record_from_raw(raw, violations,
+                                                                             interned)
         if rec is not None:
             records.append(rec)
 

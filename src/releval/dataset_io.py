@@ -22,11 +22,14 @@ from . import sampling, simulator
 from .core import (
     DEFAULT_K_DEPTH,
     EvalDataset,
+    ParsedLines,
     PopularitySegment,
+    QueryRecord,
     StratumKey,
     check_name,
     check_pages,
     check_unique_strata,
+    stratum_key,
     validate_dataset,
 )
 from .errors import BadRankSequence, BadSpec, DatasetValidationError, MissingArm, RecordError
@@ -39,133 +42,127 @@ _raw_decode = json.JSONDecoder().raw_decode
 # digits than int() converts (sys.get_int_max_str_digits()) and a
 # RecursionError for a value nested deeper than the interpreter's stack
 _UNDECODABLE = (ValueError, RecursionError)
-# the arms as json.dumps writes them, which read_jsonl reads from the line's
-# text: a list-form arm with the default separators, its items' keys in either
-# order (rank first, or label first as sort_keys writes them), and a dual-label
-# arm with the default or compact ones, each of labels of one digit. [0-9],
-# not \d, which takes any Unicode digit json rejects
-_LIST_ARM = re.compile(r'(\[\{"rank": [0-9]+, "label": [0-9]\}(?:, \{"rank": [0-9]+, "label": [0-9]\})*\]'
-                       r'|\[\{"label": [0-9], "rank": [0-9]+\}(?:, \{"label": [0-9], "rank": [0-9]+\})*\])')
-_DUAL_ARM = re.compile(r'(\{"machine_labels": ?\[[0-9](?:, ?[0-9])*\], ?'
-                       r'"reference_labels": ?\[[0-9](?:, ?[0-9])*\]\})')
+
+# A record line as json.dumps writes it, matched whole by a template (see
+# _template), each field a named group. A string holds no escape and no
+# control character, so its text is its value; a query id and an interest
+# hold one character or more, and a popularity is known. Labels are [1-5] and
+# ranks [0-9]+, not \d, which takes any Unicode digit json rejects.
+_TEXT = r'"(?P<%s>[^"\\\x00-\x1f]%s)"'
+_FIELDS = {"query_id": r'"query_id": ' + _TEXT % ("query_id", "+"),
+           "market": r'"market": ' + _TEXT % ("market", "*"),
+           "stratum": (r'"stratum": \{"interest": ' + _TEXT % ("interest", "+")
+                       + r', "popularity": "(?P<popularity>%s)"\}' % "|".join(PopularitySegment))}
+_KEY_ORDERS = {  # each key order by the text its lines start with
+    '{"query_id"': (r'\{%(query_id)s, %(market)s, %(stratum)s, "control": %(control)s'
+                    r'(?:, "treatment": %(treatment)s)?\}\n?'),
+    '{"control"': (r'\{"control": %(control)s, %(market)s, %(query_id)s, %(stratum)s'
+                   r'(?:, "treatment": %(treatment)s)?\}\n?'),
+}
+# a list-form arm, its items' keys in either order (rank first, or label first
+# as sort_keys writes them), and a dual-label arm of one label or more an array
+_LIST_ARM = (r'(?P<%(arm)s>\[\{"rank": [0-9]+, "label": [1-5]\}'
+             r'(?:, \{"rank": [0-9]+, "label": [1-5]\})*\]'
+             r'|\[\{"label": [1-5], "rank": [0-9]+\}(?:, \{"label": [1-5], "rank": [0-9]+\})*\])')
+_DUAL_ARM = (r'\{"machine_labels": \[(?P<%(arm)s>[1-5](?:, [1-5])*)\], '
+             r'"reference_labels": \[(?P<%(arm)s_reference>[1-5](?:, [1-5])*)\]\}')
 # an arm's text less all but its digits and separators, each digit as its value:
-# '[{"rank": 1, "label": 3}, {"rank": 2, "label": 5}]' gives b"\1,\3,\2,\5", and
-# '{"machine_labels": [3, 5], "reference_labels": [4, 4]}' gives b"\3\5]\4\4]"
+# '[{"rank": 1, "label": 3}, {"rank": 2, "label": 5}]' gives b"\1,\3,\2,\5"
 _ARM_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
-_LIST_MARKS = b'[]{}"rankbel: '
-_DUAL_MARKS = b'[{}", :machine_labelsrf'
 # the ranks 1..1000, the simulator's deepest page, as _ARM_VALUES gives their
 # text, each followed by a comma: a longer arm is left to json
 _RANKS = b"".join(b"%d," % rank for rank in range(1, 1001)).translate(_ARM_VALUES)
-# the ints decoded in place of a line's arms; the text of each holds
-# _HOLDER_MARK once, so a text that holds the mark once per placeholder in it
-# holds each placeholder's text once
-_HOLDERS = (-7001, -7002)
-_HOLDER_TEXTS = tuple(map(str, _HOLDERS))
-_HOLDER_MARK = "-700"
 
 
 def _list_page(text: str) -> bytes | None:
     """A list-form arm's labels, one a byte, if its ranks are 1..n in order, else None."""
-    fields = text.encode().translate(_ARM_VALUES, _LIST_MARKS).split(b",")
+    fields = text.encode().translate(_ARM_VALUES, b'[]{}"rankbel: ').split(b",")
     ranks, labels = (fields[::2], fields[1::2]) if text[3] == "r" else (fields[1::2], fields[::2])
     return b"".join(labels) if _RANKS.startswith(b",".join(ranks) + b",") else None
 
 
-def _dual_arrays(text: str) -> dict:
-    """A dual-label arm with each label array as bytes, one label a byte."""
-    machine, reference, _ = text.encode().translate(_ARM_VALUES, _DUAL_MARKS).split(b"]")
-    return {"machine_labels": machine, "reference_labels": reference}
+def _list_pages(control: str, treatment: str | None) -> tuple | None:
+    """A list-form line's pages, or None if an arm's ranks are not 1..n."""
+    pages = _list_page(control), treatment and _list_page(treatment)
+    return pages if pages[0] and (pages[1] or not treatment) else None
 
 
-# each arm form read from the text: the text a line holds when it holds such
-# an arm, the regex that splits the arms out, and the arm read from its text
-_TEXT_FORMS = (('[{"', _LIST_ARM, _list_page),
-               ('{"machine_labels"', _DUAL_ARM, _dual_arrays))
+def _dual_pages(control: str, control_ref: str, treatment, treatment_ref) -> tuple | None:
+    """A dual-label line's pages, then their reference pages, or None if an arm's
+    arrays differ in length: a template takes one separator, so as many labels."""
+    texts = control, treatment or "", control_ref, treatment_ref or ""
+    if len(texts[0]) != len(texts[2]) or len(texts[1]) != len(texts[3]):
+        return None
+    pages = "]".join(texts).encode().translate(_ARM_VALUES, b", ").split(b"]")
+    return pages if treatment is not None else (pages[0], None, pages[2])
 
 
-def _with_text_arms(parts: list[str], read_arm) -> dict | None:
-    """The object of a line split by an arm regex, its arms read from their text.
+# each arm form: the text of a line that holds it, its template, its pages' reader
+_ARM_FORMS = (('[{"', _LIST_ARM, _list_pages, ("control", "treatment")),
+              ('{"machine_labels"', _DUAL_ARM, _dual_pages,
+               ("control", "control_reference", "treatment", "treatment_reference")))
 
-    Each arm ``read_arm`` reads (a bytes page, or a dual-label object of bytes
-    arrays) is taken, and a placeholder int stands in its place while the
-    rest of the line is decoded; an arm it leaves (None: a list of other
-    ranks) keeps its text, for json and ``core._parse_arm``. The arms are
-    taken only when each placeholder's text occurs once in the decoded text,
-    and its int is the value of ``control`` or ``treatment``: then the arm
-    stood at that value, and not in a string, another field or a line json
-    cannot decode. Otherwise, and for a line of more than two arms, it
-    returns None and json reads the line.
+
+def _template(line: str) -> tuple | None:
+    """The template a file's first line picks, or None: the key order it starts
+    with (the bench's, ``query_id`` first, or sort_keys'), the first arm form whose
+    text it holds, and the compact separators if it holds no '": '. Returned as its
+    fullmatch, the numbers of the groups of a record's names and arms, and a reader."""
+    start = line[:line.find('"', 2) + 1]
+    for mark, arm, read_pages, arms in _ARM_FORMS if start in _KEY_ORDERS else ():
+        if mark in line:
+            source = _KEY_ORDERS[start] % dict(_FIELDS, control=arm % {"arm": "control"},
+                                               treatment=arm % {"arm": "treatment"})
+            if '": ' not in line:
+                source = source.replace(", ", ",").replace(": ", ":")
+            template = re.compile(source)
+            names = ("query_id", "market", "interest", "popularity", *arms)
+            return template.fullmatch, [template.groupindex[name] for name in names], read_pages
+    return None
+
+
+def read_jsonl(path: str | Path) -> ParsedLines:
+    """Each line of a JSONL file, one at a time: the record a template read from
+    its text, or its JSON object.
+
+    A line is read from its text when it matches whole the template the file's
+    first line picks (see ``_template``; compact separators, list-form arms too,
+    have theirs) and its record is valid as it stands; json decodes any other
+    line for the parser. Malformed lines, and lines json cannot decode for their
+    size, are raised with their line numbers, as one DatasetValidationError, once
+    the file is exhausted; each unknown field name then gets one warning, with
+    the count and the first of its lines. The records' strata and markets are
+    interned in the table the returned iterable carries.
     """
-    if len(parts) > 2 * len(_HOLDERS) + 1:
-        return None
-    held = {}
-    for i in range(1, len(parts), 2):
-        arm = read_arm(parts[i])
-        if arm is not None:
-            k = len(held)
-            held[_HOLDERS[k]] = arm
-            parts[i] = _HOLDER_TEXTS[k]
-    text = "".join(parts)
-    if text.count(_HOLDER_MARK) != len(held):
-        return None
-    try:
-        obj, end = _raw_decode(text)
-    except _UNDECODABLE:
-        return None
-    if type(obj) is not dict or (end != len(text) and text[end:] != "\n"):
-        return None
-    for key in ("control", "treatment"):
-        value = obj.get(key)
-        if type(value) is int and value in held:
-            obj[key] = held.pop(value)
-    return None if held else obj
+    return ParsedLines(_read_lines(path, interned := {}), interned)
 
 
-def read_jsonl(path: str | Path) -> Iterator[dict]:
-    """Yield the object of each line of a JSONL file, one at a time.
-
-    An arm written as json.dumps writes it, with labels of one digit, is read
-    from the line's text, if the file's first line holds an arm of that form
-    (see ``_TEXT_FORMS``): a list-form arm of ranks 1..n as a bytes page, a
-    dual-label arm with bytes arrays. Every other arm and line is decoded by
-    json. Malformed lines, and lines json cannot decode for their size,
-    are collected with their line numbers and raised together, as one
-    DatasetValidationError, once the file is exhausted.
-    Unknown record fields are counted as the file is read; at its end each
-    field name gets one warning, with the number of lines that carry it and
-    the first of them.
-    """
+def _read_lines(path: str | Path, interned: dict) -> Iterator[dict | QueryRecord]:
     violations: list[RecordError] = []
     unknown: dict[str, list[int]] = {}  # field name -> [line count, first line]
-    form = None  # the arm form lines are searched for: the first line decides
+    match = None  # the template the first line picks, if any; json reads any line alike
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if form is None:
-                # json reads a line to the same records and violations either way
-                form = next((f for f in _TEXT_FORMS if f[0] in line), ())
-            # a scan for the arm's first text is cheaper than the regex's
-            obj = (_with_text_arms(form[1].split(line), form[2])
-                   if form and form[0] in line else None)
-            # a line that is one value followed by its newline decodes directly;
-            # any other line goes through json.loads, which skips blank
-            # padding and words every error as it always has
-            try:
-                direct = obj is not None
-                if not direct:
-                    obj, end = _raw_decode(line)
-                    direct = end == len(line) or line[end:] == "\n"
-            except _UNDECODABLE:
-                direct = False
-            if not direct:
-                if not line.strip():
+            if match is None:
+                match, order, read_pages = _template(line) or (False, None, None)
+            if fields := match and match(line):
+                query_id, market, interest, popularity, *arms = fields.group(*order)
+                if pages := read_pages(*arms):
+                    yield QueryRecord(query_id, interned.setdefault(market, market),
+                                      stratum_key(interest, popularity, interned), *pages)
                     continue
-                try:
+            try:  # one value and its newline decodes directly, a step short of json.loads
+                obj, end = _raw_decode(line)
+                if end != len(line) and line[end:] != "\n":
+                    raise ValueError  # padding or trailing text
+            except _UNDECODABLE:
+                try:  # skips blank padding and words every error as it always has
                     obj = json.loads(line)
                 except _UNDECODABLE as err:
-                    violations.append(RecordError(
-                        f"line {lineno}: malformed JSON ({getattr(err, 'msg', err)})",
-                        field=f"line {lineno}"))
+                    if line.strip():  # a blank line is skipped
+                        violations.append(RecordError(
+                            f"line {lineno}: malformed JSON ({getattr(err, 'msg', err)})",
+                            field=f"line {lineno}"))
                     continue
             if type(obj) is not dict:
                 violations.append(RecordError(
@@ -189,8 +186,7 @@ def read_dataset(path: str | Path, k_depth: int = DEFAULT_K_DEPTH,
     """Stream a JSONL file into validation: each raw object is dropped once checked.
 
     A file with malformed lines reports only those, as it is read in full
-    before any record violation is raised. An arm read from its line's text
-    holds bytes label arrays, which validation checks as any page's labels.
+    before any record violation is raised; a template's records are taken as read.
     """
     return validate_dataset(read_jsonl(path), k_depth=k_depth, paired=paired)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import check_alpha, check_integer, check_number
+from .core import check_alpha, check_instance, check_integer, check_number
 from .errors import NonPositiveMean, OutOfDomain
 
 # largest n up to which every integer is a distinct float
@@ -25,7 +25,7 @@ class PowerConfig:
 
     def __post_init__(self):
         check_alpha(self.alpha)
-        if not 0.0 < self.power < 1.0:
+        if not 0.0 < check_number(self.power, "power", OutOfDomain) < 1.0:
             raise OutOfDomain(f"power must be in (0, 1), got {self.power}")
 
 
@@ -36,7 +36,7 @@ def normal_cdf(x: float) -> float:
 
 def normal_quantile(p: float) -> float:
     """Inverse standard normal CDF (the standard library's AS241)."""
-    if not 0.0 < p < 1.0:
+    if not 0.0 < check_number(p, "quantile argument", OutOfDomain) < 1.0:
         raise OutOfDomain(f"quantile argument must be in (0, 1), got {p}")
     # imported on first use: statistics loads fractions and decimal too
     from statistics import NormalDist
@@ -52,6 +52,7 @@ def _check_finite(**values: float) -> None:
 
 def mde(mu_hat: float, sigma_hat: float, n: int, cfg: PowerConfig = PowerConfig()) -> float:
     """Smallest relative lift detectable at the configured alpha and power."""
+    check_instance(cfg, PowerConfig, "cfg")
     _check_finite(mu_hat=mu_hat, sigma_hat=sigma_hat)
     if mu_hat <= 0:
         raise NonPositiveMean(f"mu_hat must be > 0, got {mu_hat}")
@@ -75,6 +76,7 @@ def required_n(mu_hat: float, sigma_hat: float, target_mde: float,
     Ceil of the closed-form inverse, then adjusted by direct evaluation so
     the result is exact despite rounding in the closed form.
     """
+    check_instance(cfg, PowerConfig, "cfg")
     _check_finite(mu_hat=mu_hat, sigma_hat=sigma_hat, target_mde=target_mde)
     if mu_hat <= 0:
         raise NonPositiveMean(f"mu_hat must be > 0, got {mu_hat}")

@@ -6,6 +6,7 @@ import json
 import tracemalloc
 from array import array
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,38 +28,58 @@ def write_lines(path, lines):
     return path
 
 
+def json_alone():
+    """A patch under which every line is read by json and the parser."""
+    return mock.patch.object(dataset_io, "_template", lambda line: None)
+
+
+def records_or_violations(path):
+    try:
+        return read_dataset(path).records
+    except DatasetValidationError as err:
+        return [(v.code, v.query_id, v.field, str(v)) for v in err.violations]
+
+
 def test_read_jsonl_yields_records_before_the_file_ends(tmp_path):
     path = write_lines(tmp_path / "d.jsonl", [
         json.dumps(raw_record("q0", [3])), "{not json", json.dumps(raw_record("q1", [4]))])
-    records = read_jsonl(path)
-    assert next(records)["query_id"] == "q0"
-    assert next(records)["query_id"] == "q1"
+    records = iter(read_jsonl(path))
+    assert next(records).query_id == "q0"
+    assert next(records).query_id == "q1"
     with pytest.raises(DatasetValidationError) as exc:
         next(records)
     assert [v.field for v in exc.value.violations] == ["line 2"]
 
 
-def test_only_canonical_list_arms_are_read_from_the_line_text(tmp_path):
-    # an arm json.dumps wrote, ranks 1..n and labels of one digit, is a bytes
-    # page as read_jsonl yields it, its items' keys in either order; every
-    # other arm, and each arm of a line the text reader leaves to json, is as
-    # json decodes it
+def test_only_whole_template_lines_of_list_arms_are_read_from_their_text(tmp_path):
+    # a line json.dumps wrote in the first line's key order, ranks 1..n and
+    # labels 1..5, is the record read_jsonl yields, its items' keys in either
+    # order; every other line is the object json decodes, and the records or
+    # violations are those of json alone
     canonical = json.dumps(raw_record("q0", [3, 4], [5]))
+    label_first = json.dumps(raw_record("q10", [3, 4], [5])).replace(
+        '"rank": 1, "label": 3', '"label": 3, "rank": 1').replace(
+        '"rank": 2, "label": 4', '"label": 4, "rank": 2')
     lines = [
         canonical,
         json.dumps(raw_record("true-crime", list(range(1, 6)) * 3, [6])),  # ranks 10+, label 6
-        json.dumps(raw_record("q1", [3, 4], [2]), sort_keys=True),  # label-first items
+        json.dumps(raw_record("q1", [3, 4], [2]), sort_keys=True),  # the other key order
         json.dumps(dual_raw("q2", [2], [1])),
         canonical.replace("q0", "q3").replace('"rank": 2', '"rank": 3'),  # a gap
         canonical.replace("q0", "q4").replace('"rank": 1,', '"rank": 01,'),  # malformed
         canonical.replace("q0", "q5")[:-1] + ', "extra": [{"rank": 1, "label": 2}]}',
         canonical.replace("q0", "q6").replace('"label": 4', '"label": 4.0'),
         canonical.replace('"q0"', '"q7\\\\"'),  # a string ending in a backslash
-        canonical.replace('"label": 4', '"label": \u0663'),  # digits json rejects
-        canonical.replace('"rank": 2', '"rank": \u0662'),
-        json.dumps(raw_record("q8", [3, 4], [2]), sort_keys=True).replace(
-            '"rank": 2', '"rank": 3'),  # label-first with a gap
+        canonical.replace('"label": 4', '"label": ٣'),  # digits json rejects
+        canonical.replace('"rank": 2', '"rank": ٢'),
+        json.dumps(raw_record("q8", list(range(1, 6)) * 3)),  # no treatment
         json.dumps(raw_record("q9", [3] * 1001, [3] * 1000)),  # past the ranks read as text
+        label_first,
+        canonical.replace('"q0"', '""'),
+        canonical.replace('"q0"', '"q11"').replace('"head"', '"viral"'),
+        canonical.replace('"q0"', '"q12\x01"'),  # a raw control character
+        canonical.replace('"q0"', '"q13"').replace('"art"', '"ärt"'),
+        canonical + " x",  # trailing text
     ]
     path = write_lines(tmp_path / "d.jsonl", lines)
     read = []
@@ -66,30 +87,42 @@ def test_only_canonical_list_arms_are_read_from_the_line_text(tmp_path):
         for obj in read_jsonl(path):
             read.append(obj)
     assert [(v.field, str(v).split(" (")[0]) for v in exc.value.violations] == [
-        (f"line {n}", f"line {n}: malformed JSON") for n in (6, 10, 11)]
-    assert [(obj["query_id"], type(obj["control"]).__name__, type(obj["treatment"]).__name__
-             if "treatment" in obj else None) for obj in read] == [
-        ("q0", "bytes", "bytes"), ("true-crime", "bytes", "bytes"), ("q1", "bytes", "bytes"),
-        ("q2", "dict", None), ("q3", "list", "bytes"), ("q5", "list", "list"),
-        ("q6", "list", "bytes"), ("q7\\", "bytes", "bytes"), ("q8", "list", "bytes"),
-        ("q9", "list", "bytes")]
-    assert read[0]["control"] == b"\3\4" and read[1]["control"] == bytes(range(1, 6)) * 3
-    assert read[1]["treatment"] == b"\6" and read[2]["control"] == b"\3\4"
+        (f"line {n}", f"line {n}: malformed JSON") for n in (6, 10, 11, 17, 19)]
+    assert [(type(obj).__name__, obj.query_id if type(obj) is QueryRecord else obj["query_id"])
+            for obj in read] == [
+        ("QueryRecord", "q0"), ("dict", "true-crime"), ("dict", "q1"), ("dict", "q2"),
+        ("dict", "q3"), ("dict", "q5"), ("dict", "q6"), ("dict", "q7\\"),
+        ("QueryRecord", "q8"), ("dict", "q9"), ("QueryRecord", "q10"), ("dict", ""),
+        ("dict", "q11"), ("QueryRecord", "q13")]
+    assert (read[0].control, read[0].treatment, read[0].control_reference) == (b"\3\4", b"\5", None)
+    assert read[8].control == bytes(range(1, 6)) * 3 and read[8].treatment is None
+    assert read[10].control == b"\3\4" and read[13].stratum == sk("ärt")
+    write_lines(path, [line for n, line in enumerate(lines, start=1)
+                       if n not in (6, 10, 11, 17, 19)])
+    with pytest.warns(UserWarning, match="extra"):
+        read = records_or_violations(path)
+        with json_alone():
+            assert records_or_violations(path) == read
+    assert {v[0] for v in read} == {"BadLabelValue", "BadRankSequence", "MissingArm"}
 
 
-def test_only_canonical_dual_arms_are_read_from_the_line_text(tmp_path):
-    # a dual-label arm json.dumps wrote, with the default or compact
-    # separators and labels of one digit, holds bytes arrays as read_jsonl
-    # yields it; every other arm is as json decodes it
-    canonical = json.dumps(dual_raw("q0", [3, 4], [5, 5], [6], [0]))
+def test_only_whole_template_lines_of_dual_arms_are_read_from_their_text(tmp_path):
+    # a line json.dumps wrote with the first line's separators, labels 1..5
+    # and arrays of equal length, is the record read_jsonl yields; every
+    # other line is the object json decodes
+    canonical = json.dumps(dual_raw("q0", [3, 4], [5, 5], [2], [1]))
     lines = [
         canonical,
         json.dumps(dual_raw("q1", [2], [1], [4], [4]), separators=(",", ":")),
         canonical.replace("q0", "q2").replace('"machine_labels": [3, 4]', '"machine_labels": [3]'),
-        canonical.replace("q0", "q3").replace("[6]", "[10]"),  # a label of two digits
-        canonical.replace("q0", "q4").replace("[6]", "[]"),
-        json.dumps({"query_id": "q5", "control": {"reference_labels": [3], "machine_labels": [4]}}),
-        canonical.replace("q0", "q6").replace("[6]", "[\u0663]"),  # a digit json rejects
+        canonical.replace("q0", "q3").replace("[2]", "[10]"),  # a label of two digits
+        canonical.replace("q0", "q4").replace("[2]", "[]"),
+        json.dumps({"query_id": "q5", "market": "US",
+                    "stratum": {"interest": "art", "popularity": "head"},
+                    "control": {"reference_labels": [3], "machine_labels": [4]}}),
+        canonical.replace("q0", "q6").replace("[2]", "[٣]"),  # a digit json rejects
+        json.dumps(dual_raw("q7", [1, 2, 3], [3, 2, 1])),  # no treatment
+        canonical.replace("q0", "q8").replace("[1]", "[0]"),
     ]
     path = write_lines(tmp_path / "d.jsonl", lines)
     read = []
@@ -97,42 +130,78 @@ def test_only_canonical_dual_arms_are_read_from_the_line_text(tmp_path):
         for obj in read_jsonl(path):
             read.append(obj)
     assert [v.field for v in exc.value.violations] == ["line 7"]
-    assert [type(obj["control"]["machine_labels"]).__name__ for obj in read] == [
-        "bytes", "bytes", "bytes", "bytes", "bytes", "list"]
-    assert [type(obj["treatment"]["machine_labels"]).__name__ for obj in read[:5]] == [
-        "bytes", "bytes", "bytes", "list", "list"]
-    assert read[0]["control"] == {"machine_labels": b"\3\4", "reference_labels": b"\5\5"}
-    assert read[0]["treatment"] == {"machine_labels": b"\6", "reference_labels": b"\0"}
-    assert read[1]["control"] == {"machine_labels": b"\2", "reference_labels": b"\1"}
-    assert read[2]["control"] == {"machine_labels": b"\3", "reference_labels": b"\5\5"}
+    assert [type(obj).__name__ for obj in read] == [
+        "QueryRecord", "dict", "dict", "dict", "dict", "dict", "QueryRecord", "dict"]
+    assert (read[0].control, read[0].control_reference, read[0].treatment,
+            read[0].treatment_reference) == (b"\3\4", b"\5\5", b"\2", b"\1")
+    assert (read[6].control, read[6].control_reference, read[6].treatment) == (
+        b"\1\2\3", b"\3\2\1", None)
+    del lines[6]
+    write_lines(path, lines)
+    read = records_or_violations(path)
+    assert {v[0] for v in read} == {"BadLabelValue", "BadRankSequence"}
+    with json_alone():
+        assert records_or_violations(path) == read
 
 
-def test_the_first_line_decides_which_arm_form_is_read_from_the_text(tmp_path):
-    # after a dual-label first line, a canonical list arm is a list json
-    # decoded, and the records are the same either way
-    path = write_lines(tmp_path / "d.jsonl", [
-        json.dumps(dual_raw("q0", [2], [1])), json.dumps(raw_record("q1", [3, 4], [5]))])
-    assert [type(obj["control"]) for obj in read_jsonl(path)] == [dict, list]
-    q0, q1 = read_dataset(path).records
-    assert (q0.control, q0.control_reference) == (b"\2", b"\1")
-    assert (q1.control, q1.treatment) == (b"\3\4", b"\5")
+@pytest.mark.parametrize("first, other", [
+    (dual_raw("q0", [2], [1]), raw_record("q1", [3, 4], [5])),
+    (raw_record("q0", [2], [1]), dual_raw("q1", [3, 4], [5, 5])),
+], ids=["dual-then-list", "list-then-dual"])
+@pytest.mark.parametrize("dumps", [
+    lambda obj: json.dumps(obj, sort_keys=True),
+    lambda obj: json.dumps(obj, separators=(",", ":")),
+    json.dumps,
+], ids=["sort_keys", "compact", "default"])
+def test_the_first_line_picks_the_template(tmp_path, first, other, dumps):
+    # the first line's key order, arm form and separators pick the one
+    # template the file's lines are matched against; a line of another
+    # form or key order, or with other separators, is decoded by json, and
+    # the records are the same either way
+    lines = [dumps(first), dumps(other), json.dumps(other | {"query_id": "q2"}),
+             dumps(first | {"query_id": "q3"})]
+    path = write_lines(tmp_path / "d.jsonl", lines)
+    assert [type(obj).__name__ for obj in read_jsonl(path)] == [
+        "QueryRecord", "dict", "dict", "QueryRecord"]
+    read = read_dataset(path).records
+    with json_alone():
+        assert read_dataset(path).records == read
+    assert [rec.query_id for rec in read] == ["q0", "q1", "q2", "q3"]
 
 
-def test_a_bytes_array_is_checked_by_the_label_rule_wherever_it_comes_from():
-    # a bytes arm or label array of an in-memory record is taken as one read
-    # from the line text, and a byte outside 1..5 is the label's violation
-    [rec] = validate_dataset([dict(dual_raw("q0", [3], [4]), control=b"\3\4",
-                                   treatment={"machine_labels": b"\2", "reference_labels": [5]})]
-                             ).records
-    assert (rec.control, rec.treatment, rec.treatment_reference) == (b"\3\4", b"\2", b"\5")
+def test_a_compact_list_form_file_and_its_sort_keys_copy_read_as_json_reads_them(tmp_path):
+    # a list-form file written with the compact separators is read from its
+    # text by the compact templates, in either key order
+    raws = [raw_record(f"q{i}", [3, 4, 1][:i % 3 + 1], [5, 2] if i % 2 else None,
+                       interest=f"i{i % 4}", market="US" if i % 3 else "DE") for i in range(30)]
+    for sort_keys in (False, True):
+        path = write_lines(tmp_path / f"d{sort_keys}.jsonl", [
+            json.dumps({k: v for k, v in raw.items() if v is not None}, sort_keys=sort_keys,
+                       separators=(",", ":")) for raw in raws])
+        assert {type(obj) for obj in read_jsonl(path)} == {QueryRecord}
+        read = read_dataset(path).records
+        with json_alone():
+            assert read_dataset(path).records == read
+        assert read[1] == record("q1", [3, 4], [5, 2], sk("i1"), market="US")
+        assert read[0].treatment is None and read[0].market == "DE"
+
+
+def test_only_read_jsonl_hands_validation_a_record_as_it_is(tmp_path):
+    # a QueryRecord, or a bytes arm, of an in-memory record is not a JSON
+    # object or arm; a record of read_jsonl is taken as read
+    path = write_lines(tmp_path / "d.jsonl", [json.dumps(raw_record("q0", [3], [4]))])
+    [rec] = read_jsonl(path)
+    assert validate_dataset(read_jsonl(path)).records == (rec,)
     with pytest.raises(DatasetValidationError) as exc:
-        validate_dataset([dict(raw_record("q0", [3]), control=b"\x09"),
-                          dual_raw("q1", [3], [4]) | {"control": {
-                              "machine_labels": b"\3", "reference_labels": b"\0"}}])
+        validate_dataset([rec, dict(raw_record("q1", [3]), control=b"\3\4"),
+                          dual_raw("q2", [3], [4]) | {"control": {
+                              "machine_labels": b"\3", "reference_labels": [4]}}])
     assert [(v.code, v.field, str(v)) for v in exc.value.violations] == [
-        ("BadLabelValue", "control", "label level must be an integer in [1, 5], got 9"),
-        ("BadLabelValue", "control.reference_labels",
-         "label level must be an integer in [1, 5], got 0")]
+        ("Error", None, "expected a JSON object, got QueryRecord"),
+        ("MissingArm", "control",
+         "control: expected a list of rank/label objects or a dual-label object"),
+        ("MissingArm", "control",
+         "control: dual-label form requires machine_labels and reference_labels")]
 
 
 def test_read_dataset_gives_bytes_pages_in_both_arm_forms(tmp_path):

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from releval.errors import NonPositiveMean, OutOfDomain
+from releval.errors import BadSpec, NonPositiveMean, OutOfDomain
 from releval.power import PowerConfig, mde, normal_cdf, normal_quantile, required_n
 
 # frozen from the Table-style example: mu=0.8, sigma=0.184, n=2000, defaults
@@ -126,3 +126,23 @@ def test_mde_takes_numbers_and_an_integer_n(args, message):
     with pytest.raises(OutOfDomain) as exc:
         mde(*args)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: normal_quantile("a"), "quantile argument must be a number, got 'a'"),
+    (lambda: PowerConfig(power="a"), "power must be a number, got 'a'"),
+], ids=["normal_quantile", "PowerConfig"])
+def test_a_probability_that_is_no_number_is_out_of_domain(call, message):
+    # the type is tested before the range, which a str cannot be compared with
+    with pytest.raises(OutOfDomain) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("call", [lambda: mde(0.5, 0.1, 10, cfg=5),
+                                  lambda: required_n(0.5, 0.1, 0.01, cfg=5)],
+                         ids=["mde", "required_n"])
+def test_a_cfg_that_is_no_power_config_is_a_bad_spec(call):
+    with pytest.raises(BadSpec) as exc:
+        call()
+    assert str(exc.value) == "cfg must be a PowerConfig, got 5"

@@ -591,117 +591,130 @@ def test_spec_types_take_what_their_loaders_take(case):
         assert _outcome(lambda: loader(path)) == _outcome(build)
 
 
-# labels the short check must tell apart: bools, ints bytes() takes and
-# translate rejects, ints bytes() rejects, and a float equal to a label
+# labels the label check must tell apart: bools, ints bytes() takes and the
+# templates reject, ints bytes() rejects, and a float equal to a label
 TEXT_LABEL = LABEL | st.sampled_from([True, False, 0, 6, 256, -1, 1.0])
-# a page of a canonical list arm, read from the line's text: ranks of two
-# digits past 9, and labels 0 and 6 the label rule rejects
-CANONICAL_PAGE = st.lists(LABEL | st.sampled_from([0, 6]), min_size=1, max_size=12)
 # 3 in three scripts other than ASCII, which json rejects
-OTHER_DIGITS = st.sampled_from(["\u0663", "\uff13", "\u09e9"])
+OTHER_DIGITS = st.sampled_from(["٣", "３", "৩"])
+# the fields of a line in each key order a template takes
+KEY_ORDERS = {"bench": ["query_id", "market", "stratum", "control", "treatment"],
+              "sort_keys": ["control", "market", "query_id", "stratum", "treatment"]}
+# what makes a line other than a template's, one a line: a string with an
+# escape, a raw control character, a non-ASCII character or no text, an
+# unknown popularity; an arm with a label 0, 6 or 10, a rank gap, dual
+# arrays of unequal length, the other arm form, labels of other JSON types,
+# a digit outside ASCII or the other separators; keys out of order, repeated
+# (json keeps the last) or missing, arm text inside a string, an unknown
+# field or ``stratum``, and text after the closing brace
+HAZARDS = ["escape", "raw", "non-ascii", "empty", "popularity", "label", "gap", "unequal",
+           "form", "values", "unicode", "separators", "order", "repeat", "missing", "string",
+           "extra", "stratum", "tail"]
 
 
-def _items_text(ranks, labels, label_first=False):
+def _items_text(ranks, labels, label_first=False, compact=False):
     item = '{{"label": {1}, "rank": {0}}}' if label_first else '{{"rank": {0}, "label": {1}}}'
-    return "[" + ", ".join(item.format(r, lab) for r, lab in zip(ranks, labels)) + "]"
+    text = "[" + ", ".join(item.format(r, lab) for r, lab in zip(ranks, labels)) + "]"
+    return text.replace(", ", ",").replace(": ", ":") if compact else text
 
 
 @st.composite
-def dual_texts(draw):
-    """A dual-label arm's text as json.dumps writes it, with the default or the
-    compact separators, or in the other key order: labels 0, 6 and 10 among
-    them, a digit outside ASCII, and arrays empty or of unequal length."""
-    arrays = [draw(st.lists(st.sampled_from(["0", "6", "10"]) | LABEL.map(str), max_size=4))]
-    arrays.append(draw(st.lists(LABEL.map(str), min_size=len(arrays[0]),
-                                max_size=len(arrays[0])) | st.lists(LABEL.map(str), max_size=4)))
-    if arrays[0] and draw(st.booleans()):
-        arrays[0][0] = draw(OTHER_DIGITS)
-    comma, colon = draw(st.sampled_from([(", ", ": "), (",", ":")]))
-    fields = [f'"{key}"{colon}[{comma.join(labels)}]'
-              for key, labels in zip(["machine_labels", "reference_labels"], arrays)]
-    if draw(st.booleans()):
+def arm_texts(draw, form, compact, hazard=None):
+    """An arm's text as json.dumps writes it, of ``form`` with the file's
+    separators, or with ``hazard`` (one of HAZARDS) in it. A list-form arm's
+    items hold their keys in either order: rank first, or label first as
+    sort_keys writes them."""
+    if hazard == "form":
+        form = "list" if form == "dual" else "dual"
+    if hazard == "separators":
+        compact = not compact
+    n = draw(st.integers(1, 12))
+    if hazard == "values":
+        labels = draw(st.lists(TEXT_LABEL, min_size=1, max_size=4))
+        if form == "list":
+            return json.dumps(_list_arm(labels))
+        return json.dumps({"machine_labels": labels, "reference_labels": draw(
+            st.lists(TEXT_LABEL, min_size=len(labels), max_size=len(labels)))})
+    # labels 1..n too, which pass for ranks if the key order is misread
+    labels = draw(st.lists(LABEL, min_size=n, max_size=n) | st.just(list(range(1, n + 1))))
+    i = draw(st.integers(0, n - 1))
+    if hazard == "label":
+        labels[i] = draw(st.sampled_from([0, 6, 10]))
+    elif hazard == "unicode":
+        labels[i] = draw(OTHER_DIGITS)
+    if form == "list":
+        ranks = list(range(1, n + 1))
+        if hazard == "gap":
+            ranks[i] = draw(st.sampled_from([0, ranks[i] + 1, ranks[i] + 10, f"0{ranks[i]}"]))
+            if n > 1 and draw(st.booleans()):
+                ranks[0], ranks[-1] = ranks[-1], ranks[0]
+        elif hazard == "unequal":
+            ranks = labels = []
+        return _items_text(ranks, labels, draw(st.booleans()), compact)
+    arrays = [labels, draw(st.lists(LABEL, min_size=n, max_size=n))]
+    if hazard == "unequal":
+        arrays[draw(st.integers(0, 1))] = draw(st.lists(LABEL, max_size=n - 1))
+    comma, colon = (",", ":") if compact else (", ", ": ")
+    fields = [f'"{key}"{colon}[{comma.join(map(str, values))}]'
+              for key, values in zip(["machine_labels", "reference_labels"], arrays)]
+    if hazard == "gap":  # the keys out of order
         fields.reverse()
     return "{" + comma.join(fields) + "}"
 
 
 @st.composite
-def arm_texts(draw):
-    """An arm's JSON text: a canonical list or dual-label arm, as json.dumps
-    writes it; an arm drawn as JSON values; or arm-like text the line-text
-    reader must leave to json: ranks out of order, with a gap, past 9 or
-    written as 01, a rank or a label written as a digit outside ASCII (json
-    rejects it), or a bare negative int, the placeholders included. A list
-    arm's items hold their keys in either order: rank first, or label first
-    as sort_keys writes them."""
-    kind = draw(st.sampled_from(["canonical", "values", "ranks", "unicode", "negative", "dual"]))
-    if kind == "dual":
-        return draw(dual_texts())
-    if kind == "values":
-        labels = draw(st.lists(TEXT_LABEL, max_size=4))
-        if draw(st.booleans()):
-            return json.dumps(_list_arm(labels))
-        return json.dumps({"machine_labels": labels, "reference_labels": draw(
-            st.lists(TEXT_LABEL, min_size=len(labels), max_size=len(labels)))})
-    if kind == "negative":
-        return str(draw(st.sampled_from(dataset_io._HOLDERS) | st.integers(-10 ** 4, -1)))
-    # labels 1..n too, which pass for ranks if the key order is misread
-    labels = draw(CANONICAL_PAGE | st.integers(1, 5).map(lambda n: list(range(1, n + 1))))
-    ranks = list(range(1, len(labels) + 1))
-    if kind == "ranks":
-        i = draw(st.integers(0, len(ranks) - 1))
-        ranks[i] = draw(st.sampled_from([0, ranks[i] + 1, ranks[i] + 10, f"0{ranks[i]}"]))
-        if len(ranks) > 1 and draw(st.booleans()):
-            ranks[0], ranks[-1] = ranks[-1], ranks[0]
-    if kind == "unicode":
-        digit = draw(OTHER_DIGITS)
-        i = draw(st.integers(0, len(ranks) - 1))
-        if draw(st.booleans()):
-            ranks[i] = digit
-        else:
-            labels[i] = digit
-    return _items_text(ranks, labels, draw(st.booleans()))
-
-
-@st.composite
 def record_lines(draw):
-    """Record lines for the labels read or checked from the line text: query
-    ids that hold ``true`` or end in a backslash, bools and out-of-range
-    numbers among the labels, keys that repeat (json keeps the last), both arm
-    forms and the text of canonical list and dual-label arms, in any field
-    order, beside each hazard to reading arms from the text: arm text inside a
-    query id or an unknown field (raw or escaped), an arm in ``stratum`` and
-    text after the closing brace."""
+    """A file of record lines in one key order (or in none), arm form and
+    separators, most as a template takes them, and the others each with one
+    of HAZARDS."""
+    order = draw(st.sampled_from([*KEY_ORDERS, "shuffled"]))
+    form = draw(st.sampled_from(["list", "dual"]))
+    compact = draw(st.booleans())
+    comma, colon = (",", ":") if compact else (", ", ": ")
     lines = []
     for i in range(draw(st.integers(1, 6))):
-        labels = [str(label) for label in draw(st.lists(LABEL, min_size=3, max_size=3))]
-        canonical = draw(st.sampled_from([
-            _items_text(range(1, 4), labels),
-            '{"machine_labels": [%s], "reference_labels": [%s]}' % (", ".join(labels),
-                                                                    ", ".join(labels[::-1]))]))
-        query_id = json.dumps(draw(st.sampled_from([f"q{i}", f"true-{i}", f"q{i}-false",
-                                                   f"q{i}\\"])))
-        fields = [("query_id", query_id), ("market", '"US"'),
-                  ("stratum", '{"interest": "art", "popularity": "head"}'),
-                  ("control", draw(arm_texts()))]
-        if draw(st.booleans()):
-            fields.append(("treatment", draw(arm_texts())))
-        hazard = draw(st.sampled_from([None, "repeat", "query_id", "extra", "stratum"]))
+        hazard = draw(st.sampled_from([None] * 8 + HAZARDS))
+        strings = {"query_id": f"q{i}", "market": "US", "interest": "art", "popularity": "head"}
+        name = draw(st.sampled_from(["query_id", "market", "interest"]))
+        if hazard in ("escape", "raw", "non-ascii"):
+            strings[name] += {"escape": "\\", "raw": "\x01", "non-ascii": "é"}[hazard]
+        elif hazard == "empty":
+            strings[name] = ""
+        elif hazard == "popularity":
+            strings["popularity"] = draw(st.sampled_from(["viral", "", "Head"]))
+        texts = {key: f'"{value}"' if hazard == "raw" else
+                 json.dumps(value, ensure_ascii=draw(st.booleans()))
+                 for key, value in strings.items()}
+        arm = draw(st.sampled_from(["control", "treatment"]))
+        fields = {"query_id": texts["query_id"], "market": texts["market"],
+                  "stratum": "{" + f'"interest"{colon}{texts["interest"]}{comma}'
+                             + f'"popularity"{colon}{texts["popularity"]}' + "}",
+                  "control": draw(arm_texts(form, compact, hazard if arm == "control" else None)),
+                  "treatment": draw(arm_texts(form, compact,
+                                              hazard if arm == "treatment" else None))}
+        if draw(st.booleans()) and draw(st.booleans()):
+            del fields["treatment"]
+        canonical = draw(arm_texts(form, False))
+        if hazard == "string":  # arm text in a query id: escaped, raw, after a backslash
+            fields["query_id"] = draw(st.sampled_from(
+                [json.dumps(canonical), f'"{canonical}"', f'"q\\\\{canonical}"']))
+        elif hazard == "stratum":
+            fields["stratum"] = draw(st.sampled_from(
+                [canonical, '{"interest": "art", "popularity": "head", "x": %s}' % canonical]))
+        keys = list(KEY_ORDERS.get(order, KEY_ORDERS["bench"]))
+        if order == "shuffled" or hazard == "order":
+            keys = draw(st.permutations(keys))
+        items = [(key, fields[key]) for key in keys if key in fields]
         if hazard == "repeat":
             key = draw(st.sampled_from(["control", "treatment", "query_id"]))
-            fields.append((key, json.dumps(f"q{i}") if key == "query_id" else draw(arm_texts())))
-        elif hazard == "query_id":  # escaped, raw, and raw after an escaped backslash
-            fields[0] = (hazard, draw(st.sampled_from(
-                [json.dumps(canonical), f'"{canonical}"', f'"q\\\\{canonical}"'])))
-            if draw(st.booleans()):  # the placeholder the arm in the string gives way to
-                fields[3] = ("control", dataset_io._HOLDER_TEXTS[0])
+            items.append((key, json.dumps(f"q{i}") if key == "query_id"
+                          else draw(arm_texts(form, compact))))
+        elif hazard == "missing":
+            del items[draw(st.integers(0, len(items) - 1))]
         elif hazard == "extra":
-            fields.append((hazard, draw(st.sampled_from(
+            items.append((hazard, draw(st.sampled_from(
                 [canonical, json.dumps(canonical), f'"{canonical}"']))))
-        elif hazard == "stratum":
-            fields[2] = (hazard, draw(st.sampled_from(
-                [canonical, '{"interest": "art", "popularity": "head", "x": %s}' % canonical])))
-        tail = draw(st.sampled_from(["", "", " ", " x", " " + canonical]))
-        lines.append("{" + ", ".join(f'"{k}": {v}' for k, v in draw(st.permutations(fields)))
+        tail = draw(st.sampled_from([" ", " x", " " + canonical])) if hazard == "tail" else ""
+        lines.append("{" + comma.join(f'"{key}"{colon}{value}' for key, value in items)
                      + "}" + tail)
     return lines
 
@@ -713,31 +726,24 @@ def _records_or_violations(build):
         return [(v.code, v.query_id, v.field, str(v)) for v in err.violations]
 
 
-# a line of canonical arm text inside a string, which json cannot decode,
-# whose control is the placeholder int: the placeholder's text is in the
-# line twice once the arm gives way to it
-_HELD_IN_A_STRING = ('{"query_id": "%s", "market": "US", '
-                     '"stratum": {"interest": "art", "popularity": "head"}, '
-                     f'"control": {dataset_io._HOLDERS[0]}}}')
-# each arm form's text searcher, as one that matches no text
-_JSON_ALONE = tuple((mark, re.compile("(?!)"), read) for mark, _, read in dataset_io._TEXT_FORMS)
-
-
-@settings(max_examples=300)
+@settings(max_examples=400)
 @given(lines=record_lines())
-@example(lines=[_HELD_IN_A_STRING % '[{"rank": 1, "label": 3}]'])
-@example(lines=[_HELD_IN_A_STRING % '{"machine_labels": [3], "reference_labels": [4]}'])
+@example(lines=['{"query_id": "q0\\\\", "market": "US", "stratum": {"interest": "art", '
+                '"popularity": "head"}, "control": [{"rank": 1, "label": 3}]}'])
+@example(lines=['{"query_id": "q0", "market": "US", "stratum": {"interest": "art", '
+                '"popularity": "head"}, "control": [{"rank": 1, "label": 3}, '
+                '{"rank": 3, "label": 4}]}'])
 def test_read_dataset_checks_labels_as_validate_dataset_does(lines):
-    # read_dataset reads canonical arms of both forms from the line text, as
-    # bytes the label rule checks by translate; json alone reads the same
-    # file to the same records or violations, and validate_dataset on the
-    # decoded objects, when every line decodes, checks each label's type
+    # read_dataset reads each line a template takes whole, and whose record is
+    # valid as it stands, from its text; json alone reads the same file to
+    # the same records or violations, and validate_dataset on the decoded
+    # objects, when every line decodes, checks each label's type
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("ignore")  # unknown fields
         path = Path(tmp) / "d.jsonl"
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         read = _records_or_violations(lambda: read_dataset(path))
-        with mock.patch.object(dataset_io, "_TEXT_FORMS", _JSON_ALONE):
+        with mock.patch.object(dataset_io, "_template", lambda line: None):
             assert read == _records_or_violations(lambda: read_dataset(path))
         try:
             objs = [json.loads(line) for line in lines]
