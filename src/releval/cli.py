@@ -8,14 +8,13 @@ tool version so runs are reproducible byte for byte.
 
 from __future__ import annotations
 
+import argparse
 import csv
 import gc
 import json
 import os
 import sys
 import warnings
-
-import click
 
 # bound, not imported: a module's code runs when a command first reads it
 # (see releval/__init__.py), so each command runs only the modules it uses
@@ -39,90 +38,180 @@ EXIT_DOMAIN = 1
 EXIT_IO = 2
 
 
-def _error_json_option(**kwargs):
-    # parsed and listed in --help, never read: the group reads the raw args
-    return click.Option(
-        ["--error-json"], is_flag=True, expose_value=False,
-        help="Emit machine-readable error JSON on stdout instead of a message on stderr.",
-        **kwargs)
+class _UsageError(Exception):
+    """A command line the parser cannot take; ``parser`` is the one that refused it."""
+
+    def __init__(self, parser, message):
+        super().__init__(message)
+        self.parser = parser
 
 
-class Group(click.Group):
-    """The command group: maps each failure of a command to an exit code, once.
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser that raises a usage error where argparse would exit,
+    so that the dispatcher decides where the message goes."""
 
-    Every command takes an --error-json flag, and the group takes it before
-    the command name too. Domain errors exit 1; I/O and usage errors exit 2.
-    The error goes to stderr as a message, or under --error-json to stdout as
-    one JSON object. The flag is read once, from the raw args, as parsing may
-    fail before it reaches the flag: the token anywhere turns the payload on.
-    A warning goes to stderr as one line, "warning: <message>".
+    def error(self, message):
+        raise _UsageError(self, message)
+
+
+class Param:
+    """One ``add_argument`` call, kept until a command's parser is built;
+    ``name`` is the keyword it passes to the command."""
+
+    def __init__(self, *flags, **kwargs):
+        self.flags = flags
+        self.kwargs = kwargs
+        self.name = kwargs.get("dest") or flags[0].lstrip("-").replace("-", "_")
+
+
+# every command takes it; parsed, listed in --help and never read: the
+# dispatcher reads the raw args
+_ERROR_JSON = Param("--error-json", action="store_true",
+                    help="Emit machine-readable error JSON on stdout instead of a message on stderr.")
+
+
+class Command:
+    """One command: its parameters and its body.
+
+    The dispatcher reads ``callback`` on every call, so a caller may swap it.
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.params.append(_error_json_option(hidden=True))
+    def __init__(self, callback, params):
+        self.callback = callback
+        self.params = [*params, _ERROR_JSON]
+        # the options that take the next token as their value: all but the flag
+        self.value_options = {flag for param in params for flag in param.flags
+                              if flag.startswith("-")}
 
-    def add_command(self, cmd, name=None):
-        cmd.params.append(_error_json_option())
-        super().add_command(cmd, name)
 
-    def make_context(self, info_name, args, parent=None, **extra):
-        error_json = "--error-json" in args  # read first: parsing consumes args
+class Cli:
+    """The command line: one argparse subparser per command, each failure mapped
+    to an exit code once.
+
+    Every command takes an --error-json flag, and the top level takes it
+    before the command name too. Domain errors exit 1; I/O and usage errors
+    exit 2. The error goes to stderr as a message (a usage error after its
+    usage line), or under --error-json to stdout as one JSON object. The flag
+    is read once, from the raw args, as parsing may fail before it reaches
+    the flag: the token anywhere turns the payload on. A warning goes to
+    stderr as one line, "warning: <message>".
+
+    Called with no args it reads ``sys.argv``. It ends in ``SystemExit(0)``
+    on success, or returns under ``standalone_mode=False``; every failure
+    ends in ``SystemExit`` with its exit code.
+    """
+
+    def __init__(self, description):
+        self.description = description
+        self.commands = {}
+
+    def command(self, name, *params):
+        def register(callback):
+            self.commands[name] = Command(callback, params)
+            return callback
+        return register
+
+    def _parsers(self):
+        """The top-level parser, and each command's by name."""
+        options = {"add_help": False, "allow_abbrev": False}
+        top = _Parser(prog="releval", description=self.description, **options)
+        top.add_argument("--version", action="version", version=f"releval, version {__version__}",
+                         help="Show the version and exit.")
+        top.add_argument("--help", action="help", help="Show this message and exit.")
+        top.add_argument("--error-json", action="store_true", help=argparse.SUPPRESS)
+        subparsers = top.add_subparsers(dest="command", metavar="COMMAND")
+        for name, command in self.commands.items():
+            doc = command.callback.__doc__
+            sub = subparsers.add_parser(name, help=doc, description=doc, **options)
+            for param in command.params:
+                sub.add_argument(*param.flags, **param.kwargs)
+            sub.add_argument("--help", action="help", help="Show this message and exit.")
+        return top, subparsers.choices
+
+    def _parse(self, args):
+        """The command and its keyword arguments, or a usage error."""
+        top, subs = self._parsers()
+        parsed, extras = top.parse_known_args(_joined_values(args, self.commands))
+        kwargs = vars(parsed)
+        name = kwargs.pop("command")
+        del kwargs["error_json"]
+        # checked here, not by argparse: it would report a missing command
+        # first, and so not name the option in "releval --bogus"
+        if extras:
+            subs.get(name, top).error(f"unrecognized arguments: {' '.join(extras)}")
+        if name is None:
+            top.error("the following arguments are required: COMMAND")
+        return name, kwargs
+
+    def __call__(self, args=None, standalone_mode=True):
+        args = sys.argv[1:] if args is None else list(args)
+        error_json = "--error-json" in args  # read first: parsing may fail before it
         try:
-            ctx = super().make_context(info_name, args, parent=parent, **extra)
-        except click.UsageError as err:
-            if not error_json:
-                raise
-            _exit_with_usage_payload(err)
-        ctx.meta["releval.error_json"] = error_json
-        return ctx
-
-    def invoke(self, ctx):
-        try:
+            name, kwargs = self._parse(args)
             with warnings.catch_warnings():
                 # every warning is one line, whatever the interpreter's filters
                 warnings.simplefilter("always")
                 warnings.showwarning = _echo_warning
-                return super().invoke(ctx)
-        except click.UsageError as err:  # an unknown command, or a command's usage
-            if not ctx.meta["releval.error_json"]:
-                raise
-            _exit_with_usage_payload(err)
+                self.commands[name].callback(**kwargs)
+        except _UsageError as err:
+            code, payload = EXIT_IO, {"error": "UsageError", "message": str(err)}
+            message = f"{err.parser.format_usage()}{err.parser.prog}: error: {err}"
         except RelevalError as err:
             code, payload, message = EXIT_DOMAIN, err.payload(), f"error: {err}"
         except (OSError, json.JSONDecodeError, UnicodeDecodeError) as err:
             code, payload, message = (EXIT_IO, {"error": "IOError", "message": str(err)},
                                       f"I/O error: {err}")
-        if ctx.meta["releval.error_json"]:
-            click.echo(json.dumps(payload, sort_keys=True))
+        except KeyboardInterrupt:
+            if not standalone_mode:
+                raise
+            print("\nAborted!", file=sys.stderr)  # one line, no traceback, as under click
+            sys.exit(1)
         else:
-            click.echo(message, err=True)
+            if standalone_mode:
+                sys.exit(0)
+            return
+        if error_json:
+            print(json.dumps(payload, sort_keys=True))
+        else:
+            print(message, file=sys.stderr)
         sys.exit(code)
+
+
+def _joined_values(args, commands):
+    """``args`` with each of the command's options joined to the token after
+    it (``--mu=-1e-3``), up to a lone ``--``: an option takes the next token
+    as its value, whatever it is, where argparse would read one that starts
+    with "-" as an option."""
+    joined, value_options = [], set()
+    tokens = iter(args)
+    for arg in tokens:
+        if arg == "--":
+            joined.append(arg)
+            joined.extend(tokens)
+        elif arg in value_options:
+            value = next(tokens, None)
+            joined.append(arg if value is None else f"{arg}={value}")
+        else:
+            if not value_options and arg in commands:  # the command name
+                value_options = commands[arg].value_options
+            joined.append(arg)
+    return joined
 
 
 def _echo_warning(message, category, filename, lineno, file=None, line=None):
     # a warning is news about the input, not about the code that noticed it
-    click.echo(f"warning: {message}", err=True)
+    print(f"warning: {message}", file=sys.stderr)
 
 
-def _exit_with_usage_payload(err):
-    click.echo(json.dumps({"error": "UsageError", "message": err.format_message()},
-                          sort_keys=True))
-    sys.exit(err.exit_code)
+main = Cli("Whole-page relevance measurement for paired A/B experiments.")
 
 
-@click.group(cls=Group)
-@click.version_option(version=__version__, prog_name="releval")
-def main():
-    """Whole-page relevance measurement for paired A/B experiments."""
-
-
-@main.command("metric")
-@click.argument("dataset_path", type=click.Path())
-@click.option("--k", "k_depth", type=int, default=DEFAULT_K_DEPTH, show_default=True,
-              help="Metric depth K.")
-@click.option("--out", "out_path", type=click.Path(), default="-",
-              help="Output CSV path (default stdout).")
+@main.command(
+    "metric",
+    Param("dataset_path", metavar="DATASET_PATH"),
+    Param("--k", dest="k_depth", type=int, default=DEFAULT_K_DEPTH,
+          help="Metric depth K (default: %(default)s)."),
+    Param("--out", dest="out_path", default="-", help="Output CSV path (default stdout)."))
 def cli_metric(dataset_path, k_depth, out_path):
     """Per-query page-score CSV for every arm in DATASET_PATH."""
     dataset = dataset_io.read_dataset(dataset_path, k_depth=k_depth)
@@ -165,19 +254,21 @@ def _topline_mde(dataset, deltas, per_stratum, weights, cfg):
     return out
 
 
-@main.command("evaluate")
-@click.argument("dataset_path", type=click.Path())
-@click.option("--design", "design_path", type=click.Path(), default=None,
-              help="Strata design file with population weights (required for stratified).")
-@click.option("--estimator", type=click.Choice(["srs", "stratified"]), default="srs",
-              show_default=True)
-@click.option("--alpha", type=float, default=0.05, show_default=True)
-@click.option("--q", type=float, default=0.05, show_default=True,
-              help="FDR level for segment analysis.")
-@click.option("--by", "grouping", type=click.Choice(list(GROUPINGS)), default="popularity",
-              show_default=True)
-@click.option("--k", "k_depth", type=int, default=DEFAULT_K_DEPTH, show_default=True)
-@click.option("--out", "out_path", type=click.Path(), default="-")
+@main.command(
+    "evaluate",
+    Param("dataset_path", metavar="DATASET_PATH"),
+    Param("--design", dest="design_path",
+          help="Strata design file with population weights (required for stratified)."),
+    Param("--estimator", choices=["srs", "stratified"], default="srs",
+          help="(default: %(default)s)"),
+    Param("--alpha", type=float, default=0.05, help="(default: %(default)s)"),
+    Param("--q", type=float, default=0.05,
+          help="FDR level for segment analysis (default: %(default)s)."),
+    Param("--by", dest="grouping", choices=list(GROUPINGS), default="popularity",
+          help="(default: %(default)s)"),
+    Param("--k", dest="k_depth", type=int, default=DEFAULT_K_DEPTH,
+          help="(default: %(default)s)"),
+    Param("--out", dest="out_path", default="-"))
 def cli_evaluate(dataset_path, design_path, estimator, alpha, q, grouping, k_depth, out_path):
     """Topline and per-segment paired-delta estimates with BH-corrected flags."""
     # the options are checked before any file is read
@@ -223,14 +314,15 @@ def cli_evaluate(dataset_path, design_path, estimator, alpha, q, grouping, k_dep
     _emit_json(report, out_path)
 
 
-@main.command("design")
-@click.option("--strata", "strata_path", type=click.Path(), required=True,
-              help="Strata design file with weights and sigmas.")
-@click.option("--budget", type=int, required=True)
-@click.option("--mode", type=click.Choice(["neyman", "proportional"]), default="neyman",
-              show_default=True)
-@click.option("--min-per-stratum", type=int, default=2, show_default=True)
-@click.option("--out", "out_path", type=click.Path(), default="-")
+@main.command(
+    "design",
+    Param("--strata", dest="strata_path", required=True,
+          help="Strata design file with weights and sigmas."),
+    Param("--budget", type=int, required=True),
+    Param("--mode", choices=["neyman", "proportional"], default="neyman",
+          help="(default: %(default)s)"),
+    Param("--min-per-stratum", type=int, default=2, help="(default: %(default)s)"),
+    Param("--out", dest="out_path", default="-"))
 def cli_design(strata_path, budget, mode, min_per_stratum, out_path):
     """Allocate a sample budget to strata (optimal or proportional)."""
     specs = dataset_io.load_design(strata_path)
@@ -245,35 +337,38 @@ def cli_design(strata_path, budget, mode, min_per_stratum, out_path):
     _emit_json(report, out_path)
 
 
-@main.command("mde")
-@click.option("--mu", type=float, required=True, help="Metric mean estimate.")
-@click.option("--sigma", type=float, required=True, help="Metric std dev estimate.")
-@click.option("--n", "n_queries", type=int, default=None, help="Sample size.")
-@click.option("--target", type=float, default=None,
-              help="Target MDE as a fraction; prints the required n instead.")
-@click.option("--alpha", type=float, default=0.05, show_default=True)
-@click.option("--power", "power_level", type=float, default=0.8, show_default=True)
+@main.command(
+    "mde",
+    Param("--mu", type=float, required=True, help="Metric mean estimate."),
+    Param("--sigma", type=float, required=True, help="Metric std dev estimate."),
+    Param("--n", dest="n_queries", type=int, help="Sample size."),
+    Param("--target", type=float,
+          help="Target MDE as a fraction; prints the required n instead."),
+    Param("--alpha", type=float, default=0.05, help="(default: %(default)s)"),
+    Param("--power", dest="power_level", type=float, default=0.8,
+          help="(default: %(default)s)"))
 def cli_mde(mu, sigma, n_queries, target, alpha, power_level):
     """Minimum detectable effect, or required n for a target MDE."""
     cfg = power.PowerConfig(alpha=alpha, power=power_level)
     if (n_queries is None) == (target is None):
         raise OutOfDomain("provide exactly one of --n or --target")
     if target is not None:
-        click.echo(str(power.required_n(mu, sigma, target, cfg)))
+        print(power.required_n(mu, sigma, target, cfg))
     else:
         value = power.mde(mu, sigma, n_queries, cfg)
-        click.echo(f"{value * 100:.4f}%")
+        print(f"{value * 100:.4f}%")
 
 
-@main.command("align")
-@click.argument("dataset_path", type=click.Path())
-@click.option("--by", "by", type=click.Choice(["popularity", "market"]), default="popularity",
-              show_default=True,
-              help="'popularity' pools markets; 'market' reports each market separately.")
-@click.option("--k", "k_depth", type=int, default=DEFAULT_K_DEPTH, show_default=True)
-@click.option("--out", "out_path", type=click.Path(), default="-")
-@click.option("--errors-csv", "errors_csv", type=click.Path(), default=None,
-              help="Also write per-query machine/reference scores and errors.")
+@main.command(
+    "align",
+    Param("dataset_path", metavar="DATASET_PATH"),
+    Param("--by", choices=["popularity", "market"], default="popularity",
+          help="'popularity' pools markets; 'market' reports each market separately "
+               "(default: %(default)s)."),
+    Param("--k", dest="k_depth", type=int, default=DEFAULT_K_DEPTH,
+          help="(default: %(default)s)"),
+    Param("--out", dest="out_path", default="-"),
+    Param("--errors-csv", help="Also write per-query machine/reference scores and errors."))
 def cli_align(dataset_path, by, k_depth, out_path, errors_csv):
     """Machine-vs-reference alignment report (correlations, error percentiles)."""
     dataset = dataset_io.read_dataset(dataset_path, k_depth=k_depth)
@@ -310,17 +405,17 @@ def _dataset_agreement(dataset):
         if pair[1] is not None)
 
 
-@main.command("simulate")
-@click.option("--spec", "spec_path", type=click.Path(), required=True,
-              help="Population spec JSON.")
-@click.option("--confusion", "confusion_path", type=click.Path(), default=None,
-              help="Confusion matrix JSON (default: identity labeler).")
-@click.option("--effect", "effect_path", type=click.Path(), default=None,
-              help="Effect spec JSON (default: null effect).")
-@click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True)
-@click.option("--rho-shared", type=float, default=0.0, show_default=True,
-              help="Probability that both arms share a labeler draw per position.")
-@click.option("--out", "out_path", type=click.Path(), required=True)
+@main.command(
+    "simulate",
+    Param("--spec", dest="spec_path", required=True, help="Population spec JSON."),
+    Param("--confusion", dest="confusion_path",
+          help="Confusion matrix JSON (default: identity labeler)."),
+    Param("--effect", dest="effect_path", help="Effect spec JSON (default: null effect)."),
+    Param("--seed", type=int, default=DEFAULT_SEED, help="(default: %(default)s)"),
+    Param("--rho-shared", type=float, default=0.0,
+          help="Probability that both arms share a labeler draw per position "
+               "(default: %(default)s)."),
+    Param("--out", dest="out_path", required=True))
 def cli_simulate(spec_path, confusion_path, effect_path, seed, rho_shared, out_path):
     """Generate a synthetic paired experiment dataset (JSONL)."""
     spec = dataset_io.load_population_spec(spec_path)
@@ -332,11 +427,10 @@ def cli_simulate(spec_path, confusion_path, effect_path, seed, rho_shared, out_p
 
 
 def _emit(text, out_path):
-    """Write a report as built: click.echo would strip ANSI escapes from a piped stdout."""
+    """Write a report as built, to ``out_path`` or, for "-", to stdout."""
     if out_path == "-":
-        stdout = click.get_text_stream("stdout")
-        stdout.write(text)
-        stdout.flush()
+        sys.stdout.write(text)
+        sys.stdout.flush()
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -355,7 +449,7 @@ def run():
     whole heap out of reach of the interpreter's shut-down collections. Every
     output file is closed by its ``with`` block and stdio is flushed at
     shut-down either way. ``main`` itself keeps the collector, for
-    ``CliRunner`` and library callers.
+    in-process callers such as the test suite's runner.
     """
     gc.disable()
     try:

@@ -337,7 +337,7 @@ def record_from_raw(raw: Mapping[str, Any], violations: list[RecordError],
             stratum = stratum_key(interest, str(stratum_raw.get("popularity", "")), interned)
         except (AttributeError, ValueError, RecordError):  # AttributeError: not a mapping
             violations.append(BadLabelValue(
-                f"invalid stratum {stratum_raw!r}", query_id=query_id, field="stratum"))
+                f"invalid stratum {shown(stratum_raw)}", query_id=query_id, field="stratum"))
 
     if "control" not in raw:
         violations.append(MissingArm("record has no control arm", query_id=query_id, field="control"))

@@ -9,8 +9,11 @@ dataset lines by json.dumps on each record's JSON object.
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -213,6 +216,52 @@ def sample_stratum_scores(probs, count: int, k_depth: int, rng) -> np.ndarray:
     levels = np.searchsorted(cdf, rng.random((count, k_depth))) + 1
     disc = 1.0 / np.log2(np.arange(2, k_depth + 2))
     return levels @ disc / (5.0 * disc.sum())
+
+
+class _Copying(io.BytesIO):
+    """A byte stream that also copies every write to ``copy``."""
+
+    def __init__(self, copy: io.BytesIO):
+        super().__init__()
+        self.copy = copy
+
+    def write(self, data):
+        self.copy.write(data)
+        return super().write(data)
+
+
+class CliRunner:
+    """Runs the CLI in this process with stdout and stderr captured.
+
+    ``invoke(main, args)`` returns ``exit_code``, ``stdout``, ``stdout_bytes``,
+    ``stderr``, ``output`` (both streams interleaved as written) and
+    ``exception``: None on exit 0, the ``SystemExit`` of a non-zero exit, or
+    any other exception the command raised, with exit code 1.
+    """
+
+    def invoke(self, main, args) -> SimpleNamespace:
+        output = io.BytesIO()
+        out, err = _Copying(output), _Copying(output)
+        # held here: a wrapper closes its stream when it is freed
+        streams = [io.TextIOWrapper(stream, encoding="utf-8", write_through=True)
+                   for stream in (out, err)]
+        saved = sys.stdout, sys.stderr
+        sys.stdout, sys.stderr = streams
+        exception = None
+        try:
+            main(list(args))
+            exit_code = 0
+        except SystemExit as exc:
+            exit_code = exc.code or 0
+            exception = exc if exit_code else None
+        except Exception as exc:
+            exit_code, exception = 1, exc
+        finally:
+            sys.stdout, sys.stderr = saved
+        return SimpleNamespace(
+            exit_code=exit_code, exception=exception, stdout_bytes=out.getvalue(),
+            stdout=out.getvalue().decode("utf-8"), stderr=err.getvalue().decode("utf-8"),
+            output=output.getvalue().decode("utf-8"))
 
 
 @pytest.fixture

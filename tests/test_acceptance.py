@@ -11,7 +11,6 @@ import time
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from scipy.stats import norm
 
 from releval.cli import main as cli_main
@@ -29,6 +28,7 @@ from releval.simulator import (
 )
 
 from conftest import (
+    CliRunner,
     brute_bh_rejections,
     brute_kendall_tau,
     brute_spearman_rho,

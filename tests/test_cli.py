@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import releval
 from releval import metrics
@@ -22,7 +21,7 @@ from releval.core import EvalDataset
 from releval.dataset_io import canonical_json, read_dataset
 
 import test_golden
-from conftest import dual_raw, page, raw_record, record
+from conftest import CliRunner, dual_raw, page, raw_record, record
 
 
 @pytest.fixture
@@ -541,7 +540,7 @@ class TestMetric:
         assert "q0,treatment,0.2000000000,false" in lines
 
     def test_escape_bytes_in_a_query_id_reach_stdout(self, runner, tmp_path):
-        # click.echo strips ANSI escapes from a stdout that is not a terminal
+        # the report reaches stdout as built, escape bytes and all
         path = write_jsonl(tmp_path / "d.jsonl", [raw_record("q\x1b[31mred", [3, 4])])
         out = tmp_path / "out.csv"
         assert runner.invoke(main, ["metric", path, "--out", str(out)]).exit_code == 0
@@ -826,13 +825,12 @@ def test_depth_below_one_fails_before_the_dataset_is_read(runner, tmp_path, comm
 
 
 @pytest.mark.parametrize("args, message", [
-    (["evaluate", "d.jsonl", "--k", "abc"],
-     "Invalid value for '--k': 'abc' is not a valid integer."),
+    (["evaluate", "d.jsonl", "--k", "abc"], "argument --k: invalid int value: 'abc'"),
     (["evaluate", "d.jsonl", "--by", "market"],
-     "Invalid value for '--by': 'market' is not one of 'popularity', 'interest', 'stratum'."),
-    (["metric", "d.jsonl", "--bogus"], "No such option '--bogus'. Did you mean '--out'?"),
-    (["align"], "Missing argument 'DATASET_PATH'."),
-    (["design", "--budget", "3"], "Missing option '--strata'."),
+     "argument --by: invalid choice: 'market' (choose from 'popularity', 'interest', 'stratum')"),
+    (["metric", "d.jsonl", "--bogus"], "unrecognized arguments: --bogus"),
+    (["align"], "the following arguments are required: DATASET_PATH"),
+    (["design", "--budget", "3"], "the following arguments are required: --strata"),
 ], ids=["bad-type", "bad-choice", "unknown-option", "missing-argument", "missing-option"])
 def test_usage_error_is_exit_2_with_a_payload_under_error_json(runner, args, message):
     for flagged in ([*args, "--error-json"], [args[0], "--error-json", *args[1:]]):
@@ -840,18 +838,19 @@ def test_usage_error_is_exit_2_with_a_payload_under_error_json(runner, args, mes
         assert result.exit_code == 2
         assert json.loads(result.stdout) == {"error": "UsageError", "message": message}
         assert result.stderr == ""
-    # without the flag, click's usage text on stderr as before
+    # without the flag, the command's usage and the message on stderr
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert result.stdout == ""
-    assert result.stderr.startswith(f"Usage: main {args[0]} [OPTIONS]")
-    assert result.stderr.endswith(f"\n\nError: {message}\n")
+    assert result.stderr.startswith(f"usage: releval {args[0]} ")
+    assert result.stderr.endswith(f"\nreleval {args[0]}: error: {message}\n")
 
 
 @pytest.mark.parametrize("args, message", [
-    (["bogus"], "No such command 'bogus'."),
-    (["--bogus"], "No such option '--bogus'."),
-    (["metric", "d.jsonl", "--k", "abc"], "Invalid value for '--k': 'abc' is not a valid integer."),
+    (["bogus"], "argument COMMAND: invalid choice: 'bogus' (choose from 'metric', 'evaluate', "
+                "'design', 'mde', 'align', 'simulate')"),
+    (["--bogus"], "unrecognized arguments: --bogus"),
+    (["metric", "d.jsonl", "--k", "abc"], "argument --k: invalid int value: 'abc'"),
 ], ids=["unknown-command", "unknown-group-option", "command-usage"])
 def test_group_level_usage_error_is_a_payload_under_error_json(runner, args, message):
     # the flag may stand before the command name, or after an unknown one
@@ -863,7 +862,7 @@ def test_group_level_usage_error_is_a_payload_under_error_json(runner, args, mes
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert result.stdout == ""
-    assert result.stderr.endswith(f"\n\nError: {message}\n")
+    assert result.stderr.endswith(f": error: {message}\n")
 
 
 def test_error_json_before_the_command_name_applies_to_it(runner, tmp_path):
@@ -890,6 +889,28 @@ def test_error_json_token_anywhere_in_the_args_turns_the_payload_on(runner, tmp_
         assert result.exit_code == 2
         assert json.loads(result.stdout)["error"] == "IOError"
         assert result.stderr == ""
+
+
+@pytest.mark.parametrize("args, code, error", [
+    (["metric", "d.jsonl", "--o", "y"], 2, "UsageError"),
+    (["mde", "--mu", "-1e-3", "--sigma", "0.2", "--n", "100"], 1, "NonPositiveMean"),
+    (["mde", "--mu", "-inf", "--sigma", "0.2", "--n", "100"], 1, "OutOfDomain"),
+], ids=["no-prefix-matching", "negative-mean", "negative-infinity"])
+def test_an_option_is_named_in_full_and_takes_the_next_token(runner, args, code, error):
+    # "--o" is no abbreviation of "--out"; a value that starts with "-" is
+    # still the option's value, so the command's own check reports it
+    result = runner.invoke(main, [*args, "--error-json"])
+    assert result.exit_code == code
+    assert json.loads(result.stdout)["error"] == error
+
+
+def test_an_interrupt_ends_a_command_with_one_line(runner, monkeypatch):
+    def interrupted(**kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(main.commands["mde"], "callback", interrupted)
+    result = runner.invoke(main, ["mde", "--mu", "0.5", "--sigma", "0.2", "--n", "100"])
+    assert (result.exit_code, result.stdout, result.stderr) == (1, "", "\nAborted!\n")
 
 
 def _run_module(args, **kwargs):
@@ -950,7 +971,8 @@ class TestEvaluate:
     def test_help_lists_the_groupings(self, runner):
         result = runner.invoke(main, ["evaluate", "--help"])
         assert result.exit_code == 0
-        assert "--by [popularity|interest|stratum]" in result.output
+        assert "--by {popularity,interest,stratum}" in result.output
+        assert "(default: popularity)" in result.output
 
     def test_report_structure(self, runner, tmp_path):
         path = write_jsonl(tmp_path / "d.jsonl", paired_records())

@@ -147,6 +147,16 @@ def test_a_stratum_that_is_not_an_object_is_shown_as_given(value, shown):
     assert (violation.field, str(violation)) == ("stratum", f"invalid stratum {shown}")
 
 
+def test_a_stratum_holding_an_int_too_long_to_print_is_a_bad_label_value():
+    raw = raw_record("q1", [5, 4])
+    raw["stratum"] = {"interest": "a", "popularity": 10 ** 5000}
+    with pytest.raises(DatasetValidationError) as exc:
+        validate_dataset([raw])
+    [violation] = exc.value.violations
+    assert (violation.code, violation.field) == ("BadLabelValue", "stratum")
+    assert str(violation).startswith("invalid stratum ")
+
+
 def test_validate_reports_all_violations_not_just_first():
     raws = [
         raw_record("q1", [5, 6]),          # bad label

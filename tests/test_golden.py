@@ -9,11 +9,10 @@ import hashlib
 import json
 
 import pytest
-from click.testing import CliRunner
 
 from releval.cli import main
 
-from conftest import dual_raw, raw_record
+from conftest import CliRunner, dual_raw, raw_record
 
 INTERESTS = ("art", "food")
 POPULARITIES = ("head", "torso", "tail")

@@ -7,9 +7,17 @@ made public where it is defined.
 """
 
 import ast
+import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import releval
+
+import test_golden
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -54,3 +62,41 @@ def test_a_private_import_is_found():
     tree = ast.parse("from . import _lazy\nfrom ._lazy import np\n"
                      "from .core import _is_text, check_pages\nfrom typing import _Final\n")
     assert _private_imports(tree) == ["_is_text"]
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """The top-level package of every absolute import."""
+    return ({alias.name.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names}
+            | {node.module.split(".")[0] for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and not node.level})
+
+
+def test_no_module_imports_click():
+    importers = [path.name for path in sorted(Path(releval.__file__).parent.glob("*.py"))
+                 if "click" in _imported_modules(ast.parse(path.read_text(encoding="utf-8")))]
+    assert importers == []
+
+
+def test_an_import_of_click_is_found():
+    tree = ast.parse("import click.testing\nfrom click import echo\nfrom . import core\n")
+    assert _imported_modules(tree) == {"click"}
+
+
+# the entry point, in an interpreter where any import of click fails
+_WITHOUT_CLICK = "import sys; sys.modules['click'] = None; from releval.cli import run; run()"
+
+
+@pytest.mark.parametrize("args, stdout_sha256", [
+    (["--version"], hashlib.sha256(b"releval, version 0.1.0\n").hexdigest()),
+    (test_golden.GOLDEN["metric"][0], test_golden.GOLDEN["metric"][2]["stdout"]),
+], ids=["version", "metric"])
+def test_the_cli_runs_where_click_cannot_be_imported(tmp_path, args, stdout_sha256):
+    test_golden._write_inputs(tmp_path)
+    src = str(Path(releval.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", _WITHOUT_CLICK, *args], cwd=tmp_path,
+                            env=env, capture_output=True)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert hashlib.sha256(result.stdout).hexdigest() == stdout_sha256

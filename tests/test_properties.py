@@ -37,7 +37,6 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -64,7 +63,7 @@ from releval.simulator import (
     calibrate_confusion,
 )
 
-from conftest import dataset_bytes
+from conftest import CliRunner, dataset_bytes
 
 LABEL = st.integers(1, 5)
 BAD_LABEL = st.sampled_from([0, 6, 2.5, True, "3", None, [3]])
@@ -766,7 +765,7 @@ def test_simulate_sizes_are_bounded(k_depth, queries):
     assert (result.exit_code == 0) == (1 <= k_depth <= 1000 and 1 <= queries <= 10 ** 6)
 
 
-EDGE = ["0", "-1", "1", "1e-300", "1e300", "nan", "inf", "1" + "0" * 400]
+EDGE = ["0", "-1", "1", "1e-300", "1e300", "nan", "inf", "-inf", "-1e-3", "1" + "0" * 400]
 
 
 @st.composite
@@ -780,7 +779,7 @@ def mde_args(draw):
                                        else ["0.02", "1e-8", "1e-100"]))}
     key = draw(st.sampled_from([None, *args]))
     if key is not None:
-        # --n is an integer option, which click checks itself
+        # --n is an integer option, which the parser checks itself
         edges = [v for v in EDGE if v.isdigit()] if key == "--n" else EDGE
         args[key] = draw(st.sampled_from(edges))
     return [part for item in args.items() for part in item]
